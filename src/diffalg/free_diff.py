@@ -70,12 +70,8 @@ def d_shift(p: Poly) -> Poly:
             else:
                 exps[bumped] -= 1
             exps[v] = e
-            acc = out.get(key, 0) + c * e
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return Poly(out)
+            out[key] = out[key] + c * e if key in out else c * e
+    return Poly._from_sums(out)
 
 
 def d_shift_via_sharp(p: Poly) -> Poly:
@@ -130,16 +126,19 @@ def decode_nested(s: str) -> Poly:
         data = json.loads(s)
         terms = {}
         for coeff_s, mono in data:
+            if not isinstance(coeff_s, str):
+                raise ValueError("coefficient is not a string")
             exps = {}
             for base, order, e in mono:
-                if not isinstance(base, str) or order < 0 or e <= 0:
+                if (not isinstance(base, str) or type(order) is not int or type(e) is not int
+                        or order < 0 or e <= 0):
                     raise ValueError("bad variable entry")
-                v = DVar(base, int(order))
-                exps[v] = exps.get(v, 0) + int(e)
+                v = DVar(base, order)
+                exps[v] = exps.get(v, 0) + e
             m = tuple(sorted(exps.items()))
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(coeff_s)
+            terms[m] = terms.get(m, 0) + Fraction(coeff_s)
         return Poly(terms)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise MalformedNesting(f"not an encoded differential polynomial: {s!r}") from exc
 
 

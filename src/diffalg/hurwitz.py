@@ -96,7 +96,7 @@ class Series:
         return Series(tuple(a * other for a in self.coeffs), self.flavor)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"exponent must be a natural number, got {n!r}")
         out = sunit(self.order, self.flavor)
         for _ in range(n):

@@ -18,26 +18,23 @@ Multiplying each pair back out (:func:`coderive`) recovers a polynomial;
 the composite :func:`euler` scales every monomial by its total degree.
 Together these give the derived maps :func:`flat` and :func:`sharp`, which
 turn variable assignments and linear endomorphisms into derivations.
+
+:class:`Poly` and :class:`Tensor` are :class:`~diffalg.lincomb.LinComb`
+subclasses: the coefficient representation (exact ``Fraction``, ``float``
+and ``bool`` rejected, cancel-on-zero) is decided there, once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .errors import NonLinearImage, UnboundVariable
+from .lincomb import LinComb, coerce
 
 # A monomial: sorted tuple of (variable, positive exponent) pairs.
 Mono = tuple
 EMPTY_MONO: Mono = ()
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational or int, got {type(value).__name__}")
 
 
 def mono_from_exponents(exponents: Mapping) -> Mono:
@@ -80,47 +77,39 @@ def term_sort_key(m: Mono):
     return (mono_degree(m), m)
 
 
-class Poly:
+class Poly(LinComb):
     """Immutable sparse polynomial in canonical form."""
 
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        canon = {}
-        if terms:
-            for m, c in terms.items():
-                c = _coerce(c)
-                if c:
-                    canon[m] = c
-        self._terms = canon
-        self._hash = None
+    __slots__ = ()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
-        return cls({EMPTY_MONO: Fraction(1)})
+        return cls._trusted({EMPTY_MONO: Fraction(1)})
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({EMPTY_MONO: _coerce(value)})
+        return cls._from_sums({EMPTY_MONO: coerce(value)})
 
     @classmethod
     def variable(cls, v) -> "Poly":
-        return cls({((v, 1),): Fraction(1)})
+        return cls._trusted({((v, 1),): Fraction(1)})
 
     @classmethod
     def monomial(cls, exponents: Mapping, coeff=1) -> "Poly":
-        return cls({mono_from_exponents(exponents): _coerce(coeff)})
+        return cls._from_sums({mono_from_exponents(exponents): coerce(coeff)})
+
+    def _operand(self, other):
+        """Scalars act as constant polynomials."""
+        if isinstance(other, Poly):
+            return other
+        try:
+            return Poly.const(other)
+        except TypeError:
+            return None
 
     # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[Mono, Fraction]]:
-        return iter(self._terms.items())
 
     def coefficient(self, m: Mono) -> Fraction:
         return self._terms.get(m, Fraction(0))
@@ -137,9 +126,6 @@ class Poly:
         """Largest monomial degree; the zero polynomial reports 0."""
         return max((mono_degree(m) for m in self._terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {EMPTY_MONO}
 
@@ -154,65 +140,32 @@ class Poly:
         return len(self._terms)
 
     # -- ring structure ----------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    #
+    # __add__ and __mul__ live in this class body, not only in LinComb, so
+    # that profiles and perfbench's tracer see polynomial arithmetic by name.
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            try:
-                other = Poly.const(other)
-            except TypeError:
-                return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m, 0) + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        return Poly(out)
+        return LinComb.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            try:
-                other = Poly.const(other)
-            except TypeError:
-                return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            try:
-                scalar = _coerce(other)
-            except TypeError:
-                return NotImplemented
-            if not scalar:
-                return Poly.zero()
-            return Poly({m: c * scalar for m, c in self._terms.items()})
+            return LinComb.__mul__(self, other)
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = mono_mul(m1, m2)
-                acc = out.get(m, 0) + c1 * c2
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
-        return Poly(out)
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return Poly._from_sums(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"exponent must be a natural number, got {n!r}")
         out = Poly.one()
         base = self
@@ -222,19 +175,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self._terms == other._terms
-        try:
-            return self._terms == Poly.const(other)._terms
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
 
     def __str__(self) -> str:
         if not self._terms:
@@ -249,9 +189,6 @@ class Poly:
             else:
                 parts.append(f"{c}*{mono_str(m)}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
 
 
 class LinearMap:
@@ -292,96 +229,33 @@ def _as_linear_map(f) -> LinearMap:
     return f if isinstance(f, LinearMap) else LinearMap(f)
 
 
-class Tensor:
+class Tensor(LinComb):
     """A finite sum of (polynomial ⊗ variable) pairs with rational
     coefficients, stored with the polynomial slot distributed to monomials:
     keys are (monomial, variable)."""
 
-    __slots__ = ("_pairs", "_hash")
-
-    def __init__(self, pairs: Mapping | None = None):
-        canon = {}
-        if pairs:
-            for key, c in pairs.items():
-                c = _coerce(c)
-                if c:
-                    canon[key] = c
-        self._pairs = canon
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "Tensor":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of(cls, p: Poly, v) -> "Tensor":
         """The elementary tensor p ⊗ v, distributed to canonical form."""
-        return cls({(m, v): c for m, c in p.terms()})
+        return cls._trusted({(m, v): c for m, c in p.terms()})
 
-    def pairs(self) -> Iterator:
-        return iter(self._pairs.items())
-
-    def is_zero(self) -> bool:
-        return not self._pairs
-
-    def __bool__(self) -> bool:
-        return bool(self._pairs)
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        out = dict(self._pairs)
-        for key, c in other._pairs.items():
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return Tensor(out)
-
-    def __neg__(self):
-        return Tensor({k: -c for k, c in self._pairs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = _coerce(scalar)
-        if not scalar:
-            return Tensor.zero()
-        return Tensor({k: scalar * c for k, c in self._pairs.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._pairs.items()))
-        return self._hash
+    pairs = LinComb.terms
 
     def scale_poly(self, q: Poly) -> "Tensor":
         """Multiply the polynomial slot of every pair by q."""
         out: dict = {}
-        for (m, v), c in self._pairs.items():
+        for (m, v), c in self._terms.items():
             for m2, c2 in q.terms():
                 key = (mono_mul(m, m2), v)
-                acc = out.get(key, 0) + c * c2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return Tensor(out)
+                out[key] = out[key] + c * c2 if key in out else c * c2
+        return Tensor._from_sums(out)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair."""
         out = Tensor.zero()
-        for (m, v), c in self._pairs.items():
+        for (m, v), c in self._terms.items():
             out = out + Tensor.of(fn(Poly({m: c})), v)
         return out
 
@@ -389,28 +263,21 @@ class Tensor:
         """Apply a linear variable map to the variable slot of every pair."""
         f = _as_linear_map(f)
         out: dict = {}
-        for (m, v), c in self._pairs.items():
+        for (m, v), c in self._terms.items():
             for w, a in f.linear_image(v):
                 key = (m, w)
-                acc = out.get(key, 0) + c * a
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return Tensor(out)
+                out[key] = out[key] + c * a if key in out else c * a
+        return Tensor._from_sums(out)
 
     def __str__(self) -> str:
-        if not self._pairs:
+        if not self._terms:
             return "0"
         parts = []
-        for (m, v) in sorted(self._pairs, key=lambda k: (k[1], term_sort_key(k[0])), reverse=False):
-            c = self._pairs[(m, v)]
+        for (m, v) in sorted(self._terms, key=lambda k: (k[1], term_sort_key(k[0])), reverse=False):
+            c = self._terms[(m, v)]
             p = Poly({m: c})
             parts.append(f"{p} (x) {v}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Tensor({self})"
 
 
 # -- the categorical operations -------------------------------------------
@@ -461,12 +328,8 @@ def rename_vars(p: Poly, fn: Callable) -> Poly:
             w = fn(v)
             exps[w] = exps.get(w, 0) + e
         m2 = tuple(sorted(exps.items()))
-        acc = out.get(m2, 0) + c
-        if acc:
-            out[m2] = acc
-        elif m2 in out:
-            del out[m2]
-    return Poly(out)
+        out[m2] = out[m2] + c if m2 in out else c
+    return Poly._from_sums(out)
 
 
 def map_linear(p: Poly, f) -> Poly:
@@ -485,7 +348,8 @@ def map_linear(p: Poly, f) -> Poly:
 
 
 def partial(p: Poly, v) -> Poly:
-    """Partial derivative of p with respect to the variable v."""
+    """Partial derivative of p with respect to the variable v.  Lowering
+    the exponent of v is one-to-one on monomials, so no terms merge."""
     out: dict[Mono, Fraction] = {}
     for m, c in p.terms():
         exps = dict(m)
@@ -496,17 +360,14 @@ def partial(p: Poly, v) -> Poly:
             del exps[v]
         else:
             exps[v] = e - 1
-        m2 = tuple(sorted(exps.items()))
-        acc = out.get(m2, 0) + c * e
-        if acc:
-            out[m2] = acc
-        elif m2 in out:
-            del out[m2]
-    return Poly(out)
+        out[tuple(sorted(exps.items()))] = c * e
+    return Poly._trusted(out)
 
 
 def derive(p: Poly) -> Tensor:
-    """The total-derivative tensor: sum_i dp/dx_i ⊗ x_i."""
+    """The total-derivative tensor: sum_i dp/dx_i ⊗ x_i.  A key
+    (dp/dx_i monomial, x_i) determines its source monomial, so no terms
+    merge."""
     out: dict = {}
     for m, c in p.terms():
         exps = dict(m)
@@ -515,14 +376,9 @@ def derive(p: Poly) -> Tensor:
                 del exps[v]
             else:
                 exps[v] = e - 1
-            key = (tuple(sorted(exps.items())), v)
+            out[(tuple(sorted(exps.items())), v)] = c * e
             exps[v] = e  # restore
-            acc = out.get(key, 0) + c * e
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return Tensor(out)
+    return Tensor._trusted(out)
 
 
 def coderive(t: Tensor) -> Poly:
@@ -530,12 +386,8 @@ def coderive(t: Tensor) -> Poly:
     out: dict[Mono, Fraction] = {}
     for (m, v), c in t.pairs():
         m2 = mono_mul(m, ((v, 1),))
-        acc = out.get(m2, 0) + c
-        if acc:
-            out[m2] = acc
-        elif m2 in out:
-            del out[m2]
-    return Poly(out)
+        out[m2] = out[m2] + c if m2 in out else c
+    return Poly._from_sums(out)
 
 
 def euler(p: Poly) -> Poly:
@@ -577,14 +429,8 @@ def sharp(g, p: Poly) -> Poly:
 
 def derive_twice(p: Poly) -> dict:
     """The twice-derived object as a map (monomial, v_j, v_i) -> coefficient,
-    representing  sum_{i,j} d²p/dx_i dx_j ⊗ x_j ⊗ x_i."""
-    out: dict = {}
-    for (m1, vi), c1 in derive(p).pairs():
-        for (m2, vj), c2 in derive(Poly({m1: c1})).pairs():
-            key = (m2, vj, vi)
-            acc = out.get(key, 0) + c2
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+    representing  sum_{i,j} d²p/dx_i dx_j ⊗ x_j ⊗ x_i.  As in
+    :func:`derive`, each key determines its source term, so no terms merge."""
+    return {(m2, vj, vi): c2
+            for (m1, vi), c1 in derive(p).pairs()
+            for (m2, vj), c2 in derive(Poly._trusted({m1: c1})).pairs()}

@@ -18,13 +18,18 @@ raw form it produces (word, d tail/dx_j, x_j) triples; collapsed to an
 endomorphism it multiplies each partial back by its variable, which on a
 monomial tail is just scaling by the tail's total degree.  D and P are
 incompatible by construction: D(P(a)) = 0, since P leaves a constant tail.
+
+:class:`RBElem` is a :class:`~diffalg.lincomb.LinComb` subclass: the
+coefficient representation (exact ``Fraction``, ``float`` and ``bool``
+rejected, cancel-on-zero) is decided there, once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
+from .lincomb import LinComb, coerce, drop_zeros
 from .polynomial import EMPTY_MONO, Mono, Poly, mono_degree, mono_mul, mono_str
 
 # A word: tuple of letters, each letter a monomial of the polynomial algebra.
@@ -50,23 +55,15 @@ def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
     """Expand a sequence of polynomial letters multilinearly into a linear
     combination of monomial-letter words.  A letter given as a bare
     monomial tuple is taken with coefficient 1; a zero letter kills the
-    word."""
+    word.  Distinct words stay distinct when a letter is appended, so no
+    terms merge."""
     combo: dict[Word, Fraction] = {(): Fraction(1)}
     for letter in letters:
         if isinstance(letter, Poly):
             expansions = list(letter.terms())
         else:
             expansions = [(tuple(letter), Fraction(1))]
-        nxt: dict[Word, Fraction] = {}
-        for w, c in combo.items():
-            for m, cm in expansions:
-                key = w + (m,)
-                acc = nxt.get(key, 0) + c * cm
-                if acc:
-                    nxt[key] = acc
-                elif key in nxt:
-                    del nxt[key]
-        combo = nxt
+        combo = {w + (m,): c * cm for w, c in combo.items() for m, cm in expansions}
         if not combo:
             break
     return combo
@@ -79,12 +76,8 @@ def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
         for wv, cv in normalize_word(v).items():
             c = cu * cv
             for w in _interleavings(wu, wv):
-                acc = out.get(w, 0) + c
-                if acc:
-                    out[w] = acc
-                elif w in out:
-                    del out[w]
-    return out
+                out[w] = out[w] + c if w in out else c
+    return drop_zeros(out)
 
 
 def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
@@ -93,96 +86,32 @@ def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
     return sum(shuffle(u, v).values(), Fraction(0))
 
 
-class RBElem:
+class RBElem(LinComb):
     """Immutable element of the Rota-Baxter carrier, in canonical form."""
 
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Mapping | None = None):
-        canon: dict = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    canon[key] = c
-        self._terms = canon
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "RBElem":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "RBElem":
-        return cls({((), EMPTY_MONO): Fraction(1)})
+        return cls._trusted({((), EMPTY_MONO): Fraction(1)})
 
     @classmethod
     def term(cls, letters: Sequence, tail: Poly, coeff=1) -> "RBElem":
         """Build coeff · (word, tail), canonicalizing letters and tail."""
         if not isinstance(tail, Poly):
             tail = Poly.const(tail)
+        coeff = coerce(coeff)
         out: dict = {}
         for w, cw in normalize_word(letters).items():
             for m, cm in tail.terms():
-                key = (w, m)
-                acc = out.get(key, 0) + cw * cm * Fraction(coeff)
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return cls(out)
-
-    def terms(self) -> Iterator:
-        return iter(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, RBElem):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return RBElem(out)
-
-    def __neg__(self):
-        return RBElem({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, RBElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, RBElem):
-            return NotImplemented
-        scalar = Fraction(scalar)
-        if not scalar:
-            return RBElem.zero()
-        return RBElem({k: scalar * c for k, c in self._terms.items()})
+                # the words are distinct, and so are the monomials of tail
+                out[(w, m)] = cw * cm * coeff
+        return cls._from_sums(out)
 
     def __mul__(self, other):
         if isinstance(other, RBElem):
             return rb_mul(self, other)
-        return self.__rmul__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, RBElem):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return LinComb.__mul__(self, other)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -194,9 +123,6 @@ class RBElem:
             parts.append(f"{c}*({word_s}, {mono_str(t)})")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"RBElem({self})"
-
 
 def rb_mul(s: RBElem, t: RBElem) -> RBElem:
     """Bilinear product: shuffle on word parts, monomial product on tails."""
@@ -207,50 +133,29 @@ def rb_mul(s: RBElem, t: RBElem) -> RBElem:
             c = c1 * c2
             for w in _interleavings(w1, w2):
                 key = (w, tail)
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return RBElem(out)
+                out[key] = out[key] + c if key in out else c
+    return RBElem._from_sums(out)
 
 
 def rb_P(s: RBElem) -> RBElem:
     """The Rota-Baxter operator: append the tail to the word as a new
-    letter and reset the tail to 1, extended linearly."""
-    out: dict = {}
-    for (w, t), c in s.terms():
-        key = (w + (t,), EMPTY_MONO)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return RBElem(out)
+    letter and reset the tail to 1, extended linearly.  Distinct (word,
+    tail) keys stay distinct, so nothing merges."""
+    return RBElem._trusted({(w + (t,), EMPTY_MONO): c for (w, t), c in s.terms()})
 
 
 def rb_D(s: RBElem) -> RBElem:
     """The tail derivation as an endomorphism: each partial derivative of
     the tail is multiplied back by its variable, which scales a monomial
-    tail by its total degree."""
-    out: dict = {}
-    for (w, t), c in s.terms():
-        deg = mono_degree(t)
-        if not deg:
-            continue
-        key = (w, t)
-        acc = out.get(key, 0) + c * deg
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return RBElem(out)
+    tail by its total degree; terms with a constant tail drop out."""
+    return RBElem._trusted({(w, t): c * mono_degree(t) for (w, t), c in s.terms() if t})
 
 
 def rb_D_raw(s: RBElem) -> dict:
     """The tail derivation in raw tensor form: a map
     (word, monomial, variable) -> coefficient representing
-    sum_j (word, d tail/dx_j, x_j)."""
+    sum_j (word, d tail/dx_j, x_j).  As in
+    :func:`~diffalg.polynomial.derive`, no terms merge."""
     out: dict = {}
     for (w, t), c in s.terms():
         exps = dict(t)
@@ -259,13 +164,8 @@ def rb_D_raw(s: RBElem) -> dict:
                 del exps[v]
             else:
                 exps[v] = e - 1
-            key = (w, tuple(sorted(exps.items())), v)
+            out[(w, tuple(sorted(exps.items())), v)] = c * e
             exps[v] = e
-            acc = out.get(key, 0) + c * e
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
     return out
 
 
@@ -280,12 +180,8 @@ def raw_scale(raw: dict, s: RBElem) -> dict:
             c = c1 * c2
             for w in _interleavings(w1, w2):
                 key = (w, tail, v)
-                acc = out.get(key, 0) + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return out
+                out[key] = out[key] + c if key in out else c
+    return drop_zeros(out)
 
 
 def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = (sys.executable, "-m", "diffalg.cli")
+ROOT = Path(__file__).resolve().parent.parent
+LAWS_GOLDEN = ROOT / "tests" / "data" / "laws_seed42_trials10.txt"
 
 
 def run_cli(*args, stdin=None):
@@ -87,6 +91,21 @@ class TestLaws:
         reports = [json.loads(line) for line in r.stdout.splitlines()]
         assert all(rep["pass"] for rep in reports)
         assert len(reports) > 40
+
+    def test_frozen_golden(self):
+        """The reports are frozen byte for byte, so a change to any
+        SplitMix64 draw order or law report shows up here."""
+        r = subprocess.run(CLI + ("laws", "--seed", "42", "--trials", "10"), capture_output=True)
+        assert r.returncode == 0
+        golden = LAWS_GOLDEN.read_bytes()
+        assert r.stdout == golden
+
+    def test_frozen_golden_matches_benchmark(self):
+        meta = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+        golden = LAWS_GOLDEN.read_bytes()
+        assert (meta["seed"], meta["trials"]) == (42, 10)
+        assert hashlib.sha256(golden).hexdigest() == meta["sha256"]
+        assert golden.count(b"\n") == meta["lines"]
 
     def test_byte_identical_across_runs(self):
         a = run_cli("laws", "--seed", "42", "--trials", "8")

@@ -131,6 +131,17 @@ class TestNesting:
         with pytest.raises(MalformedNesting):
             beta(dvar("plain_name", 1))
 
+    @pytest.mark.parametrize("text", [
+        '[["1/0",[["x",0,1]]]]',      # zero denominator
+        '[["1",[["x",1.5,1]]]]',      # fractional order
+        '[["1",[["x",0,1.5]]]]',      # fractional exponent
+        '[["1",[["x",true,1]]]]',     # boolean order
+        '[[0.5,[["x",0,1]]]]',        # coefficient not a string
+    ])
+    def test_malformed_numbers(self, text):
+        with pytest.raises(MalformedNesting):
+            decode_nested(text)
+
     def test_beta_single_variable(self):
         inner = x0 * y0
         assert beta(nest(inner, 1)) == x1 * y0 + x0 * y1

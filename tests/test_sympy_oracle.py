@@ -1,0 +1,69 @@
+"""Poly arithmetic checked against SymPy, an implementation that shares no
+code with this package.  Skipped when SymPy is not installed."""
+
+from fractions import Fraction
+
+import pytest
+
+from diffalg.carriers import POLY_POOL, random_poly
+from diffalg.polynomial import Poly, partial, substitute
+from diffalg.rng import SplitMix64
+
+sympy = pytest.importorskip("sympy")
+
+GENS = sympy.symbols(POLY_POOL)
+SYMBOL = dict(zip(POLY_POOL, GENS))
+
+
+def to_sympy(p: Poly):
+    """The same polynomial as a sympy.Poly over QQ in the generators GENS."""
+    rep = {}
+    for m, c in p.terms():
+        exps = dict(m)
+        rep[tuple(exps.get(v, 0) for v in POLY_POOL)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(rep, *GENS, domain=sympy.QQ)
+
+
+def polys(seed: int, n: int = 25) -> list:
+    rng = SplitMix64(seed)
+    return [random_poly(rng) for _ in range(n)]
+
+
+def substitutions(seed: int, n: int = 15) -> list:
+    """(p, env) pairs: env sends x and y to small polynomials."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(n):
+        p = random_poly(rng, max_degree=3)
+        out.append((p, {v: random_poly(rng, size=2, max_degree=2) for v in ("x", "y")}))
+    return out
+
+
+def test_conversion_round_trip():
+    p = Poly.monomial({"x": 2, "z": 1}, Fraction(-3, 4)) + 5
+    assert to_sympy(p).as_expr() == sympy.Rational(-3, 4) * SYMBOL["x"] ** 2 * SYMBOL["z"] + 5
+
+
+@pytest.mark.parametrize("p, q", zip(polys(101), polys(201)))
+def test_add(p, q):
+    assert to_sympy(p + q) == to_sympy(p) + to_sympy(q)
+    assert to_sympy(p - q) == to_sympy(p) - to_sympy(q)
+
+
+@pytest.mark.parametrize("p, q", zip(polys(102), polys(202)))
+def test_mul(p, q):
+    assert to_sympy(p * q) == to_sympy(p) * to_sympy(q)
+    assert to_sympy(p * p) == to_sympy(p) ** 2  # cross terms always merge
+
+
+@pytest.mark.parametrize("p", polys(103))
+def test_partial(p):
+    for v in POLY_POOL:
+        assert to_sympy(partial(p, v)) == to_sympy(p).diff(SYMBOL[v])
+
+
+@pytest.mark.parametrize("p, env", substitutions(104))
+def test_substitute(p, env):
+    want = to_sympy(p).as_expr().subs({SYMBOL[v]: to_sympy(q).as_expr() for v, q in env.items()},
+                                      simultaneous=True)
+    assert to_sympy(substitute(p, env)) == sympy.Poly(want, *GENS, domain=sympy.QQ)
