@@ -11,11 +11,12 @@ costs one order of precision.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from . import hurwitz as hz
 from . import rota_baxter as rb
-from .diff_laws import DiffCarrier
+from .diff_laws import DiffCarrier, pick, random_fraction, sample_poly
 from .free_diff import DVar, d_shift
 from .polynomial import LinearMap, Poly, sharp
 from .rng import SplitMix64
@@ -23,38 +24,17 @@ from .rng import SplitMix64
 POLY_POOL = ("w", "x", "y", "z")
 
 
-def random_fraction(rng: SplitMix64) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
-
 def random_poly(rng: SplitMix64, size: int = 4, pool=POLY_POOL, max_degree: int = 4) -> Poly:
     """Random polynomial: up to ``size`` terms of degree <= max_degree."""
-    p = Poly.zero()
-    for _ in range(rng.randint(1, max(size, 1))):
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            v = rng.choice(pool)
-            exps[v] = exps.get(v, 0) + 1
-        c = random_fraction(rng)
-        if c:
-            p = p + Poly.monomial(exps, c)
-    return p
+    return sample_poly(rng, pick(pool), size, max_degree)
 
 
 def random_diffpoly(rng: SplitMix64, size: int = 4, bases=("x", "y"),
                     max_order: int = 2, max_degree: int = 4) -> Poly:
     """Random differential polynomial over derivative variables of bounded
     order."""
-    p = Poly.zero()
-    for _ in range(rng.randint(1, max(size, 1))):
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            v = DVar(rng.choice(bases), rng.randint(0, max_order))
-            exps[v] = exps.get(v, 0) + 1
-        c = random_fraction(rng)
-        if c:
-            p = p + Poly.monomial(exps, c)
-    return p
+    return sample_poly(rng, lambda r: DVar(r.choice(bases), r.randint(0, max_order)),
+                       size, max_degree)
 
 
 def random_series(rng: SplitMix64, order: int, flavor: hz.Flavor) -> hz.Series:
@@ -157,36 +137,22 @@ def rota_baxter_carrier() -> DiffCarrier:
 
 def broken_identity_carrier() -> DiffCarrier:
     """D = identity: violates the constant rule (D(1) = 1)."""
-    base = poly_sharp_carrier()
-    return DiffCarrier(
-        name="broken_identity",
-        zero=base.zero, one=base.one, add=base.add, mul=base.mul,
-        scale=base.scale, d=lambda p: p, sample=base.sample,
-    )
+    return replace(poly_sharp_carrier(), name="broken_identity", d=lambda p: p,
+                   sample_kernel=None)
 
 
 def broken_squaring_carrier() -> DiffCarrier:
     """D(p) = p·p: violates the Leibniz rule."""
-    base = poly_sharp_carrier()
-    return DiffCarrier(
-        name="broken_squaring",
-        zero=base.zero, one=base.one, add=base.add, mul=base.mul,
-        scale=base.scale, d=lambda p: p * p, sample=base.sample,
-    )
+    return replace(poly_sharp_carrier(), name="broken_squaring", d=lambda p: p * p,
+                   sample_kernel=None)
 
 
 def broken_unscaled_shift_carrier(order: int = 8) -> DiffCarrier:
     """Power-flavored series with the plain (Hurwitz-style) shift: the
     shift is a derivation for the binomial product but not for the Cauchy
     product, so Leibniz fails."""
-    base = power_carrier(order)
-    return DiffCarrier(
-        name="broken_unscaled_shift",
-        zero=base.zero, one=base.one, add=base.add, mul=base.mul,
-        scale=base.scale,
-        d=lambda s: hz.Series(s.coeffs[1:], s.flavor),
-        sample=base.sample, eq=base.eq,
-    )
+    return replace(power_carrier(order), name="broken_unscaled_shift",
+                   d=lambda s: hz.Series(s.coeffs[1:], s.flavor), sample_kernel=None)
 
 
 def shipped_carriers(order: int = 8) -> tuple[DiffCarrier, ...]:

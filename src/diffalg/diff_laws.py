@@ -2,9 +2,10 @@
 
 A carrier is a behavioral bundle: ring operations, a rational scalar
 action, an endomorphism D, and a seeded random-element generator.  Each
-check runs a deterministic number of seeded trials and returns a
-:class:`LawReport` with the first counterexample on failure; rerunning
-with the same (seed, trials) reproduces the identical report.
+check runs a deterministic number of seeded trials through
+:func:`run_trials` and returns a :class:`LawReport` with the first
+counterexample on failure; rerunning with the same (seed, trials)
+reproduces the identical report.
 
 The laws:
 
@@ -28,14 +29,18 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import UnboundVariable
-from .polynomial import Poly, partial
+from .free_diff import natural_map
+from .polynomial import Poly, evaluate, partial
 from .rng import SplitMix64
 from .scalars import binom
+
+# The formal variables X1, X2, ... of the chain-rule-style laws.
+FORMAL_VARS = ("X1", "X2", "X3")
 
 
 @dataclass(frozen=True)
@@ -84,80 +89,134 @@ class DiffCarrier:
     sample_kernel: Callable | None = None
 
 
-def d_pow(c: DiffCarrier, x, n: int):
-    """n-fold application of the carrier's derivation; D^0 is the identity."""
-    for _ in range(n):
-        x = c.d(x)
-    return x
+def random_fraction(rng: SplitMix64) -> Fraction:
+    """A harness coefficient: |numerator| <= 9, denominator <= 4."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def sample_poly(rng: SplitMix64, draw_var: Callable, max_terms: int, max_degree: int) -> Poly:
+    """The random polynomial of the harness: 1 to max_terms terms, each a
+    product of 0 to max_degree variables drawn by draw_var(rng), with a
+    :func:`random_fraction` coefficient (a zero coefficient drops the
+    term).  Every random polynomial the laws use is drawn here; the
+    variables (plain names, derivative variables, encoded nestings) are
+    the only difference, and draw_var decides them."""
+    p = Poly.zero()
+    for _ in range(rng.randint(1, max(max_terms, 1))):
+        exps = sample_exponents(rng, draw_var, max_degree)
+        c = random_fraction(rng)
+        if c:
+            p = p + Poly.monomial(exps, c)
+    return p
+
+
+def sample_exponents(rng: SplitMix64, draw_var: Callable, max_degree: int) -> dict:
+    """A random monomial of degree at most max_degree, as a variable ->
+    exponent map: the product of 0 to max_degree draws of draw_var(rng)."""
+    exps: dict = {}
+    for _ in range(rng.randint(0, max_degree)):
+        v = draw_var(rng)
+        exps[v] = exps.get(v, 0) + 1
+    return exps
+
+
+def pick(pool) -> Callable:
+    """A draw_var for :func:`sample_poly`: a uniform choice from pool."""
+    return lambda rng: rng.choice(pool)
 
 
 def eval_in_carrier(c: DiffCarrier, p: Poly, env: Mapping):
     """Evaluate a polynomial at carrier elements through the carrier's ring
     operations.  Raises :class:`UnboundVariable` for missing variables."""
-    total = c.zero
-    for m, coeff in p.terms():
-        acc = c.one
-        for v, e in m:
-            if v not in env:
-                raise UnboundVariable(f"no carrier element for variable {v!r}")
-            for _ in range(e):
-                acc = c.mul(acc, env[v])
-        total = c.add(total, c.scale(coeff, acc))
-    return total
+
+    def value(v):
+        if v not in env:
+            raise UnboundVariable(f"no carrier element for variable {v!r}")
+        return env[v]
+
+    return evaluate(p, value, c.one, c.mul, c.zero, c.add, c.scale)
 
 
-def _fail(law: str, trials: int, seed: int, inputs: dict, lhs, rhs) -> LawReport:
-    ce = {k: str(v) for k, v in inputs.items()}
-    ce["lhs"] = str(lhs)
-    ce["rhs"] = str(rhs)
-    return LawReport(law=law, trials=trials, passed=False, seed=seed, counterexample=ce)
+def counterexample(inputs: Mapping, lhs, rhs) -> dict:
+    """The report form of a failed trial: every input, then both sides of
+    the law, as strings."""
+    out = {str(k): str(v) for k, v in inputs.items()}
+    out["lhs"] = str(lhs)
+    out["rhs"] = str(rhs)
+    return out
+
+
+def mismatch(inputs: Mapping, lhs, rhs, eq: Callable = operator.eq) -> dict | None:
+    """None when lhs and rhs agree under eq, else the counterexample."""
+    return None if eq(lhs, rhs) else counterexample(inputs, lhs, rhs)
+
+
+def first_failure(outcomes) -> dict | None:
+    """The first counterexample among trial outcomes (None for a pass);
+    stops consuming outcomes at the first failure."""
+    return next((ce for ce in outcomes if ce is not None), None)
+
+
+# A trial outcome: the law's precondition does not hold on the drawn inputs.
+SKIP = object()
+
+
+def run_trials(law: str, trials: int, seed: int, trial: Callable,
+               rng: SplitMix64 | None = None) -> LawReport:
+    """Run trial(rng) up to ``trials`` times and report the first failure.
+
+    A trial draws its inputs from rng (by default a fresh stream seeded
+    with seed; the laws of one suite pass the stream they share) and
+    returns None when the law holds, a counterexample dict when it fails,
+    or :data:`SKIP` when its precondition fails, which ends the run as
+    passed and skipped.  A report that stops early counts the trials run.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if rng is None:
+        rng = SplitMix64(seed)
+    for i in range(trials):
+        outcome = trial(rng)
+        if outcome is SKIP:
+            return LawReport(law=law, trials=i + 1, passed=True, seed=seed, skipped=True)
+        if outcome is not None:
+            return LawReport(law=law, trials=i + 1, passed=False, seed=seed,
+                             counterexample=outcome)
+    return LawReport(law=law, trials=trials, passed=True, seed=seed)
 
 
 def check_constant_rule(c: DiffCarrier, trials: int = 1, seed: int = 0) -> LawReport:
     """D(1) = 0.  Deterministic; trials beyond the single check are moot."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    law = f"constant_rule[{c.name}]"
-    lhs = c.d(c.one)
-    if not c.eq(lhs, c.zero):
-        return _fail(law, 1, seed, {"input": c.one}, lhs, c.zero)
-    return LawReport(law=law, trials=1, passed=True, seed=seed)
+    return run_trials(f"constant_rule[{c.name}]", 1, seed,
+                      lambda rng: mismatch({"input": c.one}, c.d(c.one), c.zero, c.eq))
 
 
 def check_leibniz(c: DiffCarrier, trials: int, seed: int) -> LawReport:
     """D(ab) = a·D(b) + D(a)·b on random pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    law = f"leibniz[{c.name}]"
-    rng = SplitMix64(seed)
-    for i in range(trials):
+
+    def trial(rng):
         a = c.sample(rng, 4)
         b = c.sample(rng, 4)
         lhs = c.d(c.mul(a, b))
         rhs = c.add(c.mul(a, c.d(b)), c.mul(c.d(a), b))
-        if not c.eq(lhs, rhs):
-            return _fail(law, i + 1, seed, {"a": a, "b": b}, lhs, rhs)
-    return LawReport(law=law, trials=trials, passed=True, seed=seed)
+        return mismatch({"a": a, "b": b}, lhs, rhs, c.eq)
+
+    return run_trials(f"leibniz[{c.name}]", trials, seed, trial)
 
 
 def check_higher_leibniz(c: DiffCarrier, n_max: int, trials: int, seed: int) -> LawReport:
     """D^n(ab) = sum_k C(n,k)·D^k(a)·D^(n-k)(b) for every n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    law = f"higher_leibniz[{c.name}]"
-    rng = SplitMix64(seed)
-    for i in range(trials):
+
+    def trial(rng):
         a = c.sample(rng, 3)
         b = c.sample(rng, 3)
-        da = [a]
-        db = [b]
-        for _ in range(n_max):
-            da.append(c.d(da[-1]))
-            db.append(c.d(db[-1]))
-        prod = c.mul(a, b)
-        lhs = prod
+        da = natural_map(c.d, a, n_max)
+        db = natural_map(c.d, b, n_max)
+        lhs = c.mul(a, b)
         for n in range(n_max + 1):
             if n > 0:
                 lhs = c.d(lhs)
@@ -165,25 +224,24 @@ def check_higher_leibniz(c: DiffCarrier, n_max: int, trials: int, seed: int) -> 
             for k in range(n + 1):
                 rhs = c.add(rhs, c.scale(Fraction(binom(n, k)), c.mul(da[k], db[n - k])))
             if not c.eq(lhs, rhs):
-                return _fail(law, i + 1, seed, {"n": n, "a": a, "b": b}, lhs, rhs)
-    return LawReport(law=law, trials=trials, passed=True, seed=seed)
+                return counterexample({"n": n, "a": a, "b": b}, lhs, rhs)
+        return None
+
+    return run_trials(f"higher_leibniz[{c.name}]", trials, seed, trial)
 
 
 def check_chain_rule(env: Mapping, p: Poly, c: DiffCarrier, seed: int = 0) -> LawReport:
     """D(p(a_1..a_m)) = sum_j (dp/dx_j)(a_1..a_m)·D(a_j) for one explicit
     polynomial and environment."""
-    law = f"chain_rule[{c.name}]"
-    value = eval_in_carrier(c, p, env)
-    lhs = c.d(value)
-    rhs = c.zero
-    for v in p.variables():
-        dp = partial(p, v)
-        if dp.is_zero():
-            continue
-        rhs = c.add(rhs, c.mul(eval_in_carrier(c, dp, env), c.d(env[v])))
-    if not c.eq(lhs, rhs):
-        return _fail(law, 1, seed, {"p": p, **{str(k): v for k, v in env.items()}}, lhs, rhs)
-    return LawReport(law=law, trials=1, passed=True, seed=seed)
+
+    def trial(rng):
+        lhs = c.d(eval_in_carrier(c, p, env))
+        rhs = c.zero
+        for v in p.variables():
+            rhs = c.add(rhs, c.mul(eval_in_carrier(c, partial(p, v), env), c.d(env[v])))
+        return mismatch({"p": p, **env}, lhs, rhs, c.eq)
+
+    return run_trials(f"chain_rule[{c.name}]", 1, seed, trial)
 
 
 def check_faa_di_bruno(env: Mapping, p: Poly, n_max: int, c: DiffCarrier,
@@ -196,21 +254,12 @@ def check_faa_di_bruno(env: Mapping, p: Poly, n_max: int, c: DiffCarrier,
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     law = f"faa_di_bruno[{c.name}]"
-    for v in p.variables():
-        if v not in env:
-            raise UnboundVariable(f"no carrier element for variable {v!r}")
-    towers = {}
-    partial_towers = {}
-    for v in p.variables():
-        tower = [env[v]]
-        for _ in range(n_max):  # D^(n-k+1) reaches at most D^n_max
-            tower.append(c.d(tower[-1]))
-        towers[v] = tower
-        dp_tower = [eval_in_carrier(c, partial(p, v), env)]
-        for _ in range(max(n_max - 1, 0)):  # D^k reaches at most D^(n_max-1)
-            dp_tower.append(c.d(dp_tower[-1]))
-        partial_towers[v] = dp_tower
-    lhs = eval_in_carrier(c, p, env)
+    lhs = eval_in_carrier(c, p, env)  # raises UnboundVariable before env[v] is read
+    # D^(n-k+1) reaches at most D^n_max, and D^k at most D^(n_max-1).
+    towers = {v: natural_map(c.d, env[v], n_max) for v in p.variables()}
+    partial_towers = {v: natural_map(c.d, eval_in_carrier(c, partial(p, v), env),
+                                     max(n_max - 1, 0))
+                      for v in p.variables()}
     for n in range(n_max):
         lhs = c.d(lhs)
         rhs = c.zero
@@ -221,7 +270,8 @@ def check_faa_di_bruno(env: Mapping, p: Poly, n_max: int, c: DiffCarrier,
                 inner = c.add(inner, c.mul(partial_towers[v][k], towers[v][n - k + 1]))
             rhs = c.add(rhs, c.scale(bc, inner))
         if not c.eq(lhs, rhs):
-            return _fail(law, n + 1, seed, {"n": n, "p": p}, lhs, rhs)
+            return LawReport(law=law, trials=n + 1, passed=False, seed=seed,
+                             counterexample=counterexample({"n": n, "p": p}, lhs, rhs))
     return LawReport(law=law, trials=max(n_max, 1), passed=True, seed=seed)
 
 
@@ -234,36 +284,18 @@ def check_kernel_closure(c: DiffCarrier, trials: int, seed: int) -> LawReport:
     if c.sample_kernel is None:
         return LawReport(law=law, trials=0, passed=True, seed=seed, skipped=True)
     if not c.eq(c.d(c.one), c.zero):
-        return _fail(law, 1, seed, {"input": c.one}, c.d(c.one), c.zero)
-    rng = SplitMix64(seed)
-    for i in range(trials):
+        return LawReport(law=law, trials=1, passed=False, seed=seed,
+                         counterexample=counterexample({"input": c.one}, c.d(c.one), c.zero))
+
+    def trial(rng):
         a = c.sample_kernel(rng, 3)
         b = c.sample_kernel(rng, 3)
         if not c.eq(c.d(a), c.zero) or not c.eq(c.d(b), c.zero):
             # Sampler violated its contract; surface it as a failure.
-            return _fail(law, i + 1, seed, {"a": a, "b": b}, c.d(a), c.zero)
-        lhs = c.d(c.mul(a, b))
-        if not c.eq(lhs, c.zero):
-            return _fail(law, i + 1, seed, {"a": a, "b": b}, lhs, c.zero)
-    return LawReport(law=law, trials=trials, passed=True, seed=seed)
+            return counterexample({"a": a, "b": b}, c.d(a), c.zero)
+        return mismatch({"a": a, "b": b}, c.d(c.mul(a, b)), c.zero, c.eq)
 
-
-def _random_abstract_poly(rng: SplitMix64, n_vars: int, max_degree: int,
-                          max_terms: int) -> tuple[Poly, tuple]:
-    """A random polynomial over fresh formal variables X1..Xm, together with
-    the variable tuple.  Coefficient bounds follow the harness defaults:
-    |numerator| <= 9, denominator <= 4."""
-    variables = tuple(f"X{i + 1}" for i in range(n_vars))
-    p = Poly.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            v = rng.choice(variables)
-            exps[v] = exps.get(v, 0) + 1
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        if coeff:
-            p = p + Poly.monomial(exps, coeff)
-    return p, variables
+    return run_trials(law, trials, seed, trial)
 
 
 def check_derivation_monoid(c: DiffCarrier, d1: Callable, d2: Callable,
@@ -271,26 +303,21 @@ def check_derivation_monoid(c: DiffCarrier, d1: Callable, d2: Callable,
     """If d1 and d2 both satisfy the chain rule on the sampled data, then so
     does their pointwise sum (and the zero map).  Reports ``skipped`` when
     the precondition fails."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    law = f"derivation_monoid[{c.name}]"
-    rng = SplitMix64(seed)
 
     def chain_holds(d: Callable, p: Poly, env: Mapping) -> bool:
-        probe = DiffCarrier(
-            name=c.name, zero=c.zero, one=c.one, add=c.add, mul=c.mul,
-            scale=c.scale, d=d, sample=c.sample, eq=c.eq,
-        )
-        return check_chain_rule(env, p, probe, seed).passed
+        return check_chain_rule(env, p, replace(c, d=d), seed).passed
 
-    for i in range(trials):
-        p, variables = _random_abstract_poly(rng, n_vars=2, max_degree=3, max_terms=2)
-        env = {v: c.sample(rng, 3) for v in variables}
+    def d_sum(x):
+        return c.add(d1(x), d2(x))
+
+    def trial(rng):
+        p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 3)
+        env = {v: c.sample(rng, 3) for v in FORMAL_VARS[:2]}
         if not (chain_holds(d1, p, env) and chain_holds(d2, p, env)):
-            return LawReport(law=law, trials=i + 1, passed=True, seed=seed, skipped=True)
-        d_sum = lambda x: c.add(d1(x), d2(x))  # noqa: E731 - tiny closure
-        d_zero = lambda x: c.zero  # noqa: E731
-        for d in (d_sum, d_zero):
+            return SKIP
+        for d in (d_sum, lambda x: c.zero):
             if not chain_holds(d, p, env):
-                return _fail(law, i + 1, seed, {"p": p}, "chain rule fails for sum", "")
-    return LawReport(law=law, trials=trials, passed=True, seed=seed)
+                return counterexample({"p": p}, "chain rule fails for sum", "")
+        return None
+
+    return run_trials(f"derivation_monoid[{c.name}]", trials, seed, trial)

@@ -25,7 +25,7 @@ import json
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import MalformedNesting, UnboundVariable
-from .polynomial import LinearMap, Poly, derive, coderive, rename_vars, substitute
+from .polynomial import LinearMap, Poly, derive, coderive, evaluate, rename_vars, substitute
 
 
 class DVar(NamedTuple):
@@ -92,7 +92,7 @@ def alpha(p: Poly) -> Poly:
 def natural_map(d: Callable, a, n_max: int) -> list:
     """The derivative tower [a, D(a), D²(a), ..., D^n_max(a)]."""
     if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+        raise ValueError(f"tower order must be non-negative, got {n_max}")
     out = [a]
     for _ in range(n_max):
         out.append(d(out[-1]))
@@ -148,23 +148,21 @@ def nest(p: Poly, order: int = 0) -> Poly:
     return dvar(encode_nested(p), order)
 
 
+def _towers(p: Poly, d: Callable, image: Callable) -> dict:
+    """For each base name x of p, the derivative tower of image(x) up to
+    the highest order of x in p."""
+    # p.variables() is sorted, so each base keeps its highest order.
+    top = {v.base: v.order for v in p.variables()}
+    return {base: natural_map(d, image(base), order) for base, order in top.items()}
+
+
 def beta(p: Poly) -> Poly:
     """Flatten one level of nesting: replace each outer variable (E, n) by
     the n-th shift derivative of the inner polynomial encoded by E, then
     expand.  Raises :class:`MalformedNesting` when a base name does not
     decode."""
-    env = {}
-    inner_cache: dict[str, Poly] = {}
-    for v in p.variables():
-        inner = inner_cache.get(v.base)
-        if inner is None:
-            inner = decode_nested(v.base)
-            inner_cache[v.base] = inner
-        q = inner
-        for _ in range(v.order):
-            q = d_shift(q)
-        env[v] = q
-    return substitute(p, env)
+    towers = _towers(p, d_shift, decode_nested)
+    return substitute(p, {v: towers[v.base][v.order] for v in p.variables()})
 
 
 def extend(images: Mapping, carrier, p: Poly):
@@ -176,25 +174,12 @@ def extend(images: Mapping, carrier, p: Poly):
     morphism extending the assignment.  Raises :class:`UnboundVariable`
     for base names without an image.
     """
-    towers: dict[str, list] = {}
 
-    def value(v: DVar):
-        tower = towers.get(v.base)
-        if tower is None:
-            if v.base not in images:
-                raise UnboundVariable(f"no image for base name {v.base!r}")
-            tower = [images[v.base]]
-            towers[v.base] = tower
-        while len(tower) <= v.order:
-            tower.append(carrier.d(tower[-1]))
-        return tower[v.order]
+    def image(base: str):
+        if base not in images:
+            raise UnboundVariable(f"no image for base name {base!r}")
+        return images[base]
 
-    total = carrier.zero
-    for m, c in p.terms():
-        acc = carrier.one
-        for v, e in m:
-            elem = value(v)
-            for _ in range(e):
-                acc = carrier.mul(acc, elem)
-        total = carrier.add(total, carrier.scale(c, acc))
-    return total
+    towers = _towers(p, carrier.d, image)
+    return evaluate(p, lambda v: towers[v.base][v.order], carrier.one, carrier.mul,
+                    carrier.zero, carrier.add, carrier.scale)

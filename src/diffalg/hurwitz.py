@@ -29,12 +29,14 @@ package's central executable facts.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
-from .polynomial import Poly, partial
+from .free_diff import natural_map
+from .polynomial import Poly, evaluate, partial
 from .scalars import binom, factorial
 
 
@@ -153,20 +155,6 @@ def sderive(f: Series) -> Series:
     return Series(tuple((n + 1) * f.coeffs[n + 1] for n in range(f.order)), f.flavor)
 
 
-def _eval_at(p: Poly, var_value: Callable):
-    """Evaluate p with each variable replaced by var_value(v); the values
-    live in any commutative algebra that mixes with rationals."""
-    total = Fraction(0)
-    for m, c in p.terms():
-        acc = c
-        for v, e in m:
-            value = var_value(v)
-            for _ in range(e):
-                acc = acc * value
-        total = total + acc
-    return total
-
-
 def ring_eval(p: Poly, env: Mapping) -> Series:
     """Evaluate p at series arguments using the series ring operations.
 
@@ -188,13 +176,8 @@ def ring_eval(p: Poly, env: Mapping) -> Series:
             raise UnboundVariable(f"no series for variable {v!r}")
         return env[v]
 
-    total = sunit(order, flavor) * Fraction(0)
-    for m, c in p.terms():
-        acc = sunit(order, flavor)
-        for v, e in m:
-            acc = smul(acc, var_value(v) ** e)
-        total = total + (c * acc)
-    return total
+    one = sunit(order, flavor)
+    return evaluate(p, var_value, one, smul, Fraction(0) * one)
 
 
 def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
@@ -210,6 +193,32 @@ def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
             raise OrderExhausted(f"series for {v!r} has order {s.order} < {n}")
 
 
+def _coefficient(p: Poly, env: Mapping, n: int, flavor: Flavor, weight: Callable):
+    """The coefficient recursion of :func:`omega_eval` and
+    :func:`delta_eval`, which differ only in the flavor and in the weight
+    weight(m, k) of the k-th summand of r_{m+1}."""
+    _check_env(p, env, n, flavor)
+    memo: dict = {}
+
+    def r(q: Poly, k: int):
+        key = (q, k)
+        if key in memo:
+            return memo[key]
+        if k == 0:
+            val = evaluate(q, lambda v: env[v].coeffs[0], Fraction(1), operator.mul, Fraction(0))
+        else:
+            m = k - 1
+            val = Fraction(0)
+            for j in range(m + 1):
+                w = weight(m, j)
+                for v in q.variables():
+                    val = val + w * (r(partial(q, v), j) * env[v].coeffs[m - j + 1])
+        memo[key] = val
+        return val
+
+    return r(p, n)
+
+
 def omega_eval(p: Poly, env: Mapping, n: int):
     """Coefficient n of the Hurwitz-ring evaluation of p, by the inductive
     recursion:
@@ -219,29 +228,7 @@ def omega_eval(p: Poly, env: Mapping, n: int):
 
     Memoized per call on (sub-polynomial, k); equals ring_eval(p, env)[n].
     """
-    _check_env(p, env, n, Flavor.HURWITZ)
-    memo: dict = {}
-
-    def w(q: Poly, k: int):
-        key = (q, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            val = _eval_at(q, lambda v: env[v].coeffs[0])
-        else:
-            m = k - 1
-            val = Fraction(0)
-            for j in range(m + 1):
-                bc = binom(m, j)
-                for v in q.variables():
-                    dq = partial(q, v)
-                    if dq.is_zero():
-                        continue
-                    val = val + bc * (w(dq, j) * env[v].coeffs[m - j + 1])
-        memo[key] = val
-        return val
-
-    return w(p, n)
+    return _coefficient(p, env, n, Flavor.HURWITZ, binom)
 
 
 def delta_eval(p: Poly, env: Mapping, n: int):
@@ -255,29 +242,7 @@ def delta_eval(p: Poly, env: Mapping, n: int):
 
     and equals ring_eval(p, env)[n] for power-flavored environments.
     """
-    _check_env(p, env, n, Flavor.POWER)
-    memo: dict = {}
-
-    def d(q: Poly, k: int):
-        key = (q, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            val = _eval_at(q, lambda v: env[v].coeffs[0])
-        else:
-            m = k - 1
-            val = Fraction(0)
-            for j in range(m + 1):
-                weight = Fraction(m - j + 1, m + 1)
-                for v in q.variables():
-                    dq = partial(q, v)
-                    if dq.is_zero():
-                        continue
-                    val = val + weight * (d(dq, j) * env[v].coeffs[m - j + 1])
-        memo[key] = val
-        return val
-
-    return d(p, n)
+    return _coefficient(p, env, n, Flavor.POWER, lambda m, k: Fraction(m - k + 1, m + 1))
 
 
 def diamond(d: Callable, a, order: int) -> Series:
@@ -286,12 +251,7 @@ def diamond(d: Callable, a, order: int) -> Series:
     It converts products to Hurwitz products (the higher-order Leibniz rule
     in series form) and intertwines D with the shift.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    coeffs = [a]
-    for _ in range(order):
-        coeffs.append(d(coeffs[-1]))
-    return Series(tuple(coeffs), Flavor.HURWITZ)
+    return Series(tuple(natural_map(d, a, order)), Flavor.HURWITZ)
 
 
 @dataclass(frozen=True)
@@ -362,16 +322,9 @@ def colift(images: Mapping, carrier, p, order: int) -> Series:
     themselves, so the empty map is the identity morphism and recovers
     :func:`diamond`.  Coefficient 0 is f(p), the counit law.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
 
-    def f(q):
-        return _eval_at(q, lambda v: images.get(v, Poly.variable(v)))
+    def image(v):
+        return images.get(v, Poly.variable(v))
 
-    coeffs = []
-    current = p
-    for n in range(order + 1):
-        coeffs.append(f(current))
-        if n < order:
-            current = carrier.d(current)
-    return Series(tuple(coeffs), Flavor.HURWITZ)
+    return Series(tuple(evaluate(q, image, Fraction(1), operator.mul, Fraction(0))
+                        for q in natural_map(carrier.d, p, order)), Flavor.HURWITZ)

@@ -26,6 +26,7 @@ and ``bool`` rejected, cancel-on-zero) is decided there, once.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -293,30 +294,46 @@ def eta(v) -> Poly:
     return Poly.variable(v)
 
 
+def evaluate(p: Poly, value_of: Callable, one, mul: Callable, zero,
+             add: Callable = operator.add, scale: Callable = operator.mul):
+    """Evaluate p in a commutative algebra: each variable v becomes
+    value_of(v), and the monomials are multiplied out with mul, scaled by
+    their coefficients with scale(c, x) and summed with add from zero; the
+    empty monomial is one.
+
+    value_of decides what an unbound variable means (an error, or the
+    variable itself).  Each power value_of(v)**e is computed once per call.
+    """
+    powers: dict = {}
+    total = zero
+    for m, c in p.terms():
+        acc = one
+        for i, (v, e) in enumerate(m):
+            power = powers.get((v, e))
+            if power is None:
+                power = value = value_of(v)
+                for _ in range(e - 1):
+                    power = mul(power, value)
+                powers[(v, e)] = power
+            acc = power if i == 0 else mul(acc, power)
+        total = add(total, scale(c, acc))
+    return total
+
+
 def substitute(p: Poly, env: Mapping) -> Poly:
     """Simultaneous substitution, fully expanded to canonical form.
 
     Variables missing from env stand for themselves.  Substitution is a
     ring morphism: it preserves sums, products, and the unit.
     """
-    out = Poly.zero()
-    cache: dict = {}
-    for m, c in p.terms():
-        acc = Poly.const(c)
-        for v, e in m:
-            key = (v, e)
-            power = cache.get(key)
-            if power is None:
-                image = env.get(v)
-                if image is None:
-                    image = Poly.variable(v)
-                elif not isinstance(image, Poly):
-                    image = Poly.const(image)
-                power = image ** e
-                cache[key] = power
-            acc = acc * power
-        out = out + acc
-    return out
+
+    def image(v) -> Poly:
+        value = env.get(v)
+        if value is None:
+            return Poly.variable(v)
+        return value if isinstance(value, Poly) else Poly.const(value)
+
+    return evaluate(p, image, Poly.one(), operator.mul, Poly.zero())
 
 
 def rename_vars(p: Poly, fn: Callable) -> Poly:

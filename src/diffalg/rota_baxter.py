@@ -29,8 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .diff_laws import LawReport, mismatch, pick, random_fraction, run_trials, sample_exponents
 from .lincomb import LinComb, coerce, drop_zeros
-from .polynomial import EMPTY_MONO, Mono, Poly, mono_degree, mono_mul, mono_str
+from .polynomial import (EMPTY_MONO, Mono, Poly, derive, mono_degree, mono_from_exponents,
+                         mono_mul, mono_str)
 
 # A word: tuple of letters, each letter a monomial of the polynomial algebra.
 Word = tuple
@@ -154,19 +156,12 @@ def rb_D(s: RBElem) -> RBElem:
 def rb_D_raw(s: RBElem) -> dict:
     """The tail derivation in raw tensor form: a map
     (word, monomial, variable) -> coefficient representing
-    sum_j (word, d tail/dx_j, x_j).  As in
-    :func:`~diffalg.polynomial.derive`, no terms merge."""
-    out: dict = {}
-    for (w, t), c in s.terms():
-        exps = dict(t)
-        for v, e in t:
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            out[(w, tuple(sorted(exps.items())), v)] = c * e
-            exps[v] = e
-    return out
+    sum_j (word, d tail/dx_j, x_j), the :func:`~diffalg.polynomial.derive`
+    of each tail.  Distinct (word, tail) keys give distinct keys, so no
+    terms merge."""
+    return {(w, m, v): c2
+            for (w, t), c in s.terms()
+            for (m, v), c2 in derive(Poly._trusted({t: c})).pairs()}
 
 
 def raw_scale(raw: dict, s: RBElem) -> dict:
@@ -190,41 +185,26 @@ def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
     max_word monomial letters, tails of degree at most max_tail_deg."""
 
     def random_mono(max_deg: int) -> Mono:
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_deg)):
-            v = rng.choice(pool)
-            exps[v] = exps.get(v, 0) + 1
-        return tuple(sorted(exps.items()))
+        return mono_from_exponents(sample_exponents(rng, pick(pool), max_deg))
 
     out = RBElem.zero()
     for _ in range(rng.randint(1, max_terms)):
         word = tuple(random_mono(2) for _ in range(rng.randint(0, max_word)))
         tail = random_mono(max_tail_deg)
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        coeff = random_fraction(rng)
         if coeff:
             out = out + RBElem({(word, tail): coeff})
     return out
 
 
-def check_rota_baxter(trials: int, seed: int):
+def check_rota_baxter(trials: int, seed: int) -> LawReport:
     """Verify P(a)P(b) = P(aP(b)) + P(P(a)b) on seeded random elements."""
-    from .diff_laws import LawReport
-    from .rng import SplitMix64
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = SplitMix64(seed)
-    for i in range(trials):
+    def trial(rng):
         a = random_rbelem(rng)
         b = random_rbelem(rng)
         lhs = rb_mul(rb_P(a), rb_P(b))
         rhs = rb_P(rb_mul(a, rb_P(b))) + rb_P(rb_mul(rb_P(a), b))
-        if lhs != rhs:
-            return LawReport(
-                law="rota_baxter_identity",
-                trials=i + 1,
-                passed=False,
-                seed=seed,
-                counterexample={"a": str(a), "b": str(b), "lhs": str(lhs), "rhs": str(rhs)},
-            )
-    return LawReport(law="rota_baxter_identity", trials=trials, passed=True, seed=seed)
+        return mismatch({"a": a, "b": b}, lhs, rhs)
+
+    return run_trials("rota_baxter_identity", trials, seed, trial)

@@ -20,12 +20,12 @@ from .carriers import (
     poly_sharp_carrier,
     power_carrier,
     random_diffpoly,
-    random_fraction,
     random_poly,
     random_series,
     rota_baxter_carrier,
 )
 from .diff_laws import (
+    FORMAL_VARS,
     DiffCarrier,
     LawReport,
     check_chain_rule,
@@ -35,6 +35,13 @@ from .diff_laws import (
     check_higher_leibniz,
     check_kernel_closure,
     check_leibniz,
+    counterexample,
+    first_failure,
+    mismatch,
+    pick,
+    random_fraction,
+    run_trials,
+    sample_poly,
 )
 from .free_diff import (
     DVar,
@@ -60,35 +67,6 @@ from .polynomial import (
 from .rng import SplitMix64
 from .scalars import binom
 
-
-def _report(law: str, trials: int, seed: int, counterexample: dict | None = None) -> LawReport:
-    return LawReport(law=law, trials=trials, passed=counterexample is None,
-                     seed=seed, counterexample=counterexample)
-
-
-def _ce(inputs: dict, lhs, rhs) -> dict:
-    out = {k: str(v) for k, v in inputs.items()}
-    out["lhs"] = str(lhs)
-    out["rhs"] = str(rhs)
-    return out
-
-
-def _random_env_poly(rng: SplitMix64, n_vars: int, max_degree: int = 3,
-                     max_terms: int = 3) -> tuple[Poly, tuple]:
-    """Random polynomial over fresh formal variables X1..Xm."""
-    names = tuple(f"X{i + 1}" for i in range(n_vars))
-    p = Poly.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            v = rng.choice(names)
-            exps[v] = exps.get(v, 0) + 1
-        c = random_fraction(rng)
-        if c:
-            p = p + Poly.monomial(exps, c)
-    return p, names
-
-
 # -- the five axioms of the polynomial derivative ---------------------------
 
 
@@ -96,68 +74,51 @@ def check_codifferential_axioms(trials: int, seed: int) -> list[LawReport]:
     """The defining rules of the total-derivative tensor on random
     polynomials: constant, Leibniz, linear, chain, interchange."""
     rng = SplitMix64(seed)
-    reports = []
 
     # constant rule: derive(1) = 0 (deterministic)
-    lhs = derive(unit_poly())
-    ce = None if lhs.is_zero() else _ce({"input": unit_poly()}, lhs, Tensor.zero())
-    reports.append(_report("axiom_constant", 1, seed, ce))
+    constant = run_trials("axiom_constant", 1, seed, lambda rng: mismatch(
+        {"input": unit_poly()}, derive(unit_poly()), Tensor.zero()))
 
     # linear rule: derive(x) = 1 ⊗ x (deterministic over the pool)
-    ce = None
-    for v in POLY_POOL:
-        lhs = derive(eta(v))
-        rhs = Tensor.of(unit_poly(), v)
-        if lhs != rhs:
-            ce = _ce({"variable": v}, lhs, rhs)
-            break
-    reports.append(_report("axiom_linear", len(POLY_POOL), seed, ce))
+    ce = first_failure(mismatch({"variable": v}, derive(eta(v)), Tensor.of(unit_poly(), v))
+                       for v in POLY_POOL)
+    linear = LawReport(law="axiom_linear", trials=len(POLY_POOL), passed=ce is None,
+                       seed=seed, counterexample=ce)
 
     # Leibniz rule on random pairs
-    ce = None
-    n = trials
-    for i in range(trials):
+    def leibniz(rng):
         p = random_poly(rng)
         q = random_poly(rng)
         lhs = derive(p * q)
         rhs = derive(p).scale_poly(q) + derive(q).scale_poly(p)
-        if lhs != rhs:
-            ce, n = _ce({"p": p, "q": q}, lhs, rhs), i + 1
-            break
-    reports.append(_report("axiom_leibniz", n, seed, ce))
+        return mismatch({"p": p, "q": q}, lhs, rhs)
 
     # chain rule on random substitutions
-    ce = None
-    n = trials
-    for i in range(trials):
-        p, names = _random_env_poly(rng, n_vars=3)
-        env = {v: random_poly(rng, size=2, max_degree=2) for v in names}
+    def chain(rng):
+        p = sample_poly(rng, pick(FORMAL_VARS), 3, 3)
+        env = {v: random_poly(rng, size=2, max_degree=2) for v in FORMAL_VARS}
         lhs = derive(substitute(p, env))
         rhs = Tensor.zero()
-        for v in names:
+        for v in FORMAL_VARS:
             dp = partial(p, v)
             if dp.is_zero():
                 continue
             rhs = rhs + derive(env[v]).scale_poly(substitute(dp, env))
-        if lhs != rhs:
-            ce, n = _ce({"p": p, **{v: env[v] for v in names}}, lhs, rhs), i + 1
-            break
-    reports.append(_report("axiom_chain", n, seed, ce))
+        return mismatch({"p": p, **env}, lhs, rhs)
 
     # interchange rule: the twice-derived object is symmetric in the last
     # two tensor slots
-    ce = None
-    n = trials
-    for i in range(trials):
+    def interchange(rng):
         p = random_poly(rng)
         grid = derive_twice(p)
         swapped = {(m, vi, vj): c for (m, vj, vi), c in grid.items()}
-        if grid != swapped:
-            ce, n = {"p": str(p)}, i + 1
-            break
-    reports.append(_report("axiom_interchange", n, seed, ce))
+        return None if grid == swapped else {"p": str(p)}
 
-    return reports
+    return [constant,
+            linear,
+            run_trials("axiom_leibniz", trials, seed, leibniz, rng),
+            run_trials("axiom_chain", trials, seed, chain, rng),
+            run_trials("axiom_interchange", trials, seed, interchange, rng)]
 
 
 # -- free side ---------------------------------------------------------------
@@ -166,31 +127,12 @@ def check_codifferential_axioms(trials: int, seed: int) -> list[LawReport]:
 def check_shift_oracle(trials: int, seed: int) -> LawReport:
     """The direct shift derivation agrees with the derive/bump/multiply
     recipe on random differential polynomials."""
-    rng = SplitMix64(seed)
-    for i in range(trials):
+
+    def trial(rng):
         p = random_diffpoly(rng)
-        lhs = d_shift(p)
-        rhs = d_shift_via_sharp(p)
-        if lhs != rhs:
-            return _report("shift_matches_sharp", i + 1, seed, _ce({"p": p}, lhs, rhs))
-    return _report("shift_matches_sharp", trials, seed)
+        return mismatch({"p": p}, d_shift(p), d_shift_via_sharp(p))
 
-
-def _random_nested(rng: SplitMix64, inner_sampler, max_order: int = 1,
-                   max_degree: int = 2, max_terms: int = 2) -> Poly:
-    """A differential polynomial whose variables encode elements drawn from
-    inner_sampler."""
-    inners = [inner_sampler(rng) for _ in range(2)]
-    p = Poly.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        exps: dict = {}
-        for _ in range(rng.randint(0, max_degree)):
-            v = DVar(encode_nested(rng.choice(inners)), rng.randint(0, max_order))
-            exps[v] = exps.get(v, 0) + 1
-        c = random_fraction(rng)
-        if c:
-            p = p + Poly.monomial(exps, c)
-    return p
+    return run_trials("shift_matches_sharp", trials, seed, trial)
 
 
 def check_monad_laws(trials: int, seed: int) -> list[LawReport]:
@@ -202,58 +144,46 @@ def check_monad_laws(trials: int, seed: int) -> list[LawReport]:
       either order agrees.
     """
     rng = SplitMix64(seed)
-    reports = []
 
     def sample_level1(r):
         return random_diffpoly(r, size=3, max_order=1, max_degree=3)
 
-    ce = None
-    n = trials
-    for i in range(trials):
-        q = sample_level1(rng)
-        got = beta(nest(q, 0))
-        if got != q:
-            ce, n = _ce({"q": q}, got, q), i + 1
-            break
-    reports.append(_report("monad_left_unit", n, seed, ce))
+    def nested(r, inner):
+        """A differential polynomial whose variables encode two elements
+        drawn by inner."""
+        inners = [encode_nested(inner(r)) for _ in range(2)]
+        return sample_poly(r, lambda r: DVar(r.choice(inners), r.randint(0, 1)), 2, 2)
 
-    ce = None
-    n = trials
-    for i in range(trials):
+    def left_unit(rng):
+        q = sample_level1(rng)
+        return mismatch({"q": q}, beta(nest(q, 0)), q)
+
+    def right_unit(rng):
         q = sample_level1(rng)
         wrapped = rename_vars(
             q, lambda v: DVar(encode_nested(Poly.variable(DVar(v.base, 0))), v.order)
         )
-        got = beta(wrapped)
-        if got != q:
-            ce, n = _ce({"q": q}, got, q), i + 1
-            break
-    reports.append(_report("monad_right_unit", n, seed, ce))
+        return mismatch({"q": q}, beta(wrapped), q)
 
-    ce = None
-    n = trials
-    for i in range(trials):
-        t = _random_nested(rng, lambda r: _random_nested(r, sample_level1))
+    def associativity(rng):
+        t = nested(rng, lambda r: nested(r, sample_level1))
         flattened_inner = rename_vars(
             t, lambda v: DVar(encode_nested(beta(decode_nested(v.base))), v.order)
         )
-        lhs = beta(flattened_inner)
-        rhs = beta(beta(t))
-        if lhs != rhs:
-            ce, n = _ce({"t": t}, lhs, rhs), i + 1
-            break
-    reports.append(_report("monad_associativity", n, seed, ce))
+        return mismatch({"t": t}, beta(flattened_inner), beta(beta(t)))
 
-    return reports
+    return [run_trials("monad_left_unit", trials, seed, left_unit, rng),
+            run_trials("monad_right_unit", trials, seed, right_unit, rng),
+            run_trials("monad_associativity", trials, seed, associativity, rng)]
 
 
 def check_extend_morphism(trials: int, seed: int, order: int = 8) -> LawReport:
     """Evaluation into a differential algebra commutes with the
     derivations: extend(f, shift(p)) = D(extend(f, p)), against the
     Hurwitz carrier."""
-    rng = SplitMix64(seed)
     carrier = hurwitz_carrier(order)
-    for i in range(trials):
+
+    def trial(rng):
         p = random_diffpoly(rng, size=3, max_order=1, max_degree=3)
         images = {
             base: random_series(rng, order, hz.Flavor.HURWITZ)
@@ -261,10 +191,9 @@ def check_extend_morphism(trials: int, seed: int, order: int = 8) -> LawReport:
         }
         lhs = extend(images, carrier, d_shift(p))
         rhs = carrier.d(extend(images, carrier, p))
-        if not carrier.eq(lhs, rhs):
-            return _report("extend_commutes_with_derivation", i + 1, seed,
-                           _ce({"p": p}, lhs, rhs))
-    return _report("extend_commutes_with_derivation", trials, seed)
+        return mismatch({"p": p}, lhs, rhs, carrier.eq)
+
+    return run_trials("extend_commutes_with_derivation", trials, seed, trial)
 
 
 # -- cofree side --------------------------------------------------------------
@@ -275,26 +204,20 @@ def check_eval_recursions(trials: int, seed: int, order: int = 8,
     """The coefficient recursions agree with evaluation through the series
     ring operations, for every component n <= n_max."""
     rng = SplitMix64(seed)
-    reports = []
-    for law, flavor, evaluator in (
-        ("omega_matches_hurwitz_ring", hz.Flavor.HURWITZ, hz.omega_eval),
-        ("delta_matches_cauchy_ring", hz.Flavor.POWER, hz.delta_eval),
-    ):
-        ce = None
-        n_run = trials
-        for i in range(trials):
-            p, names = _random_env_poly(rng, n_vars=3)
-            env = {v: random_series(rng, order, flavor) for v in names}
+
+    def agrees_with_ring(flavor, evaluator):
+        def trial(rng):
+            p = sample_poly(rng, pick(FORMAL_VARS), 3, 3)
+            env = {v: random_series(rng, order, flavor) for v in FORMAL_VARS}
             oracle = hz.ring_eval(p, env)
-            for n in range(n_max + 1):
-                got = evaluator(p, env, n)
-                if got != oracle.coeffs[n]:
-                    ce, n_run = _ce({"p": p, "n": n}, got, oracle.coeffs[n]), i + 1
-                    break
-            if ce:
-                break
-        reports.append(_report(law, n_run, seed, ce))
-    return reports
+            return first_failure(mismatch({"p": p, "n": n}, evaluator(p, env, n), oracle.coeffs[n])
+                                 for n in range(n_max + 1))
+        return trial
+
+    return [run_trials(law, trials, seed, agrees_with_ring(flavor, evaluator), rng)
+            for law, flavor, evaluator in (
+                ("omega_matches_hurwitz_ring", hz.Flavor.HURWITZ, hz.omega_eval),
+                ("delta_matches_cauchy_ring", hz.Flavor.POWER, hz.delta_eval))]
 
 
 def check_eval_pointwise(trials: int, seed: int, order: int = 8,
@@ -302,58 +225,41 @@ def check_eval_pointwise(trials: int, seed: int, order: int = 8,
     """The unit, generator, and product clauses of the Hurwitz coefficient
     recursion, checked pointwise for n <= n_max."""
     rng = SplitMix64(seed)
-    reports = []
+    H = hz.Flavor.HURWITZ
+    components = range(n_max + 1)
 
     # unit clause: a constant evaluates to itself at component 0, to 0 above
-    ce = None
-    n_run = trials
-    for i in range(trials):
+    def unit_clause(rng):
         c = random_fraction(rng)
-        env = {"X1": random_series(rng, order, hz.Flavor.HURWITZ)}
-        for n in range(n_max + 1):
-            got = hz.omega_eval(Poly.const(c), env, n)
-            want = c if n == 0 else Fraction(0)
-            if got != want:
-                ce, n_run = _ce({"c": c, "n": n}, got, want), i + 1
-                break
-        if ce:
-            break
-    reports.append(_report("omega_unit_clause", n_run, seed, ce))
+        env = {"X1": random_series(rng, order, H)}
+        return first_failure(mismatch({"c": c, "n": n}, hz.omega_eval(Poly.const(c), env, n),
+                                      c if n == 0 else Fraction(0))
+                             for n in components)
 
     # generator clause: a bare variable evaluates to its series components
-    ce = None
-    n_run = trials
-    for i in range(trials):
-        env = {"X1": random_series(rng, order, hz.Flavor.HURWITZ)}
-        for n in range(n_max + 1):
-            got = hz.omega_eval(eta("X1"), env, n)
-            if got != env["X1"].coeffs[n]:
-                ce, n_run = _ce({"n": n}, got, env["X1"].coeffs[n]), i + 1
-                break
-        if ce:
-            break
-    reports.append(_report("omega_generator_clause", n_run, seed, ce))
+    def generator_clause(rng):
+        env = {"X1": random_series(rng, order, H)}
+        return first_failure(mismatch({"n": n}, hz.omega_eval(eta("X1"), env, n),
+                                      env["X1"].coeffs[n])
+                             for n in components)
 
     # product clause: binomial convolution of the two factors' recursions
-    ce = None
-    n_run = trials
-    for i in range(trials):
-        p, names = _random_env_poly(rng, n_vars=2, max_degree=2, max_terms=2)
-        q, _ = _random_env_poly(rng, n_vars=2, max_degree=2, max_terms=2)
-        env = {v: random_series(rng, order, hz.Flavor.HURWITZ) for v in names}
-        for n in range(n_max + 1):
-            lhs = hz.omega_eval(p * q, env, n)
+    def product_clause(rng):
+        p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
+        q = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
+        env = {v: random_series(rng, order, H) for v in FORMAL_VARS[:2]}
+
+        def at(n):
             rhs = Fraction(0)
             for k in range(n + 1):
                 rhs += binom(n, k) * (hz.omega_eval(p, env, k) * hz.omega_eval(q, env, n - k))
-            if lhs != rhs:
-                ce, n_run = _ce({"p": p, "q": q, "n": n}, lhs, rhs), i + 1
-                break
-        if ce:
-            break
-    reports.append(_report("omega_product_clause", n_run, seed, ce))
+            return mismatch({"p": p, "q": q, "n": n}, hz.omega_eval(p * q, env, n), rhs)
 
-    return reports
+        return first_failure(at(n) for n in components)
+
+    return [run_trials("omega_unit_clause", trials, seed, unit_clause, rng),
+            run_trials("omega_generator_clause", trials, seed, generator_clause, rng),
+            run_trials("omega_product_clause", trials, seed, product_clause, rng)]
 
 
 def check_psi_laws(trials: int, seed: int, order: int = 8) -> list[LawReport]:
@@ -361,67 +267,44 @@ def check_psi_laws(trials: int, seed: int, order: int = 8) -> list[LawReport]:
     it round-trips, converts Cauchy products to binomial products, and
     intertwines the two derivations."""
     rng = SplitMix64(seed)
-    reports = []
+    H, P = hz.Flavor.HURWITZ, hz.Flavor.POWER
 
-    ce = None
-    n_run = trials
-    for i in range(trials):
-        f = random_series(rng, order, hz.Flavor.POWER)
-        g = random_series(rng, order, hz.Flavor.HURWITZ)
-        if hz.psi_inv(hz.psi(f)) != f or hz.psi(hz.psi_inv(g)) != g:
-            ce, n_run = _ce({"f": f, "g": g}, hz.psi_inv(hz.psi(f)), f), i + 1
-            break
-    reports.append(_report("psi_round_trip", n_run, seed, ce))
+    def round_trip(rng):
+        f = random_series(rng, order, P)
+        g = random_series(rng, order, H)
+        back = hz.psi_inv(hz.psi(f))
+        if back != f or hz.psi(hz.psi_inv(g)) != g:
+            return counterexample({"f": f, "g": g}, back, f)
+        return None
 
-    ce = None
-    n_run = trials
-    for i in range(trials):
-        f = random_series(rng, order, hz.Flavor.POWER)
-        g = random_series(rng, order, hz.Flavor.POWER)
-        lhs = hz.psi(hz.smul(f, g))
-        rhs = hz.smul(hz.psi(f), hz.psi(g))
-        if lhs != rhs:
-            ce, n_run = _ce({"f": f, "g": g}, lhs, rhs), i + 1
-            break
-    reports.append(_report("psi_multiplicative", n_run, seed, ce))
+    def multiplicative(rng):
+        f = random_series(rng, order, P)
+        g = random_series(rng, order, P)
+        return mismatch({"f": f, "g": g}, hz.psi(hz.smul(f, g)), hz.smul(hz.psi(f), hz.psi(g)))
 
-    ce = None
-    n_run = trials
-    for i in range(trials):
-        f = random_series(rng, order, hz.Flavor.POWER)
-        lhs = hz.psi(hz.sderive(f))
-        rhs = hz.sderive(hz.psi(f))
-        if lhs != rhs:
-            ce, n_run = _ce({"f": f}, lhs, rhs), i + 1
-            break
-    reports.append(_report("psi_intertwines_derivations", n_run, seed, ce))
+    def intertwines(rng):
+        f = random_series(rng, order, P)
+        return mismatch({"f": f}, hz.psi(hz.sderive(f)), hz.sderive(hz.psi(f)))
 
-    return reports
+    return [run_trials("psi_round_trip", trials, seed, round_trip, rng),
+            run_trials("psi_multiplicative", trials, seed, multiplicative, rng),
+            run_trials("psi_intertwines_derivations", trials, seed, intertwines, rng)]
 
 
 def check_comonad_laws(trials: int, seed: int, order: int = 10) -> list[LawReport]:
     """Counit both ways and coassociativity of comultiplication on the
     valid triangle."""
     rng = SplitMix64(seed)
-    reports = []
 
-    ce = None
-    n_run = trials
-    for i in range(trials):
+    def counit(rng):
         f = random_series(rng, order, hz.Flavor.HURWITZ)
         rows = rng.randint(0, order)
         grid = hz.comul(f, rows)
         if grid.row_series(0) != f.truncate(order - rows):
-            ce, n_run = _ce({"f": f, "rows": rows}, grid.row_series(0), f), i + 1
-            break
-        if grid.column(0) != f.coeffs[: rows + 1]:
-            ce, n_run = _ce({"f": f, "rows": rows}, grid.column(0), f.coeffs[: rows + 1]), i + 1
-            break
-    reports.append(_report("comonad_counit", n_run, seed, ce))
+            return counterexample({"f": f, "rows": rows}, grid.row_series(0), f)
+        return mismatch({"f": f, "rows": rows}, grid.column(0), f.coeffs[: rows + 1])
 
-    ce = None
-    n_run = trials
-    for i in range(trials):
+    def coassociativity(rng):
         f = random_series(rng, order, hz.Flavor.HURWITZ)
         r1 = rng.randint(0, order // 2)
         r2 = rng.randint(0, order - r1)
@@ -434,12 +317,10 @@ def check_comonad_laws(trials: int, seed: int, order: int = 10) -> list[LawRepor
             tuple(tuple(outer.grid[i2 + j][k] for k in range(cols + 1)) for j in range(r2 + 1))
             for i2 in range(r1 + 1)
         )
-        if inner_first != outer_first:
-            ce, n_run = _ce({"f": f, "r1": r1, "r2": r2}, inner_first, outer_first), i + 1
-            break
-    reports.append(_report("comonad_coassociativity", n_run, seed, ce))
+        return mismatch({"f": f, "r1": r1, "r2": r2}, inner_first, outer_first)
 
-    return reports
+    return [run_trials("comonad_counit", trials, seed, counit, rng),
+            run_trials("comonad_coassociativity", trials, seed, coassociativity, rng)]
 
 
 # -- Rota-Baxter side ---------------------------------------------------------
@@ -447,58 +328,47 @@ def check_comonad_laws(trials: int, seed: int, order: int = 10) -> list[LawRepor
 
 def check_rb_incompatibility(trials: int, seed: int) -> LawReport:
     """D(P(a)) = 0 on random elements."""
-    rng = SplitMix64(seed)
-    for i in range(trials):
+
+    def trial(rng):
         a = rb.random_rbelem(rng)
-        got = rb.rb_D(rb.rb_P(a))
-        if not got.is_zero():
-            return _report("rb_derivation_kills_P", i + 1, seed,
-                           _ce({"a": a}, got, rb.RBElem.zero()))
-    return _report("rb_derivation_kills_P", trials, seed)
+        return mismatch({"a": a}, rb.rb_D(rb.rb_P(a)), rb.RBElem.zero())
+
+    return run_trials("rb_derivation_kills_P", trials, seed, trial)
 
 
 def check_shuffle_counts(max_len: int = 4, seed: int = 0) -> LawReport:
     """Shuffling a j-letter word into a k-letter word produces exactly
     binom(j+k, j) interleavings, counted with multiplicity."""
-    trials = 0
-    for j in range(max_len + 1):
-        for k in range(max_len + 1):
-            u = [Poly.monomial({"a": i + 1}) for i in range(j)]
-            v = [Poly.monomial({"b": i + 1}) for i in range(k)]
-            trials += 1
-            got = rb.shuffle_term_count(u, v)
-            want = binom(j + k, j)
-            if got != want:
-                return _report("shuffle_term_count", trials, seed,
-                               _ce({"lens": (j, k)}, got, want))
-    return _report("shuffle_term_count", trials, seed)
+    lengths = iter([(j, k) for j in range(max_len + 1) for k in range(max_len + 1)])
+
+    def trial(rng):
+        j, k = next(lengths)
+        u = [Poly.monomial({"a": i + 1}) for i in range(j)]
+        v = [Poly.monomial({"b": i + 1}) for i in range(k)]
+        return mismatch({"lens": (j, k)}, rb.shuffle_term_count(u, v), binom(j + k, j))
+
+    return run_trials("shuffle_term_count", (max_len + 1) ** 2, seed, trial)
 
 
 # -- chain-rule style suites over random (p, env) pairs -----------------------
 
 
 def chain_rule_suite(c: DiffCarrier, trials: int, seed: int) -> LawReport:
-    rng = SplitMix64(seed)
-    for i in range(trials):
-        p, names = _random_env_poly(rng, n_vars=3)
-        env = {v: c.sample(rng, 3) for v in names}
-        rep = check_chain_rule(env, p, c, seed)
-        if not rep.passed:
-            return LawReport(law=rep.law, trials=i + 1, passed=False, seed=seed,
-                             counterexample=rep.counterexample)
-    return _report(f"chain_rule[{c.name}]", trials, seed)
+    def trial(rng):
+        p = sample_poly(rng, pick(FORMAL_VARS), 3, 3)
+        env = {v: c.sample(rng, 3) for v in FORMAL_VARS}
+        return check_chain_rule(env, p, c, seed).counterexample
+
+    return run_trials(f"chain_rule[{c.name}]", trials, seed, trial)
 
 
 def faa_di_bruno_suite(c: DiffCarrier, n_max: int, trials: int, seed: int) -> LawReport:
-    rng = SplitMix64(seed)
-    for i in range(trials):
-        p, names = _random_env_poly(rng, n_vars=2, max_degree=3, max_terms=2)
-        env = {v: c.sample(rng, 2) for v in names}
-        rep = check_faa_di_bruno(env, p, n_max, c, seed)
-        if not rep.passed:
-            return LawReport(law=rep.law, trials=i + 1, passed=False, seed=seed,
-                             counterexample=rep.counterexample)
-    return _report(f"faa_di_bruno[{c.name}]", trials, seed)
+    def trial(rng):
+        p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 3)
+        env = {v: c.sample(rng, 2) for v in FORMAL_VARS[:2]}
+        return check_faa_di_bruno(env, p, n_max, c, seed).counterexample
+
+    return run_trials(f"faa_di_bruno[{c.name}]", trials, seed, trial)
 
 
 # -- everything ---------------------------------------------------------------

@@ -114,6 +114,17 @@ class TestLaws:
         assert a.returncode == b.returncode == 0
 
 
+class TestImports:
+    def test_cli_does_not_load_the_law_harness(self):
+        """Only the laws verb needs suites and carriers; every other verb
+        pays for them in start-up time if the CLI module imports them."""
+        code = ("import sys, diffalg.cli; "
+                "print(sorted(m for m in ('diffalg.suites', 'diffalg.carriers') if m in sys.modules))")
+        r = subprocess.run((sys.executable, "-c", code), capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
+
 class TestRb:
     def test_shuffle(self):
         payload = json.dumps({"u": ["a"], "v": ["b"]})

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from diffalg.carriers import (
     shipped_carriers,
 )
 from diffalg.diff_laws import (
+    SKIP,
     check_chain_rule,
     check_constant_rule,
     check_derivation_monoid,
@@ -24,11 +26,15 @@ from diffalg.diff_laws import (
     check_kernel_closure,
     check_leibniz,
     eval_in_carrier,
+    run_trials,
 )
 from diffalg.errors import UnboundVariable
 from diffalg.free_diff import dvar
 from diffalg.polynomial import Poly, eta
 from diffalg.rng import SplitMix64
+from diffalg.suites import chain_rule_suite, faa_di_bruno_suite
+
+BROKEN_GOLDEN = Path(__file__).resolve().parent / "data" / "broken_carriers_seed42.txt"
 
 
 class TestDeterminism:
@@ -193,6 +199,23 @@ class TestNegativeControls:
         assert not rep.passed
         assert rep.counterexample is not None
 
+    def test_failure_reports_golden(self):
+        """The counterexample text of every failing law, frozen byte for
+        byte: the seed-42 laws golden has no failing law, so it does not
+        pin what a failure reports."""
+        lines = []
+        for c in broken_carriers():
+            for rep in (
+                check_constant_rule(c, 10, 42),
+                check_leibniz(c, 10, 42),
+                check_higher_leibniz(c, 5, 10, 42),
+                chain_rule_suite(c, 10, 42),
+                faa_di_bruno_suite(c, 5, 10, 42),
+                check_kernel_closure(c, 10, 42),
+            ):
+                lines.append(rep.to_json())
+        assert "\n".join(lines) + "\n" == BROKEN_GOLDEN.read_text()
+
     def test_all_three_controls_fail(self):
         for carrier in broken_carriers():
             if carrier.name == "broken_identity":
@@ -214,3 +237,45 @@ class TestEvalInCarrier:
     def test_unbound(self):
         with pytest.raises(UnboundVariable):
             eval_in_carrier(diffpoly_carrier(), eta("X"), {})
+
+
+class TestRunTrials:
+    @staticmethod
+    def failing_at(k):
+        calls = []
+
+        def trial(rng):
+            calls.append(rng.next_u64())
+            return {"at": str(len(calls))} if len(calls) == k else None
+
+        return trial, calls
+
+    def test_counts_the_trials_run_to_the_first_failure(self):
+        trial, calls = self.failing_at(3)
+        rep = run_trials("law", 10, 7, trial)
+        assert (rep.passed, rep.trials, rep.seed, rep.counterexample) == (False, 3, 7, {"at": "3"})
+        assert len(calls) == 3
+
+    def test_pass_runs_every_trial(self):
+        trial, calls = self.failing_at(0)
+        rep = run_trials("law", 10, 7, trial)
+        assert (rep.passed, rep.trials, rep.counterexample) == (True, 10, None)
+        assert len(calls) == 10
+
+    def test_shared_stream_continues(self):
+        rng = SplitMix64(7)
+        trial, calls = self.failing_at(0)
+        run_trials("a", 2, 7, trial, rng)
+        run_trials("b", 2, 7, trial, rng)
+        fresh = SplitMix64(7)
+        assert calls == [fresh.next_u64() for _ in range(4)]
+
+    def test_skip_ends_the_run(self):
+        outcomes = iter([None, SKIP])
+        rep = run_trials("law", 10, 7, lambda rng: next(outcomes))
+        assert (rep.passed, rep.skipped, rep.trials) == (True, True, 2)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError):
+            run_trials("law", trials, 7, lambda rng: None)

@@ -14,6 +14,7 @@ from diffalg.polynomial import (
     derive_twice,
     eta,
     euler,
+    evaluate,
     flat,
     map_linear,
     partial,
@@ -93,6 +94,27 @@ class TestSubstitute:
     def test_unit_triangle(self):
         p = x ** 2 + y
         assert substitute(eta("X"), {"X": p}) == p
+
+
+class TestEvaluate:
+    def test_each_power_is_computed_once(self):
+        looked_up, products = [], []
+
+        def value_of(v):
+            looked_up.append(v)
+            return Fraction({"x": 2, "y": 3}[v])
+
+        def mul(a, b):
+            products.append((a, b))
+            return a * b
+
+        p = 5 * x ** 3 * y + x ** 3 - 7 * y + 1
+        got = evaluate(p, value_of, Fraction(1), mul, Fraction(0))
+        assert got == 5 * 8 * 3 + 8 - 7 * 3 + 1
+        # (x, 3) and (y, 1) are looked up once each; x^3 costs two products
+        # and the one two-factor monomial a third.
+        assert sorted(looked_up) == ["x", "y"]
+        assert len(products) == 3
 
 
 class TestMapLinear:
