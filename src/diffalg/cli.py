@@ -29,7 +29,7 @@ from . import rota_baxter as rb
 from .errors import DiffalgError, ParseError
 from .expr import DIFF_MODE, POLY_MODE, parse_poly, parse_series_literal
 from .free_diff import d_shift
-from .polynomial import Poly
+from .polynomial import Poly, mono_str
 
 SCHEMA = 1
 
@@ -126,8 +126,8 @@ def _rbelem_to_json(elem: rb.RBElem) -> dict:
     for (w, t) in sorted(term_map):
         c = term_map[(w, t)]
         terms.append({
-            "word": [str(Poly({m: Fraction(1)})) for m in w],
-            "tail": str(Poly({t: Fraction(1)})),
+            "word": [mono_str(m) for m in w],
+            "tail": mono_str(t),
             "coeff": str(c),
         })
     return {"schema": SCHEMA, "terms": terms}
@@ -224,7 +224,7 @@ def _cmd_rb(args) -> int:
         v = [parse_poly(s, POLY_MODE) for s in payload["v"]]
         combo = rb.shuffle(u, v)
         terms = [
-            {"word": [str(Poly({m: Fraction(1)})) for m in w], "coeff": str(combo[w])}
+            {"word": [mono_str(m) for m in w], "coeff": str(combo[w])}
             for w in sorted(combo)
         ]
         print(json.dumps({"schema": SCHEMA, "result": terms}))
@@ -243,8 +243,8 @@ def _cmd_rb(args) -> int:
     raw = rb.rb_D_raw(_rbelem_from_json(payload["s"]))
     terms = [
         {
-            "word": [str(Poly({m: Fraction(1)})) for m in w],
-            "tail": str(Poly({t: Fraction(1)})),
+            "word": [mono_str(m) for m in w],
+            "tail": mono_str(t),
             "var": str(v),
             "coeff": str(raw[(w, t, v)]),
         }

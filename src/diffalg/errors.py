@@ -15,6 +15,11 @@ class UnboundVariable(DiffalgError):
     polynomial being evaluated."""
 
 
+class MixedVariables(DiffalgError):
+    """Variables that cannot be ordered against each other (plain names and
+    derivative variables) were multiplied into one monomial."""
+
+
 class MalformedNesting(DiffalgError):
     """An outer variable of a nested differential polynomial does not decode
     to an inner differential polynomial."""

@@ -25,7 +25,8 @@ import json
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import MalformedNesting, UnboundVariable
-from .polynomial import LinearMap, Poly, derive, coderive, evaluate, rename_vars, substitute
+from .polynomial import (LinearMap, Poly, coderive, derive, evaluate, mono_from_exponents, mono_lower,
+                         mono_mul, rename_vars, substitute)
 
 
 class DVar(NamedTuple):
@@ -55,21 +56,8 @@ def d_shift(p: Poly) -> Poly:
     """
     out: dict = {}
     for m, c in p.terms():
-        exps = dict(m)
-        for v, e in m:
-            bumped = DVar(v.base, v.order + 1)
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            exps[bumped] = exps.get(bumped, 0) + 1
-            key = tuple(sorted(exps.items()))
-            # undo for the next factor
-            if exps[bumped] == 1:
-                del exps[bumped]
-            else:
-                exps[bumped] -= 1
-            exps[v] = e
+        for i, (v, e) in enumerate(m):
+            key = mono_mul(mono_lower(m, i), ((DVar(v.base, v.order + 1), 1),))
             out[key] = out[key] + c * e if key in out else c * e
     return Poly._from_sums(out)
 
@@ -135,7 +123,7 @@ def decode_nested(s: str) -> Poly:
                     raise ValueError("bad variable entry")
                 v = DVar(base, order)
                 exps[v] = exps.get(v, 0) + e
-            m = tuple(sorted(exps.items()))
+            m = mono_from_exponents(exps)
             terms[m] = terms.get(m, 0) + Fraction(coeff_s)
         return Poly(terms)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
 from .polynomial import Poly, evaluate, partial
-from .scalars import binom, factorial
+from .scalars import binom, factorial, power
 
 
 class Flavor(enum.Enum):
@@ -98,12 +98,7 @@ class Series:
         return Series(tuple(a * other for a in self.coeffs), self.flavor)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"exponent must be a natural number, got {n!r}")
-        out = sunit(self.order, self.flavor)
-        for _ in range(n):
-            out = smul(out, self)
-        return out
+        return power(self, n, sunit(self.order, self.flavor))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(a) for a in self.coeffs) + "]"

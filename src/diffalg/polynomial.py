@@ -30,12 +30,25 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import NonLinearImage, UnboundVariable
+from .errors import MixedVariables, NonLinearImage, UnboundVariable
 from .lincomb import LinComb, coerce
+from .scalars import power
 
-# A monomial: sorted tuple of (variable, positive exponent) pairs.
+# A monomial: sorted tuple of (variable, positive exponent) pairs.  The kernel
+# below is the only code that builds one: mono_from_exponents (from an
+# exponent map), mono_mul (a product) and mono_lower (one factor removed);
+# mono_str prints one.  Variables that cannot be ordered against each other
+# (plain names and DVars) raise MixedVariables.
 Mono = tuple
 EMPTY_MONO: Mono = ()
+
+
+def _sorted_mono(items) -> Mono:
+    try:
+        return tuple(sorted(items))
+    except TypeError as exc:
+        kinds = ", ".join(sorted({type(v).__name__ for v, _ in items}))
+        raise MixedVariables(f"variables of different kinds in one monomial: {kinds}") from exc
 
 
 def mono_from_exponents(exponents: Mapping) -> Mono:
@@ -47,8 +60,7 @@ def mono_from_exponents(exponents: Mapping) -> Mono:
             raise ValueError(f"negative exponent {e} for {v!r}")
         if e:
             items.append((v, e))
-    items.sort()
-    return tuple(items)
+    return _sorted_mono(items)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -59,7 +71,14 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     exps = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    return _sorted_mono(exps.items())
+
+
+def mono_lower(m: Mono, i: int) -> Mono:
+    """m with one factor of its i-th variable removed, by slicing: removing
+    a factor keeps the variables in order, so no sort is needed."""
+    v, e = m[i]
+    return m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -127,16 +146,6 @@ class Poly(LinComb):
         """Largest monomial degree; the zero polynomial reports 0."""
         return max((mono_degree(m) for m in self._terms), default=0)
 
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {EMPTY_MONO}
-
-    def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[EMPTY_MONO]
-
     def n_terms(self) -> int:
         return len(self._terms)
 
@@ -166,16 +175,7 @@ class Poly(LinComb):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"exponent must be a natural number, got {n!r}")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Poly.one())
 
     def __str__(self) -> str:
         if not self._terms:
@@ -344,7 +344,7 @@ def rename_vars(p: Poly, fn: Callable) -> Poly:
         for v, e in m:
             w = fn(v)
             exps[w] = exps.get(w, 0) + e
-        m2 = tuple(sorted(exps.items()))
+        m2 = mono_from_exponents(exps)
         out[m2] = out[m2] + c if m2 in out else c
     return Poly._from_sums(out)
 
@@ -369,15 +369,10 @@ def partial(p: Poly, v) -> Poly:
     the exponent of v is one-to-one on monomials, so no terms merge."""
     out: dict[Mono, Fraction] = {}
     for m, c in p.terms():
-        exps = dict(m)
-        e = exps.get(v)
-        if not e:
-            continue
-        if e == 1:
-            del exps[v]
-        else:
-            exps[v] = e - 1
-        out[tuple(sorted(exps.items()))] = c * e
+        for i, (w, e) in enumerate(m):
+            if w == v:
+                out[mono_lower(m, i)] = c * e
+                break
     return Poly._trusted(out)
 
 
@@ -385,17 +380,8 @@ def derive(p: Poly) -> Tensor:
     """The total-derivative tensor: sum_i dp/dx_i ⊗ x_i.  A key
     (dp/dx_i monomial, x_i) determines its source monomial, so no terms
     merge."""
-    out: dict = {}
-    for m, c in p.terms():
-        exps = dict(m)
-        for v, e in m:
-            if e == 1:
-                del exps[v]
-            else:
-                exps[v] = e - 1
-            out[(tuple(sorted(exps.items())), v)] = c * e
-            exps[v] = e  # restore
-    return Tensor._trusted(out)
+    return Tensor._trusted({(mono_lower(m, i), v): c * e
+                            for m, c in p.terms() for i, (v, e) in enumerate(m)})
 
 
 def coderive(t: Tensor) -> Poly:

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: rationals and the combinatorial coefficients.
+"""Exact scalar arithmetic: rationals, the combinatorial coefficients and
+natural powers.
 
 The coefficient field everywhere in this package is the rationals,
 represented by the standard-library :class:`fractions.Fraction`, which is
@@ -36,6 +37,19 @@ def binom(n: int, k: int) -> int:
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
+
+
+def power(x, n: int, one):
+    """x**n for a natural number n by square-and-multiply from x (one for
+    n = 0): n.bit_length() - 1 squarings and a product per further set bit."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"exponent must be a natural number, got {n!r}")
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out if n else one
 
 
 def factorial(n: int) -> int:

@@ -53,6 +53,17 @@ class TestProduct:
         got = smul(ones, ones)
         assert got.coeffs == (F(1), F(2), F(3), F(4), F(5))
 
+    def test_pow_is_repeated_product(self):
+        rng = SplitMix64(6)
+        for flavor in Flavor:
+            f = random_series(rng, 5, flavor)
+            want = sunit(5, flavor)
+            for n in range(6):
+                assert f ** n == want
+                want = smul(want, f)
+        with pytest.raises(ValueError, match="exponent must be a natural number"):
+            f ** -1
+
     def test_unit(self):
         rng = SplitMix64(5)
         for flavor in Flavor:

@@ -61,6 +61,27 @@ class TestRingOps:
         with pytest.raises(ValueError):
             x ** -1
 
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
+    def test_pow_products(self, n, products, monkeypatch):
+        """Square-and-multiply from the base: p**n takes one squaring per
+        bit after the first and one product per further set bit."""
+        calls = []
+        mul = Poly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        p = x + 2 * y
+        want = Poly.one()
+        for _ in range(n):
+            want = want * p
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        got = p ** n
+        monkeypatch.undo()
+        assert len(calls) == products
+        assert got == want
+
     def test_degenerate_inputs(self):
         assert Poly.zero().is_zero()
         assert derive(Poly.zero()).is_zero()

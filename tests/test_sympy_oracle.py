@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg.carriers import POLY_POOL, random_poly
-from diffalg.polynomial import Poly, partial, substitute
+from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
 
 sympy = pytest.importorskip("sympy")
@@ -60,6 +60,15 @@ def test_mul(p, q):
 def test_partial(p):
     for v in POLY_POOL:
         assert to_sympy(partial(p, v)) == to_sympy(p).diff(SYMBOL[v])
+
+
+@pytest.mark.parametrize("p", polys(105))
+def test_derive(p):
+    """The pairs of derive(p) for the variable v are the partial dp/dv."""
+    pairs = list(derive(p).pairs())
+    for v in POLY_POOL:
+        got = Poly({m: c for (m, w), c in pairs if w == v})
+        assert to_sympy(got) == to_sympy(p).diff(SYMBOL[v])
 
 
 @pytest.mark.parametrize("p, env", substitutions(104))
