@@ -171,11 +171,9 @@ def _cmd_eval(args) -> int:
     first = next(iter(env.values()))
     order = min(args.order, min(s.order for s in env.values()))
     oracle = hz.ring_eval(p, {k: s.truncate(order) for k, s in env.items()})
-    evaluator = hz.omega_eval if first.flavor is hz.Flavor.HURWITZ else hz.delta_eval
-    rows = []
-    for n in range(order + 1):
-        rec = evaluator(p, env, n)
-        rows.append({"n": n, "recursion": str(rec), "ring": str(oracle.coeffs[n])})
+    recursion = hz._components(p, env, order, first.flavor)
+    rows = [{"n": n, "recursion": str(rec), "ring": str(ring)}
+            for n, (rec, ring) in enumerate(zip(recursion, oracle.coeffs))]
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "flavor": first.flavor.value, "components": rows}))
     else:

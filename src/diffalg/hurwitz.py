@@ -29,15 +29,17 @@ package's central executable facts.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
 from .polynomial import Poly, evaluate, partial
-from .scalars import binom, factorial, power
+from .scalars import factorial, power
 
 
 class Flavor(enum.Enum):
@@ -115,22 +117,49 @@ def sunit(order: int, flavor: Flavor) -> Series:
 
 
 def smul(f: Series, g: Series) -> Series:
-    """Flavor-dependent convolution; strict about flavor and order."""
+    """Flavor-dependent convolution; strict about flavor and order.
+
+    The k-th summand of Hurwitz component n is weighted by C(n, k), read
+    from Pascal's row n.  When every coefficient of both factors is an int
+    or a Fraction, each factor is put over its common denominator and the
+    convolution runs on the integer numerators, with one Fraction (one gcd)
+    per component."""
     if f.flavor is not g.flavor:
         raise FlavorMismatch(f"{f.flavor.value} * {g.flavor.value}")
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
-    hurwitz = f.flavor is Flavor.HURWITZ
+    a, b, den = f.coeffs, g.coeffs, None
+    ia, ib = _over_common_denominator(a), _over_common_denominator(b)
+    if ia and ib:
+        (a, da), (b, db) = ia, ib
+        den = da * db
+    rows = _pascal_rows(len(a)) if f.flavor is Flavor.HURWITZ else repeat(None)
     out = []
-    for n in range(f.order + 1):
-        acc = None
-        for k in range(n + 1):
-            term = f.coeffs[k] * g.coeffs[n - k]
-            if hurwitz:
-                term = binom(n, k) * term
-            acc = term if acc is None else acc + term
-        out.append(acc)
+    for n, row in zip(range(len(a)), rows):
+        terms = map(operator.mul, a, b[n::-1])
+        if row is not None:
+            terms = map(operator.mul, row, terms)
+        acc = sum(terms, next(terms))  # no 0 + term: on Poly coefficients that is one more add
+        out.append(acc if den is None else Fraction(acc, den))
     return Series(tuple(out), f.flavor)
+
+
+def _pascal_rows(count: int):
+    """Pascal's rows 0, ..., count-1, each built from the one before."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+
+
+def _over_common_denominator(coeffs: tuple):
+    """(numerators, d) with coeffs[i] == numerators[i] / d for d the lcm of
+    the denominators, or None unless every coefficient is an int or a
+    Fraction."""
+    if not all(type(c) is Fraction or type(c) is int for c in coeffs):
+        return None
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def smul_trunc(f: Series, g: Series) -> Series:
@@ -188,30 +217,79 @@ def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
             raise OrderExhausted(f"series for {v!r} has order {s.order} < {n}")
 
 
-def _coefficient(p: Poly, env: Mapping, n: int, flavor: Flavor, weight: Callable):
-    """The coefficient recursion of :func:`omega_eval` and
-    :func:`delta_eval`, which differ only in the flavor and in the weight
-    weight(m, k) of the k-th summand of r_{m+1}."""
+def _weight_rows(flavor: Flavor, n: int) -> list:
+    """Row m holds the integer weights of the summands j = 0, ..., m of
+    r(q, m+1): C(m, j) for Hurwitz; for power the weight (m-j+1)/(m+1)
+    times (m+1)!/j!, which clears its denominator when each r(q, k) is
+    carried as k!·r(q, k)."""
+    if flavor is Flavor.HURWITZ:
+        return list(_pascal_rows(n))
+    fact = [factorial(i) for i in range(n + 1)]
+    return [[fact[m] // fact[j] * (m + 1 - j) for j in range(m + 1)] for m in range(n)]
+
+
+def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
+    """Component k <= n of the evaluation of p, by the coefficient recursion
+    r(q, k) of :func:`omega_eval` and :func:`delta_eval`, which differ only
+    in the flavor and the weights (:func:`_weight_rows`).  Each iterated
+    partial q of p is one node holding r(q, 0), r(q, 1), ... as far as they
+    are computed; all components asked of the returned function share them.
+
+    When every coefficient is an int or a Fraction, the recursion runs on
+    integers: the series are put over one common denominator d, and r(q, k)
+    is carried times s = L·d^deg(p), L the lcm of p's coefficient
+    denominators (and, for power, times k!).  Every carried value is then
+    an integer, and the weighted sum for r(q, k) is d times it.  Other
+    coefficients (polynomials) take the same steps with d = s = 1."""
     _check_env(p, env, n, flavor)
-    memo: dict = {}
+    coeffs = {v: env[v].coeffs[: n + 1] for v in p.variables()}
+    forms = [_over_common_denominator(c) for c in coeffs.values()]
+    integral = all(forms)
+    if integral:
+        d = math.lcm(*(den for _, den in forms))
+        x = {v: [c * (d // den) for c in nums] for v, (nums, den) in zip(coeffs, forms)}
+        s = math.lcm(*(c.denominator for _, c in p.terms())) * d ** p.total_degree()
+    else:
+        d, s, x = 1, 1, coeffs
+    rows = _weight_rows(flavor, n)
+    nodes: dict = {}
 
-    def r(q: Poly, k: int):
-        key = (q, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            val = evaluate(q, lambda v: env[v].coeffs[0], Fraction(1), operator.mul, Fraction(0))
-        else:
-            m = k - 1
-            val = Fraction(0)
-            for j in range(m + 1):
-                w = weight(m, j)
-                for v in q.variables():
-                    val = val + w * (r(partial(q, v), j) * env[v].coeffs[m - j + 1])
-        memo[key] = val
-        return val
+    def node(q: Poly) -> list:
+        """[q, [r(q, 0), ...], pairs], where pairs, built when first needed,
+        holds (node of dq/dv, carried series of v) for each variable v of q;
+        equal partials share one node."""
+        entry = nodes.get(q)
+        if entry is None:
+            r0 = evaluate(q, lambda v: coeffs[v][0], Fraction(1), operator.mul, Fraction(0))
+            entry = nodes[q] = [q, [(r0 * s).numerator if integral else r0], None]
+        return entry
 
-    return r(p, n)
+    def extend(entry: list, k: int) -> list:
+        """Compute the node's values up to r(q, k): r(q, m+1) is the sum
+        over j <= m of weight(m, j) · sum_v r(dq/dv, j) · x_v[m+1-j]."""
+        q, vals, pairs = entry
+        if len(vals) <= k and pairs is None:
+            pairs = entry[2] = [(node(partial(q, v)), x[v]) for v in q.variables()]
+        for m in range(len(vals) - 1, k):
+            for child, _ in pairs:
+                extend(child, m)
+            terms = (map(operator.mul, child[1], xs[m + 1:0:-1]) for child, xs in pairs)
+            val = sum(map(operator.mul, rows[m], map(sum, zip(*terms))))
+            vals.append(val // d if d != 1 else val)
+        return vals
+
+    def component(k: int):
+        scale = s * (factorial(k) if flavor is Flavor.POWER else 1)
+        return extend(node(p), k)[k] * Fraction(1, scale)
+
+    return component
+
+
+def _components(p: Poly, env: Mapping, n: int, flavor: Flavor) -> list:
+    """Components 0, ..., n of the recursion, read from one memo: entry k
+    equals omega_eval(p, env, k) (Hurwitz) or delta_eval(p, env, k) (power)."""
+    component = _recursion(p, env, n, flavor)
+    return [component(k) for k in range(n + 1)]
 
 
 def omega_eval(p: Poly, env: Mapping, n: int):
@@ -221,9 +299,9 @@ def omega_eval(p: Poly, env: Mapping, n: int):
         w_0(q)     = q evaluated at the 0-components,
         w_{m+1}(q) = sum_{k<=m} C(m,k) sum_j w_k(dq/dx_j) · env(x_j)[m-k+1].
 
-    Memoized per call on (sub-polynomial, k); equals ring_eval(p, env)[n].
+    Memoized per call on (iterated partial, k); equals ring_eval(p, env)[n].
     """
-    return _coefficient(p, env, n, Flavor.HURWITZ, binom)
+    return _recursion(p, env, n, Flavor.HURWITZ)(n)
 
 
 def delta_eval(p: Poly, env: Mapping, n: int):
@@ -237,7 +315,7 @@ def delta_eval(p: Poly, env: Mapping, n: int):
 
     and equals ring_eval(p, env)[n] for power-flavored environments.
     """
-    return _coefficient(p, env, n, Flavor.POWER, lambda m, k: Fraction(m - k + 1, m + 1))
+    return _recursion(p, env, n, Flavor.POWER)(n)
 
 
 def diamond(d: Callable, a, order: int) -> Series:

@@ -47,8 +47,13 @@ def _sorted_mono(items) -> Mono:
     try:
         return tuple(sorted(items))
     except TypeError as exc:
-        kinds = ", ".join(sorted({type(v).__name__ for v, _ in items}))
-        raise MixedVariables(f"variables of different kinds in one monomial: {kinds}") from exc
+        raise _mixed("one monomial", (v for v, _ in items)) from exc
+
+
+def _mixed(where: str, variables) -> MixedVariables:
+    """The error for a sort that failed on variables of different kinds."""
+    kinds = ", ".join(sorted({type(v).__name__ for v in variables}))
+    return MixedVariables(f"variables of different kinds in {where}: {kinds}")
 
 
 def mono_from_exponents(exponents: Mapping) -> Mono:
@@ -136,11 +141,11 @@ class Poly(LinComb):
 
     def variables(self) -> tuple:
         """All variables occurring in the polynomial, sorted."""
-        seen = set()
-        for m in self._terms:
-            for v, _ in m:
-                seen.add(v)
-        return tuple(sorted(seen))
+        seen = {v for m in self._terms for v, _ in m}
+        try:
+            return tuple(sorted(seen))
+        except TypeError as exc:
+            raise _mixed("one polynomial", seen) from exc
 
     def total_degree(self) -> int:
         """Largest monomial degree; the zero polynomial reports 0."""
@@ -181,7 +186,11 @@ class Poly(LinComb):
         if not self._terms:
             return "0"
         parts = []
-        for m in sorted(self._terms, key=term_sort_key, reverse=True):
+        try:
+            ordered = sorted(self._terms, key=term_sort_key, reverse=True)
+        except TypeError as exc:
+            raise _mixed("one polynomial", (v for m in self._terms for v, _ in m)) from exc
+        for m in ordered:
             c = self._terms[m]
             if not m:
                 parts.append(str(c))

@@ -9,6 +9,7 @@ package ever rounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -23,20 +24,10 @@ def _check_natural(n: int, name: str) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient, by the multiplicative formula in exact integers.
-
-    Returns 0 when k > n.  Every intermediate product is divisible by the
-    running factorial, so the division below is always exact.
-    """
+    """Binomial coefficient in exact integers; 0 when k > n."""
     _check_natural(n, "n")
     _check_natural(k, "k")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return math.comb(n, k)
 
 
 def power(x, n: int, one):

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CLI = (sys.executable, "-m", "diffalg.cli")
 ROOT = Path(__file__).resolve().parent.parent
-LAWS_GOLDEN = ROOT / "tests" / "data" / "laws_seed42_trials10.txt"
+DATA = ROOT / "tests" / "data"
+LAWS_GOLDEN = DATA / "laws_seed42_trials10.txt"
 
 
 def run_cli(*args, stdin=None):
@@ -82,6 +85,24 @@ class TestEval:
         r = run_cli("eval", "X^2", "--format", "json", stdin=env)
         data = json.loads(r.stdout)
         assert [c["recursion"] for c in data["components"]] == ["1", "2", "3"]
+
+
+class TestEvalGolden:
+    """`eval` stdout frozen byte for byte: the recursion column comes from
+    the integer coefficient recursion, the ring column from smul."""
+
+    CASES = [
+        (("eval", "3*X^2*Y - 1/2*X*Y^3 + 7", "--order", "8"),
+         "eval_hurwitz_env.json", "eval_hurwitz_order8.txt"),
+        (("eval", "3*X^2*Y + X*Y*Z^2 - 2*Z^3 + Y", "--order", "12", "--format", "json"),
+         "eval_power_env.json", "eval_power_order12.json"),
+    ]
+
+    @pytest.mark.parametrize("args, env, golden", CASES)
+    def test_golden(self, args, env, golden):
+        r = subprocess.run(CLI + args, input=(DATA / env).read_bytes(), capture_output=True)
+        assert r.returncode == 0
+        assert r.stdout == (DATA / golden).read_bytes()
 
 
 class TestLaws:

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_series
 from diffalg.errors import (
@@ -14,6 +17,7 @@ from diffalg.hurwitz import (
     Flavor,
     Series,
     SeriesOfSeries,
+    _components,
     colift,
     comul,
     delta_eval,
@@ -81,9 +85,9 @@ class TestProduct:
 
     def test_strictness(self):
         f = series(1, 2, 3)
-        with pytest.raises(FlavorMismatch):
+        with pytest.raises(FlavorMismatch, match="hurwitz \\* power"):
             smul(f, series(1, 2, 3, flavor=Flavor.POWER))
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(OrderMismatch, match="order 2 \\* order 1"):
             smul(f, series(1, 2))
         assert smul_trunc(f, series(1, 2)) == smul(f.truncate(1), series(1, 2))
 
@@ -93,6 +97,121 @@ class TestProduct:
         assert f != g
         assert f.window_eq(g)
         assert not f.window_eq(series(1, 2, flavor=Flavor.POWER))
+
+
+def plain_convolution(f: Series, g: Series) -> tuple:
+    """The product written out term by term, with math.comb weights."""
+    hurwitz = f.flavor is Flavor.HURWITZ
+    return tuple(sum((math.comb(n, k) if hurwitz else 1) * f.coeffs[k] * g.coeffs[n - k]
+                     for k in range(n + 1))
+                 for n in range(f.order + 1))
+
+
+COEFFICIENTS = {
+    "fraction": st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    "int": st.integers(-10 ** 6, 10 ** 6),
+    "mixed": st.one_of(st.integers(-50, 50),
+                       st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
+}
+
+
+@st.composite
+def series_pairs(draw, kind: str):
+    order = draw(st.integers(0, 12))
+    flavor = draw(st.sampled_from(list(Flavor)))
+    coeffs = st.lists(COEFFICIENTS[kind], min_size=order + 1, max_size=order + 1)
+    return Series(tuple(draw(coeffs)), flavor), Series(tuple(draw(coeffs)), flavor)
+
+
+class TestKernel:
+    """smul over exact rationals runs on integer numerators with one
+    denominator per factor; these pin it to the textbook convolution."""
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    @given(data=st.data())
+    def test_matches_plain_convolution(self, kind, data):
+        f, g = data.draw(series_pairs(kind))
+        got = smul(f, g)
+        assert got.coeffs == plain_convolution(f, g)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_polynomial_coefficients(self):
+        """Coefficients that are not rationals take the term-by-term loop."""
+        x, y = eta("x"), eta("y")
+        for flavor in Flavor:
+            f = Series((x, F(1, 2), x * y - 3, F(0)), flavor)
+            g = Series((F(2), y, x ** 2, F(-1, 3) * y), flavor)
+            assert smul(f, g).coeffs == plain_convolution(f, g)
+
+    def test_poly_towers_order_8(self):
+        """Hurwitz products of Poly-coefficient towers are the tower of the
+        product (the higher Leibniz rule) at order 8."""
+        rng = SplitMix64(59)
+        for _ in range(3):
+            a, b = random_diffpoly(rng, 2, max_degree=2), random_diffpoly(rng, 2, max_degree=2)
+            assert smul(diamond(d_shift, a, 8), diamond(d_shift, b, 8)) == diamond(d_shift, a * b, 8)
+
+    def test_zero_and_order_zero(self):
+        rng = SplitMix64(61)
+        for flavor in Flavor:
+            zero = Series((F(0),) * 7, flavor)
+            f = random_series(rng, 6, flavor)
+            assert smul(zero, f) == zero
+            assert smul(f, zero) == zero
+            single = smul(Series((F(3, 4),), flavor), Series((F(-2, 3),), flavor))
+            assert single.coeffs == (F(-1, 2),)
+
+
+class TestRecursionKernel:
+    """omega_eval/delta_eval run their recursion on integers over one
+    common denominator; every component must still be the ring's."""
+
+    @staticmethod
+    def three_variable_poly(rng):
+        p = Poly.zero()
+        for _ in range(rng.randint(2, 5)):
+            exps = {}
+            for _ in range(rng.randint(0, 4)):
+                v = rng.choice(("X", "Y", "Z"))
+                exps[v] = exps.get(v, 0) + 1
+            p = p + Poly.monomial(exps, F(rng.randint(-9, 9), rng.randint(1, 6)))
+        return p
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_every_component_to_16(self, flavor):
+        evaluator = omega_eval if flavor is Flavor.HURWITZ else delta_eval
+        rng = SplitMix64(67)
+        big = (999983, 999979, 1000003)
+        for trial in range(6):
+            p = self.three_variable_poly(rng)
+            env = {v: random_series(rng, 16, flavor) for v in ("X", "Y", "Z")}
+            if trial % 2:  # large coprime denominators
+                env = {v: Series(tuple(c / big[i] for c in s.coeffs), flavor)
+                       for i, (v, s) in enumerate(env.items())}
+            oracle = ring_eval(p, env).coeffs
+            for n in range(17):
+                got = evaluator(p, env, n)
+                assert got == oracle[n]
+                assert type(got) is Fraction
+            assert _components(p, env, 16, flavor) == list(oracle)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_polynomial_coefficients(self, flavor):
+        """Series over polynomials take the same recursion unscaled."""
+        evaluator = omega_eval if flavor is Flavor.HURWITZ else delta_eval
+        t = eta("t")
+        env = {"X": Series((t, F(1, 2) * t * t + 1, F(3), t - 2, F(1, 3)), flavor),
+               "Y": Series((F(2), t, F(-1, 5), t * t, F(7)), flavor)}
+        p = 3 * eta("X") ** 2 * eta("Y") - F(1, 2) * eta("X") * eta("Y") + 4
+        oracle = ring_eval(p, env).coeffs
+        assert [evaluator(p, env, n) for n in range(5)] == list(oracle)
+        assert _components(p, env, 4, flavor) == list(oracle)
+
+    def test_constant_and_zero(self):
+        for flavor in Flavor:
+            env = {"X": random_series(SplitMix64(71), 3, flavor)}
+            assert _components(Poly.const(F(5, 3)), env, 3, flavor) == [F(5, 3), 0, 0, 0]
+            assert _components(Poly.zero(), env, 3, flavor) == [0, 0, 0, 0]
 
 
 class TestUnitAndDerive:

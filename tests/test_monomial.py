@@ -90,6 +90,16 @@ class TestMixedVariables:
         with pytest.raises(MixedVariables):
             mono_from_exponents({"y": 1, DVar("x", 0): 1})
 
+    def test_sum(self):
+        """A sum of mixed kinds builds, because addition never orders
+        monomials; printing it and listing its variables both need an
+        order, and fail with the typed error."""
+        mixed = alpha(eta("x")) + Poly.variable("y")
+        with pytest.raises(MixedVariables, match="DVar, str"):
+            str(mixed)
+        with pytest.raises(MixedVariables, match="DVar, str"):
+            mixed.variables()
+
 
 @given(plain_polys, plain_polys)
 def test_plain_keys_are_canonical(p, q):

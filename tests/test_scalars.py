@@ -28,6 +28,16 @@ def test_negative_arguments_rejected():
         factorial(-2)
 
 
+def test_non_int_arguments_rejected():
+    for bad in (True, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            binom(bad, 1)
+        with pytest.raises(TypeError):
+            binom(4, bad)
+        with pytest.raises(TypeError):
+            factorial(bad)
+
+
 @given(st.integers(0, 60), st.integers(0, 60))
 def test_pascal_identity(n, k):
     if 1 <= k <= n:

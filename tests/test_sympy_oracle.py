@@ -1,11 +1,13 @@
-"""Poly arithmetic checked against SymPy, an implementation that shares no
-code with this package.  Skipped when SymPy is not installed."""
+"""Poly arithmetic and series products checked against SymPy, an
+implementation that shares no code with this package.  Skipped when SymPy
+is not installed."""
 
 from fractions import Fraction
 
 import pytest
 
 from diffalg.carriers import POLY_POOL, random_poly
+from diffalg.hurwitz import Flavor, Series, smul
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
 
@@ -76,3 +78,44 @@ def test_substitute(p, env):
     want = to_sympy(p).as_expr().subs({SYMBOL[v]: to_sympy(q).as_expr() for v, q in env.items()},
                                       simultaneous=True)
     assert to_sympy(substitute(p, env)) == sympy.Poly(want, *GENS, domain=sympy.QQ)
+
+
+# -- series products ----------------------------------------------------------
+#
+# A Hurwitz series (a_0, ..., a_N) is the exponential generating function
+# sum a_k t^k / k!, and its product is the EGF product; a power series is the
+# ordinary generating function sum a_k t^k, and its product is the OGF
+# product.  Both are checked up to t^N.  The coefficients are large and of
+# either sign, over large denominators, several of them distinct primes, so
+# that each factor's common denominator is large.
+
+T = sympy.Symbol("t")
+PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+
+
+def big_series(rng: SplitMix64, order: int, flavor: Flavor) -> Series:
+    coeffs = []
+    for k in range(order + 1):
+        den = PRIMES[k % len(PRIMES)] if k % 3 else rng.randint(1, 10 ** 6)
+        coeffs.append(Fraction(rng.randint(-10 ** 6, 10 ** 6), den))
+    return Series(tuple(coeffs), flavor)
+
+
+def generating_function(s: Series):
+    egf = s.flavor is Flavor.HURWITZ
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * T ** k
+                          / (sympy.factorial(k) if egf else 1)
+                          for k, c in enumerate(s.coeffs)), T, domain=sympy.QQ)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("order", [0, 1, 8, 32])
+def test_series_product(order, flavor):
+    rng = SplitMix64(300 + order)
+    for _ in range(3):
+        f, g = big_series(rng, order, flavor), big_series(rng, order, flavor)
+        product = generating_function(f) * generating_function(g)
+        scale = sympy.factorial if flavor is Flavor.HURWITZ else (lambda n: 1)
+        want = [product.coeff_monomial(T ** n) * scale(n) for n in range(order + 1)]
+        got = smul(f, g).coeffs
+        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
