@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import hurwitz as hz
 from . import rota_baxter as rb
-from .errors import DiffalgError, ParseError
+from .errors import DiffalgError, MalformedPayload, ParseError
 from .expr import DIFF_MODE, POLY_MODE, parse_poly, parse_series_literal
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
@@ -105,18 +105,49 @@ def _emit_series(s: hz.Series, fmt: str) -> None:
         print(s)
 
 
-def _series_from_json(obj) -> hz.Series:
-    flavor = hz.Flavor(obj["flavor"])
-    coeffs = tuple(Fraction(str(c)) for c in obj["coeffs"])
-    return hz.Series(coeffs, flavor)
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedPayload(f"{what} must be a JSON object")
+    return value
 
 
-def _rbelem_from_json(obj) -> rb.RBElem:
+def _json_list(value, kind: type, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        noun = "strings" if kind is str else "objects"
+        raise MalformedPayload(f"{what} must be a list of {noun}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise MalformedPayload(f"{what} is not a rational: {value!r}") from None
+
+
+def _letters(obj: dict, key: str) -> list:
+    """The polynomial letters of the word stored under key."""
+    return [parse_poly(s, POLY_MODE) for s in _json_list(obj[key], str, f'"{key}"')]
+
+
+def _series_from_json(env: dict, name: str) -> hz.Series:
+    obj = _json_object(env[name], f'series "{name}"')
+    if not isinstance(obj["coeffs"], list):
+        raise MalformedPayload(f'"coeffs" of series "{name}" must be a list')
+    coeffs = tuple(_rational(c, f'a coefficient of series "{name}"') for c in obj["coeffs"])
+    return hz.Series(coeffs, hz.Flavor(obj["flavor"]))
+
+
+def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
+    obj = _json_object(payload[key], f'"{key}"')
     out = rb.RBElem.zero()
-    for t in obj["terms"]:
-        letters = [parse_poly(s, POLY_MODE) for s in t["word"]]
-        tail = parse_poly(t["tail"], POLY_MODE)
-        out = out + rb.RBElem.term(letters, tail, Fraction(str(t.get("coeff", 1))))
+    for t in _json_list(obj["terms"], dict, '"terms"'):
+        tail = t["tail"]
+        if not isinstance(tail, str):
+            raise MalformedPayload('"tail" must be a string')
+        term = rb.RBElem.term(_letters(t, "word"), parse_poly(tail, POLY_MODE),
+                              _rational(t.get("coeff", 1), '"coeff"'))
+        out = out + term
     return out
 
 
@@ -160,12 +191,9 @@ def _cmd_eval(args) -> int:
     else:
         p = parse_poly(args.expr, POLY_MODE)
         payload = json.load(sys.stdin)
-    env_obj = payload.get("env", payload) if isinstance(payload, dict) else payload
-    env = {}
-    for name, obj in env_obj.items():
-        if name == "schema":
-            continue
-        env[name] = _series_from_json(obj)
+    payload = _json_object(payload, "the environment")
+    env_obj = _json_object(payload.get("env", payload), '"env"')
+    env = {name: _series_from_json(env_obj, name) for name in env_obj if name != "schema"}
     if not env:
         raise ParseError("empty environment", 1, frozenset({"series object"}))
     first = next(iter(env.values()))
@@ -216,11 +244,9 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_rb(args) -> int:
-    payload = json.load(sys.stdin)
+    payload = _json_object(json.load(sys.stdin), "the payload")
     if args.op == "shuffle":
-        u = [parse_poly(s, POLY_MODE) for s in payload["u"]]
-        v = [parse_poly(s, POLY_MODE) for s in payload["v"]]
-        combo = rb.shuffle(u, v)
+        combo = rb.shuffle(_letters(payload, "u"), _letters(payload, "v"))
         terms = [
             {"word": [mono_str(m) for m in w], "coeff": str(combo[w])}
             for w in sorted(combo)
@@ -228,17 +254,17 @@ def _cmd_rb(args) -> int:
         print(json.dumps({"schema": SCHEMA, "result": terms}))
         return 0
     if args.op == "mul":
-        s = _rbelem_from_json(payload["s"])
-        t = _rbelem_from_json(payload["t"])
+        s = _rbelem_from_json(payload, "s")
+        t = _rbelem_from_json(payload, "t")
         print(json.dumps(_rbelem_to_json(rb.rb_mul(s, t))))
         return 0
     if args.op == "P":
-        print(json.dumps(_rbelem_to_json(rb.rb_P(_rbelem_from_json(payload["s"])))))
+        print(json.dumps(_rbelem_to_json(rb.rb_P(_rbelem_from_json(payload, "s")))))
         return 0
     if args.op == "D":
-        print(json.dumps(_rbelem_to_json(rb.rb_D(_rbelem_from_json(payload["s"])))))
+        print(json.dumps(_rbelem_to_json(rb.rb_D(_rbelem_from_json(payload, "s")))))
         return 0
-    raw = rb.rb_D_raw(_rbelem_from_json(payload["s"]))
+    raw = rb.rb_D_raw(_rbelem_from_json(payload, "s"))
     terms = [
         {
             "word": [mono_str(m) for m in w],

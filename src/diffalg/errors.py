@@ -25,6 +25,12 @@ class MalformedNesting(DiffalgError):
     to an inner differential polynomial."""
 
 
+class MalformedPayload(DiffalgError):
+    """A JSON payload given to the command line does not have the
+    documented shape (an object where an object is expected, words as
+    lists of strings, terms as lists of objects, rational coefficients)."""
+
+
 class FlavorMismatch(DiffalgError):
     """Two series of different flavors (Hurwitz vs. power) were combined."""
 

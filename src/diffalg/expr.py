@@ -8,7 +8,10 @@
     rational:= ['-'] digits ('/' digits)?
     var     := [A-Za-z][A-Za-z0-9_]*   (the bare name 'D' is the derivation)
 
-Whitespace is insignificant.  Derivative orders are written with primes up
+Whitespace is insignificant.  Parentheses and D applications nest at most
+:data:`MAX_NESTING` levels deep; deeper input is a
+:class:`~diffalg.errors.ParseError`, so no input can exhaust the
+interpreter's recursion limit.  Derivative orders are written with primes up
 to three (x, x', x'', x''') and as ``x^(n)`` beyond; both forms parse.  In
 plain-polynomial mode, primes, ``^(n)`` markers, and the D operator are
 rejected with :class:`~diffalg.errors.ModeError`.
@@ -21,6 +24,7 @@ terms sorted by descending (total degree, variable sequence), joined by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +34,10 @@ from .polynomial import Poly
 
 POLY_MODE = "poly"
 DIFF_MODE = "diffpoly"
+
+# Each level of '(' or 'D(' costs the parser four stack frames, so this
+# bound keeps parsing well inside the default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,7 @@ class _Parser:
         self.text = text
         self.mode = mode
         self.i = 0
+        self.depth = 0
 
     # -- machinery ---------------------------------------------------------
 
@@ -115,6 +124,16 @@ class _Parser:
         while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "_"):
             self.i += 1
         return self.text[start:self.i]
+
+    def nested(self):
+        """An expr one level deeper inside '(' or 'D('."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._byte_offset(),
+                             frozenset({f"at most {MAX_NESTING} nested '(' or 'D('"}))
+        self.depth += 1
+        node = self.expr()
+        self.depth -= 1
+        return node
 
     # -- grammar -------------------------------------------------------------
 
@@ -171,7 +190,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.eat("(")
-            node = self.expr()
+            node = self.nested()
             self.expect(")")
             return node
         if ch == "-" or ch.isdigit():
@@ -189,7 +208,7 @@ class _Parser:
                 if self.eat("^"):
                     power = self.nat()
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested()
                 self.expect(")")
                 return DApp(power, arg)
             order = 0
@@ -221,6 +240,9 @@ def parse(text: str, mode: str = DIFF_MODE):
     return _Parser(text, mode).parse()
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_expr(node, mode: str = DIFF_MODE) -> Poly:
     """Evaluate an expression tree to a canonical polynomial.  In
     differential mode every variable becomes a derivative variable."""
@@ -231,13 +253,16 @@ def eval_expr(node, mode: str = DIFF_MODE) -> Poly:
             return Poly.variable(DVar(node.name, node.order))
         return Poly.variable(node.name)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, mode)
-        right = eval_expr(node.right, mode)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        # A flat sum or product of n operands parses to a left-nested chain
+        # n deep: walk it with a loop, recursing only into right operands.
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        acc = eval_expr(node, mode)
+        for link in reversed(chain):
+            acc = _BINARY[link.op](acc, eval_expr(link.right, mode))
+        return acc
     if isinstance(node, Pow):
         return eval_expr(node.base, mode) ** node.exponent
     if isinstance(node, DApp):

@@ -25,8 +25,8 @@ import json
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import MalformedNesting, UnboundVariable
-from .polynomial import (LinearMap, Poly, coderive, derive, evaluate, mono_from_exponents, mono_lower,
-                         mono_mul, rename_vars, substitute)
+from .polynomial import (LinearMap, Poly, coderive, derive, evaluate, mono_from_exponents, rename_vars,
+                         substitute)
 
 
 class DVar(NamedTuple):
@@ -53,12 +53,24 @@ def d_shift(p: Poly) -> Poly:
 
     On a monomial, each occurrence of a variable (x, n) contributes its
     exponent times the monomial with one factor bumped to (x, n+1).
+
+    Keys are built by insertion, not by a product: (x, n+1) sorts right
+    after (x, n) with nothing in between, so the bumped factor goes
+    directly after position i, merging into the next factor when that is
+    already (x, n+1).
     """
     out: dict = {}
     for m, c in p.terms():
         for i, (v, e) in enumerate(m):
-            key = mono_mul(mono_lower(m, i), ((DVar(v.base, v.order + 1), 1),))
-            out[key] = out[key] + c * e if key in out else c * e
+            bumped = DVar(v.base, v.order + 1)
+            head = m[:i] + ((v, e - 1),) if e > 1 else m[:i]
+            rest = m[i + 1:]
+            if rest and rest[0][0] == bumped:
+                key = head + ((bumped, rest[0][1] + 1),) + rest[1:]
+            else:
+                key = head + ((bumped, 1),) + rest
+            ce = c if e == 1 else c * e
+            out[key] = out[key] + ce if key in out else ce
     return Poly._from_sums(out)
 
 

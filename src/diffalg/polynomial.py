@@ -35,10 +35,12 @@ from .lincomb import LinComb, coerce
 from .scalars import power
 
 # A monomial: sorted tuple of (variable, positive exponent) pairs.  The kernel
-# below is the only code that builds one: mono_from_exponents (from an
-# exponent map), mono_mul (a product) and mono_lower (one factor removed);
-# mono_str prints one.  Variables that cannot be ordered against each other
-# (plain names and DVars) raise MixedVariables.
+# below builds them: mono_from_exponents (from an exponent map), mono_mul
+# (the one product) and mono_lower (one factor removed); mono_str prints one.
+# The one other builder is free_diff.d_shift, which inserts a bumped
+# derivative variable at the one place the order allows.  Variables that
+# cannot be ordered against each other (plain names and DVars) raise
+# MixedVariables.
 Mono = tuple
 EMPTY_MONO: Mono = ()
 
@@ -185,12 +187,9 @@ class Poly(LinComb):
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        self.variables()  # raises MixedVariables on variables of different kinds
         parts = []
-        try:
-            ordered = sorted(self._terms, key=term_sort_key, reverse=True)
-        except TypeError as exc:
-            raise _mixed("one polynomial", (v for m in self._terms for v, _ in m)) from exc
-        for m in ordered:
+        for m in sorted(self._terms, key=term_sort_key, reverse=True):
             c = self._terms[m]
             if not m:
                 parts.append(str(c))

@@ -8,8 +8,10 @@ expanding every letter and the tail into monomials: stored keys are
 
 The product shuffles the word parts (sum over all interleavings preserving
 each word's internal order, counted with multiplicity) and multiplies the
-tails.  The operator P appends the tail to the word as a new letter and
-resets the tail to 1; it satisfies the Rota-Baxter identity
+tails.  Every shuffle runs on :func:`shuffle_words`, which counts the
+interleavings per distinct word, so its cost follows the distinct words.
+The operator P appends the tail to the word as a new letter and resets
+the tail to 1; it satisfies the Rota-Baxter identity
 
     P(a)·P(b) = P(a·P(b)) + P(P(a)·b)
 
@@ -27,7 +29,7 @@ rejected, cancel-on-zero) is decided there, once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .diff_laws import LawReport, mismatch, pick, random_fraction, run_trials, sample_exponents
 from .lincomb import LinComb, coerce, drop_zeros
@@ -38,19 +40,39 @@ from .polynomial import (EMPTY_MONO, Mono, Poly, derive, mono_degree, mono_from_
 Word = tuple
 
 
-def _interleavings(a: Word, b: Word) -> Iterator[Word]:
-    """All interleavings of a and b preserving internal order, with
-    multiplicity: exactly binom(|a|+|b|, |a|) sequences are yielded."""
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _interleavings(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _interleavings(a, b[1:]):
-        yield (b[0],) + rest
+def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
+    """The shuffle of two words as a map from each distinct word to the
+    number of interleavings of u and v (internal order kept) that spell it;
+    the counts sum to binom(|u|+|v|, |u|).
+
+    Filled on the prefix grid row by row, from the last-letter recursion
+
+        sh(u[:i], v[:j]) = sh(u[:i-1], v[:j])·u[i-1] + sh(u[:i], v[:j-1])·v[j-1],
+
+    so the work follows the distinct words of each cell, not the
+    interleavings.  The two halves end in different letters unless
+    u[i-1] == v[j-1], so only then can they share a word and need a merge.
+    A cell is a list of (word, count) pairs, each word once, not a dict:
+    hashing every intermediate word would make shuffles of distinct
+    letters, where nothing merges, 25-50 % slower.  row[j] is overwritten
+    in place, so one row of cells is live at a time."""
+    if not u or not v:
+        return {u + v: 1}
+    row = [[(v[:j], 1)] for j in range(len(v) + 1)]
+    for i, a in enumerate(u, 1):
+        left = row[0] = [(u[:i], 1)]
+        for j, b in enumerate(v, 1):
+            cell = [(w + (a,), n) for w, n in row[j]]
+            if a == b:
+                merged = dict(cell)
+                for w, n in left:
+                    w += (b,)
+                    merged[w] = merged[w] + n if w in merged else n
+                cell = list(merged.items())
+            else:
+                cell += [(w + (b,), n) for w, n in left]
+            row[j] = left = cell
+    return dict(row[-1])
 
 
 def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
@@ -74,11 +96,13 @@ def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
 def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
     """Shuffle product of two words, as a linear combination of words."""
     out: dict[Word, Fraction] = {}
+    words_v = normalize_word(v).items()
     for wu, cu in normalize_word(u).items():
-        for wv, cv in normalize_word(v).items():
+        for wv, cv in words_v:
             c = cu * cv
-            for w in _interleavings(wu, wv):
-                out[w] = out[w] + c if w in out else c
+            for w, n in shuffle_words(wu, wv).items():
+                cn = c if n == 1 else c * n
+                out[w] = out[w] + cn if w in out else cn
     return drop_zeros(out)
 
 
@@ -133,9 +157,10 @@ def rb_mul(s: RBElem, t: RBElem) -> RBElem:
         for (w2, t2), c2 in t.terms():
             tail = mono_mul(t1, t2)
             c = c1 * c2
-            for w in _interleavings(w1, w2):
+            for w, n in shuffle_words(w1, w2).items():
                 key = (w, tail)
-                out[key] = out[key] + c if key in out else c
+                cn = c if n == 1 else c * n
+                out[key] = out[key] + cn if key in out else cn
     return RBElem._from_sums(out)
 
 
@@ -173,9 +198,10 @@ def raw_scale(raw: dict, s: RBElem) -> dict:
         for (w2, t2), c2 in s.terms():
             tail = mono_mul(t1, t2)
             c = c1 * c2
-            for w in _interleavings(w1, w2):
+            for w, n in shuffle_words(w1, w2).items():
                 key = (w, tail, v)
-                out[key] = out[key] + c if key in out else c
+                cn = c if n == 1 else c * n
+                out[key] = out[key] + cn if key in out else cn
     return drop_zeros(out)
 
 

@@ -203,3 +203,49 @@ class TestErrors:
     def test_flavor_conflict_exits_2(self):
         r = run_cli("psi", "[1,1]", "--from", "power", "--to", "power")
         assert r.returncode == 2
+
+    def test_deep_nesting_exits_2(self):
+        from diffalg.expr import MAX_NESTING
+
+        depth = MAX_NESTING + 1
+        r = run_cli("diff", "-", stdin="(" * depth + "x" + ")" * depth)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: nesting deeper than")
+
+
+class TestMalformedPayloads:
+    """JSON of the wrong shape is a MalformedPayload: exit 2 with a
+    one-line message, never a traceback, and never a string read as a
+    list of letters."""
+
+    @pytest.mark.parametrize("op, payload, message", [
+        ("shuffle", {"u": 5, "v": []}, '"u" must be a list of strings'),
+        ("shuffle", [1], "the payload must be a JSON object"),
+        ("shuffle", {"u": ["x"], "v": [3]}, '"v" must be a list of strings'),
+        ("shuffle", {"u": "xy", "v": []}, '"u" must be a list of strings'),
+        ("P", {"s": 3}, '"s" must be a JSON object'),
+        ("P", {"s": {"terms": [{"word": "xy", "tail": "1"}]}}, '"word" must be a list of strings'),
+        ("D", {"s": {"terms": [1]}}, '"terms" must be a list of objects'),
+        ("raw", {"s": {"terms": {"word": []}}}, '"terms" must be a list of objects'),
+        ("mul", {"s": {"terms": []}, "t": {"terms": [{"word": [], "tail": 2}]}},
+         '"tail" must be a string'),
+        ("P", {"s": {"terms": [{"word": [], "tail": "x", "coeff": "1/0"}]}},
+         "\"coeff\" is not a rational: '1/0'"),
+    ])
+    def test_rb(self, op, payload, message):
+        r = run_cli("rb", "--op", op, stdin=json.dumps(payload))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1], "the environment must be a JSON object"),
+        ({"env": [1]}, '"env" must be a JSON object'),
+        ({"x": 5}, 'series "x" must be a JSON object'),
+        ({"x": {"flavor": "power", "coeffs": "12"}}, '"coeffs" of series "x" must be a list'),
+        ({"x": {"flavor": "power", "coeffs": ["1", "1/0"]}},
+         "a coefficient of series \"x\" is not a rational: '1/0'"),
+    ])
+    def test_eval(self, payload, message):
+        r = run_cli("eval", "x", stdin=json.dumps(payload))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {message}\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from diffalg.errors import ModeError, ParseError
 from diffalg.expr import (
     DIFF_MODE,
+    MAX_NESTING,
     POLY_MODE,
     parse,
     parse_poly,
@@ -92,6 +93,35 @@ class TestSyntaxErrors:
     def test_d_needs_parens(self):
         with pytest.raises(ParseError):
             parse("D x", DIFF_MODE)
+
+
+class TestNestingBound:
+    def test_at_the_bound(self):
+        n = MAX_NESTING
+        assert parse_poly("(" * n + "x" + ")" * n) == dvar("x")
+        assert parse_poly("D(" * n + "x" + ")" * n) == dvar("x", n)
+
+    @pytest.mark.parametrize("opener", ["(", "D("])
+    def test_one_over_the_bound(self, opener):
+        depth = MAX_NESTING + 1
+        with pytest.raises(ParseError, match="nesting deeper than") as info:
+            parse(opener * depth + "x" + ")" * depth, DIFF_MODE)
+        # the offset points just past the first opener over the bound
+        assert info.value.offset == len(opener) * depth + 1
+
+    def test_parentheses_and_d_count_alike(self):
+        half = MAX_NESTING // 2
+        text = "(D(" * half + "x" + "))" * half
+        assert parse_poly(text) == dvar("x", half)
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse("(" + text + ")", DIFF_MODE)
+
+    def test_long_flat_chains(self):
+        """A flat sum or product is a left-nested chain as deep as it is
+        long; evaluating it must not recurse per operand."""
+        assert parse_poly(" + ".join(["x"] * 3000)) == 3000 * dvar("x")
+        assert parse_poly("*".join(["x"] * 3000)) == dvar("x") ** 3000
+        assert parse_poly(" - ".join(["x"] * 3001)) == -2999 * dvar("x")
 
 
 class TestSeriesLiterals:

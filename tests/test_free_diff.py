@@ -46,6 +46,30 @@ class TestShift:
     def test_constant_rule(self):
         assert d_shift(Poly.const(5)) == 0
 
+    def test_bump_merges_into_next_factor(self):
+        # x*x': bumping x lands on the x' already there
+        got = d_shift(x0 * x1)
+        assert got == x1 ** 2 + x0 * dvar("x", 2)
+        assert dict(got.terms()) == {((DVar("x", 1), 2),): 1,
+                                     ((DVar("x", 0), 1), (DVar("x", 2), 1)): 1}
+        # the lowered factor stays in front of the merged one
+        assert d_shift(x0 ** 2 * x1) == 2 * x0 * x1 ** 2 + x0 ** 2 * dvar("x", 2)
+
+    def test_exponent_above_one(self):
+        got = d_shift(x0 ** 3 * y0)
+        assert got == 3 * x0 ** 2 * x1 * y0 + x0 ** 3 * y1
+        assert dict(got.terms()) == {
+            ((DVar("x", 0), 2), (DVar("x", 1), 1), (DVar("y", 0), 1)): 3,
+            ((DVar("x", 0), 3), (DVar("y", 1), 1)): 1}
+
+    def test_last_position(self):
+        y2 = dvar("y", 2)
+        got = d_shift(x0 * y2 ** 2)
+        assert got == x1 * y2 ** 2 + 2 * x0 * y2 * dvar("y", 3)
+        assert dict(got.terms()) == {
+            ((DVar("x", 1), 1), (DVar("y", 2), 2)): 1,
+            ((DVar("x", 0), 1), (DVar("y", 2), 1), (DVar("y", 3), 1)): 2}
+
     def test_third_iterate_of_square(self):
         # D^3(x^2) expanded by hand: 6 x' x'' + 2 x x'''
         p = x0 ** 2

@@ -2,7 +2,8 @@
 
 Every monomial the package builds must come out canonical (variables
 strictly increasing, exponents >= 1), whichever operation built it, and
-only the kernel may build one.
+only the kernel may sort one into order.  ``free_diff.d_shift`` builds its
+keys by insertion; the canonical-key properties below cover it.
 """
 
 import ast
@@ -95,6 +96,16 @@ class TestMixedVariables:
         monomials; printing it and listing its variables both need an
         order, and fail with the typed error."""
         mixed = alpha(eta("x")) + Poly.variable("y")
+        with pytest.raises(MixedVariables, match="DVar, str"):
+            str(mixed)
+        with pytest.raises(MixedVariables, match="DVar, str"):
+            mixed.variables()
+
+    def test_sum_of_different_degrees(self):
+        """The terms of this sum differ in degree, so sorting them never
+        compares an order-0 DVar x with the plain name y; printed, x^2 + y
+        would read as a plain polynomial."""
+        mixed = alpha(eta("x")) ** 2 + Poly.variable("y")
         with pytest.raises(MixedVariables, match="DVar, str"):
             str(mixed)
         with pytest.raises(MixedVariables, match="DVar, str"):

@@ -1,8 +1,14 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffalg.carriers import rota_baxter_carrier
 from diffalg.diff_laws import check_constant_rule, check_kernel_closure, check_leibniz
-from diffalg.polynomial import EMPTY_MONO, Poly
+from diffalg.polynomial import EMPTY_MONO, Poly, mono_mul
 from diffalg.rng import SplitMix64
 from diffalg.rota_baxter import (
     RBElem,
@@ -15,6 +21,7 @@ from diffalg.rota_baxter import (
     rb_P,
     shuffle,
     shuffle_term_count,
+    shuffle_words,
 )
 from diffalg.scalars import binom
 
@@ -61,6 +68,71 @@ class TestShuffle:
             s, t, u = (random_rbelem(rng, max_terms=1, max_word=2) for _ in range(3))
             assert rb_mul(s, t) == rb_mul(t, s)
             assert rb_mul(rb_mul(s, t), u) == rb_mul(s, rb_mul(t, u))
+
+
+def interleavings(u, v):
+    """Every interleaving of u and v, one per choice of the positions that
+    u's letters take: binom(|u|+|v|, |u|) words, repeats included."""
+    n = len(u) + len(v)
+    for positions in itertools.combinations(range(n), len(u)):
+        letters_u, letters_v = iter(u), iter(v)
+        chosen = set(positions)
+        yield tuple(next(letters_u) if k in chosen else next(letters_v) for k in range(n))
+
+
+def brute_product(terms1, terms2):
+    """Sum c1·c2 over every interleaving of every term pair: a key
+    (w1, t1, *rest) times (w2, t2) adds to (w, t1·t2, *rest) for each
+    interleaving w of w1 and w2.  Cancelled keys are dropped."""
+    out: dict = {}
+    for (w1, t1, *rest), c1 in terms1:
+        for (w2, t2), c2 in terms2:
+            for w in interleavings(w1, w2):
+                k = (w, mono_mul(t1, t2), *rest)
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+words = st.lists(st.sampled_from("abc"), max_size=6).map(tuple)
+small_words = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(*[st.lists(st.sampled_from("abc"[:k]), max_size=6).map(tuple)] * 2))
+
+# Elements over two letters, x and y, with small coefficients: repeated
+# letters merge interleavings, and opposite coefficients cancel.
+letters = st.sampled_from([(("x", 1),), (("y", 1),)])
+tails = st.sampled_from([EMPTY_MONO, (("x", 1),), (("y", 2),), (("x", 1), ("y", 1))])
+rb_elems = st.dictionaries(
+    st.tuples(st.lists(letters, max_size=4).map(tuple), tails),
+    st.sampled_from([-2, -1, 1, 2]), max_size=4).map(RBElem)
+
+
+class TestKernel:
+    @given(small_words)
+    def test_matches_enumeration(self, pair):
+        u, v = pair
+        assert shuffle_words(u, v) == dict(Counter(interleavings(u, v)))
+
+    @given(words, words)
+    def test_counts_sum_to_binomial(self, u, v):
+        counts = shuffle_words(u, v)
+        assert sum(counts.values()) == math.comb(len(u) + len(v), len(u))
+        assert all(type(n) is int and n > 0 for n in counts.values())
+
+    def test_repeated_letter_is_one_word(self):
+        assert shuffle_words(("a",) * 8, ("a",) * 8) == {("a",) * 16: 12870}
+
+    def test_long_words_do_not_recurse(self):
+        # an interleaving recursion would need one frame per letter here
+        assert shuffle_words(("a",) * 2, ("a",) * 1200) == {("a",) * 1202: math.comb(1202, 2)}
+
+    @given(rb_elems, rb_elems)
+    def test_rb_mul_matches_enumeration(self, s, t):
+        assert rb_mul(s, t) == RBElem(brute_product(s.terms(), list(t.terms())))
+
+    @given(rb_elems, rb_elems)
+    def test_raw_scale_matches_enumeration(self, s, t):
+        raw = rb_D_raw(s)
+        assert raw_scale(raw, t) == brute_product(raw.items(), list(t.terms()))
 
 
 class TestProduct:
