@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import hurwitz as hz
 from . import rota_baxter as rb
 from .errors import DiffalgError, MalformedPayload, ParseError
-from .expr import DIFF_MODE, POLY_MODE, parse_poly, parse_series_literal
+from .expr import DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_series_literal
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
 
@@ -111,6 +111,13 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _field(obj: dict, key: str):
+    """The required field key of a JSON object."""
+    if key not in obj:
+        raise MalformedPayload(f'missing field "{key}"')
+    return obj[key]
+
+
 def _json_list(value, kind: type, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
         noun = "strings" if kind is str else "objects"
@@ -127,22 +134,23 @@ def _rational(value, what: str) -> Fraction:
 
 def _letters(obj: dict, key: str) -> list:
     """The polynomial letters of the word stored under key."""
-    return [parse_poly(s, POLY_MODE) for s in _json_list(obj[key], str, f'"{key}"')]
+    return [parse_poly(s, POLY_MODE) for s in _json_list(_field(obj, key), str, f'"{key}"')]
 
 
 def _series_from_json(env: dict, name: str) -> hz.Series:
     obj = _json_object(env[name], f'series "{name}"')
-    if not isinstance(obj["coeffs"], list):
+    coeffs = _field(obj, "coeffs")
+    if not isinstance(coeffs, list):
         raise MalformedPayload(f'"coeffs" of series "{name}" must be a list')
-    coeffs = tuple(_rational(c, f'a coefficient of series "{name}"') for c in obj["coeffs"])
-    return hz.Series(coeffs, hz.Flavor(obj["flavor"]))
+    coeffs = tuple(_rational(c, f'a coefficient of series "{name}"') for c in coeffs)
+    return hz.Series(coeffs, hz.Flavor(_field(obj, "flavor")))
 
 
 def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
-    obj = _json_object(payload[key], f'"{key}"')
+    obj = _json_object(_field(payload, key), f'"{key}"')
     out = rb.RBElem.zero()
-    for t in _json_list(obj["terms"], dict, '"terms"'):
-        tail = t["tail"]
+    for t in _json_list(_field(obj, "terms"), dict, '"terms"'):
+        tail = _field(t, "tail")
         if not isinstance(tail, str):
             raise MalformedPayload('"tail" must be a string')
         term = rb.RBElem.term(_letters(t, "word"), parse_poly(tail, POLY_MODE),
@@ -165,9 +173,9 @@ def _rbelem_to_json(elem: rb.RBElem) -> dict:
 
 
 def _cmd_diff(args) -> int:
+    if not 0 <= args.n <= MAX_ORDER:
+        raise ParseError(f"--n must be from 0 to {MAX_ORDER}", 1, frozenset({"natural number"}))
     p = parse_poly(_positional(args.expr), DIFF_MODE)
-    if args.n < 0:
-        raise ParseError("--n must be non-negative", 1, frozenset({"natural number"}))
     for _ in range(args.n):
         p = d_shift(p)
     _emit_poly(p, args.format)
@@ -299,7 +307,7 @@ def main(argv=None) -> int:
         if args.verb == "rb":
             return _cmd_rb(args)
         raise AssertionError(f"unhandled verb {args.verb}")
-    except (DiffalgError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (DiffalgError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,10 @@
 Whitespace is insignificant.  Parentheses and D applications nest at most
 :data:`MAX_NESTING` levels deep; deeper input is a
 :class:`~diffalg.errors.ParseError`, so no input can exhaust the
-interpreter's recursion limit.  Derivative orders are written with primes up
-to three (x, x', x'', x''') and as ``x^(n)`` beyond; both forms parse.  In
+interpreter's recursion limit.  The D applications around a subexpression
+derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
+is 1100, too many).  Derivative orders are written with primes up to three
+(x, x', x'', x''') and as ``x^(n)`` beyond; both forms parse.  In
 plain-polynomial mode, primes, ``^(n)`` markers, and the D operator are
 rejected with :class:`~diffalg.errors.ModeError`.
 
@@ -38,6 +40,10 @@ DIFF_MODE = "diffpoly"
 # Each level of '(' or 'D(' costs the parser four stack frames, so this
 # bound keeps parsing well inside the default recursion limit of 1000.
 MAX_NESTING = 100
+
+# The most shift derivatives the D applications around any subexpression
+# may apply; the diff verb bounds --n by the same number.
+MAX_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class _Parser:
         self.mode = mode
         self.i = 0
         self.depth = 0
+        self.order = 0  # total D power of the enclosing D applications
 
     # -- machinery ---------------------------------------------------------
 
@@ -207,8 +214,13 @@ class _Parser:
                 power = 1
                 if self.eat("^"):
                     power = self.nat()
+                if self.order + power > MAX_ORDER:
+                    raise ParseError(f"derivative order above {MAX_ORDER}", self._byte_offset(start),
+                                     frozenset({f"at most {MAX_ORDER} nested derivatives"}))
                 self.expect("(")
+                self.order += power
                 arg = self.nested()
+                self.order -= power
                 self.expect(")")
                 return DApp(power, arg)
             order = 0

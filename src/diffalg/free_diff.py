@@ -60,9 +60,12 @@ def d_shift(p: Poly) -> Poly:
     already (x, n+1).
     """
     out: dict = {}
-    for m, c in p.terms():
+    bump: dict = {}  # v -> (x, n+1), built once per variable
+    for m, c in p._num.items():
         for i, (v, e) in enumerate(m):
-            bumped = DVar(v.base, v.order + 1)
+            bumped = bump.get(v)
+            if bumped is None:
+                bumped = bump[v] = DVar(v.base, v.order + 1)
             head = m[:i] + ((v, e - 1),) if e > 1 else m[:i]
             rest = m[i + 1:]
             if rest and rest[0][0] == bumped:
@@ -71,7 +74,7 @@ def d_shift(p: Poly) -> Poly:
                 key = head + ((bumped, 1),) + rest
             ce = c if e == 1 else c * e
             out[key] = out[key] + ce if key in out else ce
-    return Poly._from_sums(out)
+    return Poly._from_ints(out, p._den)
 
 
 def d_shift_via_sharp(p: Poly) -> Poly:

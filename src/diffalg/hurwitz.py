@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
-from .polynomial import Poly, evaluate, partial
+from .polynomial import Poly, evaluate, mono_degree, partial
 from .scalars import factorial, power
 
 
@@ -237,10 +237,11 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
 
     When every coefficient is an int or a Fraction, the recursion runs on
     integers: the series are put over one common denominator d, and r(q, k)
-    is carried times s = L·d^deg(p), L the lcm of p's coefficient
-    denominators (and, for power, times k!).  Every carried value is then
-    an integer, and the weighted sum for r(q, k) is d times it.  Other
-    coefficients (polynomials) take the same steps with d = s = 1."""
+    is carried times s = L·d^deg(p), L the stored denominator of p (and, for
+    power, times k!).  Every carried value is then an integer, and the
+    weighted sum for r(q, k) is d times it.  The partials' denominators
+    divide L, so r(q, 0)·s is summed on integers too.  Other coefficients
+    (polynomials) take the same steps with d = s = 1."""
     _check_env(p, env, n, flavor)
     coeffs = {v: env[v].coeffs[: n + 1] for v in p.variables()}
     forms = [_over_common_denominator(c) for c in coeffs.values()]
@@ -248,7 +249,8 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     if integral:
         d = math.lcm(*(den for _, den in forms))
         x = {v: [c * (d // den) for c in nums] for v, (nums, den) in zip(coeffs, forms)}
-        s = math.lcm(*(c.denominator for _, c in p.terms())) * d ** p.total_degree()
+        deg = p.total_degree()
+        s = p._den * d ** deg
     else:
         d, s, x = 1, 1, coeffs
     rows = _weight_rows(flavor, n)
@@ -260,8 +262,13 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
         equal partials share one node."""
         entry = nodes.get(q)
         if entry is None:
-            r0 = evaluate(q, lambda v: coeffs[v][0], Fraction(1), operator.mul, Fraction(0))
-            entry = nodes[q] = [q, [(r0 * s).numerator if integral else r0], None]
+            if integral:  # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
+                r0 = p._den // q._den * sum(
+                    n * d ** (deg - mono_degree(m)) * math.prod(x[v][0] ** e for v, e in m)
+                    for m, n in q._num.items())
+            else:
+                r0 = evaluate(q, lambda v: coeffs[v][0], Fraction(1), operator.mul, Fraction(0))
+            entry = nodes[q] = [q, [r0], None]
         return entry
 
     def extend(entry: list, k: int) -> list:

@@ -1,31 +1,32 @@
 """Sparse exact linear combinations: the one place the coefficient
 representation is decided.
 
-A linear combination is a finite map from hashable keys to nonzero
-:class:`fractions.Fraction` coefficients; a key whose coefficient sums to
-zero is dropped, so two combinations are equal iff their maps are equal.
+A linear combination is a finite map from hashable keys to nonzero exact
+rationals, stored as integer numerators over one shared denominator (as
+FLINT's ``fmpq_poly``): ``_num`` maps keys to nonzero ints, ``_den`` is a
+positive int, and gcd(_den, *_num.values()) == 1, so each value has one
+stored form and ``==`` and hash compare dicts and ints.
 :class:`~diffalg.polynomial.Poly` (keys: monomials),
 :class:`~diffalg.polynomial.Tensor` (keys: (monomial, variable)) and
 :class:`~diffalg.rota_baxter.RBElem` (keys: (word, monomial)) are all
-:class:`LinComb` subclasses, and the raw tensor dicts of ``derive_twice``
-and ``rb_D_raw`` follow the same rules.
+:class:`LinComb` subclasses.  :meth:`LinComb.terms` yields ``Fraction``
+coefficients, and the raw tensor dicts of ``derive_twice`` and ``rb_D_raw``
+hold them.
 
 Coefficients enter through :func:`coerce`, which admits ``int`` and
 ``Fraction`` only: a ``float`` (inexact) or a ``bool`` (not a number) is a
-``TypeError``.  Public constructors validate every coefficient; results
-the package builds itself go through the trusted constructors
-:meth:`LinComb._trusted` and :meth:`LinComb._from_sums`, which do not.
-
-Hot loops accumulate inline, with no call per term::
+``TypeError``.  Hot loops accumulate integer numerators inline::
 
     out[k] = out[k] + c if k in out else c
 
-and hand the sums to :meth:`LinComb._from_sums` (or :func:`drop_zeros` for
-a raw dict), which removes the keys that cancelled.
+and hand the sums and their denominator to :meth:`LinComb._from_ints`,
+which drops the keys that cancelled and divides by one gcd.  The
+``Fraction``-dict constructors convert once; no hot loop calls them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -38,6 +39,22 @@ def coerce(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational or int, got {type(value).__name__}")
+
+
+def ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact coefficient, in lowest terms,
+    with no ``Fraction`` built; rejects what :func:`coerce` rejects."""
+    if type(value) is int:
+        return value, 1
+    c = coerce(value)
+    return c.numerator, c.denominator
+
+
+def _over_lcm(terms: dict) -> tuple[dict, int]:
+    """Nonzero Fractions in lowest terms as (numerators, lcm of the
+    denominators); no prime of the lcm divides every numerator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def drop_zeros(sums: dict) -> dict:
@@ -55,69 +72,81 @@ class LinComb:
     which other values an operator accepts (by default: instances of the
     same class)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping | None = None):
         """The public constructor: every coefficient goes through
         :func:`coerce`, and zero coefficients are dropped."""
-        canon = {}
-        if terms:
-            for k, c in terms.items():
-                c = coerce(c)
-                if c:
-                    canon[k] = c
-        self._terms = canon
+        canon = {k: coerce(c) for k, c in (terms or {}).items()}
+        self._num, self._den = _over_lcm(drop_zeros(canon))
         self._hash = None
 
     @classmethod
     def _trusted(cls, terms: dict):
-        """Adopt terms as is: every coefficient already a nonzero Fraction,
-        and the dict owned by the new element from now on."""
-        self = object.__new__(cls)
-        self._terms = terms
-        self._hash = None
-        return self
+        """The element with these nonzero Fraction (or int) coefficients."""
+        return cls._ints(*_over_lcm(terms))
 
     @classmethod
     def _from_sums(cls, sums: dict):
-        """Adopt an inline-accumulated dict, dropping the keys that cancelled."""
+        """Adopt an inline-accumulated Fraction dict, dropping the keys that
+        cancelled."""
         return cls._trusted(drop_zeros(sums))
 
     @classmethod
+    def _ints(cls, num: dict, den: int):
+        """Adopt num over den as is: nonzero numerators, den > 0, gcd 1, and
+        the dict owned by the new element from now on."""
+        self = object.__new__(cls)
+        self._num, self._den, self._hash = num, den, None
+        return self
+
+    @classmethod
+    def _from_ints(cls, sums: dict, den: int):
+        """Adopt integer sums over den > 0: drop the keys that cancelled and
+        divide through by the common gcd."""
+        if 0 in sums.values():
+            drop_zeros(sums)
+        g = math.gcd(den, *sums.values())
+        if g != 1:
+            sums = {k: n // g for k, n in sums.items()}
+            den //= g
+        return cls._ints(sums, den)
+
+    @classmethod
     def zero(cls):
-        return cls._trusted({})
+        return cls._ints({}, 1)
 
     def _operand(self, other):
         """other as an element of this class, or None if it is not one."""
         return other if isinstance(other, type(self)) else None
 
     def terms(self) -> Iterator:
-        return iter(self._terms.items())
+        """(key, Fraction coefficient) pairs."""
+        den = self._den
+        return ((k, Fraction(n, den)) for k, n in self._num.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            if k in out:
-                s = out[k] + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            else:
-                out[k] = c
-        return self._trusted(out)
+        if not self._num or not other._num:  # x + 0 or 0 + x: values are immutable, share x
+            return self if not other._num else other
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = dict(self._num) if fa == 1 else {k: n * fa for k, n in self._num.items()}
+        for k, n in (other._num.items() if fb == 1 else ((k, n * fb) for k, n in other._num.items())):
+            out[k] = out[k] + n if k in out else n
+        return self._from_ints(out, den)
 
     def __neg__(self):
-        return self._trusted({k: -c for k, c in self._terms.items()})
+        return self._ints({k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -128,12 +157,14 @@ class LinComb:
     def __mul__(self, scalar):
         """Scalar multiplication by an int or Fraction."""
         try:
-            scalar = coerce(scalar)
+            a, b = ratio(scalar)
         except TypeError:
             return NotImplemented
-        if not scalar:
+        if not a:
             return self.zero()
-        return self._trusted({k: c * scalar for k, c in self._terms.items()})
+        if a == b == 1:
+            return self
+        return self._from_ints({k: n * a for k, n in self._num.items()}, self._den * b)
 
     __rmul__ = __mul__
 
@@ -141,11 +172,11 @@ class LinComb:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self) -> str:

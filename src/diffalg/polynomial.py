@@ -20,18 +20,20 @@ Together these give the derived maps :func:`flat` and :func:`sharp`, which
 turn variable assignments and linear endomorphisms into derivations.
 
 :class:`Poly` and :class:`Tensor` are :class:`~diffalg.lincomb.LinComb`
-subclasses: the coefficient representation (exact ``Fraction``, ``float``
-and ``bool`` rejected, cancel-on-zero) is decided there, once.
+subclasses: the coefficient representation (integer numerators over one
+denominator, ``float`` and ``bool`` rejected, cancel-on-zero) is decided
+there, once, and the loops below run on its integers.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import MixedVariables, NonLinearImage, UnboundVariable
-from .lincomb import LinComb, coerce
+from .lincomb import LinComb, coerce, ratio
 from .scalars import power
 
 # A monomial: sorted tuple of (variable, positive exponent) pairs.  The kernel
@@ -113,15 +115,16 @@ class Poly(LinComb):
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._trusted({EMPTY_MONO: Fraction(1)})
+        return cls._ints({EMPTY_MONO: 1}, 1)
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls._from_sums({EMPTY_MONO: coerce(value)})
+        n, d = ratio(value)
+        return cls._ints({EMPTY_MONO: n} if n else {}, d)
 
     @classmethod
     def variable(cls, v) -> "Poly":
-        return cls._trusted({((v, 1),): Fraction(1)})
+        return cls._ints({((v, 1),): 1}, 1)
 
     @classmethod
     def monomial(cls, exponents: Mapping, coeff=1) -> "Poly":
@@ -139,11 +142,11 @@ class Poly(LinComb):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, m: Mono) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        return Fraction(self._num.get(m, 0), self._den)
 
     def variables(self) -> tuple:
         """All variables occurring in the polynomial, sorted."""
-        seen = {v for m in self._terms for v, _ in m}
+        seen = {v for m in self._num for v, _ in m}
         try:
             return tuple(sorted(seen))
         except TypeError as exc:
@@ -151,10 +154,10 @@ class Poly(LinComb):
 
     def total_degree(self) -> int:
         """Largest monomial degree; the zero polynomial reports 0."""
-        return max((mono_degree(m) for m in self._terms), default=0)
+        return max((mono_degree(m) for m in self._num), default=0)
 
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- ring structure ----------------------------------------------------
     #
@@ -172,12 +175,12 @@ class Poly(LinComb):
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return LinComb.__mul__(self, other)
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        out: dict[Mono, int] = {}
+        for m1, c1 in self._num.items():
+            for m2, c2 in other._num.items():
                 m = mono_mul(m1, m2)
                 out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        return Poly._from_sums(out)
+        return Poly._from_ints(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -185,12 +188,12 @@ class Poly(LinComb):
         return power(self, n, Poly.one())
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         self.variables()  # raises MixedVariables on variables of different kinds
         parts = []
-        for m in sorted(self._terms, key=term_sort_key, reverse=True):
-            c = self._terms[m]
+        for m in sorted(self._num, key=term_sort_key, reverse=True):
+            c = Fraction(self._num[m], self._den)
             if not m:
                 parts.append(str(c))
             elif c == 1:
@@ -222,13 +225,14 @@ class LinearMap:
         Raises :class:`NonLinearImage` if the image has a constant term or a
         monomial of degree other than 1.
         """
+        return tuple((m[0][0], c) for m, c in self._linear(v).terms())
+
+    def _linear(self, v) -> Poly:
+        """The image of v, checked as :meth:`linear_image` checks it."""
         p = self.image(v)
-        out = []
-        for m, c in p.terms():
-            if len(m) != 1 or m[0][1] != 1:
-                raise NonLinearImage(f"image of {v!r} is not linear: {p}")
-            out.append((m[0][0], c))
-        return tuple(out)
+        if any(len(m) != 1 or m[0][1] != 1 for m in p._num):
+            raise NonLinearImage(f"image of {v!r} is not linear: {p}")
+        return p
 
     def items(self):
         return self._images.items()
@@ -248,43 +252,47 @@ class Tensor(LinComb):
     @classmethod
     def of(cls, p: Poly, v) -> "Tensor":
         """The elementary tensor p ⊗ v, distributed to canonical form."""
-        return cls._trusted({(m, v): c for m, c in p.terms()})
+        return cls._ints({(m, v): c for m, c in p._num.items()}, p._den)
 
     pairs = LinComb.terms
 
     def scale_poly(self, q: Poly) -> "Tensor":
         """Multiply the polynomial slot of every pair by q."""
         out: dict = {}
-        for (m, v), c in self._terms.items():
-            for m2, c2 in q.terms():
+        for (m, v), c in self._num.items():
+            for m2, c2 in q._num.items():
                 key = (mono_mul(m, m2), v)
                 out[key] = out[key] + c * c2 if key in out else c * c2
-        return Tensor._from_sums(out)
+        return Tensor._from_ints(out, self._den * q._den)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair."""
         out = Tensor.zero()
-        for (m, v), c in self._terms.items():
+        for (m, v), c in self.terms():
             out = out + Tensor.of(fn(Poly({m: c})), v)
         return out
 
     def map_var(self, f) -> "Tensor":
         """Apply a linear variable map to the variable slot of every pair."""
         f = _as_linear_map(f)
+        images = {v: f._linear(v) for v in dict.fromkeys(v for _, v in self._num)}
+        # every image over one denominator L, so the sums stay over den·L
+        lcm = math.lcm(*(p._den for p in images.values()))
+        scaled = {v: [(m[0][0], a * (lcm // p._den)) for m, a in p._num.items()]
+                  for v, p in images.items()}
         out: dict = {}
-        for (m, v), c in self._terms.items():
-            for w, a in f.linear_image(v):
+        for (m, v), c in self._num.items():
+            for w, a in scaled[v]:
                 key = (m, w)
                 out[key] = out[key] + c * a if key in out else c * a
-        return Tensor._from_sums(out)
+        return Tensor._from_ints(out, self._den * lcm)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for (m, v) in sorted(self._terms, key=lambda k: (k[1], term_sort_key(k[0])), reverse=False):
-            c = self._terms[(m, v)]
-            p = Poly({m: c})
+        for (m, v) in sorted(self._num, key=lambda k: (k[1], term_sort_key(k[0])), reverse=False):
+            p = Poly({m: Fraction(self._num[(m, v)], self._den)})
             parts.append(f"{p} (x) {v}")
         return " + ".join(parts)
 
@@ -346,15 +354,15 @@ def substitute(p: Poly, env: Mapping) -> Poly:
 
 def rename_vars(p: Poly, fn: Callable) -> Poly:
     """Rebuild p with every variable v replaced by the variable fn(v)."""
-    out: dict[Mono, Fraction] = {}
-    for m, c in p.terms():
+    out: dict[Mono, int] = {}
+    for m, c in p._num.items():
         exps: dict = {}
         for v, e in m:
             w = fn(v)
             exps[w] = exps.get(w, 0) + e
         m2 = mono_from_exponents(exps)
         out[m2] = out[m2] + c if m2 in out else c
-    return Poly._from_sums(out)
+    return Poly._from_ints(out, p._den)
 
 
 def map_linear(p: Poly, f) -> Poly:
@@ -365,40 +373,36 @@ def map_linear(p: Poly, f) -> Poly:
     has a non-linear image.
     """
     f = _as_linear_map(f)
-    env = {}
-    for v in p.variables():
-        terms = f.linear_image(v)  # validates linearity
-        env[v] = Poly({((w, 1),): c for w, c in terms})
-    return substitute(p, env)
+    return substitute(p, {v: f._linear(v) for v in p.variables()})
 
 
 def partial(p: Poly, v) -> Poly:
     """Partial derivative of p with respect to the variable v.  Lowering
     the exponent of v is one-to-one on monomials, so no terms merge."""
-    out: dict[Mono, Fraction] = {}
-    for m, c in p.terms():
+    out: dict[Mono, int] = {}
+    for m, c in p._num.items():
         for i, (w, e) in enumerate(m):
             if w == v:
                 out[mono_lower(m, i)] = c * e
                 break
-    return Poly._trusted(out)
+    return Poly._from_ints(out, p._den)
 
 
 def derive(p: Poly) -> Tensor:
     """The total-derivative tensor: sum_i dp/dx_i ⊗ x_i.  A key
     (dp/dx_i monomial, x_i) determines its source monomial, so no terms
     merge."""
-    return Tensor._trusted({(mono_lower(m, i), v): c * e
-                            for m, c in p.terms() for i, (v, e) in enumerate(m)})
+    return Tensor._from_ints({(mono_lower(m, i), v): c * e
+                              for m, c in p._num.items() for i, (v, e) in enumerate(m)}, p._den)
 
 
 def coderive(t: Tensor) -> Poly:
     """Multiply each tensor pair back out: sum c · p · v."""
-    out: dict[Mono, Fraction] = {}
-    for (m, v), c in t.pairs():
+    out: dict[Mono, int] = {}
+    for (m, v), c in t._num.items():
         m2 = mono_mul(m, ((v, 1),))
         out[m2] = out[m2] + c if m2 in out else c
-    return Poly._from_sums(out)
+    return Poly._from_ints(out, t._den)
 
 
 def euler(p: Poly) -> Poly:

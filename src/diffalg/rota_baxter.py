@@ -22,8 +22,8 @@ monomial tail is just scaling by the tail's total degree.  D and P are
 incompatible by construction: D(P(a)) = 0, since P leaves a constant tail.
 
 :class:`RBElem` is a :class:`~diffalg.lincomb.LinComb` subclass: the
-coefficient representation (exact ``Fraction``, ``float`` and ``bool``
-rejected, cancel-on-zero) is decided there, once.
+coefficient representation (integer numerators over one denominator,
+``float`` and ``bool`` rejected, cancel-on-zero) is decided there, once.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class RBElem(LinComb):
 
     @classmethod
     def one(cls) -> "RBElem":
-        return cls._trusted({((), EMPTY_MONO): Fraction(1)})
+        return cls._ints({((), EMPTY_MONO): 1}, 1)
 
     @classmethod
     def term(cls, letters: Sequence, tail: Poly, coeff=1) -> "RBElem":
@@ -140,11 +140,11 @@ class RBElem(LinComb):
         return LinComb.__mul__(self, other)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for (w, t) in sorted(self._terms):
-            c = self._terms[(w, t)]
+        for (w, t) in sorted(self._num):
+            c = Fraction(self._num[(w, t)], self._den)
             word_s = "[" + ", ".join(mono_str(m) for m in w) + "]"
             parts.append(f"{c}*({word_s}, {mono_str(t)})")
         return " + ".join(parts)
@@ -153,29 +153,30 @@ class RBElem(LinComb):
 def rb_mul(s: RBElem, t: RBElem) -> RBElem:
     """Bilinear product: shuffle on word parts, monomial product on tails."""
     out: dict = {}
-    for (w1, t1), c1 in s.terms():
-        for (w2, t2), c2 in t.terms():
+    for (w1, t1), c1 in s._num.items():
+        for (w2, t2), c2 in t._num.items():
             tail = mono_mul(t1, t2)
             c = c1 * c2
             for w, n in shuffle_words(w1, w2).items():
                 key = (w, tail)
                 cn = c if n == 1 else c * n
                 out[key] = out[key] + cn if key in out else cn
-    return RBElem._from_sums(out)
+    return RBElem._from_ints(out, s._den * t._den)
 
 
 def rb_P(s: RBElem) -> RBElem:
     """The Rota-Baxter operator: append the tail to the word as a new
     letter and reset the tail to 1, extended linearly.  Distinct (word,
     tail) keys stay distinct, so nothing merges."""
-    return RBElem._trusted({(w + (t,), EMPTY_MONO): c for (w, t), c in s.terms()})
+    return RBElem._ints({(w + (t,), EMPTY_MONO): c for (w, t), c in s._num.items()}, s._den)
 
 
 def rb_D(s: RBElem) -> RBElem:
     """The tail derivation as an endomorphism: each partial derivative of
     the tail is multiplied back by its variable, which scales a monomial
     tail by its total degree; terms with a constant tail drop out."""
-    return RBElem._trusted({(w, t): c * mono_degree(t) for (w, t), c in s.terms() if t})
+    return RBElem._from_ints({(w, t): c * mono_degree(t) for (w, t), c in s._num.items() if t},
+                             s._den)
 
 
 def rb_D_raw(s: RBElem) -> dict:

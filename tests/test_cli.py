@@ -249,3 +249,41 @@ class TestMalformedPayloads:
         r = run_cli("eval", "x", stdin=json.dumps(payload))
         assert r.returncode == 2
         assert r.stderr == f"error: {message}\n"
+
+
+class TestMissingFields:
+    """A required JSON field that is absent is a MalformedPayload naming
+    it (exit 2), not a bare key name."""
+
+    @pytest.mark.parametrize("op, payload, field", [
+        ("shuffle", {}, "u"),
+        ("shuffle", {"u": ["x"]}, "v"),
+        ("P", {}, "s"),
+        ("mul", {"s": {"terms": []}}, "t"),
+        ("D", {"s": {}}, "terms"),
+        ("P", {"s": {"terms": [{"word": []}]}}, "tail"),
+        ("raw", {"s": {"terms": [{"tail": "x"}]}}, "word"),
+    ])
+    def test_rb(self, op, payload, field):
+        r = run_cli("rb", "--op", op, stdin=json.dumps(payload))
+        assert r.returncode == 2
+        assert r.stderr == f'error: missing field "{field}"\n'
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"x": {"flavor": "power"}}, "coeffs"),
+        ({"x": {"coeffs": ["1"]}}, "flavor"),
+    ])
+    def test_eval(self, payload, field):
+        r = run_cli("eval", "x", stdin=json.dumps(payload))
+        assert r.returncode == 2
+        assert r.stderr == f'error: missing field "{field}"\n'
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        from diffalg import cli
+
+        def broken(p):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "d_shift", broken)
+        with pytest.raises(KeyError):
+            cli.main(["diff", "x"])

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffalg import cli, expr
 from diffalg.errors import ModeError, ParseError
 from diffalg.expr import (
     DIFF_MODE,
     MAX_NESTING,
+    MAX_ORDER,
     POLY_MODE,
     parse,
     parse_poly,
@@ -122,6 +124,45 @@ class TestNestingBound:
         assert parse_poly(" + ".join(["x"] * 3000)) == 3000 * dvar("x")
         assert parse_poly("*".join(["x"] * 3000)) == dvar("x") ** 3000
         assert parse_poly(" - ".join(["x"] * 3001)) == -2999 * dvar("x")
+
+
+class TestOrderBound:
+    """Derivative orders above MAX_ORDER are rejected before any shift
+    derivative runs; the tests count the d_shift calls to show that."""
+
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        calls = []
+        original = expr.d_shift
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(expr, "d_shift", counting)
+        monkeypatch.setattr(cli, "d_shift", counting)
+        return calls
+
+    def test_at_the_bound(self, shifts):
+        assert parse(f"D^{MAX_ORDER}(x)", DIFF_MODE) == expr.DApp(MAX_ORDER, expr.Var("x", 0))
+        assert parse_poly(f"D^{MAX_ORDER // 2}(D^{MAX_ORDER // 2}(x))") == dvar("x", MAX_ORDER)
+        assert len(shifts) == MAX_ORDER
+
+    @pytest.mark.parametrize("text", [f"D^{MAX_ORDER + 1}(x)", "D^100000000(x)",
+                                      "x + D^600(y * D^500(x))", f"D(D^{MAX_ORDER}(x))"])
+    def test_above_the_bound(self, shifts, text):
+        with pytest.raises(ParseError, match=f"derivative order above {MAX_ORDER}"):
+            parse_poly(text)
+        assert shifts == []
+
+    def test_siblings_do_not_add_up(self, shifts):
+        assert parse(f"D^{MAX_ORDER}(x) + D^{MAX_ORDER}(y)", DIFF_MODE)
+
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 100000000])
+    def test_cli_n_above_the_bound(self, shifts, capsys, n):
+        assert cli.main(["diff", "--n", str(n), "x"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --n must be from 0 to {MAX_ORDER}")
+        assert shifts == []
 
 
 class TestSeriesLiterals:

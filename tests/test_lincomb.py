@@ -1,14 +1,20 @@
 """The shared sparse linear-combination core and the exactness contract of
 the three types built on it: Poly, Tensor and RBElem."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from diffalg.free_diff import DVar, d_shift
 from diffalg.hurwitz import Flavor, Series
 from diffalg.lincomb import LinComb, coerce, drop_zeros
-from diffalg.polynomial import EMPTY_MONO, Poly, Tensor, derive, eta
-from diffalg.rota_baxter import RBElem
+from diffalg.polynomial import (EMPTY_MONO, LinearMap, Poly, Tensor, coderive, derive, eta,
+                                mono_from_exponents, mono_lower, mono_mul, partial, sharp)
+from diffalg.rota_baxter import RBElem, rb_D, rb_mul, rb_P
 
 F = Fraction
 x, y = eta("x"), eta("y")
@@ -135,3 +141,163 @@ class TestHelpers:
         p = Poly._trusted(terms)
         assert p == 5 * x
         assert Poly._from_sums({MX: F(0), EMPTY_MONO: F(1)}) == Poly.one()
+
+
+# -- the integer store -------------------------------------------------------
+#
+# Every result below is checked three ways: its stored form is canonical
+# (positive denominator, nonzero int numerators, gcd 1), its Fraction terms
+# equal a reference computed here on plain Fraction dicts, and an equal
+# value built through the public constructor is == and hashes alike.
+
+PLAIN = ("w", "x", "y", "z")
+coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def monos(variables):
+    return st.dictionaries(variables, st.integers(1, 3), max_size=3).map(mono_from_exponents)
+
+
+plain_monos = monos(st.sampled_from(PLAIN))
+diff_monos = monos(st.builds(DVar, st.sampled_from(("x", "y")), st.integers(0, 3)))
+plain_polys = st.dictionaries(plain_monos, coeffs, max_size=5).map(Poly)
+diff_polys = st.dictionaries(diff_monos, coeffs, max_size=5).map(Poly)
+tensors = st.dictionaries(st.tuples(plain_monos, st.sampled_from(PLAIN)), coeffs,
+                          max_size=5).map(Tensor)
+rb_monos = monos(st.sampled_from(("x", "y")))
+rbelems = st.dictionaries(st.tuples(st.lists(rb_monos, max_size=3).map(tuple), rb_monos),
+                          coeffs, max_size=3).map(RBElem)
+linear_maps = st.dictionaries(
+    st.sampled_from(PLAIN),
+    st.dictionaries(st.sampled_from(PLAIN), coeffs, max_size=2).map(
+        lambda img: Poly({((w, 1),): c for w, c in img.items()}))).map(LinearMap)
+scalars = st.one_of(st.integers(-12, 12), coeffs)
+
+
+def acc(pairs) -> dict:
+    """Sum (key, Fraction) pairs, dropping the keys that cancel."""
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return {k: Fraction(c) for k, c in out.items() if c}
+
+
+def check(value, want: dict) -> None:
+    num, den = value._num, value._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert dict(value.terms()) == want
+    twin = type(value)(want)
+    assert value == twin and hash(value) == hash(twin)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return acc((mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+
+
+def ref_derive(p: dict) -> dict:
+    return acc(((mono_lower(m, i), v), c * e) for m, c in p.items() for i, (v, e) in enumerate(m))
+
+
+def ref_coderive(t: dict) -> dict:
+    return acc((mono_mul(m, ((v, 1),)), c) for (m, v), c in t.items())
+
+
+def ref_map_var(t: dict, f: LinearMap) -> dict:
+    return acc(((m, w), c * a) for (m, v), c in t.items() for w, a in f.linear_image(v))
+
+
+def interleavings(u, v):
+    for chosen in itertools.combinations(range(len(u) + len(v)), len(u)):
+        iu, iv = iter(u), iter(v)
+        yield tuple(next(iu) if k in chosen else next(iv) for k in range(len(u) + len(v)))
+
+
+same_type_pairs = st.sampled_from([plain_polys, tensors, rbelems]).flatmap(
+    lambda elems: st.tuples(elems, elems))
+
+
+class TestStore:
+    @given(same_type_pairs)
+    def test_add_sub_neg(self, pair):
+        a, b = pair
+        ta, tb = dict(a.terms()), dict(b.terms())
+        check(a + b, acc([*ta.items(), *tb.items()]))
+        check(a - b, acc([*ta.items(), *((k, -c) for k, c in tb.items())]))
+        check(-a, {k: -c for k, c in ta.items()})
+        check(a + (b - a), tb)
+
+    @given(st.one_of(plain_polys, tensors, rbelems), scalars)
+    def test_scalar(self, a, s):
+        want = acc((k, c * s) for k, c in a.terms())
+        check(a * s, want)
+        check(s * a, want)
+
+    @given(plain_polys, plain_polys)
+    def test_poly_product(self, p, q):
+        check(p * q, ref_mul(dict(p.terms()), dict(q.terms())))
+
+    @given(plain_polys, st.sampled_from(PLAIN))
+    def test_derive_partial_coderive(self, p, v):
+        terms = dict(p.terms())
+        check(derive(p), ref_derive(terms))
+        check(partial(p, v), acc((mono_lower(m, i), c * e) for m, c in terms.items()
+                                 for i, (w, e) in enumerate(m) if w == v))
+        check(coderive(derive(p)), ref_coderive(ref_derive(terms)))
+
+    @given(tensors, plain_polys, linear_maps)
+    def test_tensor_maps(self, t, p, f):
+        check(t.map_var(f), ref_map_var(dict(t.terms()), f))
+        check(t.scale_poly(p), acc(((mono_mul(m, m2), v), c * c2) for (m, v), c in t.terms()
+                                   for m2, c2 in p.terms()))
+        check(sharp(f, p), ref_coderive(ref_map_var(ref_derive(dict(p.terms())), f)))
+
+    @given(diff_polys)
+    def test_d_shift(self, p):
+        check(d_shift(p), acc((mono_mul(mono_lower(m, i), ((DVar(v.base, v.order + 1), 1),)), c * e)
+                              for m, c in p.terms() for i, (v, e) in enumerate(m)))
+
+    @given(rbelems, rbelems)
+    def test_rota_baxter(self, s, t):
+        ts, tt = dict(s.terms()), dict(t.terms())
+        check(rb_mul(s, t), acc(((w, mono_mul(t1, t2)), c1 * c2)
+                                for (w1, t1), c1 in ts.items() for (w2, t2), c2 in tt.items()
+                                for w in interleavings(w1, w2)))
+        check(rb_P(s), {(w + (tail,), EMPTY_MONO): c for (w, tail), c in ts.items()})
+        check(rb_D(s), acc(((w, tail), c * sum(e for _, e in tail)) for (w, tail), c in ts.items()))
+
+    def test_canonical_form_decides_equality(self):
+        half = x * F(1, 2)
+        assert (half._num, half._den) == ({MX: 1}, 2)
+        assert (half + half)._den == 1
+        assert hash(x * F(2, 6) + x * F(1, 6)) == hash(half)
+        assert Poly.const(F(-4, 6))._num == {EMPTY_MONO: -2}
+
+
+def test_hot_paths_build_no_fractions(monkeypatch):
+    """Products, sums, int scaling, derive, sharp and d_shift run on the
+    integer store: none of them constructs a Fraction."""
+    p = (x * F(1, 2) + y * F(2, 3)) ** 2 + F(5, 4)
+    q = x * F(3, 4) - y + 7
+    x0, x1, y0 = (Poly.variable(DVar(b, n)) for b, n in (("x", 0), ("x", 1), ("y", 0)))
+    dp = x0 * F(1, 3) + x1 ** 2 * F(5, 2) + y0
+    g = LinearMap({"x": y * F(1, 2), "y": x * 3 + y * F(2, 5)})
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for _ in range(3):
+        p * q
+        p + q
+        p + 3
+        p * 6
+        derive(p)
+        sharp(g, p)
+        d_shift(d_shift(dp) * dp)
+    monkeypatch.undo()
+    assert built == []
