@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import hurwitz as hz
 from . import rota_baxter as rb
-from .errors import DiffalgError, MalformedPayload, ParseError
+from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
 from .expr import DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_series_literal
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
@@ -83,15 +83,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stdin() -> str:
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"standard input is not {exc.encoding} text", exc.start + 1,
+                         frozenset({f"{exc.encoding} text"})) from None
+
+
 def _positional(value: str) -> str:
-    return sys.stdin.read().strip() if value == "-" else value
+    return _stdin().strip() if value == "-" else value
+
+
+def _text(value) -> str:
+    """str(value) for output, with a number past the int/str digit limit
+    reported as ResultTooLarge."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResultTooLarge(f"the result has a number of more than {limit} digits") from None
 
 
 def _emit_poly(p: Poly, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps({"schema": SCHEMA, "result": str(p)}))
+        print(json.dumps({"schema": SCHEMA, "result": _text(p)}))
     else:
-        print(p)
+        print(_text(p))
 
 
 def _emit_series(s: hz.Series, fmt: str) -> None:
@@ -99,10 +117,22 @@ def _emit_series(s: hz.Series, fmt: str) -> None:
         print(json.dumps({
             "schema": SCHEMA,
             "flavor": s.flavor.value,
-            "coeffs": [str(c) for c in s.coeffs],
+            "coeffs": [_text(c) for c in s.coeffs],
         }))
     else:
-        print(s)
+        print(_text(s))
+
+
+def _json_payload(text: str, what: str) -> dict:
+    """The JSON object that text holds."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedPayload(f"{what} is not JSON: {exc}") from None
+    except ValueError:  # an integer literal longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        raise MalformedPayload(f"{what} has a number of more than {limit} digits") from None
+    return _json_object(value, what)
 
 
 def _json_object(value, what: str) -> dict:
@@ -142,8 +172,13 @@ def _series_from_json(env: dict, name: str) -> hz.Series:
     coeffs = _field(obj, "coeffs")
     if not isinstance(coeffs, list):
         raise MalformedPayload(f'"coeffs" of series "{name}" must be a list')
+    if not coeffs:
+        raise MalformedPayload(f'"coeffs" of series "{name}" must not be empty')
+    flavor = _field(obj, "flavor")
+    if flavor not in ("hurwitz", "power"):
+        raise MalformedPayload(f'"flavor" of series "{name}" must be "hurwitz" or "power"')
     coeffs = tuple(_rational(c, f'a coefficient of series "{name}"') for c in coeffs)
-    return hz.Series(coeffs, hz.Flavor(_field(obj, "flavor")))
+    return hz.Series(coeffs, hz.Flavor(flavor))
 
 
 def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
@@ -160,14 +195,12 @@ def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
 
 
 def _rbelem_to_json(elem: rb.RBElem) -> dict:
-    term_map = dict(elem.terms())
     terms = []
-    for (w, t) in sorted(term_map):
-        c = term_map[(w, t)]
+    for (w, t), c in sorted(elem.terms()):
         terms.append({
             "word": [mono_str(m) for m in w],
             "tail": mono_str(t),
-            "coeff": str(c),
+            "coeff": _text(c),
         })
     return {"schema": SCHEMA, "terms": terms}
 
@@ -190,16 +223,12 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.expr == "-":
-        # first stdin line is the expression, the remainder is the JSON env
-        text = sys.stdin.read()
-        first, _, rest = text.partition("\n")
-        p = parse_poly(first.strip(), POLY_MODE)
-        payload = json.loads(rest)
-    else:
-        p = parse_poly(args.expr, POLY_MODE)
-        payload = json.load(sys.stdin)
-    payload = _json_object(payload, "the environment")
+    expr, text = args.expr, _stdin()
+    if expr == "-":  # first stdin line is the expression, the remainder is the JSON env
+        line, _, text = text.partition("\n")
+        expr = line.strip()
+    p = parse_poly(expr, POLY_MODE)
+    payload = _json_payload(text, "the environment")
     env_obj = _json_object(payload.get("env", payload), '"env"')
     env = {name: _series_from_json(env_obj, name) for name in env_obj if name != "schema"}
     if not env:
@@ -208,7 +237,7 @@ def _cmd_eval(args) -> int:
     order = min(args.order, min(s.order for s in env.values()))
     oracle = hz.ring_eval(p, {k: s.truncate(order) for k, s in env.items()})
     recursion = hz._components(p, env, order, first.flavor)
-    rows = [{"n": n, "recursion": str(rec), "ring": str(ring)}
+    rows = [{"n": n, "recursion": _text(rec), "ring": _text(ring)}
             for n, (rec, ring) in enumerate(zip(recursion, oracle.coeffs))]
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "flavor": first.flavor.value, "components": rows}))
@@ -219,9 +248,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_series_mul(args, flavor: hz.Flavor) -> int:
+def _cmd_series_mul(args) -> int:
     left = parse_series_literal(_positional(args.left))
     right = parse_series_literal(args.right)
+    flavor = hz.Flavor(args.verb)
     f = hz.Series(left, flavor).truncate(args.order)
     g = hz.Series(right, flavor).truncate(args.order)
     _emit_series(hz.smul_trunc(f, g), args.format)
@@ -252,11 +282,11 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_rb(args) -> int:
-    payload = _json_object(json.load(sys.stdin), "the payload")
+    payload = _json_payload(_stdin(), "the payload")
     if args.op == "shuffle":
         combo = rb.shuffle(_letters(payload, "u"), _letters(payload, "v"))
         terms = [
-            {"word": [mono_str(m) for m in w], "coeff": str(combo[w])}
+            {"word": [mono_str(m) for m in w], "coeff": _text(combo[w])}
             for w in sorted(combo)
         ]
         print(json.dumps({"schema": SCHEMA, "result": terms}))
@@ -266,11 +296,9 @@ def _cmd_rb(args) -> int:
         t = _rbelem_from_json(payload, "t")
         print(json.dumps(_rbelem_to_json(rb.rb_mul(s, t))))
         return 0
-    if args.op == "P":
-        print(json.dumps(_rbelem_to_json(rb.rb_P(_rbelem_from_json(payload, "s")))))
-        return 0
-    if args.op == "D":
-        print(json.dumps(_rbelem_to_json(rb.rb_D(_rbelem_from_json(payload, "s")))))
+    if args.op in ("P", "D"):
+        op = rb.rb_P if args.op == "P" else rb.rb_D
+        print(json.dumps(_rbelem_to_json(op(_rbelem_from_json(payload, "s")))))
         return 0
     raw = rb.rb_D_raw(_rbelem_from_json(payload, "s"))
     terms = [
@@ -278,7 +306,7 @@ def _cmd_rb(args) -> int:
             "word": [mono_str(m) for m in w],
             "tail": mono_str(t),
             "var": str(v),
-            "coeff": str(raw[(w, t, v)]),
+            "coeff": _text(raw[(w, t, v)]),
         }
         for (w, t, v) in sorted(raw)
     ]
@@ -286,28 +314,19 @@ def _cmd_rb(args) -> int:
     return 0
 
 
+_COMMANDS = {"diff": _cmd_diff, "mul": _cmd_mul, "eval": _cmd_eval, "hurwitz": _cmd_series_mul,
+             "power": _cmd_series_mul, "psi": _cmd_psi, "laws": _cmd_laws, "rb": _cmd_rb}
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "diff":
-            return _cmd_diff(args)
-        if args.verb == "mul":
-            return _cmd_mul(args)
-        if args.verb == "eval":
-            return _cmd_eval(args)
-        if args.verb == "hurwitz":
-            return _cmd_series_mul(args, hz.Flavor.HURWITZ)
-        if args.verb == "power":
-            return _cmd_series_mul(args, hz.Flavor.POWER)
-        if args.verb == "psi":
-            return _cmd_psi(args)
-        if args.verb == "laws":
-            return _cmd_laws(args)
-        if args.verb == "rb":
-            return _cmd_rb(args)
-        raise AssertionError(f"unhandled verb {args.verb}")
-    except (DiffalgError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        if getattr(args, "order", 0) < 0:
+            raise ParseError("--order must be a natural number", 1, frozenset({"natural number"}))
+        if getattr(args, "trials", 1) < 1:
+            raise ParseError("--trials must be at least 1", 1, frozenset({"positive integer"}))
+        return _COMMANDS[args.verb](args)
+    except DiffalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

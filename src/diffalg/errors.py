@@ -31,6 +31,11 @@ class MalformedPayload(DiffalgError):
     lists of strings, terms as lists of objects, rational coefficients)."""
 
 
+class ResultTooLarge(DiffalgError):
+    """A result holds an integer of more decimal digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits()``)."""
+
+
 class FlavorMismatch(DiffalgError):
     """Two series of different flavors (Hurwitz vs. power) were combined."""
 

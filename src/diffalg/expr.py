@@ -27,6 +27,7 @@ terms sorted by descending (total degree, variable sequence), joined by
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,11 +117,16 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and self.text[self.i].isdecimal():
             self.i += 1
         if self.i == start:
             self.error({"natural number"})
-        return int(self.text[start:self.i])
+        try:
+            return int(self.text[start:self.i])
+        except ValueError:  # more digits than int() reads
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number of more than {limit} digits", self._byte_offset(start),
+                             frozenset({f"at most {limit} digits"})) from None
 
     def ident(self) -> str:
         self.skip_ws()
@@ -200,7 +206,7 @@ class _Parser:
             node = self.nested()
             self.expect(")")
             return node
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():
             return Num(self.rational())
         if ch.isalpha():
             start = self.i

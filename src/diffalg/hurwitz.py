@@ -38,6 +38,7 @@ from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
+from .lincomb import over_lcm
 from .polynomial import Poly, evaluate, mono_degree, partial
 from .scalars import factorial, power
 
@@ -129,7 +130,7 @@ def smul(f: Series, g: Series) -> Series:
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
     a, b, den = f.coeffs, g.coeffs, None
-    ia, ib = _over_common_denominator(a), _over_common_denominator(b)
+    ia, ib = over_lcm(a), over_lcm(b)
     if ia and ib:
         (a, da), (b, db) = ia, ib
         den = da * db
@@ -150,16 +151,6 @@ def _pascal_rows(count: int):
     for _ in range(count):
         yield row
         row = [1, *map(operator.add, row, row[1:]), 1]
-
-
-def _over_common_denominator(coeffs: tuple):
-    """(numerators, d) with coeffs[i] == numerators[i] / d for d the lcm of
-    the denominators, or None unless every coefficient is an int or a
-    Fraction."""
-    if not all(type(c) is Fraction or type(c) is int for c in coeffs):
-        return None
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def smul_trunc(f: Series, g: Series) -> Series:
@@ -235,24 +226,19 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     partial q of p is one node holding r(q, 0), r(q, 1), ... as far as they
     are computed; all components asked of the returned function share them.
 
-    When every coefficient is an int or a Fraction, the recursion runs on
-    integers: the series are put over one common denominator d, and r(q, k)
-    is carried times s = L·d^deg(p), L the stored denominator of p (and, for
-    power, times k!).  Every carried value is then an integer, and the
-    weighted sum for r(q, k) is d times it.  The partials' denominators
-    divide L, so r(q, 0)·s is summed on integers too.  Other coefficients
-    (polynomials) take the same steps with d = s = 1."""
+    The recursion runs on the stored numerators of p and its partials:
+    r(q, k) is carried times s = L·d^deg(p), L the stored denominator of p
+    (and, for power, times k!).  When every coefficient is an int or a
+    Fraction, the series are put over one common denominator d, so every
+    carried value is an integer and the weighted sum for r(q, k) is d times
+    it.  Other coefficients (polynomials) take the same steps with d = 1."""
     _check_env(p, env, n, flavor)
-    coeffs = {v: env[v].coeffs[: n + 1] for v in p.variables()}
-    forms = [_over_common_denominator(c) for c in coeffs.values()]
-    integral = all(forms)
-    if integral:
-        d = math.lcm(*(den for _, den in forms))
-        x = {v: [c * (d // den) for c in nums] for v, (nums, den) in zip(coeffs, forms)}
-        deg = p.total_degree()
-        s = p._den * d ** deg
-    else:
-        d, s, x = 1, 1, coeffs
+    names = p.variables()
+    coeffs = [c for v in names for c in env[v].coeffs[: n + 1]]
+    nums, d = over_lcm(coeffs) or (coeffs, 1)
+    x = {v: nums[i * (n + 1):(i + 1) * (n + 1)] for i, v in enumerate(names)}
+    deg = p.total_degree()
+    s = p._den * d ** deg
     rows = _weight_rows(flavor, n)
     nodes: dict = {}
 
@@ -262,12 +248,10 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
         equal partials share one node."""
         entry = nodes.get(q)
         if entry is None:
-            if integral:  # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
-                r0 = p._den // q._den * sum(
-                    n * d ** (deg - mono_degree(m)) * math.prod(x[v][0] ** e for v, e in m)
-                    for m, n in q._num.items())
-            else:
-                r0 = evaluate(q, lambda v: coeffs[v][0], Fraction(1), operator.mul, Fraction(0))
+            # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
+            r0 = p._den // q._den * sum(
+                n * d ** (deg - mono_degree(m)) * math.prod(x[v][0] ** e for v, e in m)
+                for m, n in q._num.items())
             entry = nodes[q] = [q, [r0], None]
         return entry
 
@@ -346,14 +330,6 @@ class SeriesOfSeries:
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("grid must be non-empty and rectangular")
         object.__setattr__(self, "grid", rows)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.grid) - 1
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.grid[0]) - 1
 
     def row_series(self, i: int) -> Series:
         return Series(self.grid[i], Flavor.HURWITZ)

@@ -13,15 +13,17 @@ stored form and ``==`` and hash compare dicts and ints.
 coefficients, and the raw tensor dicts of ``derive_twice`` and ``rb_D_raw``
 hold them.
 
-Coefficients enter through :func:`coerce`, which admits ``int`` and
-``Fraction`` only: a ``float`` (inexact) or a ``bool`` (not a number) is a
-``TypeError``.  Hot loops accumulate integer numerators inline::
+The public constructor ``LinComb(terms)`` is the one way in for a dict of
+``Fraction`` coefficients: each goes through :func:`coerce`, which admits
+``int`` and ``Fraction`` only (a ``float`` is inexact, a ``bool`` not a
+number: ``TypeError``), and :func:`over_lcm` puts them over one
+denominator, the one place in the package that does so.  Everything else
+runs on integers.  Hot loops accumulate numerators inline::
 
     out[k] = out[k] + c if k in out else c
 
 and hand the sums and their denominator to :meth:`LinComb._from_ints`,
-which drops the keys that cancelled and divides by one gcd.  The
-``Fraction``-dict constructors convert once; no hot loop calls them.
+which drops the keys that cancelled and divides by one gcd.
 """
 
 from __future__ import annotations
@@ -50,11 +52,14 @@ def ratio(value) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
-def _over_lcm(terms: dict) -> tuple[dict, int]:
-    """Nonzero Fractions in lowest terms as (numerators, lcm of the
-    denominators); no prime of the lcm divides every numerator."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+def over_lcm(values) -> tuple[list, int] | None:
+    """(numerators, d) with values[i] == numerators[i] / d, for d the lcm of
+    the denominators, or None unless every value is an int or a Fraction.
+    For values in lowest terms no prime of d divides every numerator."""
+    if not all(type(c) is Fraction or type(c) is int for c in values):
+        return None
+    d = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 def drop_zeros(sums: dict) -> dict:
@@ -77,20 +82,10 @@ class LinComb:
     def __init__(self, terms: Mapping | None = None):
         """The public constructor: every coefficient goes through
         :func:`coerce`, and zero coefficients are dropped."""
-        canon = {k: coerce(c) for k, c in (terms or {}).items()}
-        self._num, self._den = _over_lcm(drop_zeros(canon))
+        canon = drop_zeros({k: coerce(c) for k, c in (terms or {}).items()})
+        nums, self._den = over_lcm(canon.values())
+        self._num = dict(zip(canon, nums))
         self._hash = None
-
-    @classmethod
-    def _trusted(cls, terms: dict):
-        """The element with these nonzero Fraction (or int) coefficients."""
-        return cls._ints(*_over_lcm(terms))
-
-    @classmethod
-    def _from_sums(cls, sums: dict):
-        """Adopt an inline-accumulated Fraction dict, dropping the keys that
-        cancelled."""
-        return cls._trusted(drop_zeros(sums))
 
     @classmethod
     def _ints(cls, num: dict, den: int):

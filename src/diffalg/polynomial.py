@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import MixedVariables, NonLinearImage, UnboundVariable
-from .lincomb import LinComb, coerce, ratio
+from .lincomb import LinComb, ratio
 from .scalars import power
 
 # A monomial: sorted tuple of (variable, positive exponent) pairs.  The kernel
@@ -128,7 +128,8 @@ class Poly(LinComb):
 
     @classmethod
     def monomial(cls, exponents: Mapping, coeff=1) -> "Poly":
-        return cls._from_sums({mono_from_exponents(exponents): coerce(coeff)})
+        n, d = ratio(coeff)
+        return cls._from_ints({mono_from_exponents(exponents): n}, d)
 
     def _operand(self, other):
         """Scalars act as constant polynomials."""
@@ -234,9 +235,6 @@ class LinearMap:
             raise NonLinearImage(f"image of {v!r} is not linear: {p}")
         return p
 
-    def items(self):
-        return self._images.items()
-
 
 def _as_linear_map(f) -> LinearMap:
     return f if isinstance(f, LinearMap) else LinearMap(f)
@@ -266,10 +264,14 @@ class Tensor(LinComb):
         return Tensor._from_ints(out, self._den * q._den)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
-        """Apply a linear function to the polynomial slot of every pair."""
+        """Apply a linear function to the polynomial slot of every pair: fn
+        is called once per variable, on the sum of that variable's slots."""
+        slots: dict = {}
+        for (m, v), c in self._num.items():
+            slots.setdefault(v, {})[m] = c
         out = Tensor.zero()
-        for (m, v), c in self.terms():
-            out = out + Tensor.of(fn(Poly({m: c})), v)
+        for v, num in slots.items():
+            out = out + Tensor.of(fn(Poly._from_ints(num, self._den)), v)
         return out
 
     def map_var(self, f) -> "Tensor":
@@ -292,7 +294,7 @@ class Tensor(LinComb):
             return "0"
         parts = []
         for (m, v) in sorted(self._num, key=lambda k: (k[1], term_sort_key(k[0])), reverse=False):
-            p = Poly({m: Fraction(self._num[(m, v)], self._den)})
+            p = Poly._from_ints({m: self._num[(m, v)]}, self._den)
             parts.append(f"{p} (x) {v}")
         return " + ".join(parts)
 
@@ -423,11 +425,8 @@ def flat(images: Mapping, p: Poly) -> Poly:
     for v in p.variables():
         if v not in images:
             raise UnboundVariable(f"no image for variable {v!r}")
-    for (m, v), c in derive(p).pairs():
         image = images[v]
-        if not isinstance(image, Poly):
-            image = Poly.const(image)
-        out = out + Poly({m: c}) * image
+        out = out + partial(p, v) * (image if isinstance(image, Poly) else Poly.const(image))
     return out
 
 
@@ -446,6 +445,7 @@ def derive_twice(p: Poly) -> dict:
     """The twice-derived object as a map (monomial, v_j, v_i) -> coefficient,
     representing  sum_{i,j} d²p/dx_i dx_j ⊗ x_j ⊗ x_i.  As in
     :func:`derive`, each key determines its source term, so no terms merge."""
+    d = derive(p)
     return {(m2, vj, vi): c2
-            for (m1, vi), c1 in derive(p).pairs()
-            for (m2, vj), c2 in derive(Poly._trusted({m1: c1})).pairs()}
+            for (m1, vi), n1 in d._num.items()
+            for (m2, vj), c2 in derive(Poly._from_ints({m1: n1}, d._den)).pairs()}

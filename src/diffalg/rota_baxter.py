@@ -132,7 +132,7 @@ class RBElem(LinComb):
             for m, cm in tail.terms():
                 # the words are distinct, and so are the monomials of tail
                 out[(w, m)] = cw * cm * coeff
-        return cls._from_sums(out)
+        return cls(out)
 
     def __mul__(self, other):
         if isinstance(other, RBElem):
@@ -186,24 +186,21 @@ def rb_D_raw(s: RBElem) -> dict:
     of each tail.  Distinct (word, tail) keys give distinct keys, so no
     terms merge."""
     return {(w, m, v): c2
-            for (w, t), c in s.terms()
-            for (m, v), c2 in derive(Poly._trusted({t: c})).pairs()}
+            for (w, t), n in s._num.items()
+            for (m, v), c2 in derive(Poly._from_ints({t: n}, s._den)).pairs()}
 
 
 def raw_scale(raw: dict, s: RBElem) -> dict:
     """Multiply a raw tensor by an element on the non-variable slots:
-    (w, t, v) · (w', t') = (w shuffled w', t·t', v).  Used to state the
-    Leibniz rule for the raw form."""
-    out: dict = {}
-    for (w1, t1, v), c1 in raw.items():
-        for (w2, t2), c2 in s.terms():
-            tail = mono_mul(t1, t2)
-            c = c1 * c2
-            for w, n in shuffle_words(w1, w2).items():
-                key = (w, tail, v)
-                cn = c if n == 1 else c * n
-                out[key] = out[key] + cn if key in out else cn
-    return drop_zeros(out)
+    (w, t, v) · (w', t') = (w shuffled w', t·t', v), which is :func:`rb_mul`
+    on the (w, t) part of each variable's slot.  Used to state the Leibniz
+    rule for the raw form."""
+    slots: dict = {}
+    for (w, t, v), c in raw.items():
+        slots.setdefault(v, {})[(w, t)] = c
+    return {(w, t, v): c
+            for v, slot in slots.items()
+            for (w, t), c in rb_mul(RBElem(slot), s).terms()}
 
 
 def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -286,4 +287,68 @@ class TestMissingFields:
 
         monkeypatch.setattr(cli, "d_shift", broken)
         with pytest.raises(KeyError):
+            cli.main(["diff", "x"])
+
+
+class TestTypedInputErrors:
+    """Bad input is a DiffalgError with a pinned message (exit 2); main
+    reports no other exception type as a usage error."""
+
+    SERIES = '{"x": {"flavor": "power", "coeffs": ["1", "2"]}}'
+    LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+    @pytest.mark.parametrize("args, stdin, message", [
+        (("eval", "x"), '{"x": {"flavor": "bogus", "coeffs": ["1"]}}',
+         '"flavor" of series "x" must be "hurwitz" or "power"'),
+        (("eval", "x"), '{"x": {"flavor": "power", "coeffs": []}}',
+         '"coeffs" of series "x" must not be empty'),
+        (("eval", "x"), "this is not json",
+         "the environment is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (("eval", "-"), "x\n{",
+         "the environment is not JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (("rb", "--op", "shuffle"), "[",
+         "the payload is not JSON: Expecting value: line 1 column 2 (char 1)"),
+        (("rb", "--op", "P"), '{"s": ' + LONG + "}",
+         f"the payload has a number of more than {sys.get_int_max_str_digits()} digits"),
+        (("hurwitz", "[1,2]", "[3,4]", "--order", "-1"), None,
+         "--order must be a natural number at byte 1 (expected: natural number)"),
+        (("power", "[1,2]", "[3,4]", "--order", "-1"), None,
+         "--order must be a natural number at byte 1 (expected: natural number)"),
+        (("psi", "[1,2]", "--order", "-1"), None,
+         "--order must be a natural number at byte 1 (expected: natural number)"),
+        (("eval", "x", "--order", "-1"), SERIES,
+         "--order must be a natural number at byte 1 (expected: natural number)"),
+        (("laws", "--trials", "0"), None,
+         "--trials must be at least 1 at byte 1 (expected: positive integer)"),
+        (("diff", "x^" + LONG), None,
+         f"number of more than {sys.get_int_max_str_digits()} digits at byte 3 "
+         f"(expected: at most {sys.get_int_max_str_digits()} digits)"),
+        (("mul", "(2*x)^15000", "1"), None,
+         f"the result has a number of more than {sys.get_int_max_str_digits()} digits"),
+        (("mul", "(2*x)^15000", "1", "--format", "json"), None,
+         f"the result has a number of more than {sys.get_int_max_str_digits()} digits"),
+        (("diff", "x^\u00b2"), None, "syntax error at byte 3 (expected: natural number)"),
+    ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
+            "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
+            "expr-digits", "result-digits", "result-digits-json", "superscript-digit"])
+    def test_message(self, args, stdin, message):
+        r = run_cli(*args, stdin=stdin)
+        assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")
+
+    def test_undecodable_stdin(self):
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+        r = subprocess.run(CLI + ("rb", "--op", "P"), input=b'{"s"\xff', capture_output=True,
+                           env=env)
+        assert r.returncode == 2
+        assert r.stderr == b"error: standard input is not utf-8 text at byte 5 (expected: utf-8 text)\n"
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        from diffalg import cli
+
+        def broken(p):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "d_shift", broken)
+        with pytest.raises(ValueError):
             cli.main(["diff", "x"])

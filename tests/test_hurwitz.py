@@ -197,7 +197,8 @@ class TestRecursionKernel:
 
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_polynomial_coefficients(self, flavor):
-        """Series over polynomials take the same recursion unscaled."""
+        """Series over polynomials take the same recursion, with d = 1 and
+        r(q, k) carried times the stored denominator of p."""
         evaluator = omega_eval if flavor is Flavor.HURWITZ else delta_eval
         t = eta("t")
         env = {"X": Series((t, F(1, 2) * t * t + 1, F(3), t - 2, F(1, 3)), flavor),

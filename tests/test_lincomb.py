@@ -3,7 +3,9 @@ the three types built on it: Poly, Tensor and RBElem."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from diffalg.free_diff import DVar, d_shift
 from diffalg.hurwitz import Flavor, Series
 from diffalg.lincomb import LinComb, coerce, drop_zeros
-from diffalg.polynomial import (EMPTY_MONO, LinearMap, Poly, Tensor, coderive, derive, eta,
+from diffalg.polynomial import (EMPTY_MONO, LinearMap, Poly, Tensor, coderive, derive, eta, flat,
                                 mono_from_exponents, mono_lower, mono_mul, partial, sharp)
 from diffalg.rota_baxter import RBElem, rb_D, rb_mul, rb_P
 
@@ -135,12 +137,6 @@ class TestHelpers:
         sums = {"a": F(1), "b": F(0), "c": F(-2), "d": 0}
         assert drop_zeros(sums) is sums
         assert sums == {"a": F(1), "c": F(-2)}
-
-    def test_trusted_constructor_adopts(self):
-        terms = {MX: F(5)}
-        p = Poly._trusted(terms)
-        assert p == 5 * x
-        assert Poly._from_sums({MX: F(0), EMPTY_MONO: F(1)}) == Poly.one()
 
 
 # -- the integer store -------------------------------------------------------
@@ -276,13 +272,17 @@ class TestStore:
 
 
 def test_hot_paths_build_no_fractions(monkeypatch):
-    """Products, sums, int scaling, derive, sharp and d_shift run on the
-    integer store: none of them constructs a Fraction."""
+    """Products, sums, int scaling, derive, sharp, d_shift, flat,
+    Tensor.map_poly and Poly.monomial run on the integer store: none of
+    them constructs a Fraction."""
     p = (x * F(1, 2) + y * F(2, 3)) ** 2 + F(5, 4)
     q = x * F(3, 4) - y + 7
     x0, x1, y0 = (Poly.variable(DVar(b, n)) for b, n in (("x", 0), ("x", 1), ("y", 0)))
     dp = x0 * F(1, 3) + x1 ** 2 * F(5, 2) + y0
     g = LinearMap({"x": y * F(1, 2), "y": x * 3 + y * F(2, 5)})
+    images = {"x": y * F(1, 2), "y": 3}
+    t = derive(p)
+    third = F(1, 3)
     built = []
     original = Fraction.__new__
 
@@ -299,5 +299,18 @@ def test_hot_paths_build_no_fractions(monkeypatch):
         derive(p)
         sharp(g, p)
         d_shift(d_shift(dp) * dp)
+        flat(images, p)
+        t.map_poly(lambda r: r * q)
+        Poly.monomial({"x": 2, "y": 1}, 5)
+        Poly.monomial({"x": 2}, third)
     monkeypatch.undo()
     assert built == []
+
+
+def test_one_coefficient_path():
+    """Fractions are put over a common denominator in lincomb.py alone, and
+    the public constructor is the one Fraction-dict way into the store."""
+    src = Path(__file__).resolve().parent.parent / "src" / "diffalg"
+    users = sorted(f.name for f in src.glob("*.py") if re.search(r"\.denominator\b", f.read_text()))
+    assert users == ["lincomb.py"]
+    assert not [name for name in ("_trusted", "_from_sums") if hasattr(LinComb, name)]
