@@ -89,7 +89,7 @@ def _series_carrier(name: str, flavor: hz.Flavor, order: int) -> DiffCarrier:
 
     return DiffCarrier(
         name=name,
-        zero=Fraction(0) * hz.sunit(order, flavor),
+        zero=0 * hz.sunit(order, flavor),
         one=hz.sunit(order, flavor),
         add=lambda a, b: a + b,
         mul=hz.smul_trunc,

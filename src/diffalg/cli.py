@@ -27,7 +27,8 @@ from fractions import Fraction
 from . import hurwitz as hz
 from . import rota_baxter as rb
 from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
-from .expr import DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_series_literal
+from .expr import (DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_rational,
+                   parse_series_literal)
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
 
@@ -157,8 +158,10 @@ def _json_list(value, kind: type, what: str) -> list:
 
 def _rational(value, what: str) -> Fraction:
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(str(value))
+    except OverflowError as exc:
+        raise MalformedPayload(f"{what} has {exc}") from None
+    except ValueError:
         raise MalformedPayload(f"{what} is not a rational: {value!r}") from None
 
 
@@ -174,6 +177,9 @@ def _series_from_json(env: dict, name: str) -> hz.Series:
         raise MalformedPayload(f'"coeffs" of series "{name}" must be a list')
     if not coeffs:
         raise MalformedPayload(f'"coeffs" of series "{name}" must not be empty')
+    if len(coeffs) > MAX_ORDER + 1:
+        raise MalformedPayload(
+            f'"coeffs" of series "{name}" has more than {MAX_ORDER + 1} coefficients')
     flavor = _field(obj, "flavor")
     if flavor not in ("hurwitz", "power"):
         raise MalformedPayload(f'"flavor" of series "{name}" must be "hurwitz" or "power"')

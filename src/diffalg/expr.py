@@ -27,6 +27,7 @@ terms sorted by descending (total degree, variable sequence), joined by
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,21 +297,62 @@ def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
     return eval_expr(parse(text, mode), mode)
 
 
+# The literals Fraction(str) reads: an integer, a ratio of integers, or a
+# decimal with an optional exponent; digits may be grouped by underscores.
+# Compiled on first use (re caches it), so importing the package does not
+# pay for it.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = rf"""\s*[-+]?(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)
+    (?:/(?P<den>{_DIGITS}) | (?:\.(?P<dec>(?:{_DIGITS})?))? (?:[eE](?P<exp>[-+]?{_DIGITS}))?)
+    \s*"""
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational that a literal such as "-3", "1/2", "0.25" or "1e-3"
+    spells, in the forms Fraction(str) reads.  ValueError if text is no
+    such literal or has a zero denominator; OverflowError, before any
+    number is built, if an integer it spells (numerator, denominator, or
+    the digits plus the exponent's magnitude) has more digits than
+    ``sys.get_int_max_str_digits()`` allows."""
+    m = re.fullmatch(_RATIONAL, text, re.VERBOSE)
+    if m is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den, dec, exp = (m[g].replace("_", "") if m[g] else ""
+                          for g in ("num", "den", "dec", "exp"))
+    limit = sys.get_int_max_str_digits()
+    if limit and (len(den) > limit or len(exp) > limit
+                  or len(num) + len(dec) + abs(int(exp or 0)) > limit):
+        raise OverflowError(f"a number of more than {limit} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
 def parse_series_literal(text: str) -> tuple[Fraction, ...]:
-    """Parse a series literal "[a0, a1, ...]" of rational coefficients."""
+    """Parse a series literal "[a0, a1, ...]" of rational coefficients, at
+    most MAX_ORDER + 1 of them."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("series literal must be bracketed", 1, frozenset({"'['"}))
-    inner = s[1:-1].strip()
-    if not inner:
+    inner = s[1:-1]
+    if not inner.strip():
         raise ParseError("series literal needs at least one coefficient", 2,
                          frozenset({"rational"}))
+    if inner.count(",") > MAX_ORDER:
+        raise ParseError(f"series literal of more than {MAX_ORDER + 1} coefficients", 1,
+                         frozenset({f"at most {MAX_ORDER + 1} coefficients"}))
     out = []
+    pos = text.index("[") + 1  # where the current chunk starts in text
     for chunk in inner.split(","):
-        chunk = chunk.strip()
         try:
-            out.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError):
-            offset = text.index(chunk) + 1 if chunk and chunk in text else 1
-            raise ParseError(f"bad rational {chunk!r}", offset, frozenset({"rational"})) from None
+            out.append(parse_rational(chunk))
+        except (OverflowError, ValueError) as exc:
+            offset = len(text[:pos + len(chunk) - len(chunk.lstrip())].encode()) + 1
+            if isinstance(exc, OverflowError):
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(str(exc), offset, frozenset({f"at most {limit} digits"})) from None
+            raise ParseError(f"bad rational {chunk.strip()!r}", offset,
+                             frozenset({"rational"})) from None
+        pos += len(chunk) + 1
     return tuple(out)

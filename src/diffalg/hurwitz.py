@@ -19,6 +19,17 @@ Strict operations (:func:`smul`) require equal orders; tests and the law
 harness compare series only on the intersection of their windows
 (:meth:`Series.window_eq`).
 
+Storage: a rational series keeps the layout of
+:class:`~diffalg.lincomb.LinComb`, a tuple of int numerators over one
+positive denominator with no common factor, decided once, on the first
+operation on a series from the public constructor.  Sums, scalar
+products, :func:`smul`, :func:`sderive`, truncation, :func:`psi` and
+:func:`psi_inv` run on the integers and reduce by one gcd per result.
+``coeffs`` of a result shows ``Fraction``s, built on first read, also
+where the operands held ints; ``==``, hash and ``str`` are those of the
+coefficient tuple.  Polynomial coefficients take the same loops as their
+own numerators over 1.
+
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or coefficient-by-coefficient with the
 recursions :func:`omega_eval` (Hurwitz) and :func:`delta_eval` (power).
@@ -33,12 +44,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
-from .lincomb import over_lcm
+from .lincomb import over_lcm, ratio
 from .polynomial import Poly, evaluate, mono_degree, partial
 from .scalars import factorial, power
 
@@ -48,21 +59,71 @@ class Flavor(enum.Enum):
     POWER = "power"
 
 
-@dataclass(frozen=True)
 class Series:
-    """A truncated series: coefficients (a_0, ..., a_N) plus a flavor."""
+    """A truncated series: coefficients (a_0, ..., a_N) plus a flavor.
 
-    coeffs: tuple
-    flavor: Flavor
+    The store (see the module docstring) is ``_num`` over ``_den``, as
+    :func:`~diffalg.lincomb.over_lcm` gives it on the first read of either;
+    ``_coeffs`` caches :attr:`coeffs`, and is ``_num`` itself for
+    coefficients that are not all rational.  Immutable."""
 
-    def __post_init__(self):
-        if not self.coeffs:
+    __slots__ = ("_num", "_den", "_coeffs", "flavor")
+
+    def __init__(self, coeffs, flavor: Flavor):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        _set(self, "_coeffs", coeffs)
+        _set(self, "flavor", flavor)
+
+    def __getattr__(self, name):
+        """Decide the store of a series from the public constructor; only
+        ``_num`` and ``_den`` are ever missing."""
+        if name not in ("_num", "_den"):
+            raise AttributeError(f"'Series' object has no attribute {name!r}")
+        ints = over_lcm(self._coeffs)
+        num, den = (self._coeffs, 1) if ints is None else (tuple(ints[0]), ints[1])
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        return num if name == "_num" else den
+
+    @classmethod
+    def _reduced(cls, nums, den: int, flavor: Flavor) -> "Series":
+        """The series nums/den: int numerators are divided through by their
+        gcd with den; other values are divided by den and go through the
+        public constructor."""
+        if all(type(n) is int for n in nums):
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = [n // g for n in nums], den // g
+            s = object.__new__(cls)
+            _set(s, "_num", tuple(nums))
+            _set(s, "_den", den)
+            _set(s, "_coeffs", None)
+            _set(s, "flavor", flavor)
+            return s
+        return cls(nums if den == 1 else [n * Fraction(1, den) for n in nums], flavor)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Series is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Series, (self.coeffs, self.flavor)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients: as given to the constructor, and as Fractions
+        (over the rationals) for the result of an operation."""
+        if self._coeffs is None:
+            den = self._den
+            _set(self, "_coeffs", tuple(Fraction(n, den) for n in self._num))
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num if self._coeffs is None else self._coeffs) - 1
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -72,33 +133,48 @@ class Series:
             raise ValueError("order must be non-negative")
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1], self.flavor)
+        return self._reduced(self._num[: order + 1], self._den, self.flavor)
 
     def window_eq(self, other: "Series") -> bool:
         """Componentwise equality on the intersection of the two windows.
         Mismatched flavors never compare equal."""
         if self.flavor is not other.flavor:
             return False
-        n = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+        da, db = self._den, other._den
+        return all(a * db == b * da for a, b in zip(self._num, other._num))
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return len(self._num) == len(other._num) and self.window_eq(other)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.flavor))
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         if self.flavor is not other.flavor:
             raise FlavorMismatch(f"{self.flavor.value} + {other.flavor.value}")
-        n = min(self.order, other.order)
-        return Series(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), self.flavor)
+        da, db = self._den, other._den
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return self._reduced([a * fa + b * fb for a, b in zip(self._num, other._num)], den,
+                             self.flavor)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, Series):
             return NotImplemented
-        return Series(tuple(scalar * a for a in self.coeffs), self.flavor)
+        try:
+            a, b = ratio(scalar)
+        except TypeError:  # a coefficient of another ring, e.g. a polynomial
+            a, b = scalar, 1
+        return self._reduced([a * n for n in self._num], self._den * b, self.flavor)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             return smul(self, other)
-        return Series(tuple(a * other for a in self.coeffs), self.flavor)
+        return self.__rmul__(other)
 
     def __pow__(self, n: int):
         return power(self, n, sunit(self.order, self.flavor))
@@ -110,39 +186,37 @@ class Series:
         return f"Series({self}, {self.flavor.value})"
 
 
+_set = object.__setattr__  # Series.__setattr__ refuses every assignment
+
+
 def sunit(order: int, flavor: Flavor) -> Series:
     """The multiplicative unit (1, 0, ..., 0) at the given order."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return Series((Fraction(1),) + (Fraction(0),) * order, flavor)
+    return Series._reduced((1,) + (0,) * order, 1, flavor)
 
 
 def smul(f: Series, g: Series) -> Series:
     """Flavor-dependent convolution; strict about flavor and order.
 
     The k-th summand of Hurwitz component n is weighted by C(n, k), read
-    from Pascal's row n.  When every coefficient of both factors is an int
-    or a Fraction, each factor is put over its common denominator and the
-    convolution runs on the integer numerators, with one Fraction (one gcd)
-    per component."""
+    from Pascal's row n.  The convolution runs on the stored numerators,
+    over the product of the two denominators, and the result is reduced
+    once."""
     if f.flavor is not g.flavor:
         raise FlavorMismatch(f"{f.flavor.value} * {g.flavor.value}")
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
-    a, b, den = f.coeffs, g.coeffs, None
-    ia, ib = over_lcm(a), over_lcm(b)
-    if ia and ib:
-        (a, da), (b, db) = ia, ib
-        den = da * db
+    a, b = f._num, g._num
     rows = _pascal_rows(len(a)) if f.flavor is Flavor.HURWITZ else repeat(None)
     out = []
     for n, row in zip(range(len(a)), rows):
         terms = map(operator.mul, a, b[n::-1])
         if row is not None:
             terms = map(operator.mul, row, terms)
-        acc = sum(terms, next(terms))  # no 0 + term: on Poly coefficients that is one more add
-        out.append(acc if den is None else Fraction(acc, den))
-    return Series(tuple(out), f.flavor)
+        # no 0 + term: on Poly coefficients that is one more add
+        out.append(sum(terms, next(terms)))
+    return Series._reduced(out, f._den * g._den, f.flavor)
 
 
 def _pascal_rows(count: int):
@@ -165,9 +239,10 @@ def sderive(f: Series) -> Series:
     precision is left."""
     if f.order == 0:
         raise OrderExhausted("cannot derive a series of order 0")
-    if f.flavor is Flavor.HURWITZ:
-        return Series(f.coeffs[1:], f.flavor)
-    return Series(tuple((n + 1) * f.coeffs[n + 1] for n in range(f.order)), f.flavor)
+    nums = f._num[1:]
+    if f.flavor is Flavor.POWER:
+        nums = list(map(operator.mul, range(1, len(f._num)), nums))
+    return Series._reduced(nums, f._den, f.flavor)
 
 
 def ring_eval(p: Poly, env: Mapping) -> Series:
@@ -192,7 +267,7 @@ def ring_eval(p: Poly, env: Mapping) -> Series:
         return env[v]
 
     one = sunit(order, flavor)
-    return evaluate(p, var_value, one, smul, Fraction(0) * one)
+    return evaluate(p, var_value, one, smul, 0 * one)
 
 
 def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
@@ -228,15 +303,16 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
 
     The recursion runs on the stored numerators of p and its partials:
     r(q, k) is carried times s = L·d^deg(p), L the stored denominator of p
-    (and, for power, times k!).  When every coefficient is an int or a
-    Fraction, the series are put over one common denominator d, so every
+    (and, for power, times k!).  Over the rationals the stored numerators
+    of the series are put over d, the lcm of their denominators, so every
     carried value is an integer and the weighted sum for r(q, k) is d times
     it.  Other coefficients (polynomials) take the same steps with d = 1."""
     _check_env(p, env, n, flavor)
     names = p.variables()
-    coeffs = [c for v in names for c in env[v].coeffs[: n + 1]]
-    nums, d = over_lcm(coeffs) or (coeffs, 1)
-    x = {v: nums[i * (n + 1):(i + 1) * (n + 1)] for i, v in enumerate(names)}
+    series = [env[v] for v in names]
+    d = 1 if any(f._coeffs is f._num for f in series) else math.lcm(*(f._den for f in series))
+    x = {v: f.coeffs[: n + 1] if d % f._den else [c * (d // f._den) for c in f._num[: n + 1]]
+         for v, f in zip(names, series)}
     deg = p.total_degree()
     s = p._den * d ** deg
     rows = _weight_rows(flavor, n)
@@ -357,16 +433,18 @@ def psi(f: Series) -> Series:
     """Power -> Hurwitz isomorphism: multiply coefficient n by n!."""
     if f.flavor is not Flavor.POWER:
         raise FlavorMismatch("psi expects a power-flavored series")
-    return Series(tuple(factorial(n) * a for n, a in enumerate(f.coeffs)), Flavor.HURWITZ)
+    facts = accumulate(range(1, len(f._num)), operator.mul, initial=1)
+    return Series._reduced(list(map(operator.mul, facts, f._num)), f._den, Flavor.HURWITZ)
 
 
 def psi_inv(f: Series) -> Series:
-    """Hurwitz -> power: divide coefficient n by n! (exact in rationals)."""
+    """Hurwitz -> power: divide coefficient n by n! (exact in rationals),
+    as coefficient n times N!/n! over N! for the order N."""
     if f.flavor is not Flavor.HURWITZ:
         raise FlavorMismatch("psi_inv expects a Hurwitz-flavored series")
-    return Series(
-        tuple(Fraction(1, factorial(n)) * a for n, a in enumerate(f.coeffs)), Flavor.POWER
-    )
+    scale = list(accumulate(range(f.order, 0, -1), operator.mul, initial=1))[::-1]
+    return Series._reduced(list(map(operator.mul, scale, f._num)), f._den * scale[0],
+                           Flavor.POWER)
 
 
 def colift(images: Mapping, carrier, p, order: int) -> Series:

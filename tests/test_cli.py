@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -329,12 +330,38 @@ class TestTypedInputErrors:
         (("mul", "(2*x)^15000", "1", "--format", "json"), None,
          f"the result has a number of more than {sys.get_int_max_str_digits()} digits"),
         (("diff", "x^\u00b2"), None, "syntax error at byte 3 (expected: natural number)"),
+        (("psi", "[1, 1e10000000]"), None,
+         f"a number of more than {sys.get_int_max_str_digits()} digits at byte 5 "
+         f"(expected: at most {sys.get_int_max_str_digits()} digits)"),
+        (("eval", "x"), '{"x": {"flavor": "power", "coeffs": ["1", "1e10000000"]}}',
+         f'a coefficient of series "x" has a number of more than '
+         f"{sys.get_int_max_str_digits()} digits"),
+        (("rb", "--op", "P"),
+         '{"s": {"terms": [{"word": [], "tail": "x", "coeff": "-2e-10000000"}]}}',
+         f'"coeff" has a number of more than {sys.get_int_max_str_digits()} digits'),
+        (("hurwitz", "[" + "1," * 1001 + "1]", "[1]"), None,
+         "series literal of more than 1001 coefficients at byte 1 "
+         "(expected: at most 1001 coefficients)"),
+        (("eval", "x"), json.dumps({"x": {"flavor": "power", "coeffs": ["1"] * 1002}}),
+         '"coeffs" of series "x" has more than 1001 coefficients'),
     ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
             "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
-            "expr-digits", "result-digits", "result-digits-json", "superscript-digit"])
+            "expr-digits", "result-digits", "result-digits-json", "superscript-digit",
+            "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length"])
     def test_message(self, args, stdin, message):
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")
+
+    def test_series_length_checked_first(self, monkeypatch, capsys):
+        """An overlong "coeffs" list is refused before any coefficient is read."""
+        from diffalg import cli
+
+        monkeypatch.setattr(cli, "parse_rational", None)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+            {"x": {"flavor": "hurwitz", "coeffs": ["1"] * 1002}})))
+        assert cli.main(["eval", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err == 'error: "coeffs" of series "x" has more than 1001 coefficients\n'
 
     def test_undecodable_stdin(self):
         env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")

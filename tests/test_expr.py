@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from diffalg.expr import (
     POLY_MODE,
     parse,
     parse_poly,
+    parse_rational,
     parse_series_literal,
 )
 from diffalg.free_diff import DVar, dvar
@@ -175,8 +177,48 @@ class TestSeriesLiterals:
             parse_series_literal("1, 2")
         with pytest.raises(ParseError):
             parse_series_literal("[]")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="bad rational 'zz' at byte 5"):
             parse_series_literal("[1, zz]")
+        with pytest.raises(ParseError, match="bad rational '1/0' at byte 9"):
+            parse_series_literal(" [1, 2, 1/0]")
+
+    def test_exponent_bound(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=f"more than {limit} digits at byte 5 "
+                                             f"\\(expected: at most {limit} digits\\)"):
+            parse_series_literal("[1, 1e10000000]")
+
+    def test_length_bound(self, monkeypatch):
+        """MAX_ORDER + 1 coefficients parse; one more is refused before any
+        coefficient is read."""
+        ones = ["1"] * (MAX_ORDER + 1)
+        assert len(parse_series_literal("[" + ",".join(ones) + "]")) == MAX_ORDER + 1
+        monkeypatch.setattr(expr, "parse_rational", None)
+        with pytest.raises(ParseError, match=f"more than {MAX_ORDER + 1} coefficients at byte 1"):
+            parse_series_literal("[" + ",".join(ones + ["1"]) + "]")
+
+
+class TestRationalLiterals:
+    """parse_rational reads what Fraction(str) reads, and refuses a literal
+    that spells a number past the int/str digit limit before building it."""
+
+    @pytest.mark.parametrize("text", ["3", "-3", "+3", "1/2", " -4/6 ", "0.25", ".5", "5.", "1e-3",
+                                      "1.5E3", "1_000", "-1_0/3_0", "2e4299", "1e-4299"])
+    def test_same_as_fraction(self, text):
+        got = parse_rational(text)
+        assert got == Fraction(text) and type(got) is Fraction
+
+    @pytest.mark.parametrize("text", ["", "x", "1/0", "1/", "/2", "1e", "--1", "1__0", "1/2.5",
+                                      ".", "inf", "nan", "1 2", "0x10"])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e10000000", "-1e-10000000", "1e" + "9" * 5000,
+                                      "2e4300", "9" * 4301, "1/" + "9" * 4301, "0." + "1" * 4301])
+    def test_bounded(self, text):
+        with pytest.raises(OverflowError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            parse_rational(text)
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -160,6 +162,86 @@ class TestKernel:
             assert smul(f, zero) == zero
             single = smul(Series((F(3, 4),), flavor), Series((F(-2, 3),), flavor))
             assert single.coeffs == (F(-1, 2),)
+
+
+def canonical(s: Series) -> bool:
+    """The rational store: int numerators over a positive int, gcd 1."""
+    num, den = s._num, s._den
+    return (type(den) is int and den > 0 and all(type(n) is int for n in num)
+            and math.gcd(den, *num) == 1 and s._coeffs is not num)
+
+
+class TestStore:
+    """Rational series are int numerators over one denominator; every
+    operation leaves that store canonical and the public face unchanged."""
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    @given(data=st.data())
+    def test_operations(self, kind, data):
+        f, g = data.draw(series_pairs(kind))
+        c, k, flavor = data.draw(COEFFICIENTS[kind]), data.draw(st.integers(0, f.order)), f.flavor
+        a, b = [F(x) for x in f.coeffs], [F(x) for x in g.coeffs]  # the coefficients as drawn
+        weight = (lambda n, j: math.comb(n, j)) if flavor is Flavor.HURWITZ else (lambda n, j: 1)
+        cases = {
+            "+": (f + g, [x + y for x, y in zip(a, b)]),
+            "c*": (c * f, [c * x for x in a]),
+            "*c": (f * c, [x * c for x in a]),
+            "smul": (smul(f, g), [sum(weight(n, j) * a[j] * b[n - j] for j in range(n + 1))
+                                  for n in range(len(a))]),
+            "truncate": (f.truncate(k), a[: k + 1]),
+            "sunit": (sunit(k, flavor), [F(1)] + [F(0)] * k),
+        }
+        if len(a) > 1:
+            cases["sderive"] = (sderive(f), [x if flavor is Flavor.HURWITZ else n * x
+                                             for n, x in enumerate(a) if n])
+        if flavor is Flavor.POWER:
+            cases["psi"] = (psi(f), [math.factorial(n) * x for n, x in enumerate(a)])
+        else:
+            cases["psi_inv"] = (psi_inv(f), [x / math.factorial(n) for n, x in enumerate(a)])
+        for name, (got, want) in cases.items():
+            assert canonical(got), name
+            assert got.coeffs == tuple(want), name
+            if got is not f:  # truncate to the full order returns f as built
+                assert all(type(x) is Fraction for x in got.coeffs), name
+            twin = Series(want, got.flavor)
+            assert twin == got and hash(twin) == hash(got), name
+            assert (twin._num, twin._den) == (got._num, got._den), name
+
+    def test_int_and_fraction_coefficients_agree(self):
+        for flavor in Flavor:
+            ints, fracs = Series((1, 2), flavor), Series((F(1), F(2)), flavor)
+            assert ints == fracs and hash(ints) == hash(fracs) and str(ints) == str(fracs)
+            assert (ints._num, ints._den) == (fracs._num, fracs._den) == ((1, 2), 1)
+            assert ints.coeffs == (1, 2) and type(ints.coeffs[0]) is int  # kept as given
+            assert all(type(x) is Fraction for x in (ints + ints).coeffs)
+
+    def test_immutable(self):
+        s = Series((1, F(1, 2)), Flavor.HURWITZ)
+        for name in ("coeffs", "flavor", "_num", "_den", "order", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            del s.flavor
+        assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+
+    def test_polynomial_coefficients(self):
+        """Polynomials are their own numerators over 1; a result whose
+        coefficients are all rational again gets the rational store."""
+        x = eta("x")
+        for flavor in Flavor:
+            p = Series((x, F(1, 2), x * x - 3), flavor)
+            q = Series((F(1, 3), F(2), F(-5, 6)), flavor)
+            assert p._den == 1 and p._coeffs is p._num
+            assert (p + q).coeffs == tuple(u + v for u, v in zip(p.coeffs, q.coeffs))
+            assert (x * q).coeffs == tuple(x * v for v in q.coeffs)
+            assert smul(p, q).coeffs == plain_convolution(p, q)
+            doubled = p.truncate(1) * 2
+            assert doubled._den == 1 and doubled.coeffs == (2 * x, F(1))
+            head = Series((F(1, 2), x), flavor).truncate(0)
+            assert canonical(head) and head == Series((F(1, 2),), flavor)
+            poly = eta("X") * eta("Y") ** 2 + 3
+            env = {"X": p, "Y": q}
+            assert _components(poly, env, 2, flavor) == list(ring_eval(poly, env).coeffs)
 
 
 class TestRecursionKernel:

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffalg.free_diff import DVar, d_shift
-from diffalg.hurwitz import Flavor, Series
+from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
 from diffalg.lincomb import LinComb, coerce, drop_zeros
 from diffalg.polynomial import (EMPTY_MONO, LinearMap, Poly, Tensor, coderive, derive, eta, flat,
                                 mono_from_exponents, mono_lower, mono_mul, partial, sharp)
@@ -273,8 +273,9 @@ class TestStore:
 
 def test_hot_paths_build_no_fractions(monkeypatch):
     """Products, sums, int scaling, derive, sharp, d_shift, flat,
-    Tensor.map_poly and Poly.monomial run on the integer store: none of
-    them constructs a Fraction."""
+    Tensor.map_poly and Poly.monomial run on the integer store, and so do
+    the Series sum, scalar products, smul, sderive, psi and psi_inv: none
+    of them constructs a Fraction."""
     p = (x * F(1, 2) + y * F(2, 3)) ** 2 + F(5, 4)
     q = x * F(3, 4) - y + 7
     x0, x1, y0 = (Poly.variable(DVar(b, n)) for b, n in (("x", 0), ("x", 1), ("y", 0)))
@@ -283,6 +284,8 @@ def test_hot_paths_build_no_fractions(monkeypatch):
     images = {"x": y * F(1, 2), "y": 3}
     t = derive(p)
     third = F(1, 3)
+    sf, sg = (Series(tuple(F(k + 1, 3 + n) for k in range(9)), Flavor.HURWITZ) for n in (0, 4))
+    sh = Series(tuple(F(1 - k, 2 + k) for k in range(9)), Flavor.POWER)
     built = []
     original = Fraction.__new__
 
@@ -303,6 +306,15 @@ def test_hot_paths_build_no_fractions(monkeypatch):
         t.map_poly(lambda r: r * q)
         Poly.monomial({"x": 2, "y": 1}, 5)
         Poly.monomial({"x": 2}, third)
+        sf + sg
+        third * sf
+        sf * 6
+        smul(sf, sg)
+        smul(sh, sh)
+        sderive(sf)
+        sderive(sh)
+        psi(sh)
+        psi_inv(sf)
     monkeypatch.undo()
     assert built == []
 

@@ -1,4 +1,4 @@
-"""Poly arithmetic and series products checked against SymPy, an
+"""Poly arithmetic and series arithmetic checked against SymPy, an
 implementation that shares no code with this package.  Skipped when SymPy
 is not installed."""
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg.carriers import POLY_POOL, random_poly
-from diffalg.hurwitz import Flavor, Series, smul
+from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
 
@@ -119,3 +119,46 @@ def test_series_product(order, flavor):
         want = [product.coeff_monomial(T ** n) * scale(n) for n in range(order + 1)]
         got = smul(f, g).coeffs
         assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
+
+
+# -- series sums, scalar products, derivation and psi ------------------------
+#
+# The sum and scalar products are those of the generating functions.  The
+# derivation is d/dt of the generating function: the shift for an EGF, the
+# scaled shift for an OGF.  psi sends a power series to the Hurwitz series
+# with the same generating function (OGF = EGF after multiplying
+# coefficient n by n!), and psi_inv reads it back.
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("order", [0, 1, 8, 32])
+def test_series_sum_and_scalar(order, flavor):
+    rng = SplitMix64(400 + order)
+    for _ in range(3):
+        f, g = big_series(rng, order, flavor), big_series(rng, order, flavor)
+        num, den = rng.randint(-10 ** 6, 10 ** 6), PRIMES[rng.randint(0, len(PRIMES) - 1)]
+        assert generating_function(f + g) == generating_function(f) + generating_function(g)
+        assert generating_function(Fraction(num, den) * f) == (generating_function(f)
+                                                               * sympy.Rational(num, den))
+        assert generating_function(f * 7) == generating_function(f) * 7
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("order", [1, 8, 32])
+def test_series_derivation(order, flavor):
+    rng = SplitMix64(500 + order)
+    for _ in range(3):
+        f = big_series(rng, order, flavor)
+        assert generating_function(sderive(f)) == generating_function(f).diff(T)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 32])
+def test_psi(order):
+    rng = SplitMix64(600 + order)
+    for _ in range(3):
+        f = big_series(rng, order, Flavor.POWER)
+        g = big_series(rng, order, Flavor.HURWITZ)
+        image, back = psi(f), psi_inv(g)
+        assert (image.flavor, back.flavor) == (Flavor.HURWITZ, Flavor.POWER)
+        assert generating_function(image) == generating_function(f)
+        assert generating_function(back) == generating_function(g)
