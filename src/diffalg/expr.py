@@ -13,7 +13,9 @@ Whitespace is insignificant.  Parentheses and D applications nest at most
 :class:`~diffalg.errors.ParseError`, so no input can exhaust the
 interpreter's recursion limit.  The D applications around a subexpression
 derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
-is 1100, too many).  Derivative orders are written with primes up to three
+is 1100, too many).  A power whose result may have more than
+:data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``) is refused before it is
+multiplied out.  Derivative orders are written with primes up to three
 (x, x', x'', x''') and as ``x^(n)`` beyond; both forms parse.  In
 plain-polynomial mode, primes, ``^(n)`` markers, and the D operator are
 rejected with :class:`~diffalg.errors.ModeError`.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModeError, ParseError
@@ -46,6 +48,10 @@ MAX_NESTING = 100
 # The most shift derivatives the D applications around any subexpression
 # may apply; the diff verb bounds --n by the same number.
 MAX_ORDER = 1000
+
+# The most terms the power of an evaluated base may have, as _power_terms
+# bounds them: (x+1)^1000 has 1001 terms, (x+y+1)^150 would have 11476.
+MAX_POWER_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,7 @@ class BinOp:
 class Pow:
     base: object
     exponent: int
+    offset: int = field(default=1, compare=False)  # 1-based byte offset of the exponent
 
 
 @dataclass(frozen=True)
@@ -195,10 +202,15 @@ class _Parser:
                 self.expect(")")
                 node = Var(node.name, order)
                 if self.eat("^"):
-                    node = Pow(node, self.nat())
+                    node = self.power(node)
             else:
-                node = Pow(node, self.nat())
+                node = self.power(node)
         return node
+
+    def power(self, base) -> Pow:
+        self.skip_ws()
+        offset = self._byte_offset()
+        return Pow(base, self.nat(), offset)
 
     def atom(self):
         ch = self.peek()
@@ -283,13 +295,39 @@ def eval_expr(node, mode: str = DIFF_MODE) -> Poly:
             acc = _BINARY[link.op](acc, eval_expr(link.right, mode))
         return acc
     if isinstance(node, Pow):
-        return eval_expr(node.base, mode) ** node.exponent
+        base = eval_expr(node.base, mode)
+        if _power_terms(base, node.exponent) > MAX_POWER_TERMS:
+            raise ParseError(f"a power of more than {MAX_POWER_TERMS} terms", node.offset,
+                             frozenset({f"at most {MAX_POWER_TERMS} terms in a power"}))
+        return base ** node.exponent
     if isinstance(node, DApp):
         p = eval_expr(node.arg, mode)
         for _ in range(node.power):
             p = d_shift(p)
         return p
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _power_terms(base: Poly, n: int) -> int:
+    """An upper bound on the number of terms of base^n, where any value
+    above MAX_POWER_TERMS stands for "too many": the monomials of n factors
+    drawn from t terms, at most C(n+t-1, t-1), or of degree at most n·deg
+    in v variables, at most C(n·deg+v, v).  Zero counts as one term."""
+    t, v = max(base.n_terms(), 1), len(base.variables())
+    return min(_binom_capped(n + t - 1, t - 1), _binom_capped(n * base.total_degree() + v, v))
+
+
+def _binom_capped(n: int, k: int) -> int:
+    """C(n, k) if it is at most MAX_POWER_TERMS, else some larger number.
+    Step i holds C(n-k+i, i), so the loop stops after at most
+    min(k, n-k, MAX_POWER_TERMS) steps, however large n is."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > MAX_POWER_TERMS:
+            break
+    return c
 
 
 def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:

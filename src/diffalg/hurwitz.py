@@ -354,7 +354,9 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
 
 def _components(p: Poly, env: Mapping, n: int, flavor: Flavor) -> list:
     """Components 0, ..., n of the recursion, read from one memo: entry k
-    equals omega_eval(p, env, k) (Hurwitz) or delta_eval(p, env, k) (power)."""
+    equals omega_eval(p, env, k) (Hurwitz) or delta_eval(p, env, k) (power).
+    The ``eval`` verb of the CLI and the eval laws of
+    :mod:`~diffalg.suites` read their components here."""
     component = _recursion(p, env, n, flavor)
     return [component(k) for k in range(n + 1)]
 

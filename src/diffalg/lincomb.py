@@ -78,6 +78,9 @@ class LinComb:
     same class)."""
 
     __slots__ = ("_num", "_den", "_hash")
+    # The key of the elements that equal a scalar when _operand lifts
+    # scalars (a subclass sets it), so that they hash as that scalar.
+    _scalar_key = None
 
     def __init__(self, terms: Mapping | None = None):
         """The public constructor: every coefficient goes through
@@ -170,8 +173,14 @@ class LinComb:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        """An element that equals a scalar hashes as that scalar does."""
         if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._num.items())))
+            num, key = self._num, self._scalar_key
+            if key is not None and num.keys() <= {key}:
+                n, d = num.get(key, 0), self._den
+                self._hash = hash(n if d == 1 else Fraction(n, d))
+            else:
+                self._hash = hash((self._den, frozenset(num.items())))
         return self._hash
 
     def __repr__(self) -> str:

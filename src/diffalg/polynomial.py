@@ -110,6 +110,7 @@ class Poly(LinComb):
     """Immutable sparse polynomial in canonical form."""
 
     __slots__ = ()
+    _scalar_key = EMPTY_MONO  # scalars are constant polynomials (_operand)
 
     # -- construction -----------------------------------------------------
 

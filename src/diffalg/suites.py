@@ -205,19 +205,19 @@ def check_eval_recursions(trials: int, seed: int, order: int = 8,
     ring operations, for every component n <= n_max."""
     rng = SplitMix64(seed)
 
-    def agrees_with_ring(flavor, evaluator):
+    def agrees_with_ring(flavor):
         def trial(rng):
             p = sample_poly(rng, pick(FORMAL_VARS), 3, 3)
             env = {v: random_series(rng, order, flavor) for v in FORMAL_VARS}
             oracle = hz.ring_eval(p, env)
-            return first_failure(mismatch({"p": p, "n": n}, evaluator(p, env, n), oracle.coeffs[n])
+            w = hz._components(p, env, n_max, flavor)
+            return first_failure(mismatch({"p": p, "n": n}, w[n], oracle.coeffs[n])
                                  for n in range(n_max + 1))
         return trial
 
-    return [run_trials(law, trials, seed, agrees_with_ring(flavor, evaluator), rng)
-            for law, flavor, evaluator in (
-                ("omega_matches_hurwitz_ring", hz.Flavor.HURWITZ, hz.omega_eval),
-                ("delta_matches_cauchy_ring", hz.Flavor.POWER, hz.delta_eval))]
+    return [run_trials(law, trials, seed, agrees_with_ring(flavor), rng)
+            for law, flavor in (("omega_matches_hurwitz_ring", hz.Flavor.HURWITZ),
+                                ("delta_matches_cauchy_ring", hz.Flavor.POWER))]
 
 
 def check_eval_pointwise(trials: int, seed: int, order: int = 8,
@@ -232,28 +232,28 @@ def check_eval_pointwise(trials: int, seed: int, order: int = 8,
     def unit_clause(rng):
         c = random_fraction(rng)
         env = {"X1": random_series(rng, order, H)}
-        return first_failure(mismatch({"c": c, "n": n}, hz.omega_eval(Poly.const(c), env, n),
-                                      c if n == 0 else Fraction(0))
+        w = hz._components(Poly.const(c), env, n_max, H)
+        return first_failure(mismatch({"c": c, "n": n}, w[n], c if n == 0 else Fraction(0))
                              for n in components)
 
     # generator clause: a bare variable evaluates to its series components
     def generator_clause(rng):
         env = {"X1": random_series(rng, order, H)}
-        return first_failure(mismatch({"n": n}, hz.omega_eval(eta("X1"), env, n),
-                                      env["X1"].coeffs[n])
-                             for n in components)
+        w = hz._components(eta("X1"), env, n_max, H)
+        return first_failure(mismatch({"n": n}, w[n], env["X1"].coeffs[n]) for n in components)
 
     # product clause: binomial convolution of the two factors' recursions
     def product_clause(rng):
         p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
         q = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
         env = {v: random_series(rng, order, H) for v in FORMAL_VARS[:2]}
+        wp, wq, wpq = (hz._components(f, env, n_max, H) for f in (p, q, p * q))
 
         def at(n):
             rhs = Fraction(0)
             for k in range(n + 1):
-                rhs += binom(n, k) * (hz.omega_eval(p, env, k) * hz.omega_eval(q, env, n - k))
-            return mismatch({"p": p, "q": q, "n": n}, hz.omega_eval(p * q, env, n), rhs)
+                rhs += binom(n, k) * (wp[k] * wq[n - k])
+            return mismatch({"p": p, "q": q, "n": n}, wpq[n], rhs)
 
         return first_failure(at(n) for n in components)
 

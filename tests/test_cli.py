@@ -344,10 +344,15 @@ class TestTypedInputErrors:
          "(expected: at most 1001 coefficients)"),
         (("eval", "x"), json.dumps({"x": {"flavor": "power", "coeffs": ["1"] * 1002}}),
          '"coeffs" of series "x" has more than 1001 coefficients'),
+        (("mul", "(x+y+1)^150", "1"), None,
+         "a power of more than 2000 terms at byte 9 (expected: at most 2000 terms in a power)"),
+        (("diff", "x + (x+y+1)^300"), None,
+         "a power of more than 2000 terms at byte 13 (expected: at most 2000 terms in a power)"),
     ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
             "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
             "expr-digits", "result-digits", "result-digits-json", "superscript-digit",
-            "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length"])
+            "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length",
+            "dense-power", "dense-power-diff"])
     def test_message(self, args, stdin, message):
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from diffalg import hurwitz
 from diffalg.carriers import (
     broken_carriers,
     broken_identity_carrier,
@@ -32,7 +33,12 @@ from diffalg.errors import UnboundVariable
 from diffalg.free_diff import dvar
 from diffalg.polynomial import Poly, eta
 from diffalg.rng import SplitMix64
-from diffalg.suites import chain_rule_suite, faa_di_bruno_suite
+from diffalg.suites import (
+    chain_rule_suite,
+    check_eval_pointwise,
+    check_eval_recursions,
+    faa_di_bruno_suite,
+)
 
 BROKEN_GOLDEN = Path(__file__).resolve().parent / "data" / "broken_carriers_seed42.txt"
 
@@ -279,3 +285,49 @@ class TestRunTrials:
     def test_rejects_no_trials(self, trials):
         with pytest.raises(ValueError):
             run_trials("law", trials, 7, lambda rng: None)
+
+
+class TestEvalLawMemos:
+    """The eval laws read every component of an evaluated polynomial from
+    one recursion memo, and still check every component."""
+
+    N_MAX = 6
+
+    def test_one_memo_per_evaluated_polynomial(self, monkeypatch):
+        calls = []
+        real = hurwitz._recursion
+
+        def counting(p, env, n, flavor):
+            calls.append(n)
+            return real(p, env, n, flavor)
+
+        monkeypatch.setattr(hurwitz, "_recursion", counting)
+        trials = 5
+        recursions = check_eval_recursions(trials, 11, n_max=self.N_MAX)
+        assert [r.trials for r in recursions] == [trials, trials]
+        assert calls == [self.N_MAX] * (1 * 2 * trials)  # one per trial per law
+        calls.clear()
+        pointwise = check_eval_pointwise(trials, 12, n_max=self.N_MAX)
+        assert [r.trials for r in pointwise] == [trials] * 3
+        # unit and generator clauses one each, the product clause p, q and p*q
+        assert calls == [self.N_MAX] * ((1 + 1 + 3) * trials)
+
+    @pytest.mark.parametrize("k", range(N_MAX + 1))
+    def test_no_component_goes_unchecked(self, monkeypatch, k):
+        """A recursion off by one at component k fails every eval law, and
+        the counterexample names component k."""
+        real = hurwitz._recursion
+
+        def off_at_k(p, env, n, flavor):
+            component = real(p, env, n, flavor)
+            return lambda j: component(j) + (1 if j == k else 0)
+
+        monkeypatch.setattr(hurwitz, "_recursion", off_at_k)
+        reports = (check_eval_recursions(2, 42, n_max=self.N_MAX)
+                   + check_eval_pointwise(2, 43, n_max=self.N_MAX))
+        assert [r.law for r in reports] == [
+            "omega_matches_hurwitz_ring", "delta_matches_cauchy_ring",
+            "omega_unit_clause", "omega_generator_clause", "omega_product_clause"]
+        for report in reports:
+            assert not report.passed, report.law
+            assert report.counterexample["n"] == str(k), report.to_json()

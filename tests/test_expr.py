@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from diffalg.expr import (
     DIFF_MODE,
     MAX_NESTING,
     MAX_ORDER,
+    MAX_POWER_TERMS,
     POLY_MODE,
     parse,
     parse_poly,
@@ -165,6 +167,59 @@ class TestOrderBound:
         assert cli.main(["diff", "--n", str(n), "x"]) == 2
         assert capsys.readouterr().err.startswith(f"error: --n must be from 0 to {MAX_ORDER}")
         assert shifts == []
+
+
+class TestPowerBound:
+    """A power whose result may have more than MAX_POWER_TERMS terms is
+    refused before anything is multiplied; the tests count the powers
+    taken to show that."""
+
+    @pytest.fixture
+    def powers(self, monkeypatch):
+        calls = []
+        original = Poly.__pow__
+
+        def counting(p, n):
+            calls.append(n)
+            return original(p, n)
+
+        monkeypatch.setattr(Poly, "__pow__", counting)
+        return calls
+
+    @pytest.mark.parametrize("text, offset", [
+        ("(x+y+1)^150", 9), ("(x+y+1)^300", 9), ("(x + y + 1) ^ 300", 15),
+        ("(x+y+1)^" + "9" * 4000, 9), ("((x+y+1)^40)^3", 14), ("(x+2)^2000", 7),
+        ("z + (x^(4)+y)^2000", 15)])
+    def test_above_the_bound(self, powers, text, offset):
+        with pytest.raises(ParseError, match=f"a power of more than {MAX_POWER_TERMS} terms") as info:
+            parse_poly(text)
+        assert info.value.offset == offset
+        assert powers == [40] * text.count("^40")  # the inner power of ((x+y+1)^40)^3 is fine
+
+    @pytest.mark.parametrize("text, terms", [
+        ("x^1000", 1), ("(x+1)^1000", 1001), ("(2*x)^15000", 1), ("0^7", 0), ("0^0", 1),
+        ("(3/2)^40", 1), ("(x+y+1)^61", 1953), ("(x*y + x + y)^30", 496)])
+    def test_within_the_bound(self, text, terms):
+        p = parse_poly(text, POLY_MODE)
+        assert p.n_terms() == terms <= MAX_POWER_TERMS
+        assert expr._power_terms(parse_poly(text.rsplit("^", 1)[0], POLY_MODE),
+                                 int(text.rsplit("^", 1)[1])) >= terms
+
+    def test_estimate_bounds_every_small_power(self):
+        bases = ["x", "x+1", "x+y", "x*y+1", "x^2+y+z", "(x+y)^2+z", "3", "0", "x*y*z-x+2"]
+        for text in bases:
+            base = parse_poly(text, POLY_MODE)
+            for n in range(6):
+                assert expr._power_terms(base, n) >= (base ** n).n_terms(), (text, n)
+
+    def test_estimate_is_exact_on_dense_bases(self):
+        """Both binomial bounds are exact for a generic dense linear base."""
+        for v in range(1, 4):
+            base = sum((eta(f"x{i}") for i in range(v)), Poly.one())
+            for n in range(8):
+                want = math.comb(n + v, v)
+                if want <= MAX_POWER_TERMS:
+                    assert expr._power_terms(base, n) == want == (base ** n).n_terms()
 
 
 class TestSeriesLiterals:

@@ -215,6 +215,16 @@ class TestStore:
             assert ints.coeffs == (1, 2) and type(ints.coeffs[0]) is int  # kept as given
             assert all(type(x) is Fraction for x in (ints + ints).coeffs)
 
+    def test_constant_polynomial_coefficients_hash_as_rationals(self):
+        """A series of constant polynomials equals the rational series and
+        hashes alike, so a set holds one of the two."""
+        for flavor in Flavor:
+            a, b = Series((Poly.const(3),), flavor), Series((3,), flavor)
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            c = Series((Poly.const(F(1, 2)), Poly.zero()), flavor)
+            d = Series((F(1, 2), 0), flavor)
+            assert c == d and hash(c) == hash(d) and len({c, d}) == 1
+
     def test_immutable(self):
         s = Series((1, F(1, 2)), Flavor.HURWITZ)
         for name in ("coeffs", "flavor", "_num", "_den", "order", "extra"):

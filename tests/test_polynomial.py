@@ -89,6 +89,29 @@ class TestRingOps:
         assert Poly.const(0) == Poly.zero()
 
 
+class TestConstantHash:
+    """A constant polynomial equals its rational value and hashes as it."""
+
+    @pytest.mark.parametrize("value", [3, -1, 0, 2 ** 70, Fraction(1, 2), Fraction(-7, 3),
+                                       Fraction(6, 3)])
+    def test_set_and_dict_membership(self, value):
+        p = Poly.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert p in {value} and value in {p} and len({p, value}) == 1
+        assert {value: "v"}[p] == "v" and {p: "p"}[value] == "p"
+
+    def test_zero(self):
+        for zero in (Poly.zero(), Poly.const(0), x - x):
+            assert zero == 0 and hash(zero) == hash(0) == hash(Fraction(0))
+            assert zero in {0} and len({zero, 0, Fraction(0)}) == 1
+
+    def test_other_hashes_unchanged(self):
+        """Non-constant polynomials and tensors hash as before: the
+        denominator with the numerator items."""
+        for elem in (x, 2 * x + 1, x * Fraction(1, 3) - y, Tensor.zero(), derive(x * y)):
+            assert hash(elem) == hash((elem._den, frozenset(elem._num.items())))
+
+
 class TestSubstitute:
     def test_expansion(self):
         X = eta("X")
