@@ -8,6 +8,11 @@
     rational:= ['-'] digits ('/' digits)?
     var     := [A-Za-z][A-Za-z0-9_]*   (the bare name 'D' is the derivation)
 
+The parser evaluates as it parses: each rule returns the polynomial of
+the text it read, with no expression tree in between, so errors are
+reported in text order (``(x+y+1)^150 +`` fails on its power at byte 9,
+not on the missing operand after it).
+
 Whitespace is insignificant.  Parentheses and D applications nest at most
 :data:`MAX_NESTING` levels deep; deeper input is a
 :class:`~diffalg.errors.ParseError`, so no input can exhaust the
@@ -28,10 +33,8 @@ terms sorted by descending (total degree, variable sequence), joined by
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModeError, ParseError
@@ -41,8 +44,9 @@ from .polynomial import Poly
 POLY_MODE = "poly"
 DIFF_MODE = "diffpoly"
 
-# Each level of '(' or 'D(' costs the parser four stack frames, so this
-# bound keeps parsing well inside the default recursion limit of 1000.
+# Each level of '(' or 'D(' costs the parser five stack frames (nested,
+# expr, term, factor, atom), so this bound keeps parsing well inside the
+# default recursion limit of 1000.
 MAX_NESTING = 100
 
 # The most shift derivatives the D applications around any subexpression
@@ -52,37 +56,6 @@ MAX_ORDER = 1000
 # The most terms the power of an evaluated base may have, as _power_terms
 # bounds them: (x+1)^1000 has 1001 terms, (x+y+1)^150 would have 11476.
 MAX_POWER_TERMS = 2000
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    order: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    offset: int = field(default=1, compare=False)  # 1-based byte offset of the exponent
-
-
-@dataclass(frozen=True)
-class DApp:
-    power: int
-    arg: object
 
 
 class _Parser:
@@ -146,50 +119,49 @@ class _Parser:
             self.i += 1
         return self.text[start:self.i]
 
-    def nested(self):
+    def nested(self) -> Poly:
         """An expr one level deeper inside '(' or 'D('."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._byte_offset(),
                              frozenset({f"at most {MAX_NESTING} nested '(' or 'D('"}))
         self.depth += 1
-        node = self.expr()
+        p = self.expr()
         self.depth -= 1
-        return node
+        return p
 
-    # -- grammar -------------------------------------------------------------
+    # -- grammar: each rule returns the polynomial of the text it read ------
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Poly:
+        p = self.expr()
         self.skip_ws()
         if self.i != len(self.text):
             self.error({"'+'", "'-'", "'*'", "'^'", "end of input"})
-        return node
+        return p
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> Poly:
+        p = self.term()
         while True:
             if self.eat("+"):
-                node = BinOp("+", node, self.term())
+                p = p + self.term()
             elif self.eat("-"):
-                node = BinOp("-", node, self.term())
+                p = p - self.term()
             else:
-                return node
+                return p
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> Poly:
+        p = self.factor()
         while self.eat("*"):
-            node = BinOp("*", node, self.factor())
-        return node
+            p = p * self.factor()
+        return p
 
-    def factor(self):
-        node = self.atom()
-        self.skip_ws()
+    def factor(self) -> Poly:
+        p, bare = self.atom()
         if self.peek() == "^":
             save = self.i
             self.i += 1
             if self.peek() == "(":
                 # derivative-order marker: only valid directly on a plain variable
-                if not (isinstance(node, Var) and node.order == 0):
+                if bare is None:
                     self.i = save
                     self.error({"natural number"})
                 if self.mode == POLY_MODE:
@@ -198,29 +170,38 @@ class _Parser:
                         "is not allowed in plain-polynomial mode"
                     )
                 self.expect("(")
-                order = self.nat()
+                p = self.variable(bare, self.nat())
                 self.expect(")")
-                node = Var(node.name, order)
                 if self.eat("^"):
-                    node = self.power(node)
+                    p = self.power(p)
             else:
-                node = self.power(node)
-        return node
+                p = self.power(p)
+        return p
 
-    def power(self, base) -> Pow:
+    def power(self, base: Poly) -> Poly:
         self.skip_ws()
         offset = self._byte_offset()
-        return Pow(base, self.nat(), offset)
+        n = self.nat()
+        if _power_terms(base, n) > MAX_POWER_TERMS:
+            raise ParseError(f"a power of more than {MAX_POWER_TERMS} terms", offset,
+                             frozenset({f"at most {MAX_POWER_TERMS} terms in a power"}))
+        return base ** n
 
-    def atom(self):
+    def variable(self, name: str, order: int) -> Poly:
+        """In differential mode every variable is a derivative variable."""
+        return Poly.variable(DVar(name, order) if self.mode == DIFF_MODE else name)
+
+    def atom(self) -> tuple[Poly, str | None]:
+        """The atom's polynomial, and its name if it is a bare variable
+        with no primes (the one atom a '^(n)' marker may follow)."""
         ch = self.peek()
         if ch == "(":
             self.eat("(")
-            node = self.nested()
+            p = self.nested()
             self.expect(")")
-            return node
+            return p, None
         if ch == "-" or ch.isdecimal():
-            return Num(self.rational())
+            return Poly.const(self.rational()), None
         if ch.isalpha():
             start = self.i
             name = self.ident()
@@ -238,10 +219,12 @@ class _Parser:
                                      frozenset({f"at most {MAX_ORDER} nested derivatives"}))
                 self.expect("(")
                 self.order += power
-                arg = self.nested()
+                p = self.nested()
                 self.order -= power
                 self.expect(")")
-                return DApp(power, arg)
+                for _ in range(power):
+                    p = d_shift(p)
+                return p, None
             order = 0
             while self.i < len(self.text) and self.text[self.i] == "'":
                 order += 1
@@ -251,7 +234,7 @@ class _Parser:
                     f"primed variable at byte {self._byte_offset(start)} "
                     "is not allowed in plain-polynomial mode"
                 )
-            return Var(name, order)
+            return self.variable(name, order), (None if order else name)
         self.error({"rational", "variable", "'('", "'D'"})
 
     def rational(self) -> Fraction:
@@ -266,46 +249,10 @@ class _Parser:
         return Fraction(sign * num)
 
 
-def parse(text: str, mode: str = DIFF_MODE):
-    """Parse text into an expression tree."""
+def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
+    """The polynomial that text spells, evaluated as it is parsed; the
+    first error in text order is raised."""
     return _Parser(text, mode).parse()
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def eval_expr(node, mode: str = DIFF_MODE) -> Poly:
-    """Evaluate an expression tree to a canonical polynomial.  In
-    differential mode every variable becomes a derivative variable."""
-    if isinstance(node, Num):
-        return Poly.const(node.value)
-    if isinstance(node, Var):
-        if mode == DIFF_MODE:
-            return Poly.variable(DVar(node.name, node.order))
-        return Poly.variable(node.name)
-    if isinstance(node, BinOp):
-        # A flat sum or product of n operands parses to a left-nested chain
-        # n deep: walk it with a loop, recursing only into right operands.
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        acc = eval_expr(node, mode)
-        for link in reversed(chain):
-            acc = _BINARY[link.op](acc, eval_expr(link.right, mode))
-        return acc
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, mode)
-        if _power_terms(base, node.exponent) > MAX_POWER_TERMS:
-            raise ParseError(f"a power of more than {MAX_POWER_TERMS} terms", node.offset,
-                             frozenset({f"at most {MAX_POWER_TERMS} terms in a power"}))
-        return base ** node.exponent
-    if isinstance(node, DApp):
-        p = eval_expr(node.arg, mode)
-        for _ in range(node.power):
-            p = d_shift(p)
-        return p
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _power_terms(base: Poly, n: int) -> int:
@@ -328,11 +275,6 @@ def _binom_capped(n: int, k: int) -> int:
         if c > MAX_POWER_TERMS:
             break
     return c
-
-
-def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
-    """Parse and evaluate in one step."""
-    return eval_expr(parse(text, mode), mode)
 
 
 # The literals Fraction(str) reads: an integer, a ratio of integers, or a

@@ -1,7 +1,7 @@
 """Deterministic pseudo-random generation for the law harness.
 
 All randomized checks in this package draw from SplitMix64, a 64-bit
-splittable generator with a published one-line state transition
+generator with a published one-line state transition
 (state += 0x9E3779B97F4A7C15, then a two-round xor-multiply finalizer).
 The implementation is self-contained so that reports are reproducible on
 any platform and any Python build, independent of ``random``'s internals.
@@ -14,7 +14,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """Seeded 64-bit generator; ``split`` derives an independent stream."""
+    """Seeded 64-bit generator."""
 
     __slots__ = ("_state",)
 
@@ -37,6 +37,3 @@ class SplitMix64:
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
-
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())

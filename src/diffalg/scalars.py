@@ -44,9 +44,6 @@ def power(x, n: int, one):
 
 
 def factorial(n: int) -> int:
-    """n! by repeated multiplication."""
+    """n! in exact integers."""
     _check_natural(n, "n")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return math.factorial(n)

@@ -12,10 +12,14 @@ CLI = (sys.executable, "-m", "diffalg.cli")
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 LAWS_GOLDEN = DATA / "laws_seed42_trials10.txt"
+# Every CLI call below finishes in about a second; a bound that regresses
+# into a long computation fails the test here instead of hanging the suite.
+CLI_TIMEOUT_S = 60
 
 
 def run_cli(*args, stdin=None):
-    return subprocess.run(CLI + args, input=stdin, capture_output=True, text=True)
+    return subprocess.run(CLI + args, input=stdin, capture_output=True, text=True,
+                          timeout=CLI_TIMEOUT_S)
 
 
 class TestGolden:

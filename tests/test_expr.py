@@ -14,7 +14,6 @@ from diffalg.expr import (
     MAX_ORDER,
     MAX_POWER_TERMS,
     POLY_MODE,
-    parse,
     parse_poly,
     parse_rational,
     parse_series_literal,
@@ -61,44 +60,53 @@ class TestGrammar:
 class TestModeErrors:
     def test_prime_in_poly_mode(self):
         with pytest.raises(ModeError):
-            parse("x'", POLY_MODE)
+            parse_poly("x'", POLY_MODE)
 
     def test_d_in_poly_mode(self):
         with pytest.raises(ModeError):
-            parse("D(x^2)", POLY_MODE)
+            parse_poly("D(x^2)", POLY_MODE)
 
     def test_marker_in_poly_mode(self):
         with pytest.raises(ModeError):
-            parse("x^(4)", POLY_MODE)
+            parse_poly("x^(4)", POLY_MODE)
 
 
 class TestSyntaxErrors:
     def test_offset_and_expected(self):
         with pytest.raises(ParseError) as info:
-            parse("x^", DIFF_MODE)
+            parse_poly("x^", DIFF_MODE)
         assert info.value.offset == 3
         assert "natural number" in info.value.expected
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError) as info:
-            parse("x y", DIFF_MODE)
+            parse_poly("x y", DIFF_MODE)
         assert info.value.offset == 3
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
-            parse("", DIFF_MODE)
+            parse_poly("", DIFF_MODE)
 
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
-            parse("(x + 1", DIFF_MODE)
+            parse_poly("(x + 1", DIFF_MODE)
 
     def test_missing_operand(self):
         with pytest.raises(ParseError):
-            parse("x + * y", DIFF_MODE)
+            parse_poly("x + * y", DIFF_MODE)
+
+    @pytest.mark.parametrize("text", ["(x)^(4)", "((x))^(4)", "x'^(4)", "D(x)^(2)"])
+    def test_marker_only_on_a_bare_variable(self, text):
+        """A '^(n)' marker follows a variable name directly, as the grammar
+        has it; no parenthesized, primed or derived atom carries one."""
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, DIFF_MODE)
+        assert info.value.offset == text.index("^") + 1
+        assert "natural number" in info.value.expected
 
     def test_d_needs_parens(self):
         with pytest.raises(ParseError):
-            parse("D x", DIFF_MODE)
+            parse_poly("D x", DIFF_MODE)
 
 
 class TestNestingBound:
@@ -111,7 +119,7 @@ class TestNestingBound:
     def test_one_over_the_bound(self, opener):
         depth = MAX_NESTING + 1
         with pytest.raises(ParseError, match="nesting deeper than") as info:
-            parse(opener * depth + "x" + ")" * depth, DIFF_MODE)
+            parse_poly(opener * depth + "x" + ")" * depth, DIFF_MODE)
         # the offset points just past the first opener over the bound
         assert info.value.offset == len(opener) * depth + 1
 
@@ -120,11 +128,11 @@ class TestNestingBound:
         text = "(D(" * half + "x" + "))" * half
         assert parse_poly(text) == dvar("x", half)
         with pytest.raises(ParseError, match="nesting deeper than"):
-            parse("(" + text + ")", DIFF_MODE)
+            parse_poly("(" + text + ")", DIFF_MODE)
 
     def test_long_flat_chains(self):
-        """A flat sum or product is a left-nested chain as deep as it is
-        long; evaluating it must not recurse per operand."""
+        """A flat sum or product of any length is folded in a loop as it is
+        parsed; it must not recurse per operand."""
         assert parse_poly(" + ".join(["x"] * 3000)) == 3000 * dvar("x")
         assert parse_poly("*".join(["x"] * 3000)) == dvar("x") ** 3000
         assert parse_poly(" - ".join(["x"] * 3001)) == -2999 * dvar("x")
@@ -148,9 +156,10 @@ class TestOrderBound:
         return calls
 
     def test_at_the_bound(self, shifts):
-        assert parse(f"D^{MAX_ORDER}(x)", DIFF_MODE) == expr.DApp(MAX_ORDER, expr.Var("x", 0))
-        assert parse_poly(f"D^{MAX_ORDER // 2}(D^{MAX_ORDER // 2}(x))") == dvar("x", MAX_ORDER)
+        assert parse_poly(f"D^{MAX_ORDER}(x)") == dvar("x", MAX_ORDER)
         assert len(shifts) == MAX_ORDER
+        assert parse_poly(f"D^{MAX_ORDER // 2}(D^{MAX_ORDER // 2}(x))") == dvar("x", MAX_ORDER)
+        assert len(shifts) == 2 * MAX_ORDER
 
     @pytest.mark.parametrize("text", [f"D^{MAX_ORDER + 1}(x)", "D^100000000(x)",
                                       "x + D^600(y * D^500(x))", f"D(D^{MAX_ORDER}(x))"])
@@ -160,7 +169,7 @@ class TestOrderBound:
         assert shifts == []
 
     def test_siblings_do_not_add_up(self, shifts):
-        assert parse(f"D^{MAX_ORDER}(x) + D^{MAX_ORDER}(y)", DIFF_MODE)
+        assert parse_poly(f"D^{MAX_ORDER}(x) + D^{MAX_ORDER}(y)", DIFF_MODE)
 
     @pytest.mark.parametrize("n", [MAX_ORDER + 1, 100000000])
     def test_cli_n_above_the_bound(self, shifts, capsys, n):
@@ -195,6 +204,16 @@ class TestPowerBound:
             parse_poly(text)
         assert info.value.offset == offset
         assert powers == [40] * text.count("^40")  # the inner power of ((x+y+1)^40)^3 is fine
+
+    @pytest.mark.parametrize("text, mode", [("(x+y+1)^150 +", DIFF_MODE),
+                                            ("(x+y+1)^150 + x'", POLY_MODE)])
+    def test_errors_in_text_order(self, powers, text, mode):
+        """The power is refused as soon as it is read, before the parser
+        reaches the missing operand or the primed variable after it."""
+        with pytest.raises(ParseError, match=f"a power of more than {MAX_POWER_TERMS} terms") as info:
+            parse_poly(text, mode)
+        assert info.value.offset == 9
+        assert powers == []
 
     @pytest.mark.parametrize("text, terms", [
         ("x^1000", 1), ("(x+1)^1000", 1001), ("(2*x)^15000", 1), ("0^7", 0), ("0^0", 1),
