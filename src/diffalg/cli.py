@@ -23,14 +23,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import hurwitz as hz
-from . import rota_baxter as rb
 from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
 from .expr import (DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_rational,
-                   parse_series_literal)
+                   parse_series_literal, product)
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
+
+if TYPE_CHECKING:  # each verb imports the modules it uses, so start-up follows the verb
+    from . import hurwitz as hz
+    from . import rota_baxter as rb
 
 SCHEMA = 1
 
@@ -107,21 +110,12 @@ def _text(value) -> str:
 
 
 def _emit_poly(p: Poly, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"schema": SCHEMA, "result": _text(p)}))
-    else:
-        print(_text(p))
+    print(json.dumps({"schema": SCHEMA, "result": _text(p)}) if fmt == "json" else _text(p))
 
 
 def _emit_series(s: hz.Series, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({
-            "schema": SCHEMA,
-            "flavor": s.flavor.value,
-            "coeffs": [_text(c) for c in s.coeffs],
-        }))
-    else:
-        print(_text(s))
+    print(json.dumps({"schema": SCHEMA, "flavor": s.flavor.value,
+                      "coeffs": [_text(c) for c in s.coeffs]}) if fmt == "json" else _text(s))
 
 
 def _json_payload(text: str, what: str) -> dict:
@@ -170,7 +164,13 @@ def _letters(obj: dict, key: str) -> list:
     return [parse_poly(s, POLY_MODE) for s in _json_list(_field(obj, key), str, f'"{key}"')]
 
 
+def _word(w: tuple) -> list:
+    """A word's letters as text, for output."""
+    return [mono_str(m) for m in w]
+
+
 def _series_from_json(env: dict, name: str) -> hz.Series:
+    from . import hurwitz as hz
     obj = _json_object(env[name], f'series "{name}"')
     coeffs = _field(obj, "coeffs")
     if not isinstance(coeffs, list):
@@ -188,27 +188,16 @@ def _series_from_json(env: dict, name: str) -> hz.Series:
 
 
 def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
+    from . import rota_baxter as rb
     obj = _json_object(_field(payload, key), f'"{key}"')
     out = rb.RBElem.zero()
     for t in _json_list(_field(obj, "terms"), dict, '"terms"'):
         tail = _field(t, "tail")
         if not isinstance(tail, str):
             raise MalformedPayload('"tail" must be a string')
-        term = rb.RBElem.term(_letters(t, "word"), parse_poly(tail, POLY_MODE),
-                              _rational(t.get("coeff", 1), '"coeff"'))
-        out = out + term
+        out = out + rb.RBElem.term(_letters(t, "word"), parse_poly(tail, POLY_MODE),
+                                   _rational(t.get("coeff", 1), '"coeff"'))
     return out
-
-
-def _rbelem_to_json(elem: rb.RBElem) -> dict:
-    terms = []
-    for (w, t), c in sorted(elem.terms()):
-        terms.append({
-            "word": [mono_str(m) for m in w],
-            "tail": mono_str(t),
-            "coeff": _text(c),
-        })
-    return {"schema": SCHEMA, "terms": terms}
 
 
 def _cmd_diff(args) -> int:
@@ -224,11 +213,12 @@ def _cmd_diff(args) -> int:
 def _cmd_mul(args) -> int:
     p = parse_poly(_positional(args.expr), DIFF_MODE)
     q = parse_poly(args.other, DIFF_MODE)
-    _emit_poly(p * q, args.format)
+    _emit_poly(product(p, q, 1), args.format)
     return 0
 
 
 def _cmd_eval(args) -> int:
+    from . import hurwitz as hz
     expr, text = args.expr, _stdin()
     if expr == "-":  # first stdin line is the expression, the remainder is the JSON env
         line, _, text = text.partition("\n")
@@ -255,6 +245,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_series_mul(args) -> int:
+    from . import hurwitz as hz
     left = parse_series_literal(_positional(args.left))
     right = parse_series_literal(args.right)
     flavor = hz.Flavor(args.verb)
@@ -265,6 +256,7 @@ def _cmd_series_mul(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    from . import hurwitz as hz
     coeffs = parse_series_literal(_positional(args.series))
     src = hz.Flavor.POWER if args.src == "power" else hz.Flavor.HURWITZ
     if args.dst is not None and args.dst == args.src:
@@ -276,47 +268,32 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    from .suites import run_all  # the law harness loads only for this verb
-
+    from .suites import run_all
     reports = run_all(args.seed, args.trials)
-    failed = False
     for rep in reports:
         print(rep.to_json())
-        if not rep.passed:
-            failed = True
-    return 1 if failed else 0
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_rb(args) -> int:
+    from . import rota_baxter as rb
     payload = _json_payload(_stdin(), "the payload")
     if args.op == "shuffle":
         combo = rb.shuffle(_letters(payload, "u"), _letters(payload, "v"))
-        terms = [
-            {"word": [mono_str(m) for m in w], "coeff": _text(combo[w])}
-            for w in sorted(combo)
-        ]
-        print(json.dumps({"schema": SCHEMA, "result": terms}))
-        return 0
-    if args.op == "mul":
+        out = {"result": [{"word": _word(w), "coeff": _text(combo[w])} for w in sorted(combo)]}
+    elif args.op == "raw":
+        raw = rb.rb_D_raw(_rbelem_from_json(payload, "s"))
+        out = {"result": [{"word": _word(w), "tail": mono_str(t), "var": str(v),
+                           "coeff": _text(raw[(w, t, v)])} for (w, t, v) in sorted(raw)]}
+    else:
         s = _rbelem_from_json(payload, "s")
-        t = _rbelem_from_json(payload, "t")
-        print(json.dumps(_rbelem_to_json(rb.rb_mul(s, t))))
-        return 0
-    if args.op in ("P", "D"):
-        op = rb.rb_P if args.op == "P" else rb.rb_D
-        print(json.dumps(_rbelem_to_json(op(_rbelem_from_json(payload, "s")))))
-        return 0
-    raw = rb.rb_D_raw(_rbelem_from_json(payload, "s"))
-    terms = [
-        {
-            "word": [mono_str(m) for m in w],
-            "tail": mono_str(t),
-            "var": str(v),
-            "coeff": _text(raw[(w, t, v)]),
-        }
-        for (w, t, v) in sorted(raw)
-    ]
-    print(json.dumps({"schema": SCHEMA, "result": terms}))
+        if args.op == "mul":
+            elem = rb.rb_mul(s, _rbelem_from_json(payload, "t"))
+        else:
+            elem = rb.rb_P(s) if args.op == "P" else rb.rb_D(s)
+        out = {"terms": [{"word": _word(w), "tail": mono_str(t), "coeff": _text(c)}
+                         for (w, t), c in sorted(elem.terms())]}
+    print(json.dumps({"schema": SCHEMA, **out}))
     return 0
 
 

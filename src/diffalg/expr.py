@@ -18,12 +18,13 @@ Whitespace is insignificant.  Parentheses and D applications nest at most
 :class:`~diffalg.errors.ParseError`, so no input can exhaust the
 interpreter's recursion limit.  The D applications around a subexpression
 derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
-is 1100, too many).  A power whose result may have more than
-:data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``) is refused before it is
-multiplied out.  Derivative orders are written with primes up to three
-(x, x', x'', x''') and as ``x^(n)`` beyond; both forms parse.  In
-plain-polynomial mode, primes, ``^(n)`` markers, and the D operator are
-rejected with :class:`~diffalg.errors.ModeError`.
+is 1100, too many).  A power or a product whose result may have more
+than :data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``,
+``(x+y+1)^60*(x+y+1)^60``) is refused before it is multiplied out.
+Derivative orders are written with primes up to three (x, x', x'',
+x''') and as ``x^(n)`` beyond; both forms parse.  In plain-polynomial
+mode, primes, ``^(n)`` markers, and the D operator are rejected with
+:class:`~diffalg.errors.ModeError`.
 
 Printing uses the canonical form produced by ``str()`` on polynomials:
 terms sorted by descending (total degree, variable sequence), joined by
@@ -53,8 +54,9 @@ MAX_NESTING = 100
 # may apply; the diff verb bounds --n by the same number.
 MAX_ORDER = 1000
 
-# The most terms the power of an evaluated base may have, as _power_terms
-# bounds them: (x+1)^1000 has 1001 terms, (x+y+1)^150 would have 11476.
+# The most terms a power or a product of evaluated operands may have, as
+# _power_terms and _product_terms bound them: (x+1)^1000 has 1001 terms,
+# (x+y+1)^150 would have 11476 and (x+y+1)^60*(x+y+1)^60 7381.
 MAX_POWER_TERMS = 2000
 
 
@@ -90,6 +92,11 @@ class _Parser:
             self.i += 1
             return True
         return False
+
+    def differential_only(self, what: str, i: int):
+        if self.mode == POLY_MODE:
+            raise ModeError(f"{what} at byte {self._byte_offset(i)} "
+                            "is not allowed in plain-polynomial mode")
 
     def expect(self, ch: str):
         if not self.eat(ch):
@@ -151,7 +158,8 @@ class _Parser:
     def term(self) -> Poly:
         p = self.factor()
         while self.eat("*"):
-            p = p * self.factor()
+            offset = self._byte_offset(self.i - 1)
+            p = product(p, self.factor(), offset)
         return p
 
     def factor(self) -> Poly:
@@ -164,11 +172,7 @@ class _Parser:
                 if bare is None:
                     self.i = save
                     self.error({"natural number"})
-                if self.mode == POLY_MODE:
-                    raise ModeError(
-                        f"derivative marker at byte {self._byte_offset(save)} "
-                        "is not allowed in plain-polynomial mode"
-                    )
+                self.differential_only("derivative marker", save)
                 self.expect("(")
                 p = self.variable(bare, self.nat())
                 self.expect(")")
@@ -182,9 +186,7 @@ class _Parser:
         self.skip_ws()
         offset = self._byte_offset()
         n = self.nat()
-        if _power_terms(base, n) > MAX_POWER_TERMS:
-            raise ParseError(f"a power of more than {MAX_POWER_TERMS} terms", offset,
-                             frozenset({f"at most {MAX_POWER_TERMS} terms in a power"}))
+        _check_terms(_power_terms(base, n), "power", offset)
         return base ** n
 
     def variable(self, name: str, order: int) -> Poly:
@@ -206,11 +208,7 @@ class _Parser:
             start = self.i
             name = self.ident()
             if name == "D":
-                if self.mode == POLY_MODE:
-                    raise ModeError(
-                        f"the D operator at byte {self._byte_offset(start)} "
-                        "is not allowed in plain-polynomial mode"
-                    )
+                self.differential_only("the D operator", start)
                 power = 1
                 if self.eat("^"):
                     power = self.nat()
@@ -229,11 +227,8 @@ class _Parser:
             while self.i < len(self.text) and self.text[self.i] == "'":
                 order += 1
                 self.i += 1
-            if order and self.mode == POLY_MODE:
-                raise ModeError(
-                    f"primed variable at byte {self._byte_offset(start)} "
-                    "is not allowed in plain-polynomial mode"
-                )
+            if order:
+                self.differential_only("primed variable", start)
             return self.variable(name, order), (None if order else name)
         self.error({"rational", "variable", "'('", "'D'"})
 
@@ -255,6 +250,20 @@ def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
     return _Parser(text, mode).parse()
 
 
+def product(p: Poly, q: Poly, offset: int) -> Poly:
+    """p·q, or a ParseError at byte offset, raised before anything is
+    multiplied, if it may have more than MAX_POWER_TERMS terms."""
+    if p.n_terms() * q.n_terms() > MAX_POWER_TERMS:  # the estimate is at most this count
+        _check_terms(_product_terms(p, q), "product", offset)
+    return p * q
+
+
+def _check_terms(estimate: int, what: str, offset: int) -> None:
+    if estimate > MAX_POWER_TERMS:
+        raise ParseError(f"a {what} of more than {MAX_POWER_TERMS} terms", offset,
+                         frozenset({f"at most {MAX_POWER_TERMS} terms in a {what}"}))
+
+
 def _power_terms(base: Poly, n: int) -> int:
     """An upper bound on the number of terms of base^n, where any value
     above MAX_POWER_TERMS stands for "too many": the monomials of n factors
@@ -262,6 +271,14 @@ def _power_terms(base: Poly, n: int) -> int:
     in v variables, at most C(n·deg+v, v).  Zero counts as one term."""
     t, v = max(base.n_terms(), 1), len(base.variables())
     return min(_binom_capped(n + t - 1, t - 1), _binom_capped(n * base.total_degree() + v, v))
+
+
+def _product_terms(p: Poly, q: Poly) -> int:
+    """The same bound for p·q: the product of the term counts, or C(deg p +
+    deg q + v, v) for the v variables of p and q."""
+    v = len(set(p.variables()).union(q.variables()))
+    return min(p.n_terms() * q.n_terms(),
+               _binom_capped(p.total_degree() + q.total_degree() + v, v))
 
 
 def _binom_capped(n: int, k: int) -> int:

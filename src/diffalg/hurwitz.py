@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Callable, Mapping
@@ -105,7 +104,8 @@ class Series:
         return cls(nums if den == 1 else [n * Fraction(1, den) for n in nums], flavor)
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"a Series is immutable: cannot set or delete {name!r}")
+        raise AttributeError(f"a {type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
@@ -396,18 +396,31 @@ def diamond(d: Callable, a, order: int) -> Series:
     return Series(tuple(natural_map(d, a, order)), Flavor.HURWITZ)
 
 
-@dataclass(frozen=True)
 class SeriesOfSeries:
     """A rectangular grid of carrier elements: the truncated codomain of
-    comultiplication."""
+    comultiplication.  Immutable; compared and hashed by its grid."""
 
-    grid: tuple
+    __slots__ = ("grid",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.grid)
+    def __init__(self, grid):
+        rows = tuple(tuple(r) for r in grid)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("grid must be non-empty and rectangular")
-        object.__setattr__(self, "grid", rows)
+        _set(self, "grid", rows)
+
+    __setattr__ = __delattr__ = Series.__setattr__
+
+    def __reduce__(self):
+        return SeriesOfSeries, (self.grid,)
+
+    def __eq__(self, other):
+        return self.grid == other.grid if type(other) is SeriesOfSeries else NotImplemented
+
+    def __hash__(self):
+        return hash((self.grid,))
+
+    def __repr__(self):
+        return f"SeriesOfSeries(grid={self.grid!r})"
 
     def row_series(self, i: int) -> Series:
         return Series(self.grid[i], Flavor.HURWITZ)

@@ -29,12 +29,14 @@ coefficient representation (integer numerators over one denominator,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .diff_laws import LawReport, mismatch, pick, random_fraction, run_trials, sample_exponents
 from .lincomb import LinComb, coerce, drop_zeros
 from .polynomial import (EMPTY_MONO, Mono, Poly, derive, mono_degree, mono_from_exponents,
                          mono_mul, mono_str)
+
+if TYPE_CHECKING:  # the law harness is imported by the two functions that use it
+    from .diff_laws import LawReport
 
 # A word: tuple of letters, each letter a monomial of the polynomial algebra.
 Word = tuple
@@ -207,6 +209,7 @@ def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
                   max_word: int = 3, max_tail_deg: int = 2) -> RBElem:
     """Seeded random element: up to max_terms terms, words of at most
     max_word monomial letters, tails of degree at most max_tail_deg."""
+    from .diff_laws import pick, random_fraction, sample_exponents
 
     def random_mono(max_deg: int) -> Mono:
         return mono_from_exponents(sample_exponents(rng, pick(pool), max_deg))
@@ -223,6 +226,7 @@ def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
 
 def check_rota_baxter(trials: int, seed: int) -> LawReport:
     """Verify P(a)P(b) = P(aP(b)) + P(P(a)b) on seeded random elements."""
+    from .diff_laws import mismatch, run_trials
 
     def trial(rng):
         a = random_rbelem(rng)

@@ -151,6 +151,38 @@ class TestImports:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
 
+    # Runs one verb through cli.main and prints, after the verb's output,
+    # its exit code and the modules it loaded that were not loaded before.
+    FOOTPRINT = ("import json, sys\n"
+                 "before = set(sys.modules)\n"
+                 "from diffalg import cli\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+    POLY_ONLY = ("diffalg.hurwitz", "diffalg.rota_baxter", "diffalg.diff_laws", "dataclasses")
+    SERIES = ("diffalg.rota_baxter", "diffalg.diff_laws", "dataclasses")
+
+    @pytest.mark.parametrize("args, stdin, uses, absent", [
+        (("mul", "x + 1", "x - 1"), None, "diffalg.expr", POLY_ONLY),
+        (("diff", "--n", "2", "x^2"), None, "diffalg.free_diff", POLY_ONLY),
+        (("rb", "--op", "mul"), json.dumps({"s": {"terms": [{"word": ["a"], "tail": "x"}]},
+                                            "t": {"terms": [{"word": ["b"], "tail": "y"}]}}),
+         "diffalg.rota_baxter", ("diffalg.hurwitz", "diffalg.diff_laws")),
+        (("hurwitz", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
+        (("power", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
+        (("psi", "[1,1,1]"), None, "diffalg.hurwitz", SERIES),
+        (("eval", "X*Y"), TestEval.ENV, "diffalg.hurwitz", SERIES),
+    ], ids=["mul", "diff", "rb", "hurwitz", "power", "psi", "eval"])
+    def test_each_verb_loads_only_its_modules(self, args, stdin, uses, absent):
+        """A verb's start-up pays only for the modules it uses: the law
+        harness (and dataclasses with it) loads for laws alone, the series
+        module for the series verbs, the shuffle algebra for rb."""
+        r = subprocess.run((sys.executable, "-c", self.FOOTPRINT, *args), input=stdin,
+                           capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+        assert r.returncode == 0, r.stderr
+        code, loaded = json.loads(r.stdout.splitlines()[-1])
+        assert code == 0 and uses in loaded
+        assert sorted(set(absent) & set(loaded)) == []
+
 
 class TestRb:
     def test_shuffle(self):
@@ -301,6 +333,7 @@ class TestTypedInputErrors:
 
     SERIES = '{"x": {"flavor": "power", "coeffs": ["1", "2"]}}'
     LONG = "9" * (sys.get_int_max_str_digits() + 1)
+    WIDE = "(" + " + ".join(f"x{i}" for i in range(70)) + ")"  # its square has 2485 terms
 
     @pytest.mark.parametrize("args, stdin, message", [
         (("eval", "x"), '{"x": {"flavor": "bogus", "coeffs": ["1"]}}',
@@ -352,11 +385,16 @@ class TestTypedInputErrors:
          "a power of more than 2000 terms at byte 9 (expected: at most 2000 terms in a power)"),
         (("diff", "x + (x+y+1)^300"), None,
          "a power of more than 2000 terms at byte 13 (expected: at most 2000 terms in a power)"),
+        (("mul", WIDE, WIDE), None,
+         "a product of more than 2000 terms at byte 1 (expected: at most 2000 terms in a product)"),
+        (("mul", f"{WIDE} * {WIDE}", "1"), None,
+         f"a product of more than 2000 terms at byte {len(WIDE) + 2} "
+         "(expected: at most 2000 terms in a product)"),
     ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
             "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
             "expr-digits", "result-digits", "result-digits-json", "superscript-digit",
             "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length",
-            "dense-power", "dense-power-diff"])
+            "dense-power", "dense-power-diff", "dense-product", "dense-product-in-one"])
     def test_message(self, args, stdin, message):
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")

@@ -241,6 +241,86 @@ class TestPowerBound:
                     assert expr._power_terms(base, n) == want == (base ** n).n_terms()
 
 
+def linear_sum(v: int) -> str:
+    """x0 + ... + x(v-1): v terms whose square has v(v+1)/2."""
+    return "(" + " + ".join(f"x{i}" for i in range(v)) + ")"
+
+
+class TestProductBound:
+    """A product whose result may have more than MAX_POWER_TERMS terms is
+    refused before it is taken; the tests record the term counts of every
+    product taken to show that."""
+
+    WIDE = linear_sum(70)  # its square has 2485 terms
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        original = Poly.__mul__
+
+        def counting(p, q):
+            calls.append((p.n_terms(), q.n_terms()))
+            return original(p, q)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        return calls
+
+    @pytest.mark.parametrize("text, offset, taken", [
+        (f"{WIDE}*{WIDE}", len(WIDE) + 1, []),
+        (f"{WIDE} * {WIDE}", len(WIDE) + 2, []),
+        (f"x*{WIDE}*{WIDE}", len(WIDE) + 3, [(1, 70)]),
+        (f"{WIDE}*{WIDE} +", len(WIDE) + 1, []),  # refused before the missing operand
+    ], ids=["square", "spaced", "chain", "text-order"])
+    def test_above_the_bound(self, products, text, offset, taken):
+        with pytest.raises(ParseError, match=f"a product of more than {MAX_POWER_TERMS} terms "
+                                             f"at byte {offset} ") as info:
+            parse_poly(text, POLY_MODE)
+        assert info.value.offset == offset
+        assert products == taken
+
+    def test_product_of_allowed_powers(self, products):
+        """Each (x+y+1)^60 has 1891 terms, under the bound; their product
+        would have 7381 and is never taken."""
+        with pytest.raises(ParseError, match="a product of more than 2000 terms at byte 11"):
+            parse_poly("(x+y+1)^60*(x+y+1)^60", POLY_MODE)
+        assert (1891, 1891) not in products
+
+    def test_cli_operands(self, products, capsys):
+        assert cli.main(["mul", self.WIDE, self.WIDE]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a product of more than {MAX_POWER_TERMS} terms at byte 1 "
+            f"(expected: at most {MAX_POWER_TERMS} terms in a product)\n")
+        assert products == []
+
+    @pytest.mark.parametrize("text, terms", [
+        (f"{linear_sum(50)}*{linear_sum(50)}", 1275), ("(x+1)^999*(x+1)", 1001),
+        ("(x+y+1)^20*(x+y+1)^20", 861), ("x*y*z*x", 1), (f"0*{linear_sum(70)}", 0),
+        (f"{linear_sum(40)}*{linear_sum(40)}*{linear_sum(2)}", 1600)],
+        ids=["wide-square", "power-times-linear", "power-times-power", "monomials", "zero",
+             "chain"])
+    def test_within_the_bound(self, text, terms):
+        """The degree cap lets through products whose counts multiply to
+        more than the bound (50 x 50 terms) when their result cannot."""
+        assert parse_poly(text, POLY_MODE).n_terms() == terms <= MAX_POWER_TERMS
+
+    def test_estimate_bounds_every_small_product(self):
+        texts = ["x", "x+1", "x+y", "x*y+1", "x^2+y+z", "(x+y)^2+z", "3", "0", "x*y*z-x+2",
+                 "(w+x+1)^3"]
+        for a in texts:
+            for b in texts:
+                p, q = parse_poly(a, POLY_MODE), parse_poly(b, POLY_MODE)
+                assert expr._product_terms(p, q) >= (p * q).n_terms(), (a, b)
+
+    def test_estimate_is_exact_on_dense_factors(self):
+        for v in range(1, 4):
+            base = sum((eta(f"x{i}") for i in range(v)), Poly.one())
+            for i in range(5):
+                for j in range(5):
+                    want = math.comb(i + j + v, v)
+                    assert expr._product_terms(base ** i, base ** j) == want
+                    assert (base ** i * base ** j).n_terms() == want
+
+
 class TestSeriesLiterals:
     def test_basic(self):
         assert parse_series_literal("[1, 1/2, -3]") == (Fraction(1), Fraction(1, 2), Fraction(-3))

@@ -553,6 +553,47 @@ class TestComul:
             SeriesOfSeries(((F(1), F(2)), (F(1),)))
 
 
+class TestSeriesOfSeries:
+    """The grid's value semantics, pinned apart from how the class is
+    written: normalised to tuples, compared and hashed by grid, immutable."""
+
+    def test_grid_normalised_to_tuples(self):
+        s = SeriesOfSeries([[F(1), F(2)], (F(3), F(4))])
+        assert s.grid == ((F(1), F(2)), (F(3), F(4)))
+        assert type(s.grid) is tuple and all(type(r) is tuple for r in s.grid)
+        assert s.column(1) == (F(2), F(4))
+        assert s.row_series(1) == series(3, 4)
+
+    def test_equality_and_hash(self):
+        a = SeriesOfSeries([[1, 2], [3, 4]])
+        b = SeriesOfSeries(((1, 2), (3, 4)))
+        c = SeriesOfSeries(((1, 2), (3, 5)))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and a != a.grid
+        assert len({a, b, c}) == 2
+        assert repr(a) == "SeriesOfSeries(grid=((1, 2), (3, 4)))"
+
+    def test_immutable(self):
+        s = SeriesOfSeries(((1,),))
+        with pytest.raises(AttributeError):
+            s.grid = ((2,),)
+        with pytest.raises(AttributeError):
+            del s.grid
+        with pytest.raises(AttributeError):
+            s.other = 1
+        assert s.grid == ((1,),)
+
+    def test_copies_are_equal(self):
+        s = comul(series(1, 2, 3, 4), 2)
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert copy.copy(s) == s == copy.deepcopy(s)
+
+    @pytest.mark.parametrize("grid", [(), [(1, 2), (3,)], [(1,), (2, 3)]])
+    def test_ragged_or_empty_grid(self, grid):
+        with pytest.raises(ValueError, match="grid must be non-empty and rectangular"):
+            SeriesOfSeries(grid)
+
+
 class TestPsi:
     def test_factorial_rescaling(self):
         f = series(1, 1, 1, 1, 1, flavor=Flavor.POWER)

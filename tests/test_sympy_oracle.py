@@ -1,12 +1,13 @@
-"""Poly arithmetic and series arithmetic checked against SymPy, an
-implementation that shares no code with this package.  Skipped when SymPy
-is not installed."""
+"""Poly arithmetic, series arithmetic and the two derivations the laws run
+on checked against SymPy, an implementation that shares no code with this
+package.  Skipped when SymPy is not installed."""
 
 from fractions import Fraction
 
 import pytest
 
-from diffalg.carriers import POLY_POOL, random_poly
+from diffalg.carriers import POLY_POOL, poly_sharp_carrier, random_diffpoly, random_poly
+from diffalg.free_diff import DVar, d_shift, dvar, natural_map
 from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
@@ -162,3 +163,79 @@ def test_psi(order):
         assert (image.flavor, back.flavor) == (Flavor.HURWITZ, Flavor.POWER)
         assert generating_function(image) == generating_function(f)
         assert generating_function(back) == generating_function(g)
+
+
+# -- the two derivations the laws run on --------------------------------------
+#
+# poly_sharp's derivation is sharp of the cycle w -> x -> y -> z -> w, the
+# vector field x d/dw + y d/dx + z d/dy + w d/dz.  d_shift is d/dt on jet
+# variables: DVar(x, n) stands for the n-th t-derivative of a function x(t).
+# SymPy applies both with its own diff, and the derivative towers are
+# compared up to order TOWER, the laws' n_max.  The shift's towers are
+# compared as expanded expressions in the derivatives of x(t) and y(t); SymPy
+# differentiates those slowly (about 0.3 s a tower), so fewer are drawn.
+
+TOWER = 5
+FIELD = {"w": "x", "x": "y", "y": "z", "z": "w"}  # the image of each variable
+
+
+def sharp_oracle(q):
+    """The vector field applied to a sympy.Poly in GENS."""
+    return sum((q.diff(SYMBOL[v]) * sympy.Poly(SYMBOL[FIELD[v]], *GENS, domain=sympy.QQ)
+                for v in POLY_POOL), sympy.Poly(0, *GENS, domain=sympy.QQ))
+
+
+@pytest.mark.parametrize("p", polys(106, 15))
+def test_sharp_tower(p):
+    want = to_sympy(p)
+    for got in natural_map(poly_sharp_carrier().d, p, TOWER):
+        assert to_sympy(got) == want
+        want = sharp_oracle(want)
+
+
+JET_BASES = ("x", "y")
+JET_ORDER = 2  # random_diffpoly's default max_order
+JET_KEYS = [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + TOWER + 1)]
+# DVar(x, n) as the n-th derivative of x(t): the generators of the jet polynomials
+JETS = [sympy.diff(sympy.Function(v.base)(T), T, v.order) for v in JET_KEYS]
+
+
+def to_jets(p: Poly):
+    """p as a sympy expression in the derivatives JETS."""
+    rep = {}
+    for m, c in p.terms():
+        exps = dict(m)
+        rep[tuple(exps.get(v, 0) for v in JET_KEYS)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(rep, *JETS, domain=sympy.QQ).as_expr()
+
+
+def same(a, b) -> bool:
+    return sympy.expand(a - b) == 0
+
+
+def diffpolys(seed: int, n: int = 8) -> list:
+    rng = SplitMix64(seed)
+    return [random_diffpoly(rng, bases=JET_BASES, max_order=JET_ORDER) for _ in range(n)]
+
+
+def test_jet_conversion():
+    p = dvar("x", 2) * dvar("y") ** 3 + Fraction(1, 2)
+    x, y = sympy.Function("x")(T), sympy.Function("y")(T)
+    assert to_jets(p) == sympy.diff(x, T, 2) * y ** 3 + sympy.Rational(1, 2)
+    assert not same(to_jets(p), to_jets(dvar("x", 1) * dvar("y") ** 3))
+
+
+@pytest.mark.parametrize("p", diffpolys(107))
+def test_shift_tower(p):
+    want = to_jets(p)
+    for got in natural_map(d_shift, p, TOWER):
+        assert same(to_jets(got), want)
+        want = sympy.diff(want, T)
+
+
+@pytest.mark.parametrize("p", diffpolys(108))
+def test_shift_merges_into_the_next_order(p):
+    """Multiplied by x' x'', every term holds a run of consecutive orders,
+    so d_shift bumps factors into their successors."""
+    q = p * dvar("x", 1) * dvar("x", 2)
+    assert same(to_jets(d_shift(q)), sympy.diff(to_jets(q), T))
