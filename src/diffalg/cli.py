@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -36,6 +37,13 @@ if TYPE_CHECKING:  # each verb imports the modules it uses, so start-up follows 
     from . import rota_baxter as rb
 
 SCHEMA = 1
+
+# The most work an eval request may ask for, as _eval_cost counts it:
+# (partial nodes) x (order + 1)^2, for the recursion extends every node
+# one component at a time, each component a sum over the ones before it.
+# X*Y at order 1000 (4 nodes) runs; X^3*Y^3 (16 nodes) runs up to order
+# 558; at order 1000 it would take about 14 times as long as X*Y.
+MAX_EVAL_COST = 5_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -231,6 +239,9 @@ def _cmd_eval(args) -> int:
         raise ParseError("empty environment", 1, frozenset({"series object"}))
     first = next(iter(env.values()))
     order = min(args.order, min(s.order for s in env.values()))
+    if _eval_cost(p, order) > MAX_EVAL_COST:
+        raise ParseError(f"an evaluation of more than {MAX_EVAL_COST} steps", 1,
+                         frozenset({"a lower --order or a smaller polynomial"}))
     oracle = hz.ring_eval(p, {k: s.truncate(order) for k, s in env.items()})
     recursion = hz._components(p, env, order, first.flavor)
     rows = [{"n": n, "recursion": _text(rec), "ring": _text(ring)}
@@ -242,6 +253,15 @@ def _cmd_eval(args) -> int:
             agree = "ok" if r["recursion"] == r["ring"] else "MISMATCH"
             print(f"n={r['n']}: recursion={r['recursion']} ring={r['ring']} [{agree}]")
     return 0
+
+
+def _eval_cost(p: Poly, order: int) -> int:
+    """(partial nodes) x (order + 1)^2 for the recursion of p.  A nonzero
+    iterated partial of p lowers the exponents of some monomial of p, so
+    the nodes number at most the sum over p's monomials of the product of
+    (exponent + 1)."""
+    nodes = sum(math.prod(e + 1 for _, e in m) for m in p._num)
+    return nodes * (order + 1) ** 2
 
 
 def _cmd_series_mul(args) -> int:

@@ -20,7 +20,9 @@ interpreter's recursion limit.  The D applications around a subexpression
 derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
 is 1100, too many).  A power or a product whose result may have more
 than :data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``,
-``(x+y+1)^60*(x+y+1)^60``) is refused before it is multiplied out.
+``(x+y+1)^60*(x+y+1)^60``), or a product one of whose monomials may hold
+more than :data:`MAX_PRODUCT_VARIABLES` distinct variables
+(``x0*x1*...*x1000``), is refused before it is multiplied out.
 Derivative orders are written with primes up to three (x, x', x'',
 x''') and as ``x^(n)`` beyond; both forms parse.  In plain-polynomial
 mode, primes, ``^(n)`` markers, and the D operator are rejected with
@@ -58,6 +60,12 @@ MAX_ORDER = 1000
 # _power_terms and _product_terms bound them: (x+1)^1000 has 1001 terms,
 # (x+y+1)^150 would have 11476 and (x+y+1)^60*(x+y+1)^60 7381.
 MAX_POWER_TERMS = 2000
+
+# The most distinct variables one monomial of a product may hold, as
+# _product_variables bounds them.  Each '*' copies the monomial it extends,
+# so a chain x0*x1*...*xk costs time quadratic in k: x0*...*x3999 takes
+# about 18 times as long to parse as x0*...*x999.
+MAX_PRODUCT_VARIABLES = 1000
 
 
 class _Parser:
@@ -252,9 +260,13 @@ def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
 
 def product(p: Poly, q: Poly, offset: int) -> Poly:
     """p·q, or a ParseError at byte offset, raised before anything is
-    multiplied, if it may have more than MAX_POWER_TERMS terms."""
+    multiplied, if it may have more than MAX_POWER_TERMS terms or a
+    monomial of more than MAX_PRODUCT_VARIABLES variables."""
     if p.n_terms() * q.n_terms() > MAX_POWER_TERMS:  # the estimate is at most this count
         _check_terms(_product_terms(p, q), "product", offset)
+    if _product_variables(p, q) > MAX_PRODUCT_VARIABLES:
+        raise ParseError(f"a product of more than {MAX_PRODUCT_VARIABLES} variables", offset,
+                         frozenset({f"at most {MAX_PRODUCT_VARIABLES} variables in a product"}))
     return p * q
 
 
@@ -279,6 +291,17 @@ def _product_terms(p: Poly, q: Poly) -> int:
     v = len(set(p.variables()).union(q.variables()))
     return min(p.n_terms() * q.n_terms(),
                _binom_capped(p.total_degree() + q.total_degree() + v, v))
+
+
+def _product_variables(p: Poly, q: Poly) -> int:
+    """An upper bound on the distinct variables of a monomial of p·q: the
+    widest monomial of p plus the widest of q or, when that sum is over
+    MAX_PRODUCT_VARIABLES, the variables of p and q together, exact for a
+    product of two monomials."""
+    width = sum(max(map(len, r._num), default=0) for r in (p, q))
+    if width <= MAX_PRODUCT_VARIABLES:
+        return width
+    return min(width, len(set(p.variables()).union(q.variables())))
 
 
 def _binom_capped(n: int, k: int) -> int:

@@ -28,7 +28,9 @@ products, :func:`smul`, :func:`sderive`, truncation, :func:`psi` and
 ``coeffs`` of a result shows ``Fraction``s, built on first read, also
 where the operands held ints; ``==``, hash and ``str`` are those of the
 coefficient tuple.  Polynomial coefficients take the same loops as their
-own numerators over 1.
+own numerators over 1, except that :func:`smul` of two all-``Poly``
+series builds each component with one
+:func:`~diffalg.polynomial.sum_products`.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or coefficient-by-coefficient with the
@@ -49,7 +51,7 @@ from typing import Callable, Mapping
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
 from .lincomb import over_lcm, ratio
-from .polynomial import Poly, evaluate, mono_degree, partial
+from .polynomial import Poly, evaluate, mono_degree, partial, sum_products
 from .scalars import factorial, power
 
 
@@ -200,22 +202,27 @@ def smul(f: Series, g: Series) -> Series:
     """Flavor-dependent convolution; strict about flavor and order.
 
     The k-th summand of Hurwitz component n is weighted by C(n, k), read
-    from Pascal's row n.  The convolution runs on the stored numerators,
-    over the product of the two denominators, and the result is reduced
-    once."""
+    from Pascal's row n (power summands weigh 1).  Over the rationals the
+    convolution runs on the stored numerators, over the product of the two
+    denominators, and the result is reduced once.  When every coefficient
+    of both factors is a :class:`~diffalg.polynomial.Poly`, each component
+    is one :func:`~diffalg.polynomial.sum_products` of its weighted
+    summands, reduced once; other coefficients (a mix of polynomials and
+    scalars) are summed term by term."""
     if f.flavor is not g.flavor:
         raise FlavorMismatch(f"{f.flavor.value} * {g.flavor.value}")
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
     a, b = f._num, g._num
     rows = _pascal_rows(len(a)) if f.flavor is Flavor.HURWITZ else repeat(None)
+    fused = all(isinstance(c, Poly) for c in a + b)
     out = []
     for n, row in zip(range(len(a)), rows):
-        terms = map(operator.mul, a, b[n::-1])
-        if row is not None:
-            terms = map(operator.mul, row, terms)
-        # no 0 + term: on Poly coefficients that is one more add
-        out.append(sum(terms, next(terms)))
+        if fused:
+            out.append(sum_products(zip(row or repeat(1), a, b[n::-1])))
+        else:
+            terms = map(operator.mul, a, b[n::-1])
+            out.append(sum(terms if row is None else map(operator.mul, row, terms)))
     return Series._reduced(out, f._den * g._den, f.flavor)
 
 

@@ -22,7 +22,9 @@ turn variable assignments and linear endomorphisms into derivations.
 :class:`Poly` and :class:`Tensor` are :class:`~diffalg.lincomb.LinComb`
 subclasses: the coefficient representation (integer numerators over one
 denominator, ``float`` and ``bool`` rejected, cancel-on-zero) is decided
-there, once, and the loops below run on its integers.
+there, once, and the loops below run on its integers.  A sum of products,
+such as a coefficient of a Hurwitz product over polynomials, is built by
+:func:`sum_products` in one pass, with one reduction.
 """
 
 from __future__ import annotations
@@ -177,12 +179,7 @@ class Poly(LinComb):
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return LinComb.__mul__(self, other)
-        out: dict[Mono, int] = {}
-        for m1, c1 in self._num.items():
-            for m2, c2 in other._num.items():
-                m = mono_mul(m1, m2)
-                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        return Poly._from_ints(out, self._den * other._den)
+        return Poly._from_ints(_accumulate({}, 1, self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -205,6 +202,35 @@ class Poly(LinComb):
         return " + ".join(parts)
 
 
+def _as_poly(value) -> Poly:
+    """value as a polynomial: scalars are constants."""
+    return value if isinstance(value, Poly) else Poly.const(value)
+
+
+def _accumulate(out: dict, w: int, a: dict, b: dict) -> dict:
+    """Add w times every term product of the numerator dicts a and b into
+    out, the one product loop of Poly.__mul__ and sum_products."""
+    for m1, c1 in a.items():
+        c1 *= w
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return out
+
+
+def sum_products(triples) -> Poly:
+    """sum of w·a·b over (int w, Poly a, Poly b) triples, in one pass: every
+    product is put over the lcm of the a._den·b._den, all term products go
+    into one dict, and the sum is reduced once.  Raises MixedVariables as
+    a * b does."""
+    triples = list(triples)
+    den = math.lcm(*(a._den * b._den for _, a, b in triples))
+    out: dict[Mono, int] = {}
+    for w, a, b in triples:
+        _accumulate(out, w * (den // (a._den * b._den)), a._num, b._num)
+    return Poly._from_ints(out, den)
+
+
 class LinearMap:
     """A map sending variables to polynomials; absent variables map to
     themselves.  Where an operation needs linearity (functorial renaming,
@@ -216,7 +242,7 @@ class LinearMap:
         self._images = {}
         if images:
             for v, p in images.items():
-                self._images[v] = p if isinstance(p, Poly) else Poly.const(p)
+                self._images[v] = _as_poly(p)
 
     def image(self, v) -> Poly:
         return self._images.get(v, Poly.variable(v))
@@ -348,9 +374,7 @@ def substitute(p: Poly, env: Mapping) -> Poly:
 
     def image(v) -> Poly:
         value = env.get(v)
-        if value is None:
-            return Poly.variable(v)
-        return value if isinstance(value, Poly) else Poly.const(value)
+        return Poly.variable(v) if value is None else _as_poly(value)
 
     return evaluate(p, image, Poly.one(), operator.mul, Poly.zero())
 
@@ -420,15 +444,14 @@ def flat(images: Mapping, p: Poly) -> Poly:
         flat(f, p) = sum_i  dp/dx_i · f(x_i).
 
     Every variable of p must have an image; raises
-    :class:`UnboundVariable` otherwise.
+    :class:`UnboundVariable` otherwise, before any partial is taken.  The
+    sum is one :func:`sum_products`.
     """
-    out = Poly.zero()
-    for v in p.variables():
+    names = p.variables()
+    for v in names:
         if v not in images:
             raise UnboundVariable(f"no image for variable {v!r}")
-        image = images[v]
-        out = out + partial(p, v) * (image if isinstance(image, Poly) else Poly.const(image))
-    return out
+    return sum_products((1, partial(p, v), _as_poly(images[v])) for v in names)
 
 
 def sharp(g, p: Poly) -> Poly:

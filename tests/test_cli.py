@@ -93,6 +93,84 @@ class TestEval:
         assert [c["recursion"] for c in data["components"]] == ["1", "2", "3"]
 
 
+def series_env(names, order: int, flavor: str = "hurwitz") -> str:
+    return json.dumps({v: {"flavor": flavor, "coeffs": [str(k % 5 - 2) for k in range(order + 1)]}
+                       for v in names})
+
+
+class TestEvalCost:
+    """An eval request whose cost, (partial nodes) x (order + 1)^2, is over
+    MAX_EVAL_COST exits 2 before the recursion or the ring evaluation runs;
+    the tests count their calls."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each call is recorded and then stopped: passing the bound is all
+        these tests need to see."""
+        from diffalg import hurwitz
+
+        calls = []
+
+        def stop(name):
+            def stopped(*args):
+                calls.append(name)
+                raise self.Reached
+            return stopped
+
+        monkeypatch.setattr(hurwitz, "ring_eval", stop("ring_eval"))
+        monkeypatch.setattr(hurwitz, "_components", stop("_components"))
+        return calls
+
+    def main(self, monkeypatch, expr, names, order, *args, flavor="hurwitz"):
+        from diffalg import cli
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(series_env(names, order, flavor)))
+        return cli.main(["eval", expr, "--order", str(order), *args])
+
+    @pytest.mark.parametrize("expr, names, order", [
+        ("X^3*Y^3", "XY", 1000), ("X^3*Y^3", "XY", 559), ("X^4", "X", 1000),
+        ("X*Y*Z", "XYZ", 1000)])
+    def test_refused(self, calls, monkeypatch, capsys, expr, names, order):
+        from diffalg.cli import MAX_EVAL_COST
+
+        assert self.main(monkeypatch, expr, names, order) == 2
+        assert capsys.readouterr().err == (
+            f"error: an evaluation of more than {MAX_EVAL_COST} steps at byte 1 "
+            "(expected: a lower --order or a smaller polynomial)\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("expr, names, order", [
+        ("X^4", "X", 999), ("X*Y", "XY", 1000), ("X^3*Y^3", "XY", 558)])
+    def test_at_the_bound(self, calls, monkeypatch, expr, names, order):
+        with pytest.raises(self.Reached):
+            self.main(monkeypatch, expr, names, order)
+        assert calls == ["ring_eval"]
+
+    @pytest.mark.parametrize("expr, names, order, flavor, fmt", [
+        ("3*X^2*Y - 1/2*X*Y^2 + 7", "XY", 6, "hurwitz", "text"),
+        ("X*Y*Z + 2*X^2*Y - Z^3", "XYZ", 8, "power", "json")])
+    def test_benchmark_requests_run(self, monkeypatch, capsys, expr, names, order, flavor, fmt):
+        """The shapes of the eval requests the cli benchmark makes."""
+        assert self.main(monkeypatch, expr, names, order, "--format", fmt, flavor=flavor) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out)["components"] if fmt == "json" else out.splitlines()
+        assert len(rows) == order + 1
+
+    def test_cost_counts_nodes(self):
+        """X^4 has the partial nodes X^4, 4X^3, 12X^2, 24X and 24; X^3*Y^3
+        the 16 partials X^i*Y^j; a sum adds up the nodes of its monomials."""
+        from diffalg.cli import MAX_EVAL_COST, _eval_cost
+        from diffalg.expr import parse_poly
+
+        cost = [_eval_cost(parse_poly(text, "poly"), order)
+                for text, order in (("X^4", 999), ("X^3*Y^3", 558), ("7", 1000), ("X + Y^2", 9))]
+        assert cost == [5 * 1000 ** 2, 16 * 559 ** 2, 1001 ** 2, 5 * 10 ** 2]
+        assert cost[0] == MAX_EVAL_COST < 16 * 560 ** 2
+
+
 class TestEvalGolden:
     """`eval` stdout frozen byte for byte: the recursion column comes from
     the integer coefficient recursion, the ring column from smul."""

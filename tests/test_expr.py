@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from diffalg.expr import (
     MAX_NESTING,
     MAX_ORDER,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_VARIABLES,
     POLY_MODE,
     parse_poly,
     parse_rational,
@@ -319,6 +321,83 @@ class TestProductBound:
                     want = math.comb(i + j + v, v)
                     assert expr._product_terms(base ** i, base ** j) == want
                     assert (base ** i * base ** j).n_terms() == want
+
+
+def chain(k: int, start: int = 0) -> str:
+    """x(start) * ... * x(start+k-1): one monomial of k distinct variables."""
+    return "*".join(f"x{i}" for i in range(start, start + k))
+
+
+class TestProductVariableBound:
+    """A product one of whose monomials may hold more than
+    MAX_PRODUCT_VARIABLES distinct variables is refused at its '*', before
+    it is taken; each '*' of a chain copies the monomial it extends, so the
+    tests count the products taken, which bound the work."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        original = Poly.__mul__
+
+        def counting(p, q):
+            calls.append(1)
+            return original(p, q)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        return calls
+
+    def test_at_the_bound(self, products):
+        p = parse_poly(chain(MAX_PRODUCT_VARIABLES), POLY_MODE)
+        assert len(p.variables()) == MAX_PRODUCT_VARIABLES
+        assert len(products) == MAX_PRODUCT_VARIABLES - 1
+
+    @pytest.mark.parametrize("extra", [1, 3000])
+    def test_above_the_bound(self, products, extra):
+        """However long the chain, it stops at the first '*' over the bound."""
+        offset = len(chain(MAX_PRODUCT_VARIABLES)) + 1
+        with pytest.raises(ParseError, match=f"a product of more than {MAX_PRODUCT_VARIABLES} "
+                                             f"variables at byte {offset} ") as info:
+            parse_poly(chain(MAX_PRODUCT_VARIABLES + extra), POLY_MODE)
+        assert info.value.offset == offset
+        assert len(products) == MAX_PRODUCT_VARIABLES - 1
+
+    def test_repeated_variables_count_once(self, products):
+        text = f"{chain(MAX_PRODUCT_VARIABLES)}*x0*x7^3*x{MAX_PRODUCT_VARIABLES - 1}"
+        assert len(parse_poly(text, POLY_MODE).variables()) == MAX_PRODUCT_VARIABLES
+
+    def test_product_of_wide_factors(self, products):
+        half = MAX_PRODUCT_VARIABLES // 2 + 1
+        text = f"({chain(half)}) * ({chain(half, half)})"
+        with pytest.raises(ParseError, match=f"at byte {len(chain(half)) + 4} "):
+            parse_poly(text, POLY_MODE)
+        assert len(products) == 2 * (half - 1)
+
+    def test_wide_sums_are_not_wide_monomials(self):
+        """Many variables spread over terms make narrow monomials."""
+        p = parse_poly(f"{linear_sum(1500)}*y", POLY_MODE)
+        assert (p.n_terms(), len(p.variables())) == (1500, 1501)
+        assert expr._product_variables(p, p) == 4
+
+    def test_estimate_bounds_every_small_product(self):
+        texts = ["x", "x+1", "x*y+z", "x*y*z-x+2", "3", "0", "w*x*y*z", "(w+x)^3*y"]
+        for a in texts:
+            for b in texts:
+                p, q = parse_poly(a, POLY_MODE), parse_poly(b, POLY_MODE)
+                assert expr._product_variables(p, q) >= max(map(len, (p * q)._num), default=0)
+
+    def test_cli_operands(self, products, capsys, monkeypatch):
+        """mul reads its first operand from stdin with '-', without a
+        length limit; both the parse and the product are bounded."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(chain(MAX_PRODUCT_VARIABLES + 1)))
+        assert cli.main(["mul", "-", "1"]) == 2
+        offset = len(chain(MAX_PRODUCT_VARIABLES)) + 1
+        assert capsys.readouterr().err == (
+            f"error: a product of more than {MAX_PRODUCT_VARIABLES} variables at byte {offset} "
+            f"(expected: at most {MAX_PRODUCT_VARIABLES} variables in a product)\n")
+        products.clear()
+        assert cli.main(["mul", chain(600), chain(600, 600)]) == 2
+        assert "variables at byte 1 " in capsys.readouterr().err
+        assert len(products) == 2 * 599
 
 
 class TestSeriesLiterals:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_series
+from diffalg.diff_laws import random_fraction
 from diffalg.errors import (
     FlavorMismatch,
     OrderExhausted,
@@ -152,6 +153,52 @@ class TestKernel:
         for _ in range(3):
             a, b = random_diffpoly(rng, 2, max_degree=2), random_diffpoly(rng, 2, max_degree=2)
             assert smul(diamond(d_shift, a, 8), diamond(d_shift, b, 8)) == diamond(d_shift, a * b, 8)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_polynomial_series_match_plain_convolution(self, flavor):
+        """Poly coefficients with mixed denominators, on the sum_products
+        path: each component equals the sum written out term by term."""
+        rng = SplitMix64(67)
+        for order in (0, 1, 4, 8):
+            f, g = (Series(tuple(random_diffpoly(rng, 3, max_degree=2) * random_fraction(rng)
+                                 for _ in range(order + 1)), flavor) for _ in range(2))
+            got = smul(f, g)
+            assert got.coeffs == plain_convolution(f, g)
+            assert all(type(c) is Poly for c in got.coeffs)
+
+    def test_mixed_polynomial_and_scalar_coefficients(self):
+        """A series that mixes Poly and int coefficients keeps the
+        term-by-term path: values and coefficient types are unchanged."""
+        x, y = eta("x"), eta("y")
+        for flavor in Flavor:
+            f, g = Series((1, x, 0), flavor), Series((2, 3, y), flavor)
+            got = smul(f, g)
+            assert got.coeffs == plain_convolution(f, g)
+            assert [type(c) for c in got.coeffs] == [int, Poly, Poly]
+        tower = Series((dvar("x"), 0, 0, 0), Flavor.HURWITZ)
+        got = smul(tower, tower)
+        assert got.coeffs == (dvar("x") ** 2, 0, 0, 0)
+        assert [type(c) for c in got.coeffs] == [Poly] * 4
+
+    @pytest.mark.parametrize("order", [0, 3, 8])
+    def test_one_reduction_per_component(self, order, monkeypatch):
+        """An order-N product of Poly-coefficient series reduces N+1 sums,
+        one per component, not one per summand as a fold would."""
+        rng = SplitMix64(71)
+        f, g = (diamond(d_shift, random_diffpoly(rng, 3, max_degree=2), order)
+                for _ in range(2))
+        reductions = []
+        original = Poly._from_ints.__func__
+
+        def counting(cls, sums, den):
+            reductions.append(len(sums))
+            return original(cls, sums, den)
+
+        monkeypatch.setattr(Poly, "_from_ints", classmethod(counting))
+        got = smul(f, g)
+        monkeypatch.undo()
+        assert len(reductions) == order + 1
+        assert got.coeffs == plain_convolution(f, g)
 
     def test_zero_and_order_zero(self):
         rng = SplitMix64(61)

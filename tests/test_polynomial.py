@@ -1,10 +1,15 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from diffalg import polynomial
 from diffalg.carriers import random_poly
-from diffalg.errors import NonLinearImage, UnboundVariable
+from diffalg.errors import MixedVariables, NonLinearImage, UnboundVariable
+from diffalg.free_diff import dvar
 from diffalg.polynomial import (
     LinearMap,
     Poly,
@@ -21,6 +26,7 @@ from diffalg.polynomial import (
     rename_vars,
     sharp,
     substitute,
+    sum_products,
     unit_poly,
 )
 from diffalg.rng import SplitMix64
@@ -237,6 +243,31 @@ class TestFlatSharp:
         with pytest.raises(UnboundVariable):
             flat({"x": y}, x * y)
 
+    def test_flat_unbound_before_any_partial(self, monkeypatch):
+        """A missing image is reported before any partial is taken, also
+        when the unbound variable sorts last."""
+        taken = []
+        monkeypatch.setattr(polynomial, "partial", lambda p, v: taken.append(v))
+        with pytest.raises(UnboundVariable, match="'z'"):
+            flat({"x": y, "y": x}, x * y * z)
+        assert taken == []
+
+    def test_flat_is_the_fold(self):
+        """flat is one sum_products; it equals the sum of the partials
+        times the images, added one at a time, for Poly and scalar images
+        with mixed denominators."""
+        rng = SplitMix64(23)
+        for _ in range(40):
+            p = random_poly(rng, 5)
+            images = {v: random_poly(rng, 3) if rng.randint(0, 3)
+                      else Fraction(rng.randint(-5, 5), 3) for v in p.variables()}
+            fold = Poly.zero()
+            for v in p.variables():
+                fold = fold + partial(p, v) * images[v]
+            got = flat(images, p)
+            assert got == fold
+            assert canonical(got)
+
     def test_flat_is_derivation(self):
         rng = SplitMix64(17)
         images = {"w": x * y, "x": Poly.const(1), "y": z ** 2, "z": x + y}
@@ -334,3 +365,71 @@ def test_str_canonical_order():
     # terms sort descending on (degree, variable sequence); negative
     # coefficients keep their sign inside " + " joins
     assert str(x - y) == "-1*y + x"
+
+
+def canonical(p: Poly) -> bool:
+    """The integer store: nonzero numerators over a positive den, gcd 1."""
+    return (p._den > 0 and 0 not in p._num.values()
+            and math.gcd(p._den, *p._num.values()) == 1)
+
+
+MONOS = [(), (("x", 1),), (("x", 2),), (("x", 1), ("y", 1)), (("y", 3),), (("y", 1), ("z", 2))]
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+small_polys = st.dictionaries(st.sampled_from(MONOS), fractions, max_size=4).map(Poly)
+triples = st.lists(st.tuples(st.integers(-6, 6), small_polys, small_polys), max_size=6)
+
+
+def fold(triples) -> Poly:
+    """sum of w·a·b, one product, one scaling and one addition at a time."""
+    out = Poly.zero()
+    for w, a, b in triples:
+        out = out + w * (a * b)
+    return out
+
+
+class TestSumProducts:
+    """polynomial.sum_products(triples) is sum of w·a·b, built in one pass
+    over one denominator."""
+
+    @given(triples)
+    def test_equals_the_fold(self, triples):
+        got = sum_products(triples)
+        assert got == fold(triples)
+        assert type(got) is Poly and canonical(got)
+
+    @given(triples)
+    def test_full_cancellation(self, triples):
+        """Each triple against its negation, and against its own weight
+        split over two triples, leaves the canonical zero."""
+        got = sum_products(triples + [(-w, b, a) for w, a, b in triples])
+        assert (got._num, got._den) == ({}, 1)
+        split = triples + [(w, a * 2, b) for w, a, b in triples]
+        assert sum_products(split + [(-3 * w, b, a) for w, a, b in triples]) == 0
+
+    def test_empty_and_zero_weights(self):
+        assert (sum_products([])._num, sum_products([])._den) == ({}, 1)
+        zero = sum_products(iter([(0, x + 1, y * Fraction(1, 3)), (0, x, x)]))
+        assert (zero._num, zero._den) == ({}, 1)
+
+    def test_mixed_denominators(self):
+        F = Fraction
+        a, b, c = x * F(1, 2) + y * F(1, 3), y * F(1, 5) - 1, x * y * F(1, 7)
+        got = sum_products([(3, a, b), (-2, b, c), (1, c, a)])
+        assert got == 3 * a * b - 2 * b * c + c * a
+        assert canonical(got)
+
+    def test_one_product_is_mul(self):
+        rng = SplitMix64(29)
+        for _ in range(30):
+            p, q = random_poly(rng), random_poly(rng)
+            got = sum_products([(1, p, q)])
+            assert (got._num, got._den) == ((p * q)._num, (p * q)._den)
+
+    def test_mixed_variables(self):
+        """A term product of a plain and a derivative variable raises, as
+        Poly.__mul__ does, whatever its weight."""
+        with pytest.raises(MixedVariables):
+            x * dvar("x")
+        for w in (1, 0, -2):
+            with pytest.raises(MixedVariables):
+                sum_products([(1, x, x), (w, x + 1, dvar("x"))])

@@ -8,7 +8,7 @@ import pytest
 
 from diffalg.carriers import POLY_POOL, poly_sharp_carrier, random_diffpoly, random_poly
 from diffalg.free_diff import DVar, d_shift, dvar, natural_map
-from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
+from diffalg.hurwitz import Flavor, Series, diamond, psi, psi_inv, sderive, smul
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
 
@@ -239,3 +239,14 @@ def test_shift_merges_into_the_next_order(p):
     so d_shift bumps factors into their successors."""
     q = p * dvar("x", 1) * dvar("x", 2)
     assert same(to_jets(d_shift(q)), sympy.diff(to_jets(q), T))
+
+
+@pytest.mark.parametrize("a, b", list(zip(diffpolys(109, 3), diffpolys(110, 3))))
+def test_tower_product(a, b):
+    """The Hurwitz product of two d_shift towers, on smul's sum_products
+    path: coefficient n is the n-th t-derivative of a(t)·b(t), the higher
+    Leibniz rule."""
+    want = to_jets(a) * to_jets(b)
+    for got in smul(diamond(d_shift, a, TOWER), diamond(d_shift, b, TOWER)).coeffs:
+        assert same(to_jets(got), want)
+        want = sympy.diff(want, T)
