@@ -13,8 +13,9 @@ Verbs:
 * ``laws``             run every law suite; nonzero exit on any failure
 * ``rb --op ...``      shuffle / product / P / D on JSON input (stdin)
 
-Exit codes: 0 success, 1 law failure, 2 parse or usage error.  All output
-is deterministic given the inputs and --seed.
+Exit codes: 0 success, 1 law failure or a closed stdout, 2 parse or usage
+error.  --format json gives structured output; laws and rb print JSON only.
+All output is deterministic given the inputs and --seed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -86,11 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="run the full law suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    common(p)
 
     p = sub.add_parser("rb", help="shuffle-algebra operations on JSON input")
     p.add_argument("--op", choices=("shuffle", "mul", "P", "D", "raw"), required=True)
-    common(p)
 
     return ap
 
@@ -328,10 +328,17 @@ def main(argv=None) -> int:
             raise ParseError("--order must be a natural number", 1, frozenset({"natural number"}))
         if getattr(args, "trials", 1) < 1:
             raise ParseError("--trials must be at least 1", 1, frozenset({"positive integer"}))
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()
+        return code
     except DiffalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to devnull,
+        # so the flush at exit raises nothing (the recipe of the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ harness compare series only on the intersection of their windows
 
 Storage: a rational series keeps the layout of
 :class:`~diffalg.lincomb.LinComb`, a tuple of int numerators over one
-positive denominator with no common factor, decided once, on the first
-operation on a series from the public constructor.  Sums, scalar
+positive denominator with no common factor, decided once, in the public
+constructor.  A coefficient or a scalar factor is an ``int``, a
+``Fraction`` or an element of another ring (a polynomial); a ``float``,
+``complex``, ``bool`` or ``str`` raises ``TypeError``.  Sums, scalar
 products, :func:`smul`, :func:`sderive`, truncation, :func:`psi` and
 :func:`psi_inv` run on the integers and reduce by one gcd per result.
 ``coeffs`` of a result shows ``Fraction``s, built on first read, also
@@ -64,7 +66,7 @@ class Series:
     """A truncated series: coefficients (a_0, ..., a_N) plus a flavor.
 
     The store (see the module docstring) is ``_num`` over ``_den``, as
-    :func:`~diffalg.lincomb.over_lcm` gives it on the first read of either;
+    :func:`~diffalg.lincomb.over_lcm` gives it in the constructor;
     ``_coeffs`` caches :attr:`coeffs`, and is ``_num`` itself for
     coefficients that are not all rational.  Immutable."""
 
@@ -74,19 +76,14 @@ class Series:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
-        _set(self, "_coeffs", coeffs)
-        _set(self, "flavor", flavor)
-
-    def __getattr__(self, name):
-        """Decide the store of a series from the public constructor; only
-        ``_num`` and ``_den`` are ever missing."""
-        if name not in ("_num", "_den"):
-            raise AttributeError(f"'Series' object has no attribute {name!r}")
-        ints = over_lcm(self._coeffs)
-        num, den = (self._coeffs, 1) if ints is None else (tuple(ints[0]), ints[1])
+        ints = over_lcm(coeffs)
+        if ints is None:  # not all int or Fraction: each must be a ring element
+            coeffs = tuple(map(_exact, coeffs))
+        num, den = (coeffs, 1) if ints is None else (tuple(ints[0]), ints[1])
         _set(self, "_num", num)
         _set(self, "_den", den)
-        return num if name == "_num" else den
+        _set(self, "_coeffs", coeffs)
+        _set(self, "flavor", flavor)
 
     @classmethod
     def _reduced(cls, nums, den: int, flavor: Flavor) -> "Series":
@@ -125,7 +122,7 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._num if self._coeffs is None else self._coeffs) - 1
+        return len(self._num) - 1
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -170,7 +167,7 @@ class Series:
         try:
             a, b = ratio(scalar)
         except TypeError:  # a coefficient of another ring, e.g. a polynomial
-            a, b = scalar, 1
+            a, b = _exact(scalar), 1
         return self._reduced([a * n for n in self._num], self._den * b, self.flavor)
 
     def __mul__(self, other):
@@ -189,6 +186,16 @@ class Series:
 
 
 _set = object.__setattr__  # Series.__setattr__ refuses every assignment
+
+
+def _exact(value):
+    """value, unless it is a number that is not exact (``float``,
+    ``complex``), a ``bool`` or a ``str``: those raise ``TypeError``, as
+    :func:`~diffalg.lincomb.coerce` does for a linear combination."""
+    if isinstance(value, (bool, float, complex, str)):
+        raise TypeError(f"expected an exact rational or a ring element, "
+                        f"got {type(value).__name__}")
+    return value
 
 
 def sunit(order: int, flavor: Flavor) -> Series:

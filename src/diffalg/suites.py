@@ -2,13 +2,17 @@
 flat list of :class:`~diffalg.diff_laws.LawReport` values.
 
 ``run_all(seed, trials)`` is what the command-line ``laws`` verb executes.
-Per-law seeds are successive ``next_u64()`` draws, in a fixed order, from
-one master stream seeded with the base seed, so the full output is
-byte-identical across runs with the same (seed, trials).
+It runs the entries of :func:`law_table` in order.  An entry is a suite,
+called as suite(trials, seed) for a report or a list of reports, and its
+share: the suite runs max(trials // share, 1) trials.  Each entry's seed
+is the next ``next_u64()`` draw from one master stream seeded with the
+base seed, so the full output is byte-identical across runs with the same
+(seed, trials).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import hurwitz as hz
@@ -31,11 +35,11 @@ from .diff_laws import (
     chain_rule_mismatch,
     check_constant_rule,
     check_derivation_monoid,
-    check_faa_di_bruno,
     check_higher_leibniz,
     check_kernel_closure,
     check_leibniz,
     counterexample,
+    faa_di_bruno_mismatch,
     first_failure,
     mismatch,
     pick,
@@ -366,7 +370,7 @@ def faa_di_bruno_suite(c: DiffCarrier, n_max: int, trials: int, seed: int) -> La
     def trial(rng):
         p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 3)
         env = {v: c.sample(rng, 2) for v in FORMAL_VARS[:2]}
-        return check_faa_di_bruno(env, p, n_max, c, seed).counterexample
+        return faa_di_bruno_mismatch(c, p, env, n_max)
 
     return run_trials(f"faa_di_bruno[{c.name}]", trials, seed, trial)
 
@@ -374,45 +378,34 @@ def faa_di_bruno_suite(c: DiffCarrier, n_max: int, trials: int, seed: int) -> La
 # -- everything ---------------------------------------------------------------
 
 
-def run_all(seed: int, trials: int) -> list[LawReport]:
-    """Every law suite in a fixed order, each with its own seed drawn from
-    one master stream."""
-    master = SplitMix64(seed)
-
-    def s() -> int:
-        return master.next_u64()
-
-    reports: list[LawReport] = []
-    reports.extend(check_codifferential_axioms(trials, s()))
-
-    ring_carriers = (poly_sharp_carrier(), diffpoly_carrier(),
-                     hurwitz_carrier(), power_carrier())
-    for c in ring_carriers:
-        reports.append(check_constant_rule(c, 1, s()))
-        reports.append(check_leibniz(c, trials, s()))
-        reports.append(check_higher_leibniz(c, 5, trials, s()))
-        reports.append(chain_rule_suite(c, trials, s()))
-        reports.append(faa_di_bruno_suite(c, 5, trials, s()))
-        reports.append(check_kernel_closure(c, trials, s()))
-
-    dp = diffpoly_carrier()
-    reports.append(check_derivation_monoid(dp, dp.d, dp.d, max(trials // 4, 1), s()))
-    hw = hurwitz_carrier()
-    reports.append(check_derivation_monoid(hw, hw.d, hw.d, max(trials // 4, 1), s()))
-
+def law_table() -> list:
+    """The (suite, share) entries of :func:`run_all` in report order (see
+    the module docstring); the four ring carriers run the same six laws.
+    Built per call, so an entry holds each function as its module binds it
+    then, also one rebound after import."""
+    ring = (poly_sharp_carrier(), diffpoly_carrier(), hurwitz_carrier(), power_carrier())
+    per_carrier = ((check_constant_rule,), (check_leibniz,), (check_higher_leibniz, 5),
+                   (chain_rule_suite,), (faa_di_bruno_suite, 5), (check_kernel_closure,))
     rbc = rota_baxter_carrier()
-    reports.append(check_constant_rule(rbc, 1, s()))
-    reports.append(check_leibniz(rbc, trials, s()))
-    reports.append(check_kernel_closure(rbc, trials, s()))
-    reports.append(rb.check_rota_baxter(trials, s()))
-    reports.append(check_rb_incompatibility(trials, s()))
-    reports.append(check_shuffle_counts(4, s()))
+    return ([(check_codifferential_axioms, 1)]
+            + [(functools.partial(law, c, *args), 1) for c in ring for law, *args in per_carrier]
+            + [(functools.partial(check_derivation_monoid, c, c.d, c.d), 4)
+               for c in ring[1:3]]  # diffpoly and hurwitz
+            + [(functools.partial(law, rbc), 1)
+               for law in (check_constant_rule, check_leibniz, check_kernel_closure)]
+            + [(rb.check_rota_baxter, 1), (check_rb_incompatibility, 1),
+               (lambda trials, seed: check_shuffle_counts(4, seed), 1),
+               (check_shift_oracle, 1), (check_monad_laws, 2), (check_extend_morphism, 1),
+               (check_eval_recursions, 2), (check_eval_pointwise, 2), (check_psi_laws, 1),
+               (check_comonad_laws, 2)])
 
-    reports.append(check_shift_oracle(trials, s()))
-    reports.extend(check_monad_laws(max(trials // 2, 1), s()))
-    reports.append(check_extend_morphism(trials, s()))
-    reports.extend(check_eval_recursions(max(trials // 2, 1), s()))
-    reports.extend(check_eval_pointwise(max(trials // 2, 1), s()))
-    reports.extend(check_psi_laws(trials, s()))
-    reports.extend(check_comonad_laws(max(trials // 2, 1), s()))
+
+def run_all(seed: int, trials: int) -> list[LawReport]:
+    """Every entry of :func:`law_table` in order, each with its own seed
+    drawn from one master stream."""
+    master = SplitMix64(seed)
+    reports: list[LawReport] = []
+    for suite, share in law_table():
+        out = suite(max(trials // share, 1), master.next_u64())
+        reports.extend(out if isinstance(out, list) else [out])
     return reports

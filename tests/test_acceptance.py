@@ -2,6 +2,7 @@
 rational equality throughout (zero tolerance).  One printed line per
 criterion."""
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -37,6 +38,8 @@ from diffalg.suites import (
 
 SEED = 2024
 CLI = (sys.executable, "-m", "diffalg.cli")
+# The stdout of `laws --seed 42` at its default 100 trials: 52 report lines.
+LAWS_SEED42_TRIALS100_SHA256 = "87fdae1aa2029763fb74fcfdb080c2dda44e36ec2c7e6882228a8efa97922082"
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = ""):
@@ -149,11 +152,15 @@ def test_criterion_10_cli_golden():
                          capture_output=True, text=True)
     laws = subprocess.run(CLI + ("laws", "--seed", "42"),
                           capture_output=True, text=True)
+    laws_sha = hashlib.sha256(laws.stdout.encode()).hexdigest()
     ok = (
         diff.returncode == 0 and diff.stdout == "2*x'^2 + 2*x*x''\n"
         and psi.returncode == 0 and psi.stdout == "[1,1,2,6]\n"
         and laws.returncode == 0
         and all(json.loads(line)["pass"] for line in laws.stdout.splitlines())
+        and laws_sha == LAWS_SEED42_TRIALS100_SHA256
     )
-    _criterion(10, "CLI golden outputs byte-exact; laws --seed 42 exits 0", ok,
-               f"diff={diff.stdout!r} psi={psi.stdout!r} laws_rc={laws.returncode}")
+    _criterion(10, "CLI golden outputs byte-exact; laws --seed 42 exits 0 with "
+                   "its 100-trial reports frozen byte for byte", ok,
+               f"diff={diff.stdout!r} psi={psi.stdout!r} laws_rc={laws.returncode} "
+               f"laws_sha256={laws_sha}")

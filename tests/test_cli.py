@@ -316,6 +316,25 @@ class TestErrors:
         r = run_cli("rb", "--op", "P", stdin="this is not json")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("args", [("laws", "--trials", "1"), ("rb", "--op", "P")],
+                             ids=["laws", "rb"])
+    def test_format_is_not_an_option_of_json_verbs(self, args):
+        """laws and rb always print JSON; --format would be ignored, so it
+        is a usage error."""
+        r = run_cli(*args, "--format", "text", stdin="{}")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --format text" in r.stderr
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """The reader closes stdout before the verb prints (the verb waits
+        for its expression on stdin until then): exit 1, nothing on stderr."""
+        p = subprocess.Popen(CLI + ("diff", "-"), stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        p.stdout.close()
+        _, err = p.communicate(b"x^2", timeout=CLI_TIMEOUT_S)
+        assert p.returncode == 1
+        assert err == b""
+
     def test_flavor_conflict_exits_2(self):
         r = run_cli("psi", "[1,1]", "--from", "power", "--to", "power")
         assert r.returncode == 2

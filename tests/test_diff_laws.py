@@ -19,14 +19,14 @@ from diffalg.carriers import (
 )
 from diffalg.diff_laws import (
     SKIP,
-    check_chain_rule,
+    chain_rule_mismatch,
     check_constant_rule,
     check_derivation_monoid,
-    check_faa_di_bruno,
     check_higher_leibniz,
     check_kernel_closure,
     check_leibniz,
     eval_in_carrier,
+    faa_di_bruno_mismatch,
     run_trials,
 )
 from diffalg.errors import UnboundVariable
@@ -38,6 +38,8 @@ from diffalg.suites import (
     check_eval_pointwise,
     check_eval_recursions,
     faa_di_bruno_suite,
+    law_table,
+    run_all,
 )
 
 BROKEN_GOLDEN = Path(__file__).resolve().parent / "data" / "broken_carriers_seed42.txt"
@@ -100,40 +102,39 @@ class TestChainRule:
     def test_product_reduces_to_leibniz(self):
         c = diffpoly_carrier()
         env = {"X": dvar("x") ** 2, "Y": dvar("y", 1)}
-        assert check_chain_rule(env, eta("X") * eta("Y"), c).passed
+        assert chain_rule_mismatch(c, eta("X") * eta("Y"), env) is None
 
     def test_power_rule_by_hand(self):
         c = diffpoly_carrier()
         env = {"X": dvar("x")}
         p = eta("X") ** 3
-        assert check_chain_rule(env, p, c).passed
+        assert chain_rule_mismatch(c, p, env) is None
         # and the actual value: D(x^3) = 3 x^2 x'
         assert c.d(eval_in_carrier(c, p, env)) == 3 * dvar("x") ** 2 * dvar("x", 1)
 
     def test_constant(self):
-        assert check_chain_rule({}, Poly.one(), diffpoly_carrier()).passed
+        assert chain_rule_mismatch(diffpoly_carrier(), Poly.one(), {}) is None
 
     def test_unbound(self):
         with pytest.raises(UnboundVariable):
-            check_chain_rule({}, eta("X"), diffpoly_carrier())
+            chain_rule_mismatch(diffpoly_carrier(), eta("X"), {})
 
 
 class TestFaaDiBruno:
     def test_square_by_hand(self):
         # p = X^2 at a = x: D^2(x^2) = 2 x x'' + 2 x'^2
         c = diffpoly_carrier()
-        rep = check_faa_di_bruno({"X": dvar("x")}, eta("X") ** 2, 2, c)
-        assert rep.passed
+        assert faa_di_bruno_mismatch(c, eta("X") ** 2, {"X": dvar("x")}, 2) is None
         value = eval_in_carrier(c, eta("X") ** 2, {"X": dvar("x")})
         assert c.d(c.d(value)) == 2 * dvar("x") * dvar("x", 2) + 2 * dvar("x", 1) ** 2
 
     def test_linear_polynomial_trivial(self):
         c = diffpoly_carrier()
-        assert check_faa_di_bruno({"X": dvar("x") * dvar("y")}, eta("X"), 4, c).passed
+        assert faa_di_bruno_mismatch(c, eta("X"), {"X": dvar("x") * dvar("y")}, 4) is None
 
     def test_constant_polynomial(self):
         c = diffpoly_carrier()
-        assert check_faa_di_bruno({}, Poly.const(Fraction(7, 2)), 3, c).passed
+        assert faa_di_bruno_mismatch(c, Poly.const(Fraction(7, 2)), {}, 3) is None
 
     def test_agrees_with_chain_rule_at_base(self):
         # the first clause of the higher-order chain rule is the chain rule
@@ -142,12 +143,21 @@ class TestFaaDiBruno:
         for _ in range(10):
             env = {"X": c.sample(rng, 2), "Y": c.sample(rng, 2)}
             p = eta("X") ** 2 * eta("Y") + eta("Y")
-            assert check_faa_di_bruno(env, p, 1, c).passed == \
-                check_chain_rule(env, p, c).passed
+            assert (faa_di_bruno_mismatch(c, p, env, 1) is None) == \
+                (chain_rule_mismatch(c, p, env) is None)
 
     def test_unbound(self):
         with pytest.raises(UnboundVariable):
-            check_faa_di_bruno({}, eta("X"), 2, diffpoly_carrier())
+            faa_di_bruno_mismatch(diffpoly_carrier(), eta("X"), {}, 2)
+
+    def test_counterexample_at_the_first_failing_order(self):
+        # squaring is no derivation: D(x^2) = x^4, against 2 x · D(x) = 2 x^3
+        ce = faa_di_bruno_mismatch(broken_squaring_carrier(), eta("X") ** 2, {"X": dvar("x")}, 3)
+        assert ce == {"n": "0", "p": "X^2", "lhs": "x^4", "rhs": "2*x^3"}
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            faa_di_bruno_mismatch(diffpoly_carrier(), eta("X"), {"X": dvar("x")}, -1)
 
 
 class TestKernelClosure:
@@ -285,6 +295,51 @@ class TestRunTrials:
     def test_rejects_no_trials(self, trials):
         with pytest.raises(ValueError):
             run_trials("law", trials, 7, lambda rng: None)
+
+
+CARRIER_LAWS = ("constant_rule", "leibniz", "higher_leibniz", "chain_rule", "faa_di_bruno",
+                "kernel_closure")
+# The report names of run_all, in order.
+LAW_ORDER = (
+    ["axiom_constant", "axiom_linear", "axiom_leibniz", "axiom_chain", "axiom_interchange"]
+    + [f"{law}[{c}]" for c in ("poly_sharp", "diffpoly", "hurwitz", "power")
+       for law in CARRIER_LAWS]
+    + ["derivation_monoid[diffpoly]", "derivation_monoid[hurwitz]",
+       "constant_rule[rota_baxter]", "leibniz[rota_baxter]", "kernel_closure[rota_baxter]",
+       "rota_baxter_identity", "rb_derivation_kills_P", "shuffle_term_count",
+       "shift_matches_sharp", "monad_left_unit", "monad_right_unit", "monad_associativity",
+       "extend_commutes_with_derivation", "omega_matches_hurwitz_ring",
+       "delta_matches_cauchy_ring", "omega_unit_clause", "omega_generator_clause",
+       "omega_product_clause", "psi_round_trip", "psi_multiplicative",
+       "psi_intertwines_derivations", "comonad_counit", "comonad_coassociativity"]
+)
+
+
+class TestLawTable:
+    """The trials each report of run_all runs, at the trial counts where
+    max(trials // share, 1) floors a halved or quartered share to 1."""
+
+    @pytest.mark.parametrize("trials, counts", [
+        (1, [1, 4] + [1] * 34 + [25] + [1] * 15),
+        (2, [1, 4, 2, 2, 2] + [1, 2, 2, 2, 2, 2] * 4 + [1, 1, 1, 2, 2, 2, 2, 25, 2, 1, 1, 1, 2,
+                                                        1, 1, 1, 1, 1, 2, 2, 2, 1, 1]),
+        (3, [1, 4, 3, 3, 3] + [1, 3, 3, 3, 3, 3] * 4 + [1, 1, 1, 3, 3, 3, 3, 25, 3, 1, 1, 1, 3,
+                                                        1, 1, 1, 1, 1, 3, 3, 3, 1, 1]),
+    ])
+    def test_trials_per_report(self, trials, counts):
+        reports = run_all(42, trials)
+        assert [(r.law, r.trials) for r in reports] == list(zip(LAW_ORDER, counts))
+        assert all(r.passed for r in reports)
+
+    def test_one_master_seed_per_entry(self):
+        """The reports of one entry share its seed; entries draw successive
+        seeds from the master stream."""
+        master = SplitMix64(42)
+        seeds = [master.next_u64() for _ in law_table()]
+        reports = run_all(42, 1)
+        entry_of = {s: i for i, s in enumerate(seeds)}
+        assert sorted({entry_of[r.seed] for r in reports}) == list(range(len(seeds)))
+        assert [entry_of[r.seed] for r in reports] == sorted(entry_of[r.seed] for r in reports)
 
 
 class TestEvalLawMemos:

@@ -272,6 +272,26 @@ class TestStore:
             d = Series((F(1, 2), 0), flavor)
             assert c == d and hash(c) == hash(d) and len({c, d}) == 1
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, 1j, "ab"],
+                             ids=["float", "integral_float", "true", "false", "complex", "str"])
+    def test_inexact_coefficients_and_scalars_refused(self, bad):
+        """A float, complex, bool or str is neither an exact rational nor a
+        ring element: as a coefficient or a scalar it raises TypeError."""
+        s = Series((1, 2, 3), Flavor.HURWITZ)
+        with pytest.raises(TypeError):
+            Series((F(1, 2), bad), Flavor.HURWITZ)
+        with pytest.raises(TypeError):
+            s * bad
+        with pytest.raises(TypeError):
+            bad * s
+
+    def test_exact_scalars_and_polynomials_kept(self):
+        s, x = Series((1, 2, 3), Flavor.HURWITZ), eta("x")
+        assert (s * 2).coeffs == (2, 4, 6) and (2 * s).coeffs == (2, 4, 6)
+        assert (s * F(1, 2)).coeffs == (F(1, 2), 1, F(3, 2))
+        assert (x * s).coeffs == (s * x).coeffs == (x, 2 * x, 3 * x)
+        assert Series((x, F(1, 2), 3), Flavor.POWER).order == 2
+
     def test_immutable(self):
         s = Series((1, F(1, 2)), Flavor.HURWITZ)
         for name in ("coeffs", "flavor", "_num", "_den", "order", "extra"):
