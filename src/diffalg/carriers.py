@@ -18,7 +18,7 @@ from . import hurwitz as hz
 from . import rota_baxter as rb
 from .diff_laws import DiffCarrier, pick, random_fraction, sample_poly
 from .free_diff import DVar, d_shift
-from .polynomial import LinearMap, Poly, sharp
+from .polynomial import LinearMap, Poly, sharp, sum_products
 from .rng import SplitMix64
 
 POLY_POOL = ("w", "x", "y", "z")
@@ -64,6 +64,7 @@ def poly_sharp_carrier() -> DiffCarrier:
         d=lambda p: sharp(cycle, p),
         sample=lambda rng, size: random_poly(rng, size),
         sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
+        sum_products=sum_products,
     )
 
 
@@ -79,6 +80,7 @@ def diffpoly_carrier() -> DiffCarrier:
         d=d_shift,
         sample=lambda rng, size: random_diffpoly(rng, size),
         sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
+        sum_products=sum_products,
     )
 
 
@@ -98,6 +100,7 @@ def _series_carrier(name: str, flavor: hz.Flavor, order: int) -> DiffCarrier:
         sample=lambda rng, size: random_series(rng, order, flavor),
         eq=lambda a, b: a.window_eq(b),
         sample_kernel=kernel,
+        sum_products=hz.sum_smul,
     )
 
 

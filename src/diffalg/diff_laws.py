@@ -74,7 +74,9 @@ class DiffCarrier:
     ``sample(rng, size)`` draws a random element of bounded complexity;
     ``eq`` is the comparison the laws are checked under (series carriers
     restrict it to the shared truncation window); ``sample_kernel``, when
-    present, draws elements with D = 0.
+    present, draws elements with D = 0; ``sum_products``, when present,
+    builds a nonempty sum of products in one pass (see
+    :func:`sum_of_products`).
     """
 
     name: str
@@ -87,6 +89,7 @@ class DiffCarrier:
     sample: Callable  # (SplitMix64, int) -> elem
     eq: Callable = operator.eq
     sample_kernel: Callable | None = None
+    sum_products: Callable | None = None  # [(int, elem, elem), ...] -> elem
 
 
 def random_fraction(rng: SplitMix64) -> Fraction:
@@ -135,6 +138,19 @@ def eval_in_carrier(c: DiffCarrier, p: Poly, env: Mapping):
         return env[v]
 
     return evaluate(p, value, c.one, c.mul, c.zero, c.add, c.scale)
+
+
+def sum_of_products(c: DiffCarrier, triples):
+    """The sum of w·a·b over (int w, a, b) triples, each law's right-hand
+    side: c.sum_products of a nonempty sum, else the fold of c.add,
+    c.scale and c.mul from c.zero, whose value and window it keeps."""
+    triples = list(triples)
+    if triples and c.sum_products is not None:
+        return c.sum_products(triples)
+    total = c.zero
+    for w, a, b in triples:
+        total = c.add(total, c.scale(Fraction(w), c.mul(a, b)))
+    return total
 
 
 def counterexample(inputs: Mapping, lhs, rhs) -> dict:
@@ -200,7 +216,7 @@ def check_leibniz(c: DiffCarrier, trials: int, seed: int) -> LawReport:
         a = c.sample(rng, 4)
         b = c.sample(rng, 4)
         lhs = c.d(c.mul(a, b))
-        rhs = c.add(c.mul(a, c.d(b)), c.mul(c.d(a), b))
+        rhs = sum_of_products(c, [(1, a, c.d(b)), (1, c.d(a), b)])
         return mismatch({"a": a, "b": b}, lhs, rhs, c.eq)
 
     return run_trials(f"leibniz[{c.name}]", trials, seed, trial)
@@ -220,9 +236,7 @@ def check_higher_leibniz(c: DiffCarrier, n_max: int, trials: int, seed: int) -> 
         for n in range(n_max + 1):
             if n > 0:
                 lhs = c.d(lhs)
-            rhs = c.zero
-            for k in range(n + 1):
-                rhs = c.add(rhs, c.scale(Fraction(binom(n, k)), c.mul(da[k], db[n - k])))
+            rhs = sum_of_products(c, ((binom(n, k), da[k], db[n - k]) for k in range(n + 1)))
             if not c.eq(lhs, rhs):
                 return counterexample({"n": n, "a": a, "b": b}, lhs, rhs)
         return None
@@ -237,9 +251,8 @@ def chain_rule_mismatch(c: DiffCarrier, p: Poly, env: Mapping,
     counterexample."""
     d = c.d if d is None else d
     lhs = d(eval_in_carrier(c, p, env))
-    rhs = c.zero
-    for v in p.variables():
-        rhs = c.add(rhs, c.mul(eval_in_carrier(c, partial(p, v), env), d(env[v])))
+    rhs = sum_of_products(c, ((1, eval_in_carrier(c, partial(p, v), env), d(env[v]))
+                              for v in p.variables()))
     return mismatch({"p": p, **env}, lhs, rhs, c.eq)
 
 
@@ -260,13 +273,9 @@ def faa_di_bruno_mismatch(c: DiffCarrier, p: Poly, env: Mapping, n_max: int) -> 
                       for v in p.variables()}
     for n in range(n_max):
         lhs = c.d(lhs)
-        rhs = c.zero
-        for k in range(n + 1):
-            bc = Fraction(binom(n, k))
-            inner = c.zero
-            for v in p.variables():
-                inner = c.add(inner, c.mul(partial_towers[v][k], towers[v][n - k + 1]))
-            rhs = c.add(rhs, c.scale(bc, inner))
+        row = [binom(n, k) for k in range(n + 1)]
+        rhs = sum_of_products(c, ((w, partial_towers[v][k], towers[v][n - k + 1])
+                                  for k, w in enumerate(row) for v in towers))
         if not c.eq(lhs, rhs):
             return counterexample({"n": n, "p": p}, lhs, rhs)
     return None

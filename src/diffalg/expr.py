@@ -20,9 +20,11 @@ interpreter's recursion limit.  The D applications around a subexpression
 derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
 is 1100, too many).  A power or a product whose result may have more
 than :data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``,
-``(x+y+1)^60*(x+y+1)^60``), or a product one of whose monomials may hold
-more than :data:`MAX_PRODUCT_VARIABLES` distinct variables
-(``x0*x1*...*x1000``), is refused before it is multiplied out.
+``(x+y+1)^60*(x+y+1)^60``), a product of more than
+:data:`MAX_PRODUCT_PAIRS` term pairs (``(x+1)^999*(x+1)^999``), or a
+product one of whose monomials may hold more than
+:data:`MAX_PRODUCT_VARIABLES` distinct variables (``x0*x1*...*x1000``), is
+refused before it is multiplied out.
 Derivative orders are written with primes up to three (x, x', x'',
 x''') and as ``x^(n)`` beyond; both forms parse.  In plain-polynomial
 mode, primes, ``^(n)`` markers, and the D operator are rejected with
@@ -60,6 +62,12 @@ MAX_ORDER = 1000
 # _power_terms and _product_terms bound them: (x+1)^1000 has 1001 terms,
 # (x+y+1)^150 would have 11476 and (x+y+1)^60*(x+y+1)^60 7381.
 MAX_POWER_TERMS = 2000
+
+# The most term pairs p·q may multiply, t·s for t and s terms: it bounds the
+# work of a product whose result is small, as (x+1)^999*(x+1)^999 (10^6
+# products of coefficients of up to 1,000 bits, for 1,999 terms) is.
+# (x+y+1)^20*(x+y+1)^20 is 53,361 pairs.
+MAX_PRODUCT_PAIRS = 100_000
 
 # The most distinct variables one monomial of a product may hold, as
 # _product_variables bounds them.  Each '*' copies the monomial it extends,
@@ -260,10 +268,15 @@ def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
 
 def product(p: Poly, q: Poly, offset: int) -> Poly:
     """p·q, or a ParseError at byte offset, raised before anything is
-    multiplied, if it may have more than MAX_POWER_TERMS terms or a
-    monomial of more than MAX_PRODUCT_VARIABLES variables."""
-    if p.n_terms() * q.n_terms() > MAX_POWER_TERMS:  # the estimate is at most this count
+    multiplied, if it may have more than MAX_POWER_TERMS terms, takes more
+    than MAX_PRODUCT_PAIRS term pairs or may have a monomial of more than
+    MAX_PRODUCT_VARIABLES variables."""
+    pairs = p.n_terms() * q.n_terms()
+    if pairs > MAX_POWER_TERMS:  # the estimate is at most this count
         _check_terms(_product_terms(p, q), "product", offset)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ParseError(f"a product of more than {MAX_PRODUCT_PAIRS} term pairs", offset,
+                             frozenset({f"at most {MAX_PRODUCT_PAIRS} term pairs in a product"}))
     if _product_variables(p, q) > MAX_PRODUCT_VARIABLES:
         raise ParseError(f"a product of more than {MAX_PRODUCT_VARIABLES} variables", offset,
                          frozenset({f"at most {MAX_PRODUCT_VARIABLES} variables in a product"}))

@@ -32,7 +32,8 @@ where the operands held ints; ``==``, hash and ``str`` are those of the
 coefficient tuple.  Polynomial coefficients take the same loops as their
 own numerators over 1, except that :func:`smul` of two all-``Poly``
 series builds each component with one
-:func:`~diffalg.polynomial.sum_products`.
+:func:`~diffalg.polynomial.sum_products`, and a weighted sum of products
+is one :func:`sum_smul`.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or coefficient-by-coefficient with the
@@ -221,16 +222,38 @@ def smul(f: Series, g: Series) -> Series:
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
     a, b = f._num, g._num
+    if not all(isinstance(c, Poly) for c in a + b):
+        return Series._reduced(_convolution(a, b, f.order, f.flavor), f._den * g._den, f.flavor)
     rows = _pascal_rows(len(a)) if f.flavor is Flavor.HURWITZ else repeat(None)
-    fused = all(isinstance(c, Poly) for c in a + b)
-    out = []
-    for n, row in zip(range(len(a)), rows):
-        if fused:
-            out.append(sum_products(zip(row or repeat(1), a, b[n::-1])))
-        else:
-            terms = map(operator.mul, a, b[n::-1])
-            out.append(sum(terms if row is None else map(operator.mul, row, terms)))
+    out = [sum_products(zip(row or repeat(1), a, b[n::-1]))
+           for n, row in zip(range(len(a)), rows)]
     return Series._reduced(out, f._den * g._den, f.flavor)
+
+
+def sum_smul(triples) -> Series:
+    """The sum of w·f·g over a nonempty list of (int w, Series f, Series g)
+    triples of one flavor, with the value and window (the least order of a
+    factor) of the smul_trunc/scale/+ fold: one :func:`_convolution` per
+    pair on the stored numerators, weighted onto the lcm of the
+    f._den·g._den, and one reduction.  Other coefficients as in smul."""
+    flavor = triples[0][1].flavor
+    if any(s.flavor is not flavor for _, f, g in triples for s in (f, g)):
+        raise FlavorMismatch(f"mixed flavors in a {flavor.value} sum")
+    order = min(min(f.order, g.order) for _, f, g in triples)
+    den = math.lcm(*(f._den * g._den for _, f, g in triples))
+    out = [0] * (order + 1)
+    for w, f, g in triples:
+        w *= den // (f._den * g._den)
+        out = [o + w * c for o, c in zip(out, _convolution(f._num, g._num, order, flavor))]
+    return Series._reduced(out, den, flavor)
+
+
+def _convolution(a, b, order: int, flavor: Flavor) -> list:
+    """Components 0, ..., order of the unreduced product of a and b."""
+    if flavor is Flavor.POWER:
+        return [sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
+    return [sum(map(operator.mul, row, map(operator.mul, a, b[n::-1])))
+            for n, row in zip(range(order + 1), _pascal_rows(order + 1))]
 
 
 def _pascal_rows(count: int):

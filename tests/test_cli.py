@@ -487,11 +487,15 @@ class TestTypedInputErrors:
         (("mul", f"{WIDE} * {WIDE}", "1"), None,
          f"a product of more than 2000 terms at byte {len(WIDE) + 2} "
          "(expected: at most 2000 terms in a product)"),
+        (("mul", "(x+1)^999*(x+1)^999", "1"), None,
+         "a product of more than 100000 term pairs at byte 10 "
+         "(expected: at most 100000 term pairs in a product)"),
     ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
             "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
             "expr-digits", "result-digits", "result-digits-json", "superscript-digit",
             "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length",
-            "dense-power", "dense-power-diff", "dense-product", "dense-product-in-one"])
+            "dense-power", "dense-power-diff", "dense-product", "dense-product-in-one",
+            "product-pairs"])
     def test_message(self, args, stdin, message):
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")

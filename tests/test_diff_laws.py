@@ -1,10 +1,14 @@
 import json
+import operator
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffalg import hurwitz
+from diffalg import hurwitz, polynomial
 from diffalg.carriers import (
     broken_carriers,
     broken_identity_carrier,
@@ -19,6 +23,7 @@ from diffalg.carriers import (
 )
 from diffalg.diff_laws import (
     SKIP,
+    DiffCarrier,
     chain_rule_mismatch,
     check_constant_rule,
     check_derivation_monoid,
@@ -28,6 +33,7 @@ from diffalg.diff_laws import (
     eval_in_carrier,
     faa_di_bruno_mismatch,
     run_trials,
+    sum_of_products,
 )
 from diffalg.errors import UnboundVariable
 from diffalg.free_diff import dvar
@@ -386,3 +392,110 @@ class TestEvalLawMemos:
         for report in reports:
             assert not report.passed, report.law
             assert report.counterexample["n"] == str(k), report.to_json()
+
+
+def fold(c, triples):
+    """The sum of w·a·b through the carrier's add, scale and mul alone."""
+    total = c.zero
+    for w, a, b in triples:
+        total = c.add(total, c.scale(Fraction(w), c.mul(a, b)))
+    return total
+
+
+class TestSumOfProducts:
+    """The laws' right-hand sides go through sum_of_products: the ring and
+    series carriers build them with their fused kernel, every other carrier
+    with the add/scale/mul fold, and both give the same element."""
+
+    @pytest.mark.parametrize("carrier", shipped_carriers() + broken_carriers(),
+                             ids=lambda c: c.name)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), weights=st.lists(st.integers(-5, 5), max_size=4))
+    def test_fused_equals_the_fold(self, carrier, seed, weights):
+        """Drawn elements, some derived once or twice (for series a shorter
+        window), give the fold's element, printed the same."""
+        rng = SplitMix64(seed)
+
+        def element():
+            x = carrier.sample(rng, 3)
+            for _ in range(rng.randint(0, 2)):
+                x = carrier.d(x)
+            return x
+
+        triples = [(w, element(), element()) for w in weights]
+        got, want = sum_of_products(carrier, triples), fold(carrier, triples)
+        assert str(got) == str(want)
+        assert carrier.eq(got, want)
+
+    def test_which_carriers_are_fused(self):
+        by_name = {c.name: c.sum_products for c in shipped_carriers() + broken_carriers()}
+        assert by_name == {
+            "poly_sharp": polynomial.sum_products, "diffpoly": polynomial.sum_products,
+            "hurwitz": hurwitz.sum_smul, "power": hurwitz.sum_smul, "rota_baxter": None,
+            "broken_identity": polynomial.sum_products,
+            "broken_squaring": polynomial.sum_products,
+            "broken_unscaled_shift": hurwitz.sum_smul}
+
+    @pytest.mark.parametrize("carrier", shipped_carriers(), ids=lambda c: c.name)
+    def test_empty_sum_is_zero(self, carrier):
+        assert sum_of_products(carrier, []) is carrier.zero
+        assert sum_of_products(carrier, iter(())) is carrier.zero
+
+    def counted(self, c, log):
+        """c with add, scale and mul that log their calls."""
+        def logging(name, f):
+            def call(*args):
+                log.append(name)
+                return f(*args)
+            return call
+
+        return replace(c, add=logging("add", c.add), scale=logging("scale", c.scale),
+                       mul=logging("mul", c.mul))
+
+    def test_carrier_without_kernel_takes_the_fold(self):
+        log = []
+        c = self.counted(DiffCarrier(name="rationals", zero=Fraction(0), one=Fraction(1),
+                                     add=operator.add, mul=operator.mul, scale=operator.mul,
+                                     d=lambda x: Fraction(0), sample=lambda rng, size: 0), log)
+        assert sum_of_products(c, [(2, Fraction(1, 2), 3), (-1, 5, Fraction(1, 5))]) == 2
+        assert log == ["mul", "scale", "add"] * 2
+
+    def test_rota_baxter_takes_the_fold(self):
+        log = []
+        c = self.counted(rota_baxter_carrier(), log)
+        rng = SplitMix64(3)
+        a, b = c.sample(rng, 3), c.sample(rng, 3)
+        assert sum_of_products(c, [(1, a, c.d(b)), (1, c.d(a), b)]) == c.d(c.mul(a, b))
+        assert log.count("add") == 2 and log.count("scale") == 2
+
+    @pytest.mark.parametrize("carrier", [poly_sharp_carrier(), diffpoly_carrier()],
+                             ids=lambda c: c.name)
+    def test_higher_leibniz_trial_is_fused(self, carrier, monkeypatch):
+        """One trial at n_max = 5 builds each of its 6 right-hand sides with
+        one fused call; no polynomial sum is taken, in the carrier's add or
+        in Poly.__add__, while they are built."""
+        fused, adds, inside = [], [], []
+        kernel, poly_add = carrier.sum_products, Poly.__add__
+
+        def counting_kernel(triples):
+            fused.append(len(triples))
+            inside.append(True)
+            try:
+                return kernel(triples)
+            finally:
+                inside.pop()
+
+        def counting_add(p, q):
+            if inside:
+                adds.append("Poly.__add__")
+            return poly_add(p, q)
+
+        def carrier_add(p, q):
+            adds.append("add")
+            return p + q
+
+        c = replace(carrier, sum_products=counting_kernel, add=carrier_add)
+        monkeypatch.setattr(Poly, "__add__", counting_add)
+        assert check_higher_leibniz(c, 5, 1, 7).passed
+        assert fused == [1, 2, 3, 4, 5, 6]
+        assert adds == []

@@ -14,6 +14,7 @@ from diffalg.expr import (
     MAX_NESTING,
     MAX_ORDER,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_VARIABLES,
     POLY_MODE,
     parse_poly,
@@ -248,6 +249,11 @@ def linear_sum(v: int) -> str:
     return "(" + " + ".join(f"x{i}" for i in range(v)) + ")"
 
 
+def powers_of_x(n: int) -> str:
+    """1 + x + ... + x^(n-1): n terms with unit coefficients."""
+    return "(" + " + ".join(f"x^{i}" for i in range(n)) + ")"
+
+
 class TestProductBound:
     """A product whose result may have more than MAX_POWER_TERMS terms is
     refused before it is taken; the tests record the term counts of every
@@ -304,6 +310,27 @@ class TestProductBound:
         """The degree cap lets through products whose counts multiply to
         more than the bound (50 x 50 terms) when their result cannot."""
         assert parse_poly(text, POLY_MODE).n_terms() == terms <= MAX_POWER_TERMS
+
+    def test_pair_bound(self, products):
+        """A product with a small result but more than MAX_PRODUCT_PAIRS
+        term pairs is refused before any pair is multiplied; at the bound
+        it is taken."""
+        wide = powers_of_x(1000)
+        assert parse_poly(f"{wide}*{powers_of_x(MAX_PRODUCT_PAIRS // 1000)}",
+                          POLY_MODE).n_terms() == 1099
+        assert (1000, 100) in products
+        products.clear()
+        with pytest.raises(ParseError, match=f"a product of more than {MAX_PRODUCT_PAIRS} term "
+                                             f"pairs at byte {len(wide) + 1} "):
+            parse_poly(f"{wide}*{powers_of_x(101)}", POLY_MODE)
+        assert (1000, 101) not in products
+
+    def test_pair_bound_cli_operands(self, products, capsys):
+        assert cli.main(["mul", powers_of_x(1000), powers_of_x(101)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a product of more than {MAX_PRODUCT_PAIRS} term pairs at byte 1 "
+            f"(expected: at most {MAX_PRODUCT_PAIRS} term pairs in a product)\n")
+        assert (1000, 101) not in products
 
     def test_estimate_bounds_every_small_product(self):
         texts = ["x", "x+1", "x+y", "x*y+1", "x^2+y+z", "(x+y)^2+z", "3", "0", "x*y*z-x+2",

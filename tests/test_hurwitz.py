@@ -32,6 +32,7 @@ from diffalg.hurwitz import (
     sderive,
     smul,
     smul_trunc,
+    sum_smul,
     sunit,
 )
 from diffalg.polynomial import Poly, eta, partial
@@ -209,6 +210,124 @@ class TestKernel:
             assert smul(f, zero) == zero
             single = smul(Series((F(3, 4),), flavor), Series((F(-2, 3),), flavor))
             assert single.coeffs == (F(-1, 2),)
+
+
+def folded(triples) -> Series:
+    """The sum of w·f·g written as the law harness folds it: smul_trunc,
+    scaling and + from the first weighted product."""
+    products = [Fraction(w) * smul_trunc(f, g) for w, f, g in triples]
+    total = products[0]
+    for p in products[1:]:
+        total = total + p
+    return total
+
+
+@st.composite
+def weighted_triples(draw, kind: str = "mixed"):
+    """1 to 4 (weight, f, g) triples of one flavor, each series of its own
+    order, so the windows and the denominators differ from pair to pair."""
+    flavor = draw(st.sampled_from(list(Flavor)))
+
+    def one():
+        order = draw(st.integers(0, 10))
+        coeffs = st.lists(COEFFICIENTS[kind], min_size=order + 1, max_size=order + 1)
+        return Series(tuple(draw(coeffs)), flavor)
+
+    return [(draw(st.integers(-6, 6)), one(), one()) for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestSumSmul:
+    """sum_smul builds a weighted sum of products in one pass; these pin it
+    to the fold the law harness would run."""
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    @given(data=st.data())
+    def test_matches_the_fold(self, kind, data):
+        triples = data.draw(weighted_triples(kind))
+        got, want = sum_smul(triples), folded(triples)
+        assert got == want and str(got) == str(want)
+        assert got.order == min(min(f.order, g.order) for _, f, g in triples)
+        assert canonical(got)
+
+    def test_window_is_the_shortest_pair(self):
+        f, g = series(1, 2, 3, 4), series(F(1, 3), F(-1, 2), 5)
+        got = sum_smul([(2, f, f), (1, f, g)])
+        assert got.order == 2
+        assert got == 2 * smul(f, f).truncate(2) + smul_trunc(f, g)
+
+    def test_cancellation_and_zero_weights(self):
+        rng = SplitMix64(83)
+        for flavor in Flavor:
+            f, g = random_series(rng, 6, flavor), random_series(rng, 4, flavor)
+            zero = Series((F(0),) * 5, flavor)
+            assert sum_smul([(1, f, g), (-1, g, f)]) == zero
+            assert sum_smul([(0, f, g), (0, f, f)]) == zero
+            assert sum_smul([(3, f, g), (0, f, f)]) == 3 * smul_trunc(f, g)
+            assert canonical(sum_smul([(1, f, g), (-1, g, f)]))
+
+    def test_one_pair_is_smul(self):
+        rng = SplitMix64(89)
+        for flavor in Flavor:
+            for order in (0, 1, 8, 32):
+                f, g = random_series(rng, order, flavor), random_series(rng, order, flavor)
+                assert sum_smul([(1, f, g)]) == smul(f, g)
+                assert sum_smul([(-2, f, g)]) == -2 * smul(f, g)
+
+    def test_one_reduction(self, monkeypatch):
+        """However many pairs, the sum is reduced once."""
+        rng = SplitMix64(97)
+        triples = [(w, random_series(rng, 8, Flavor.HURWITZ), random_series(rng, 8 - w, Flavor.HURWITZ))
+                   for w in range(1, 5)]
+        want = folded(triples)
+        calls = []
+        original = Series._reduced.__func__
+
+        def counting(cls, nums, den, flavor):
+            calls.append(len(nums))
+            return original(cls, nums, den, flavor)
+
+        monkeypatch.setattr(Series, "_reduced", classmethod(counting))
+        got = sum_smul(triples)
+        monkeypatch.undo()
+        assert calls == [5]
+        assert got == want
+
+    def test_mixed_flavors(self):
+        h, p = series(1, 2), series(1, 2, flavor=Flavor.POWER)
+        for triples in ([(1, h, h), (1, p, p)], [(1, h, p)], [(1, h, h), (1, h, p)]):
+            with pytest.raises(FlavorMismatch, match="mixed flavors in a hurwitz sum"):
+                sum_smul(triples)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_polynomial_coefficients(self, flavor):
+        """Coefficients that are not rational take the same loop over
+        denominator 1: Poly coefficients give Poly components, and a mix
+        of Poly and scalar coefficients gives the fold's values and types
+        (a component that is a scalar stays one)."""
+        rng = SplitMix64(101)
+        x, y = dvar("x"), dvar("y")
+        towers = [Series(tuple(random_diffpoly(rng, 3, max_degree=2) * random_fraction(rng)
+                               for _ in range(order + 1)), flavor) for order in (4, 3, 4)]
+        mixed = Series((1, x, F(1, 2), x * y - 3), flavor)
+        for triples in ([(2, towers[0], towers[1]), (-1, towers[2], towers[0])],
+                        [(1, mixed, towers[0]), (3, towers[1], mixed)]):
+            got = sum_smul(triples)
+            assert got.coeffs == folded(triples).coeffs
+            assert all(type(c) is Poly for c in got.coeffs)
+        triples = [(2, mixed, Series((3, 0, y, 0), flavor))]
+        got, want = sum_smul(triples), folded(triples)
+        assert got.coeffs == want.coeffs
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs] == [int] + [Poly] * 3
+
+    def test_smul_strictness_and_values_unchanged(self):
+        f = series(F(1, 2), 2, 3)
+        with pytest.raises(OrderMismatch, match="order 2 \\* order 1"):
+            smul(f, series(1, 2))
+        with pytest.raises(FlavorMismatch, match="hurwitz \\* power"):
+            smul(f, series(1, 2, 3, flavor=Flavor.POWER))
+        assert smul(f, f).coeffs == (F(1, 4), F(2), F(11))
+        assert smul(series(F(1, 2), 2, 3, flavor=Flavor.POWER),
+                    series(F(1, 2), 2, 3, flavor=Flavor.POWER)).coeffs == (F(1, 4), F(2), F(7))
 
 
 def canonical(s: Series) -> bool:

@@ -1,16 +1,33 @@
-"""Poly arithmetic, series arithmetic and the two derivations the laws run
-on checked against SymPy, an implementation that shares no code with this
-package.  Skipped when SymPy is not installed."""
+"""Poly arithmetic, series arithmetic, the two derivations the laws run on
+and both sides of the two derived laws checked against SymPy, an
+implementation that shares no code with this package.  Skipped when SymPy
+is not installed."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffalg.carriers import POLY_POOL, poly_sharp_carrier, random_diffpoly, random_poly
+from diffalg.carriers import (
+    POLY_POOL,
+    diffpoly_carrier,
+    poly_sharp_carrier,
+    random_diffpoly,
+    random_poly,
+)
+from diffalg.diff_laws import (
+    check_higher_leibniz,
+    eval_in_carrier,
+    faa_di_bruno_mismatch,
+    sum_of_products,
+)
 from diffalg.free_diff import DVar, d_shift, dvar, natural_map
 from diffalg.hurwitz import Flavor, Series, diamond, psi, psi_inv, sderive, smul
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
+from diffalg.scalars import binom
 
 sympy = pytest.importorskip("sympy")
 
@@ -250,3 +267,119 @@ def test_tower_product(a, b):
     for got in smul(diamond(d_shift, a, TOWER), diamond(d_shift, b, TOWER)).coeffs:
         assert same(to_jets(got), want)
         want = sympy.diff(want, T)
+
+
+# -- both sides of the two derived laws ---------------------------------------
+#
+# Higher Leibniz and Faà di Bruno on drawn poly_sharp and diffpoly inputs:
+# each side the package builds, the right-hand sides through the carriers'
+# fused sum_products, equals the same side built in SymPy alone.  Both
+# derivations act on SymPy's sparse polynomial ring (sympy.polys.rings) as
+# sums of partials times an image: poly_sharp's sends each variable to the
+# next one of the cycle, and the shift is d/dt over jet symbols, x_n for
+# DVar(x, n), sending x_n to x_(n+1).  (With a dense sympy.Poly in the 18
+# jet generators, one 10-draw test ran past 100 s.)  The inputs reach order
+# JET_ORDER + TOWER, and the jets go one order past that.  Faà di Bruno's p
+# lives in the same ring over the extra generators X1, X2, where SymPy
+# takes its partials and substitutes the carrier elements.
+
+FORMAL = ("X1", "X2")
+JET_KEYS_UP = [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + TOWER + 2)]
+
+
+class Oracle:
+    """A carrier, the variables its drawn elements use, and its derivation
+    in a SymPy ring over the carrier's variables and FORMAL."""
+
+    def __init__(self, carrier, pool, keys, names, image):
+        self.carrier, self.pool, self.keys = carrier, pool, list(keys) + list(FORMAL)
+        self.ring, *gens = sympy.polys.rings.ring(list(names) + list(FORMAL), sympy.QQ)
+        self.gen = dict(zip(self.keys, gens))
+        self.image = {self.gen[v]: self.gen[w] for v, w in image.items()}
+        self.top = [g for g in gens[:len(keys)] if g not in self.image]
+
+    def convert(self, p: Poly):
+        rep = {}
+        for m, c in p.terms():
+            exps = dict(m)
+            rep[tuple(exps.get(v, 0) for v in self.keys)] = sympy.QQ(c.numerator, c.denominator)
+        return self.ring.from_dict(rep)
+
+    def d(self, q):
+        assert all(q.degree(g) <= 0 for g in self.top)  # no jet past the last
+        return sum((q.diff(g) * image for g, image in self.image.items()), self.ring.zero)
+
+    def tower(self, q, order: int = TOWER) -> list:
+        out = [q]
+        for _ in range(order):
+            out.append(self.d(out[-1]))
+        return out
+
+
+ORACLES = {
+    "poly_sharp": Oracle(poly_sharp_carrier(), POLY_POOL, POLY_POOL, POLY_POOL, FIELD),
+    "diffpoly": Oracle(diffpoly_carrier(),
+                       [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + 1)],
+                       JET_KEYS_UP, [f"{v.base}_{v.order}" for v in JET_KEYS_UP],
+                       {DVar(b, n): DVar(b, n + 1)
+                        for b in JET_BASES for n in range(JET_ORDER + TOWER + 1)}),
+}
+
+
+def drawn_polys(variables, max_terms: int, max_degree: int):
+    """Polynomials of 1 to max_terms terms over variables, each of degree
+    at most max_degree, with harness-sized coefficients."""
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+    term = st.tuples(st.lists(st.sampled_from(list(variables)), max_size=max_degree), coeff)
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda terms: sum((Poly.monomial(Counter(vs), c) for vs, c in terms), Poly.zero()))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_higher_leibniz_both_sides(name, data):
+    """D^n(ab) and sum_k C(n,k) D^k(a) D^(n-k)(b), for each n <= TOWER."""
+    o = ORACLES[name]
+    c = o.carrier
+    a, b = (data.draw(drawn_polys(o.pool, 3, 3)) for _ in range(2))
+    lhs = natural_map(c.d, a * b, TOWER)
+    da, db = natural_map(c.d, a, TOWER), natural_map(c.d, b, TOWER)
+    want_lhs = o.tower(o.convert(a) * o.convert(b))
+    oa, ob = o.tower(o.convert(a)), o.tower(o.convert(b))
+    for n in range(TOWER + 1):
+        rhs = sum_of_products(c, [(binom(n, k), da[k], db[n - k]) for k in range(n + 1)])
+        want_rhs = sum((binom(n, k) * oa[k] * ob[n - k] for k in range(n + 1)), o.ring.zero)
+        assert o.convert(lhs[n]) == want_lhs[n]
+        assert o.convert(rhs) == want_rhs
+    assert check_higher_leibniz(c, TOWER, 1, 0).passed
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_faa_di_bruno_both_sides(name, data):
+    """D^(n+1)(p(a, b)) and sum_k C(n,k) sum_v D^k(dp/dv(a, b)) D^(n-k+1)(v),
+    for each n < TOWER, with p in X1, X2 evaluated at carrier elements."""
+    o = ORACLES[name]
+    c = o.carrier
+    p = data.draw(drawn_polys(FORMAL, 2, 3))
+    env = {v: data.draw(drawn_polys(o.pool, 2, 2)) for v in FORMAL}
+    at_env = [(o.gen[v], o.convert(a)) for v, a in env.items()]
+    formal = o.convert(p)
+
+    lhs = natural_map(c.d, eval_in_carrier(c, p, env), TOWER)
+    want_lhs = o.tower(formal.compose(at_env))
+    names = p.variables()
+    towers = {v: natural_map(c.d, env[v], TOWER) for v in names}
+    partials = {v: natural_map(c.d, eval_in_carrier(c, partial(p, v), env), TOWER) for v in names}
+    o_towers = {v: o.tower(o.convert(env[v])) for v in names}
+    o_partials = {v: o.tower(formal.diff(o.gen[v]).compose(at_env)) for v in names}
+    for n in range(TOWER):
+        rhs = sum_of_products(c, [(binom(n, k), partials[v][k], towers[v][n - k + 1])
+                                  for k in range(n + 1) for v in names])
+        want_rhs = sum((binom(n, k) * o_partials[v][k] * o_towers[v][n - k + 1]
+                        for k in range(n + 1) for v in names), o.ring.zero)
+        assert o.convert(lhs[n + 1]) == want_lhs[n + 1]
+        assert o.convert(rhs) == want_rhs
+    assert faa_di_bruno_mismatch(c, p, env, TOWER) is None
