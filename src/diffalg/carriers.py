@@ -41,8 +41,16 @@ def random_series(rng: SplitMix64, order: int, flavor: hz.Flavor) -> hz.Series:
     return hz.Series(tuple(random_fraction(rng) for _ in range(order + 1)), flavor)
 
 
-def _poly_scale(c: Fraction, p):
-    return c * p
+def _poly_carrier(name: str, d, sample) -> DiffCarrier:
+    return DiffCarrier(
+        name=name,
+        zero=Poly.zero(),
+        one=Poly.one(),
+        d=d,
+        sample=sample,
+        sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
+        sum_products=sum_products,
+    )
 
 
 def poly_sharp_carrier() -> DiffCarrier:
@@ -54,34 +62,12 @@ def poly_sharp_carrier() -> DiffCarrier:
         "y": Poly.variable("z"),
         "z": Poly.variable("w"),
     })
-    return DiffCarrier(
-        name="poly_sharp",
-        zero=Poly.zero(),
-        one=Poly.one(),
-        add=lambda a, b: a + b,
-        mul=lambda a, b: a * b,
-        scale=_poly_scale,
-        d=lambda p: sharp(cycle, p),
-        sample=lambda rng, size: random_poly(rng, size),
-        sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
-        sum_products=sum_products,
-    )
+    return _poly_carrier("poly_sharp", lambda p: sharp(cycle, p), random_poly)
 
 
 def diffpoly_carrier() -> DiffCarrier:
     """Differential polynomials with the shift derivation."""
-    return DiffCarrier(
-        name="diffpoly",
-        zero=Poly.zero(),
-        one=Poly.one(),
-        add=lambda a, b: a + b,
-        mul=lambda a, b: a * b,
-        scale=_poly_scale,
-        d=d_shift,
-        sample=lambda rng, size: random_diffpoly(rng, size),
-        sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
-        sum_products=sum_products,
-    )
+    return _poly_carrier("diffpoly", d_shift, random_diffpoly)
 
 
 def _series_carrier(name: str, flavor: hz.Flavor, order: int) -> DiffCarrier:
@@ -93,9 +79,7 @@ def _series_carrier(name: str, flavor: hz.Flavor, order: int) -> DiffCarrier:
         name=name,
         zero=0 * hz.sunit(order, flavor),
         one=hz.sunit(order, flavor),
-        add=lambda a, b: a + b,
         mul=hz.smul_trunc,
-        scale=lambda c, s: c * s,
         d=hz.sderive,
         sample=lambda rng, size: random_series(rng, order, flavor),
         eq=lambda a, b: a.window_eq(b),
@@ -126,9 +110,7 @@ def rota_baxter_carrier() -> DiffCarrier:
         name="rota_baxter",
         zero=rb.RBElem.zero(),
         one=rb.RBElem.one(),
-        add=lambda a, b: a + b,
         mul=rb.rb_mul,
-        scale=lambda c, s: c * s,
         d=rb.rb_D,
         sample=lambda rng, size: rb.random_rbelem(rng),
         sample_kernel=kernel,

@@ -22,30 +22,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
-from .expr import (DIFF_MODE, MAX_ORDER, POLY_MODE, parse_poly, parse_rational,
-                   parse_series_literal, product)
+from .expr import (DIFF_MODE, MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, POLY_MODE,
+                   _eval_cost, _shift_terms, _shuffle_words, check_bound, parse_poly,
+                   parse_rational, parse_series_literal, product)
 from .free_diff import d_shift
 from .polynomial import Poly, mono_str
 
 if TYPE_CHECKING:  # each verb imports the modules it uses, so start-up follows the verb
     from . import hurwitz as hz
-    from . import rota_baxter as rb
 
 SCHEMA = 1
-
-# The most work an eval request may ask for, as _eval_cost counts it:
-# (partial nodes) x (order + 1)^2, for the recursion extends every node
-# one component at a time, each component a sum over the ones before it.
-# X*Y at order 1000 (4 nodes) runs; X^3*Y^3 (16 nodes) runs up to order
-# 558; at order 1000 it would take about 14 times as long as X*Y.
-MAX_EVAL_COST = 5_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,17 +187,17 @@ def _series_from_json(env: dict, name: str) -> hz.Series:
     return hz.Series(coeffs, hz.Flavor(flavor))
 
 
-def _rbelem_from_json(payload: dict, key: str) -> rb.RBElem:
-    from . import rota_baxter as rb
+def _rb_terms(payload: dict, key: str) -> list:
+    """The (letters, tail, coeff) terms of the element stored under key."""
     obj = _json_object(_field(payload, key), f'"{key}"')
-    out = rb.RBElem.zero()
+    terms = []
     for t in _json_list(_field(obj, "terms"), dict, '"terms"'):
         tail = _field(t, "tail")
         if not isinstance(tail, str):
             raise MalformedPayload('"tail" must be a string')
-        out = out + rb.RBElem.term(_letters(t, "word"), parse_poly(tail, POLY_MODE),
-                                   _rational(t.get("coeff", 1), '"coeff"'))
-    return out
+        terms.append((_letters(t, "word"), parse_poly(tail, POLY_MODE),
+                      _rational(t.get("coeff", 1), '"coeff"')))
+    return terms
 
 
 def _cmd_diff(args) -> int:
@@ -213,6 +205,7 @@ def _cmd_diff(args) -> int:
         raise ParseError(f"--n must be from 0 to {MAX_ORDER}", 1, frozenset({"natural number"}))
     p = parse_poly(_positional(args.expr), DIFF_MODE)
     for _ in range(args.n):
+        check_bound(_shift_terms(p), MAX_POWER_TERMS, "a derivative", "terms", 1)
         p = d_shift(p)
     _emit_poly(p, args.format)
     return 0
@@ -239,9 +232,8 @@ def _cmd_eval(args) -> int:
         raise ParseError("empty environment", 1, frozenset({"series object"}))
     first = next(iter(env.values()))
     order = min(args.order, min(s.order for s in env.values()))
-    if _eval_cost(p, order) > MAX_EVAL_COST:
-        raise ParseError(f"an evaluation of more than {MAX_EVAL_COST} steps", 1,
-                         frozenset({"a lower --order or a smaller polynomial"}))
+    check_bound(_eval_cost(p, order), MAX_EVAL_COST, "an evaluation", "steps", 1,
+                "a lower --order or a smaller polynomial")
     oracle = hz.ring_eval(p, {k: s.truncate(order) for k, s in env.items()})
     recursion = hz._components(p, env, order, first.flavor)
     rows = [{"n": n, "recursion": _text(rec), "ring": _text(ring)}
@@ -253,15 +245,6 @@ def _cmd_eval(args) -> int:
             agree = "ok" if r["recursion"] == r["ring"] else "MISMATCH"
             print(f"n={r['n']}: recursion={r['recursion']} ring={r['ring']} [{agree}]")
     return 0
-
-
-def _eval_cost(p: Poly, order: int) -> int:
-    """(partial nodes) x (order + 1)^2 for the recursion of p.  A nonzero
-    iterated partial of p lowers the exponents of some monomial of p, so
-    the nodes number at most the sum over p's monomials of the product of
-    (exponent + 1)."""
-    nodes = sum(math.prod(e + 1 for _, e in m) for m in p._num)
-    return nodes * (order + 1) ** 2
 
 
 def _cmd_series_mul(args) -> int:
@@ -298,17 +281,23 @@ def _cmd_laws(args) -> int:
 def _cmd_rb(args) -> int:
     from . import rota_baxter as rb
     payload = _json_payload(_stdin(), "the payload")
+    if args.op == "shuffle":  # the words u and v, as one-term elements with tail 1
+        s, t = ([(_letters(payload, key), Poly.one())] for key in "uv")
+    else:
+        s = _rb_terms(payload, "s")
+        t = _rb_terms(payload, "t") if args.op == "mul" else [([], Poly.one())]
+    check_bound(_shuffle_words(s, t), MAX_POWER_TERMS, "an rb result", "words", 1)
+    s, t = (sum((rb.RBElem.term(*term) for term in terms), rb.RBElem.zero()) for terms in (s, t))
     if args.op == "shuffle":
-        combo = rb.shuffle(_letters(payload, "u"), _letters(payload, "v"))
-        out = {"result": [{"word": _word(w), "coeff": _text(combo[w])} for w in sorted(combo)]}
+        out = {"result": [{"word": _word(w), "coeff": _text(c)}
+                          for (w, _), c in sorted(rb.rb_mul(s, t).terms())]}
     elif args.op == "raw":
-        raw = rb.rb_D_raw(_rbelem_from_json(payload, "s"))
+        raw = rb.rb_D_raw(s)
         out = {"result": [{"word": _word(w), "tail": mono_str(t), "var": str(v),
                            "coeff": _text(raw[(w, t, v)])} for (w, t, v) in sorted(raw)]}
     else:
-        s = _rbelem_from_json(payload, "s")
         if args.op == "mul":
-            elem = rb.rb_mul(s, _rbelem_from_json(payload, "t"))
+            elem = rb.rb_mul(s, t)
         else:
             elem = rb.rb_P(s) if args.op == "P" else rb.rb_D(s)
         out = {"terms": [{"word": _word(w), "tail": mono_str(t), "coeff": _text(c)}

@@ -72,21 +72,22 @@ class DiffCarrier:
     """A ring with a derivation and a seeded element generator.
 
     ``sample(rng, size)`` draws a random element of bounded complexity;
-    ``eq`` is the comparison the laws are checked under (series carriers
-    restrict it to the shared truncation window); ``sample_kernel``, when
-    present, draws elements with D = 0; ``sum_products``, when present,
-    builds a nonempty sum of products in one pass (see
-    :func:`sum_of_products`).
+    ``add``, ``mul`` and ``scale`` default to the elements' own ``+`` and
+    ``*``; ``eq`` is the comparison the laws are checked under (series
+    carriers restrict it to the shared truncation window);
+    ``sample_kernel``, when present, draws elements with D = 0;
+    ``sum_products``, when present, builds a nonempty sum of products in
+    one pass (see :func:`sum_of_products`).
     """
 
     name: str
     zero: object
     one: object
-    add: Callable
-    mul: Callable
-    scale: Callable  # (Fraction, elem) -> elem
     d: Callable
     sample: Callable  # (SplitMix64, int) -> elem
+    add: Callable = operator.add
+    mul: Callable = operator.mul
+    scale: Callable = operator.mul  # (Fraction, elem) -> elem
     eq: Callable = operator.eq
     sample_kernel: Callable | None = None
     sum_products: Callable | None = None  # [(int, elem, elem), ...] -> elem

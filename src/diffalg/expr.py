@@ -14,17 +14,17 @@ reported in text order (``(x+y+1)^150 +`` fails on its power at byte 9,
 not on the missing operand after it).
 
 Whitespace is insignificant.  Parentheses and D applications nest at most
-:data:`MAX_NESTING` levels deep; deeper input is a
-:class:`~diffalg.errors.ParseError`, so no input can exhaust the
-interpreter's recursion limit.  The D applications around a subexpression
-derive it at most :data:`MAX_ORDER` times in total (``D^600(D^500(x))``
-is 1100, too many).  A power or a product whose result may have more
-than :data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``,
-``(x+y+1)^60*(x+y+1)^60``), a product of more than
-:data:`MAX_PRODUCT_PAIRS` term pairs (``(x+1)^999*(x+1)^999``), or a
-product one of whose monomials may hold more than
-:data:`MAX_PRODUCT_VARIABLES` distinct variables (``x0*x1*...*x1000``), is
-refused before it is multiplied out.
+:data:`MAX_NESTING` levels deep, so no input can exhaust the interpreter's
+recursion limit, and derive a subexpression at most :data:`MAX_ORDER` times
+in total (``D^600(D^500(x))`` is 1100, too many).  A power or a product is
+refused before it is multiplied out if its result may have more than
+:data:`MAX_POWER_TERMS` terms (``(x+y+1)^150``, ``(x+y+1)^60*(x+y+1)^60``),
+if it takes more term pairs than :data:`MAX_POWER_PAIRS` or
+:data:`MAX_PRODUCT_PAIRS` allow (``(x+1)^1999``, ``(x+1)^999*(x+1)^999``),
+or if a monomial of a product may hold more than
+:data:`MAX_PRODUCT_VARIABLES` variables (``x0*x1*...*x1000``); a shift is
+refused before it may make more than :data:`MAX_POWER_TERMS` terms
+(``D^40(x^20)``).  Every refusal is a :class:`~diffalg.errors.ParseError`.
 Derivative orders are written with primes up to three (x, x', x'',
 x''') and as ``x^(n)`` beyond; both forms parse.  In plain-polynomial
 mode, primes, ``^(n)`` markers, and the D operator are rejected with
@@ -38,6 +38,7 @@ terms sorted by descending (total degree, variable sequence), joined by
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -48,6 +49,8 @@ from .polynomial import Poly
 
 POLY_MODE = "poly"
 DIFF_MODE = "diffpoly"
+
+# -- input bounds: the limits, their estimators and check_bound, the one refusal --
 
 # Each level of '(' or 'D(' costs the parser five stack frames (nested,
 # expr, term, factor, atom), so this bound keeps parsing well inside the
@@ -69,11 +72,147 @@ MAX_POWER_TERMS = 2000
 # (x+y+1)^20*(x+y+1)^20 is 53,361 pairs.
 MAX_PRODUCT_PAIRS = 100_000
 
+# The most term pairs the square-and-multiply of a power may multiply over all
+# its steps: (x+1)^1000 takes 335,573, (x+1)^1999 (2000 terms, 3 s) 1,341,062.
+MAX_POWER_PAIRS = 400_000
+
+# The most bits the coefficients of a power may have, as power() bounds them: the
+# CLI prints no number above 14,284 bits (4300 digits); (2*x)^15000 has 15,000.
+MAX_POWER_BITS = 100_000
+
 # The most distinct variables one monomial of a product may hold, as
 # _product_variables bounds them.  Each '*' copies the monomial it extends,
 # so a chain x0*x1*...*xk costs time quadratic in k: x0*...*x3999 takes
 # about 18 times as long to parse as x0*...*x999.
 MAX_PRODUCT_VARIABLES = 1000
+
+# The most work an eval request may ask for, as _eval_cost counts it:
+# (partial nodes) x (order + 1)^2, for the recursion extends every node
+# one component at a time, each component a sum over the ones before it.
+# X*Y at order 1000 (4 nodes) runs; X^3*Y^3 (16 nodes) runs up to order
+# 558; at order 1000 it would take about 14 times as long as X*Y.
+MAX_EVAL_COST = 5_000_000
+
+
+def check_bound(size: int, limit: int, what: str, unit: str, offset: int, expected: str = ""):
+    """Refuse a size above limit: the ParseError "{what} of more than {limit} {unit}"
+    at byte offset, expecting "at most {limit} {unit} in {what}" or expected."""
+    if size > limit:
+        raise ParseError(f"{what} of more than {limit} {unit}", offset,
+                         frozenset({expected or f"at most {limit} {unit} in {what}"}))
+
+
+def product(p: Poly, q: Poly, offset: int) -> Poly:
+    """p·q, or a ParseError at byte offset, raised before anything is
+    multiplied, if it may have more than MAX_POWER_TERMS terms, takes more
+    than MAX_PRODUCT_PAIRS term pairs or may have a monomial of more than
+    MAX_PRODUCT_VARIABLES variables."""
+    pairs = p.n_terms() * q.n_terms()
+    if pairs > MAX_POWER_TERMS:  # the estimate is at most this count
+        check_bound(_product_terms(p, q), MAX_POWER_TERMS, "a product", "terms", offset)
+        check_bound(pairs, MAX_PRODUCT_PAIRS, "a product", "term pairs", offset)
+    check_bound(_product_variables(p, q), MAX_PRODUCT_VARIABLES, "a product", "variables", offset)
+    return p * q
+
+
+def power(base: Poly, n: int, offset: int) -> Poly:
+    """base^n, or a ParseError at byte offset, raised before anything is
+    multiplied, if it may have more than MAX_POWER_TERMS terms or coefficients
+    of more than MAX_POWER_BITS bits, or take more than MAX_POWER_PAIRS term
+    pairs in the square-and-multiply of ** ."""
+    check_bound(_power_terms(base, n), MAX_POWER_TERMS, "a power", "terms", offset)
+    top = sum(map(abs, base._num.values())) or 1  # the numerators of base^n are at most top^n
+    bits = n * ((top - 1).bit_length() + (base._den - 1).bit_length())
+    check_bound(bits, MAX_POWER_BITS, "a power", "coefficient bits", offset)
+    pairs, k = 0, 1  # base^k is the power built so far
+    for bit in bin(n)[3:]:
+        pairs += _power_terms(base, k) ** 2
+        k *= 2
+        if bit == "1":
+            pairs += _power_terms(base, k) * base.n_terms()
+            k += 1
+    check_bound(pairs, MAX_POWER_PAIRS, "a power", "term pairs", offset)
+    return base ** n
+
+
+def _power_terms(base: Poly, n: int) -> int:
+    """An upper bound on the number of terms of base^n, where any value
+    above MAX_POWER_TERMS stands for "too many": the monomials of n factors
+    drawn from t terms, at most C(n+t-1, t-1), or of degree at most n·deg
+    in v variables, at most C(n·deg+v, v).  Zero counts as one term."""
+    t, v = max(base.n_terms(), 1), len(base.variables())
+    return min(_binom_capped(n + t - 1, t - 1), _binom_capped(n * base.total_degree() + v, v))
+
+
+def _product_terms(p: Poly, q: Poly) -> int:
+    """The same bound for p·q: the product of the term counts, or C(deg p +
+    deg q + v, v) for the v variables of p and q."""
+    v = len(set(p.variables()).union(q.variables()))
+    return min(p.n_terms() * q.n_terms(),
+               _binom_capped(p.total_degree() + q.total_degree() + v, v))
+
+
+def _product_variables(p: Poly, q: Poly) -> int:
+    """An upper bound on the distinct variables of a monomial of p·q: the
+    widest monomial of p plus the widest of q or, when that sum is over
+    MAX_PRODUCT_VARIABLES, the variables of p and q together, exact for a
+    product of two monomials."""
+    width = sum(max(map(len, r._num), default=0) for r in (p, q))
+    if width <= MAX_PRODUCT_VARIABLES:
+        return width
+    return min(width, len(set(p.variables()).union(q.variables())))
+
+
+def _shuffle_words(s: list, t: list) -> int:
+    """An upper bound, capped as _power_terms is, on the (word, tail) terms of
+    the shuffle product of two sums of (letters, tail, ...) terms: over pairs
+    of terms, their letters' and tails' term counts times the C(j+k, j)
+    interleavings of j and k letters (of repeated letters too); a zero sum is 1."""
+    def expansions(terms) -> list:
+        out = []
+        for letters, tail, *_ in terms:
+            n = tail.n_terms()
+            for letter in letters:
+                n = min(n * letter.n_terms(), MAX_POWER_TERMS + 1)
+            if n:
+                out.append((len(letters), n))
+        return out or [(0, 1)]
+
+    words, right = 0, expansions(t)
+    for j, a in expansions(s):
+        for k, b in right:  # each pair adds at least 1: at most 2001 pairs run
+            words += a * b * _binom_capped(j + k, j)
+            if words > MAX_POWER_TERMS:
+                return words
+    return words
+
+
+def _shift_terms(p: Poly) -> int:
+    """An upper bound on the terms, and the work, of d_shift(p): one for each
+    variable of each monomial."""
+    return sum(map(len, p._num))
+
+
+def _binom_capped(n: int, k: int) -> int:
+    """C(n, k) if it is at most MAX_POWER_TERMS, else some larger number.
+    Step i holds C(n-k+i, i), so the loop stops after at most
+    min(k, n-k, MAX_POWER_TERMS) steps, however large n is."""
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > MAX_POWER_TERMS:
+            break
+    return c
+
+
+def _eval_cost(p: Poly, order: int) -> int:
+    """(partial nodes) x (order + 1)^2 for the recursion of p.  A nonzero
+    iterated partial of p lowers the exponents of some monomial of p, so
+    the nodes number at most the sum over p's monomials of the product of
+    (exponent + 1)."""
+    nodes = sum(math.prod(e + 1 for _, e in m) for m in p._num)
+    return nodes * (order + 1) ** 2
 
 
 class _Parser:
@@ -125,12 +264,10 @@ class _Parser:
             self.i += 1
         if self.i == start:
             self.error({"natural number"})
-        try:
-            return int(self.text[start:self.i])
-        except ValueError:  # more digits than int() reads
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(f"number of more than {limit} digits", self._byte_offset(start),
-                             frozenset({f"at most {limit} digits"})) from None
+        limit = sys.get_int_max_str_digits() or self.i - start  # 0: int() reads any length
+        check_bound(self.i - start, limit, "number", "digits", self._byte_offset(start),
+                    f"at most {limit} digits")
+        return int(self.text[start:self.i])
 
     def ident(self) -> str:
         self.skip_ws()
@@ -180,30 +317,24 @@ class _Parser:
 
     def factor(self) -> Poly:
         p, bare = self.atom()
-        if self.peek() == "^":
-            save = self.i
-            self.i += 1
-            if self.peek() == "(":
-                # derivative-order marker: only valid directly on a plain variable
-                if bare is None:
-                    self.i = save
-                    self.error({"natural number"})
-                self.differential_only("derivative marker", save)
-                self.expect("(")
-                p = self.variable(bare, self.nat())
-                self.expect(")")
-                if self.eat("^"):
-                    p = self.power(p)
-            else:
-                p = self.power(p)
-        return p
-
-    def power(self, base: Poly) -> Poly:
+        if self.peek() != "^":
+            return p
+        save = self.i
+        self.i += 1
+        if self.peek() == "(":
+            # derivative-order marker: only valid directly on a plain variable
+            if bare is None:
+                self.i = save
+                self.error({"natural number"})
+            self.differential_only("derivative marker", save)
+            self.expect("(")
+            p = self.variable(bare, self.nat())
+            self.expect(")")
+            if not self.eat("^"):
+                return p
         self.skip_ws()
         offset = self._byte_offset()
-        n = self.nat()
-        _check_terms(_power_terms(base, n), "power", offset)
-        return base ** n
+        return power(p, self.nat(), offset)
 
     def variable(self, name: str, order: int) -> Poly:
         """In differential mode every variable is a derivative variable."""
@@ -225,18 +356,20 @@ class _Parser:
             name = self.ident()
             if name == "D":
                 self.differential_only("the D operator", start)
-                power = 1
+                n = 1
                 if self.eat("^"):
-                    power = self.nat()
-                if self.order + power > MAX_ORDER:
+                    n = self.nat()
+                if self.order + n > MAX_ORDER:
                     raise ParseError(f"derivative order above {MAX_ORDER}", self._byte_offset(start),
                                      frozenset({f"at most {MAX_ORDER} nested derivatives"}))
                 self.expect("(")
-                self.order += power
+                self.order += n
                 p = self.nested()
-                self.order -= power
+                self.order -= n
                 self.expect(")")
-                for _ in range(power):
+                for _ in range(n):
+                    check_bound(_shift_terms(p), MAX_POWER_TERMS, "a derivative", "terms",
+                                self._byte_offset(start))
                     p = d_shift(p)
                 return p, None
             order = 0
@@ -264,70 +397,6 @@ def parse_poly(text: str, mode: str = DIFF_MODE) -> Poly:
     """The polynomial that text spells, evaluated as it is parsed; the
     first error in text order is raised."""
     return _Parser(text, mode).parse()
-
-
-def product(p: Poly, q: Poly, offset: int) -> Poly:
-    """p·q, or a ParseError at byte offset, raised before anything is
-    multiplied, if it may have more than MAX_POWER_TERMS terms, takes more
-    than MAX_PRODUCT_PAIRS term pairs or may have a monomial of more than
-    MAX_PRODUCT_VARIABLES variables."""
-    pairs = p.n_terms() * q.n_terms()
-    if pairs > MAX_POWER_TERMS:  # the estimate is at most this count
-        _check_terms(_product_terms(p, q), "product", offset)
-        if pairs > MAX_PRODUCT_PAIRS:
-            raise ParseError(f"a product of more than {MAX_PRODUCT_PAIRS} term pairs", offset,
-                             frozenset({f"at most {MAX_PRODUCT_PAIRS} term pairs in a product"}))
-    if _product_variables(p, q) > MAX_PRODUCT_VARIABLES:
-        raise ParseError(f"a product of more than {MAX_PRODUCT_VARIABLES} variables", offset,
-                         frozenset({f"at most {MAX_PRODUCT_VARIABLES} variables in a product"}))
-    return p * q
-
-
-def _check_terms(estimate: int, what: str, offset: int) -> None:
-    if estimate > MAX_POWER_TERMS:
-        raise ParseError(f"a {what} of more than {MAX_POWER_TERMS} terms", offset,
-                         frozenset({f"at most {MAX_POWER_TERMS} terms in a {what}"}))
-
-
-def _power_terms(base: Poly, n: int) -> int:
-    """An upper bound on the number of terms of base^n, where any value
-    above MAX_POWER_TERMS stands for "too many": the monomials of n factors
-    drawn from t terms, at most C(n+t-1, t-1), or of degree at most n·deg
-    in v variables, at most C(n·deg+v, v).  Zero counts as one term."""
-    t, v = max(base.n_terms(), 1), len(base.variables())
-    return min(_binom_capped(n + t - 1, t - 1), _binom_capped(n * base.total_degree() + v, v))
-
-
-def _product_terms(p: Poly, q: Poly) -> int:
-    """The same bound for p·q: the product of the term counts, or C(deg p +
-    deg q + v, v) for the v variables of p and q."""
-    v = len(set(p.variables()).union(q.variables()))
-    return min(p.n_terms() * q.n_terms(),
-               _binom_capped(p.total_degree() + q.total_degree() + v, v))
-
-
-def _product_variables(p: Poly, q: Poly) -> int:
-    """An upper bound on the distinct variables of a monomial of p·q: the
-    widest monomial of p plus the widest of q or, when that sum is over
-    MAX_PRODUCT_VARIABLES, the variables of p and q together, exact for a
-    product of two monomials."""
-    width = sum(max(map(len, r._num), default=0) for r in (p, q))
-    if width <= MAX_PRODUCT_VARIABLES:
-        return width
-    return min(width, len(set(p.variables()).union(q.variables())))
-
-
-def _binom_capped(n: int, k: int) -> int:
-    """C(n, k) if it is at most MAX_POWER_TERMS, else some larger number.
-    Step i holds C(n-k+i, i), so the loop stops after at most
-    min(k, n-k, MAX_POWER_TERMS) steps, however large n is."""
-    k = min(k, n - k)
-    c = 1
-    for i in range(1, k + 1):
-        c = c * (n - k + i) // i
-        if c > MAX_POWER_TERMS:
-            break
-    return c
 
 
 # The literals Fraction(str) reads: an integer, a ratio of integers, or a
@@ -372,9 +441,8 @@ def parse_series_literal(text: str) -> tuple[Fraction, ...]:
     if not inner.strip():
         raise ParseError("series literal needs at least one coefficient", 2,
                          frozenset({"rational"}))
-    if inner.count(",") > MAX_ORDER:
-        raise ParseError(f"series literal of more than {MAX_ORDER + 1} coefficients", 1,
-                         frozenset({f"at most {MAX_ORDER + 1} coefficients"}))
+    check_bound(inner.count(",") + 1, MAX_ORDER + 1, "series literal", "coefficients", 1,
+                f"at most {MAX_ORDER + 1} coefficients")
     out = []
     pos = text.index("[") + 1  # where the current chunk starts in text
     for chunk in inner.split(","):

@@ -192,19 +192,6 @@ def rb_D_raw(s: RBElem) -> dict:
             for (m, v), c2 in derive(Poly._from_ints({t: n}, s._den)).pairs()}
 
 
-def raw_scale(raw: dict, s: RBElem) -> dict:
-    """Multiply a raw tensor by an element on the non-variable slots:
-    (w, t, v) · (w', t') = (w shuffled w', t·t', v), which is :func:`rb_mul`
-    on the (w, t) part of each variable's slot.  Used to state the Leibniz
-    rule for the raw form."""
-    slots: dict = {}
-    for (w, t, v), c in raw.items():
-        slots.setdefault(v, {})[(w, t)] = c
-    return {(w, t, v): c
-            for v, slot in slots.items()
-            for (w, t), c in rb_mul(RBElem(slot), s).terms()}
-
-
 def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
                   max_word: int = 3, max_tail_deg: int = 2) -> RBElem:
     """Seeded random element: up to max_terms terms, words of at most

@@ -1,0 +1,160 @@
+"""Grammar-shaped fuzzing of the input bounds.
+
+Hypothesis writes expression text (nesting, ``D^n``, powers, products,
+variable chains, stray characters) and ``rb`` payloads (long words,
+letters of several terms).  Every input must come back as a value, or be
+refused with a DiffalgError (exit 2 from ``cli.main``); nothing else may
+escape.  The work is counted, not timed: the term pairs multiplied in
+``polynomial._accumulate``, the one product loop, stay within one pair
+limit for each ``*`` or ``^`` of the text, and the words the shuffle
+kernel and the word expansion make stay within ``MAX_POWER_TERMS``.
+``derandomize`` draws the same inputs on every run.
+
+Sums stay narrow and chains short inside the grammar, and the chains at
+the variable bound are drawn on their own: each ``*`` of a chain copies
+every monomial it extends, which no bound weighs, so a wide sum times a
+chain of 1000 variables takes seconds however the bounds are set.
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from diffalg import cli, polynomial, rota_baxter
+from diffalg.errors import DiffalgError, ParseError
+from diffalg.expr import (DIFF_MODE, MAX_POWER_PAIRS, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS,
+                          POLY_MODE, parse_poly)
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=100,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+def linear_sum(v: int) -> str:
+    return "(" + "+".join(f"x{i}" for i in range(v)) + ")"
+
+
+def chain(k: int) -> str:
+    return "*".join(f"v{i}" for i in range(k))
+
+
+atoms = st.one_of(
+    st.sampled_from(["x", "y", "z1", "x'", "y''", "x^(4)", "D", "2", "-3", "1/2", "0", "2/0"]),
+    st.integers(2, 12).map(linear_sum),
+    st.integers(2, 40).map(chain),
+    st.text(alphabet="xyD^()*+-'0123456789/ ", max_size=12),
+)
+exponents = st.one_of(st.integers(0, 9), st.sampled_from([20, 61, 150, 1999, 2000, 10**6]))
+orders = st.one_of(st.integers(0, 3), st.sampled_from([8, 40, 1001]))
+
+
+def extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " * "]), inner).map("".join),
+        st.tuples(inner, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(orders, inner).map(lambda t: f"D^{t[0]}({t[1]})"),
+        inner.map(lambda s: f"({s})"),
+    )
+
+
+texts = st.one_of(
+    st.recursive(atoms, extend, max_leaves=8),
+    st.sampled_from([chain(1001), f"{chain(600)}*{chain(600)}", f"{linear_sum(80)}*{linear_sum(80)}",
+                     f"D^2({chain(1000)})", "((28)^1999)^2000"]),
+)
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    """The term pairs multiplied so far, in the one product loop."""
+    count = [0]
+    original = polynomial._accumulate
+
+    def counting(out, w, a, b):
+        count[0] += len(a) * len(b)
+        return original(out, w, a, b)
+
+    monkeypatch.setattr(polynomial, "_accumulate", counting)
+    return count
+
+
+def run_main(argv, stdin: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2), err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    return code, out.getvalue()
+
+
+@FUZZ
+@given(text=texts, verb=st.sampled_from(["mul", "diff"]))
+def test_text_is_parsed_or_refused_within_the_pair_limits(pairs, text, verb):
+    """mul multiplies the parsed text by its second operand once more."""
+    operations = text.count("*") + text.count("^")
+    limit = max(MAX_POWER_PAIRS, MAX_PRODUCT_PAIRS)
+    for mode in (POLY_MODE, DIFF_MODE):
+        pairs[0] = 0
+        try:
+            parse_poly(text, mode)
+        except ParseError as exc:
+            assert 1 <= exc.offset <= len(text.encode()) + 1
+        except DiffalgError:
+            pass
+        assert pairs[0] <= operations * limit, (text, mode)
+    pairs[0] = 0
+    run_main([verb, "-"] + (["1"] if verb == "mul" else []), text)
+    assert pairs[0] <= (operations + (verb == "mul")) * limit, (text, verb)
+
+
+letters = st.one_of(
+    st.sampled_from(["a", "b", "x*y", "0", "1/2", "x'"]),
+    st.integers(2, 6).map(lambda k: "+".join(f"c{i}" for i in range(k))),
+    st.integers(0, 40).map(lambda i: f"d{i}"),
+)
+words = st.one_of(st.lists(letters, max_size=5), st.lists(letters, min_size=8, max_size=40))
+tails = st.sampled_from(["1", "x", "x+y", "2*x^2*y", "0", linear_sum(50)])
+elements = st.lists(st.fixed_dictionaries({"word": words, "tail": tails}), max_size=3).map(
+    lambda terms: {"terms": terms})
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The words the shuffle kernel and the word expansion return."""
+    count = [0]
+
+    def counting(f):
+        def call(*args):
+            result = f(*args)
+            count[0] += len(result)
+            return result
+        return call
+
+    monkeypatch.setattr(rota_baxter, "shuffle_words", counting(rota_baxter.shuffle_words))
+    monkeypatch.setattr(rota_baxter, "normalize_word", counting(rota_baxter.normalize_word))
+    return count
+
+
+@settings(FUZZ, max_examples=60)
+@given(op=st.sampled_from(["shuffle", "mul", "P", "D", "raw"]), u=words, v=words, s=elements,
+       t=elements)
+def test_rb_payloads_run_or_are_refused_within_the_word_limit(made, op, u, v, s, t):
+    """Each side is expanded once and each pair of terms shuffled once, so
+    the words made stay within the limit on each of the two sides and on
+    their product."""
+    made[0] = 0
+    payload = {"u": u, "v": v} if op == "shuffle" else {"s": s, "t": t}
+    code, out = run_main(["rb", "--op", op], json.dumps(payload))
+    assert made[0] <= 3 * MAX_POWER_TERMS, (op, payload)
+    if code == 0 and op != "raw":
+        result = json.loads(out)
+        assert len(result["result" if op == "shuffle" else "terms"]) <= MAX_POWER_TERMS

@@ -298,6 +298,110 @@ class TestRb:
         ]
 
 
+def letters(k: int, start: int = 0) -> list:
+    """k distinct one-term letters x(start), ..., x(start+k-1)."""
+    return [f"x{i}" for i in range(start, start + k)]
+
+
+def rb_elem(*terms) -> dict:
+    """The JSON element of (word, tail) terms."""
+    return {"terms": [{"word": word, "tail": tail} for word, tail in terms]}
+
+
+class TestRbBound:
+    """An rb request whose result may have more than MAX_POWER_TERMS words
+    exits 2 before any word is expanded or shuffled.  The words are counted
+    as expr._shuffle_words counts them: each term's expansion (the term
+    counts of its letters and tail multiplied) and, for shuffle and mul,
+    the C(j+k, j) interleavings of each pair of terms.  Unbounded, a shuffle
+    of two 10-letter words of distinct letters takes 5.7 s in a CLI process
+    and P of a word of 17 letters x+y 4.4 s, each letter more multiplying
+    that, and a factor that is zero leaves the other to be expanded.  The
+    tests stop the expansion and the shuffle kernel to show that neither
+    runs."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        from diffalg import rota_baxter
+
+        calls = []
+
+        def stop(name):
+            def stopped(*args):
+                calls.append(name)
+                raise self.Reached
+            return stopped
+
+        monkeypatch.setattr(rota_baxter, "normalize_word", stop("normalize_word"))
+        monkeypatch.setattr(rota_baxter, "shuffle_words", stop("shuffle_words"))
+        return calls
+
+    def main(self, monkeypatch, op, payload):
+        from diffalg import cli
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        return cli.main(["rb", "--op", op])
+
+    @pytest.mark.parametrize("op, payload", [
+        ("shuffle", {"u": letters(11), "v": letters(11, 11)}),
+        ("P", {"s": rb_elem((["x+y"] * 20, "1"))}),
+        ("mul", {"s": rb_elem((letters(11), "x")), "t": rb_elem((letters(11, 11), "y"))}),
+        ("D", {"s": rb_elem((["a+b"] * 10, "x+y"))}),
+        ("raw", {"s": rb_elem(([], "+".join(letters(2001))))}),
+        ("P", {"s": rb_elem(*[([], "x")] * 2001)}),
+        ("mul", {"s": rb_elem((["x+y"] * 20, "1")), "t": rb_elem()}),
+        ("shuffle", {"u": ["0"], "v": ["x+y"] * 20}),
+    ], ids=["shuffle-11x11", "P-20-letters", "mul-11x11", "D-2048-words", "raw-wide-tail",
+            "P-many-terms", "mul-by-zero", "shuffle-zero-word"])
+    def test_refused(self, expansions, monkeypatch, capsys, op, payload):
+        from diffalg.expr import MAX_POWER_TERMS
+
+        assert self.main(monkeypatch, op, payload) == 2
+        assert capsys.readouterr().err == (
+            f"error: an rb result of more than {MAX_POWER_TERMS} words at byte 1 "
+            f"(expected: at most {MAX_POWER_TERMS} words in an rb result)\n")
+        assert expansions == []
+
+    @pytest.mark.parametrize("op, payload", [
+        ("P", {"s": rb_elem(([], "+".join(letters(2000))))}),
+        ("shuffle", {"u": ["a0+a1+a2+a3+a4+a5+a6+a7+a8+a9"], "v": letters(199)}),
+        ("mul", {"s": rb_elem((["a+b"] * 4 + ["+".join(letters(125))], "1")),
+                 "t": rb_elem(([], "1"))}),
+    ], ids=["P-2000-terms", "shuffle-10x200", "mul-16x125"])
+    def test_at_the_bound(self, expansions, monkeypatch, op, payload):
+        with pytest.raises(self.Reached):
+            self.main(monkeypatch, op, payload)
+        assert expansions[0] == "normalize_word"
+
+    def test_repeated_letters_are_counted_apart(self, monkeypatch, capsys):
+        """The interleavings of repeated letters spell one word, but the
+        estimate counts each: x^7 shuffled with x^7 is one word with
+        coefficient C(14, 7) = 3432, and is refused; x^6 with x^6 runs."""
+        from diffalg.polynomial import Poly
+        from diffalg.rota_baxter import shuffle
+
+        x = Poly.variable("x")
+        assert shuffle([x] * 7, [x] * 7) == {((("x", 1),),) * 14: 3432}
+        assert self.main(monkeypatch, "shuffle", {"u": ["x"] * 7, "v": ["x"] * 7}) == 2
+        assert "an rb result of more than" in capsys.readouterr().err
+        assert self.main(monkeypatch, "shuffle", {"u": ["x"] * 6, "v": ["x"] * 6}) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == [{"word": ["x"] * 12, "coeff": "924"}]
+
+    def test_benchmark_requests_run(self, monkeypatch, capsys):
+        """The shapes of the rb requests the cli benchmark makes: a 5 x 6
+        shuffle of distinct letters (462 words), and a mul of two elements
+        of a 6-letter and a 2-letter word (at most 986 words)."""
+        assert self.main(monkeypatch, "shuffle", {"u": letters(5), "v": letters(6, 5)}) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]) == 462
+        s = rb_elem((letters(6), "x"), (letters(2, 6), "y"))
+        t = rb_elem((letters(6, 8), "z"), (letters(2, 14), "w"))
+        assert self.main(monkeypatch, "mul", {"s": s, "t": t}) == 0
+        assert len(json.loads(capsys.readouterr().out)["terms"]) == 924 + 28 + 28 + 6
+
+
 class TestErrors:
     def test_parse_error_exits_2(self):
         r = run_cli("diff", "x^")
@@ -490,12 +594,21 @@ class TestTypedInputErrors:
         (("mul", "(x+1)^999*(x+1)^999", "1"), None,
          "a product of more than 100000 term pairs at byte 10 "
          "(expected: at most 100000 term pairs in a product)"),
+        (("mul", "(x+1)^1999", "1"), None,
+         "a power of more than 400000 term pairs at byte 7 "
+         "(expected: at most 400000 term pairs in a power)"),
+        (("diff", "--n", "40", "x^20"), None,
+         "a derivative of more than 2000 terms at byte 1 "
+         "(expected: at most 2000 terms in a derivative)"),
+        (("mul", "((28)^1999)^2000", "1"), None,
+         "a power of more than 100000 coefficient bits at byte 13 "
+         "(expected: at most 100000 coefficient bits in a power)"),
     ], ids=["flavor", "empty-coeffs", "eval-json", "eval-dash-json", "rb-json", "json-digits",
             "hurwitz-order", "power-order", "psi-order", "eval-order", "trials",
             "expr-digits", "result-digits", "result-digits-json", "superscript-digit",
             "literal-exponent", "eval-exponent", "rb-exponent", "literal-length", "eval-length",
             "dense-power", "dense-power-diff", "dense-product", "dense-product-in-one",
-            "product-pairs"])
+            "product-pairs", "power-pairs", "derivative-terms", "power-bits"])
     def test_message(self, args, stdin, message):
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")

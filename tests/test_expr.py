@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffalg import cli, expr
+from diffalg import cli, expr, polynomial
 from diffalg.errors import ModeError, ParseError
 from diffalg.expr import (
     DIFF_MODE,
     MAX_NESTING,
     MAX_ORDER,
+    MAX_POWER_BITS,
+    MAX_POWER_PAIRS,
     MAX_POWER_TERMS,
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_VARIABLES,
@@ -21,7 +23,7 @@ from diffalg.expr import (
     parse_rational,
     parse_series_literal,
 )
-from diffalg.free_diff import DVar, dvar
+from diffalg.free_diff import DVar, d_shift, dvar
 from diffalg.polynomial import Poly, eta
 
 
@@ -243,6 +245,82 @@ class TestPowerBound:
                 if want <= MAX_POWER_TERMS:
                     assert expr._power_terms(base, n) == want == (base ** n).n_terms()
 
+    @pytest.mark.parametrize("text, offset, taken", [
+        ("(x+1)^1999", 7, []), ("(x+y)^1999", 7, []), ("(x + 1) ^ 1999", 11, []),
+        ("((x+1)^500)^3", 13, [500]),  # 1501 terms from 752,502 pairs; the inner power is fine
+        ("(x+1)^1999 +", 7, [])])  # refused before the missing operand
+    def test_pair_bound(self, powers, text, offset, taken):
+        """(x+1)^1999 has 2000 terms, at the term bound, but its
+        square-and-multiply takes 1,341,062 term pairs (3 s)."""
+        with pytest.raises(ParseError, match=f"a power of more than {MAX_POWER_PAIRS} term pairs "
+                                             f"at byte {offset} ") as info:
+            parse_poly(text, POLY_MODE)
+        assert info.value.offset == offset
+        assert powers == taken
+
+    def test_pair_bound_cli_operands(self, powers, capsys):
+        assert cli.main(["mul", "(x+1)^1999", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a power of more than {MAX_POWER_PAIRS} term pairs at byte 7 "
+            f"(expected: at most {MAX_POWER_PAIRS} term pairs in a power)\n")
+        assert powers == []
+
+    @pytest.mark.parametrize("text, offset, taken", [
+        ("((28)^1999)^2000", 13, [1999]), ("2^100001", 3, []), ("(1/3)^50001", 7, []),
+        ("(99999*y)^5883", 11, [])])
+    def test_bit_bound(self, powers, text, offset, taken):
+        """A power of one term passes the term and pair bounds however
+        large its coefficient grows: ((28)^1999)^2000 took 6 s, all of it
+        spent on a number of 19 million bits."""
+        with pytest.raises(ParseError, match=f"a power of more than {MAX_POWER_BITS} coefficient "
+                                             f"bits at byte {offset} ") as info:
+            parse_poly(text, POLY_MODE)
+        assert info.value.offset == offset
+        assert powers == taken
+
+    @pytest.mark.parametrize("text", ["2^100000", "(1/3)^50000", "x^100000000", "0^1000000",
+                                      "(0-x)^99999", "(99999*y)^5882"])
+    def test_within_the_bit_bound(self, powers, text):
+        parse_poly(text, POLY_MODE)
+        assert powers == [int(text.rsplit("^", 1)[1])]
+
+    @pytest.mark.parametrize("text, n, pairs", [
+        ("x+1", 1000, 335_573), ("x+1", 999, 337_064), ("x+y+1", 61, 272_052),
+        ("x+1", 1999, 1_341_062), ("x+y", 1999, 1_341_062), ("2*x", 15000, 19), ("0", 9, 3)])
+    def test_pair_estimate(self, monkeypatch, text, n, pairs):
+        """A power is refused with the limit one below its pair estimate and
+        taken at it; ** is stubbed, so nothing is multiplied."""
+        taken = []
+        monkeypatch.setattr(Poly, "__pow__", lambda p, k: taken.append(k) or p)
+        monkeypatch.setattr(expr, "MAX_POWER_PAIRS", pairs - 1)
+        with pytest.raises(ParseError, match="term pairs"):
+            parse_poly(f"({text})^{n}", POLY_MODE)
+        monkeypatch.setattr(expr, "MAX_POWER_PAIRS", pairs)
+        parse_poly(f"({text})^{n}", POLY_MODE)
+        assert taken == [n]
+
+    @pytest.mark.parametrize("text, n", [
+        ("x+1", 99), ("x+y+1", 13), ("w+x+y+z", 5), ("x+1", 64), ("x+1", 1), ("x+1", 0)])
+    def test_pair_estimate_is_exact_on_dense_bases(self, monkeypatch, text, n):
+        """The term pairs ** multiplies, counted in the one product loop,
+        are the estimate: refused one below them, taken at them."""
+        count = []
+        original = polynomial._accumulate
+
+        def counting(out, w, a, b):
+            count.append(len(a) * len(b))
+            return original(out, w, a, b)
+
+        monkeypatch.setattr(polynomial, "_accumulate", counting)
+        base = parse_poly(text, POLY_MODE)
+        pairs = (count.clear(), base ** n, sum(count))[2]
+        monkeypatch.setattr(expr, "MAX_POWER_PAIRS", pairs)
+        assert parse_poly(f"({text})^{n}", POLY_MODE) == base ** n
+        if pairs:
+            monkeypatch.setattr(expr, "MAX_POWER_PAIRS", pairs - 1)
+            with pytest.raises(ParseError, match="term pairs"):
+                parse_poly(f"({text})^{n}", POLY_MODE)
+
 
 def linear_sum(v: int) -> str:
     """x0 + ... + x(v-1): v terms whose square has v(v+1)/2."""
@@ -252,6 +330,49 @@ def linear_sum(v: int) -> str:
 def powers_of_x(n: int) -> str:
     """1 + x + ... + x^(n-1): n terms with unit coefficients."""
     return "(" + " + ".join(f"x^{i}" for i in range(n)) + ")"
+
+
+class TestDerivativeBound:
+    """A shift that may make more than MAX_POWER_TERMS terms, one for each
+    variable of each monomial it derives, is refused before it is taken.
+    The order bound alone lets D^40(x^20) (35,251 terms) take 3 s, and
+    D^1000(x^1000) would have p(1000), about 2.4e31.  The tests count the
+    shifts taken."""
+
+    shifts = TestOrderBound.shifts
+
+    @pytest.mark.parametrize("text, offset, taken", [
+        ("D^40(x^20)", 1, 19), ("x + D^1000(x^1000)", 5, 19), (f"D({linear_sum(2001)})", 1, 0),
+        ("D^40(x^20) +", 1, 19)])  # refused before the missing operand
+    def test_above_the_bound(self, shifts, text, offset, taken):
+        with pytest.raises(ParseError, match=f"a derivative of more than {MAX_POWER_TERMS} terms "
+                                             f"at byte {offset} ") as info:
+            parse_poly(text, DIFF_MODE)
+        assert info.value.offset == offset
+        assert len(shifts) == taken
+
+    @pytest.mark.parametrize("text, terms", [
+        ("D^8(x^8)", 22), (f"D({linear_sum(2000)})", 2000), ("D^3(x^2*y + y^3)", 9),
+        (f"D^{MAX_ORDER}(x)", 1)])
+    def test_within_the_bound(self, text, terms):
+        assert parse_poly(text, DIFF_MODE).n_terms() == terms
+
+    def test_cli_n(self, shifts, capsys):
+        assert cli.main(["diff", "--n", "40", "x^20"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a derivative of more than {MAX_POWER_TERMS} terms at byte 1 "
+            f"(expected: at most {MAX_POWER_TERMS} terms in a derivative)\n")
+        assert len(shifts) == 19
+        assert cli.main(["diff", "--n", "8", "x^8"]) == 0
+        assert capsys.readouterr().out.count(" + ") == 21
+
+    def test_estimate_bounds_every_small_shift(self):
+        texts = ["x", "x+1", "x*y'+2", "x^3*y'' - x'*y", "7", "0", "(x+y')^3"]
+        for text in texts:
+            p = parse_poly(text, DIFF_MODE)
+            for _ in range(4):
+                assert expr._shift_terms(p) >= d_shift(p).n_terms(), text
+                p = d_shift(p)
 
 
 class TestProductBound:

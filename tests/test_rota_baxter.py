@@ -14,7 +14,6 @@ from diffalg.rota_baxter import (
     RBElem,
     check_rota_baxter,
     random_rbelem,
-    raw_scale,
     rb_D,
     rb_D_raw,
     rb_mul,
@@ -78,6 +77,19 @@ def interleavings(u, v):
         letters_u, letters_v = iter(u), iter(v)
         chosen = set(positions)
         yield tuple(next(letters_u) if k in chosen else next(letters_v) for k in range(n))
+
+
+def raw_scale(raw: dict, s: RBElem) -> dict:
+    """Multiply a raw tensor by an element on the non-variable slots:
+    (w, t, v) · (w', t') = (w shuffled w', t·t', v), which is :func:`rb_mul`
+    on the (w, t) part of each variable's slot.  Used to state the Leibniz
+    rule for the raw form; the package itself does not need it."""
+    slots: dict = {}
+    for (w, t, v), c in raw.items():
+        slots.setdefault(v, {})[(w, t)] = c
+    return {(w, t, v): c
+            for v, slot in slots.items()
+            for (w, t), c in rb_mul(RBElem(slot), s).terms()}
 
 
 def brute_product(terms1, terms2):
