@@ -110,7 +110,6 @@ def rota_baxter_carrier() -> DiffCarrier:
         name="rota_baxter",
         zero=rb.RBElem.zero(),
         one=rb.RBElem.one(),
-        mul=rb.rb_mul,
         d=rb.rb_D,
         sample=lambda rng, size: rb.random_rbelem(rng),
         sample_kernel=kernel,

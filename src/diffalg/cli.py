@@ -28,10 +28,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
-from .expr import (DIFF_MODE, MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, POLY_MODE,
-                   _eval_cost, _shift_terms, _shuffle_words, check_bound, parse_poly,
-                   parse_rational, parse_series_literal, product)
-from .free_diff import d_shift
+from .expr import (DIFF_MODE, MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, POLY_MODE, WorkMeter,
+                   _eval_cost, _shuffle_words, check_bound, parse_poly, parse_rational,
+                   parse_series_literal, product, shift)
 from .polynomial import Poly, mono_str
 
 if TYPE_CHECKING:  # each verb imports the modules it uses, so start-up follows the verb
@@ -203,18 +202,14 @@ def _rb_terms(payload: dict, key: str) -> list:
 def _cmd_diff(args) -> int:
     if not 0 <= args.n <= MAX_ORDER:
         raise ParseError(f"--n must be from 0 to {MAX_ORDER}", 1, frozenset({"natural number"}))
-    p = parse_poly(_positional(args.expr), DIFF_MODE)
-    for _ in range(args.n):
-        check_bound(_shift_terms(p), MAX_POWER_TERMS, "a derivative", "terms", 1)
-        p = d_shift(p)
-    _emit_poly(p, args.format)
+    _emit_poly(shift(parse_poly(_positional(args.expr), DIFF_MODE), args.n, 1), args.format)
     return 0
 
 
 def _cmd_mul(args) -> int:
     p = parse_poly(_positional(args.expr), DIFF_MODE)
     q = parse_poly(args.other, DIFF_MODE)
-    _emit_poly(product(p, q, 1), args.format)
+    _emit_poly(product(p, q, 1, WorkMeter()), args.format)
     return 0
 
 

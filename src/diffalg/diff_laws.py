@@ -202,7 +202,7 @@ def run_trials(law: str, trials: int, seed: int, trial: Callable,
     return LawReport(law=law, trials=trials, passed=True, seed=seed)
 
 
-def check_constant_rule(c: DiffCarrier, trials: int = 1, seed: int = 0) -> LawReport:
+def check_constant_rule(c: DiffCarrier, trials: int, seed: int) -> LawReport:
     """D(1) = 0.  Deterministic; trials beyond the single check are moot."""
     if trials < 1:
         raise ValueError("trials must be >= 1")

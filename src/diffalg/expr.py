@@ -22,9 +22,11 @@ refused before it is multiplied out if its result may have more than
 if it takes more term pairs than :data:`MAX_POWER_PAIRS` or
 :data:`MAX_PRODUCT_PAIRS` allow (``(x+1)^1999``, ``(x+1)^999*(x+1)^999``),
 or if a monomial of a product may hold more than
-:data:`MAX_PRODUCT_VARIABLES` variables (``x0*x1*...*x1000``); a shift is
-refused before it may make more than :data:`MAX_POWER_TERMS` terms
-(``D^40(x^20)``).  Every refusal is a :class:`~diffalg.errors.ParseError`.
+:data:`MAX_PRODUCT_VARIABLES` variables (``x0*x1*...*x1000``), and once
+the products and powers of one parse have done more than :data:`MAX_WORK`
+work (``(x0+...+x49)*v0*...*v999``); a shift is refused before it may make
+more than :data:`MAX_POWER_TERMS` terms (``D^40(x^20)``).  Every refusal is
+a :class:`~diffalg.errors.ParseError`.
 Derivative orders are written with primes up to three (x, x', x'',
 x''') and as ``x^(n)`` beyond; both forms parse.  In plain-polynomial
 mode, primes, ``^(n)`` markers, and the D operator are rejected with
@@ -86,6 +88,13 @@ MAX_POWER_BITS = 100_000
 # about 18 times as long to parse as x0*...*x999.
 MAX_PRODUCT_VARIABLES = 1000
 
+# The most work the products and powers of one parse may do, as WorkMeter
+# counts it: each term pair is charged the variables past two of the monomial
+# it builds, which mono_mul copies (narrower pairs are priced by the pair
+# bounds).  x0*x1*...*x999 charges 498,501; (x0+...+x49)*v0*v1*...*v999
+# would charge 25 million (15 s), (w0*...*w99 + u0*...*u99)^999 66 million (40 s).
+MAX_WORK = 600_000
+
 # The most work an eval request may ask for, as _eval_cost counts it:
 # (partial nodes) x (order + 1)^2, for the recursion extends every node
 # one component at a time, each component a sum over the ones before it.
@@ -102,24 +111,42 @@ def check_bound(size: int, limit: int, what: str, unit: str, offset: int, expect
                          frozenset({expected or f"at most {limit} {unit} in {what}"}))
 
 
-def product(p: Poly, q: Poly, offset: int) -> Poly:
+class WorkMeter:
+    """The work of one parse (or of the product of the mul verb's operands),
+    summed over its products and powers; see MAX_WORK."""
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, pairs: int, width: int, offset: int) -> None:
+        """Add pairs term pairs whose monomials may have width variables,
+        or refuse at byte offset if the sum passes MAX_WORK."""
+        self.spent += pairs * max(width - 2, 0)
+        check_bound(self.spent, MAX_WORK, "an expression", "variable copies", offset)
+
+
+def product(p: Poly, q: Poly, offset: int, meter: WorkMeter) -> Poly:
     """p·q, or a ParseError at byte offset, raised before anything is
     multiplied, if it may have more than MAX_POWER_TERMS terms, takes more
     than MAX_PRODUCT_PAIRS term pairs or may have a monomial of more than
-    MAX_PRODUCT_VARIABLES variables."""
+    MAX_PRODUCT_VARIABLES variables, or if its work takes meter past MAX_WORK."""
     pairs = p.n_terms() * q.n_terms()
     if pairs > MAX_POWER_TERMS:  # the estimate is at most this count
         check_bound(_product_terms(p, q), MAX_POWER_TERMS, "a product", "terms", offset)
         check_bound(pairs, MAX_PRODUCT_PAIRS, "a product", "term pairs", offset)
-    check_bound(_product_variables(p, q), MAX_PRODUCT_VARIABLES, "a product", "variables", offset)
+    width = _product_variables(p, q)
+    check_bound(width, MAX_PRODUCT_VARIABLES, "a product", "variables", offset)
+    meter.charge(pairs, width, offset)
     return p * q
 
 
-def power(base: Poly, n: int, offset: int) -> Poly:
+def power(base: Poly, n: int, offset: int, meter: WorkMeter) -> Poly:
     """base^n, or a ParseError at byte offset, raised before anything is
     multiplied, if it may have more than MAX_POWER_TERMS terms or coefficients
     of more than MAX_POWER_BITS bits, or take more than MAX_POWER_PAIRS term
-    pairs in the square-and-multiply of ** ."""
+    pairs in the square-and-multiply of ** , or if its work takes meter past
+    MAX_WORK: each pair's monomials have at most n times the variables of
+    base's widest monomial, and at most all of base's variables."""
     check_bound(_power_terms(base, n), MAX_POWER_TERMS, "a power", "terms", offset)
     top = sum(map(abs, base._num.values())) or 1  # the numerators of base^n are at most top^n
     bits = n * ((top - 1).bit_length() + (base._den - 1).bit_length())
@@ -132,7 +159,18 @@ def power(base: Poly, n: int, offset: int) -> Poly:
             pairs += _power_terms(base, k) * base.n_terms()
             k += 1
     check_bound(pairs, MAX_POWER_PAIRS, "a power", "term pairs", offset)
+    width = min(n * max(map(len, base._num), default=0), len(base.variables()))
+    meter.charge(pairs, width, offset)
     return base ** n
+
+
+def shift(p: Poly, n: int, offset: int) -> Poly:
+    """The n-th shift derivative of p, or a ParseError at byte offset,
+    raised before a shift that may make more than MAX_POWER_TERMS terms."""
+    for _ in range(n):
+        check_bound(_shift_terms(p), MAX_POWER_TERMS, "a derivative", "terms", offset)
+        p = d_shift(p)
+    return p
 
 
 def _power_terms(base: Poly, n: int) -> int:
@@ -154,13 +192,13 @@ def _product_terms(p: Poly, q: Poly) -> int:
 
 def _product_variables(p: Poly, q: Poly) -> int:
     """An upper bound on the distinct variables of a monomial of p·q: the
-    widest monomial of p plus the widest of q or, when that sum is over
-    MAX_PRODUCT_VARIABLES, the variables of p and q together, exact for a
-    product of two monomials."""
+    widest monomial of p plus the widest of q or, when that sum is over two
+    (the most WorkMeter charges nothing for), the variables of p and q
+    together if fewer, exact for a product of two monomials."""
     width = sum(max(map(len, r._num), default=0) for r in (p, q))
-    if width <= MAX_PRODUCT_VARIABLES:
+    if width <= 2:
         return width
-    return min(width, len(set(p.variables()).union(q.variables())))
+    return min(width, len({v for r in (p, q) for m in r._num for v, _ in m}))
 
 
 def _shuffle_words(s: list, t: list) -> int:
@@ -224,12 +262,20 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.order = 0  # total D power of the enclosing D applications
+        self.at = (0, 0)  # the last character index asked for, and its byte offset - 1
+        self.meter = WorkMeter()
 
     # -- machinery ---------------------------------------------------------
 
     def _byte_offset(self, i: int | None = None) -> int:
+        """The 1-based byte offset of character i (by default the cursor's),
+        counted from the last one asked for: they are asked for in about
+        text order, so the text is encoded about once in all."""
         i = self.i if i is None else i
-        return len(self.text[:i].encode("utf-8")) + 1
+        j, b = self.at
+        b += len(self.text[j:i].encode()) if i >= j else -len(self.text[i:j].encode())
+        self.at = (i, b)
+        return b + 1
 
     def error(self, expected: set[str]):
         raise ParseError("syntax error", self._byte_offset(), frozenset(expected))
@@ -312,7 +358,7 @@ class _Parser:
         p = self.factor()
         while self.eat("*"):
             offset = self._byte_offset(self.i - 1)
-            p = product(p, self.factor(), offset)
+            p = product(p, self.factor(), offset, self.meter)
         return p
 
     def factor(self) -> Poly:
@@ -334,7 +380,7 @@ class _Parser:
                 return p
         self.skip_ws()
         offset = self._byte_offset()
-        return power(p, self.nat(), offset)
+        return power(p, self.nat(), offset, self.meter)
 
     def variable(self, name: str, order: int) -> Poly:
         """In differential mode every variable is a derivative variable."""
@@ -356,22 +402,19 @@ class _Parser:
             name = self.ident()
             if name == "D":
                 self.differential_only("the D operator", start)
+                offset = self._byte_offset(start)
                 n = 1
                 if self.eat("^"):
                     n = self.nat()
                 if self.order + n > MAX_ORDER:
-                    raise ParseError(f"derivative order above {MAX_ORDER}", self._byte_offset(start),
+                    raise ParseError(f"derivative order above {MAX_ORDER}", offset,
                                      frozenset({f"at most {MAX_ORDER} nested derivatives"}))
                 self.expect("(")
                 self.order += n
                 p = self.nested()
                 self.order -= n
                 self.expect(")")
-                for _ in range(n):
-                    check_bound(_shift_terms(p), MAX_POWER_TERMS, "a derivative", "terms",
-                                self._byte_offset(start))
-                    p = d_shift(p)
-                return p, None
+                return shift(p, n, offset), None
             order = 0
             while self.i < len(self.text) and self.text[self.i] == "'":
                 order += 1

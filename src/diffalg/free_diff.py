@@ -25,7 +25,7 @@ import json
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import MalformedNesting, UnboundVariable
-from .polynomial import (LinearMap, Poly, coderive, derive, evaluate, mono_from_exponents, rename_vars,
+from .polynomial import (LinearMap, Poly, evaluate, mono_from_exponents, rename_vars, sharp,
                          substitute)
 
 
@@ -81,8 +81,7 @@ def d_shift_via_sharp(p: Poly) -> Poly:
     """The shift derivation by the categorical recipe: derive, bump each
     tensor variable's order by one, multiply back in.  Extensionally equal
     to :func:`d_shift`."""
-    bump = LinearMap({v: dvar(v.base, v.order + 1) for v in p.variables()})
-    return coderive(derive(p).map_var(bump))
+    return sharp(LinearMap({v: dvar(v.base, v.order + 1) for v in p.variables()}), p)
 
 
 def alpha(p: Poly) -> Poly:

@@ -30,10 +30,10 @@ products, :func:`smul`, :func:`sderive`, truncation, :func:`psi` and
 ``coeffs`` of a result shows ``Fraction``s, built on first read, also
 where the operands held ints; ``==``, hash and ``str`` are those of the
 coefficient tuple.  Polynomial coefficients take the same loops as their
-own numerators over 1, except that :func:`smul` of two all-``Poly``
-series builds each component with one
-:func:`~diffalg.polynomial.sum_products`, and a weighted sum of products
-is one :func:`sum_smul`.
+own numerators over 1, except that :func:`_convolution`, the one product
+loop of :func:`smul` and of :func:`sum_smul` (a weighted sum of
+products), builds each component of two all-``Poly`` factors with one
+:func:`~diffalg.polynomial.sum_products`.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or coefficient-by-coefficient with the
@@ -209,25 +209,14 @@ def sunit(order: int, flavor: Flavor) -> Series:
 def smul(f: Series, g: Series) -> Series:
     """Flavor-dependent convolution; strict about flavor and order.
 
-    The k-th summand of Hurwitz component n is weighted by C(n, k), read
-    from Pascal's row n (power summands weigh 1).  Over the rationals the
-    convolution runs on the stored numerators, over the product of the two
-    denominators, and the result is reduced once.  When every coefficient
-    of both factors is a :class:`~diffalg.polynomial.Poly`, each component
-    is one :func:`~diffalg.polynomial.sum_products` of its weighted
-    summands, reduced once; other coefficients (a mix of polynomials and
-    scalars) are summed term by term."""
+    One :func:`_convolution` of the stored numerators, over the product of
+    the two denominators, reduced once."""
     if f.flavor is not g.flavor:
         raise FlavorMismatch(f"{f.flavor.value} * {g.flavor.value}")
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
-    a, b = f._num, g._num
-    if not all(isinstance(c, Poly) for c in a + b):
-        return Series._reduced(_convolution(a, b, f.order, f.flavor), f._den * g._den, f.flavor)
-    rows = _pascal_rows(len(a)) if f.flavor is Flavor.HURWITZ else repeat(None)
-    out = [sum_products(zip(row or repeat(1), a, b[n::-1]))
-           for n, row in zip(range(len(a)), rows)]
-    return Series._reduced(out, f._den * g._den, f.flavor)
+    return Series._reduced(_convolution(f._num, g._num, f.order, f.flavor), f._den * g._den,
+                           f.flavor)
 
 
 def sum_smul(triples) -> Series:
@@ -235,7 +224,7 @@ def sum_smul(triples) -> Series:
     triples of one flavor, with the value and window (the least order of a
     factor) of the smul_trunc/scale/+ fold: one :func:`_convolution` per
     pair on the stored numerators, weighted onto the lcm of the
-    f._den·g._den, and one reduction.  Other coefficients as in smul."""
+    f._den·g._den, and one reduction."""
     flavor = triples[0][1].flavor
     if any(s.flavor is not flavor for _, f, g in triples for s in (f, g)):
         raise FlavorMismatch(f"mixed flavors in a {flavor.value} sum")
@@ -249,11 +238,21 @@ def sum_smul(triples) -> Series:
 
 
 def _convolution(a, b, order: int, flavor: Flavor) -> list:
-    """Components 0, ..., order of the unreduced product of a and b."""
+    """Components 0, ..., order of the unreduced product of a and b.  The
+    k-th summand of Hurwitz component n is weighted by C(n, k), read from
+    Pascal's row n (power summands weigh 1).  When every coefficient is a
+    :class:`~diffalg.polynomial.Poly`, each component is one
+    :func:`~diffalg.polynomial.sum_products` of its weighted summands,
+    reduced once; other coefficients (numbers, or a mix of polynomials and
+    scalars) are summed term by term."""
+    rows = _pascal_rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
+    if all(isinstance(c, Poly) for c in a + b):
+        return [sum_products(zip(row or repeat(1), a, b[n::-1]))
+                for n, row in zip(range(order + 1), rows)]
     if flavor is Flavor.POWER:
         return [sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
     return [sum(map(operator.mul, row, map(operator.mul, a, b[n::-1])))
-            for n, row in zip(range(order + 1), _pascal_rows(order + 1))]
+            for n, row in zip(range(order + 1), rows)]
 
 
 def _pascal_rows(count: int):

@@ -283,12 +283,7 @@ class Tensor(LinComb):
 
     def scale_poly(self, q: Poly) -> "Tensor":
         """Multiply the polynomial slot of every pair by q."""
-        out: dict = {}
-        for (m, v), c in self._num.items():
-            for m2, c2 in q._num.items():
-                key = (mono_mul(m, m2), v)
-                out[key] = out[key] + c * c2 if key in out else c * c2
-        return Tensor._from_ints(out, self._den * q._den)
+        return self.map_poly(q.__mul__)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair: fn
@@ -296,10 +291,10 @@ class Tensor(LinComb):
         slots: dict = {}
         for (m, v), c in self._num.items():
             slots.setdefault(v, {})[m] = c
-        out = Tensor.zero()
-        for v, num in slots.items():
-            out = out + Tensor.of(fn(Poly._from_ints(num, self._den)), v)
-        return out
+        images = [(v, fn(Poly._from_ints(num, self._den))) for v, num in slots.items()]
+        den = math.lcm(*(q._den for _, q in images))  # the images' keys are distinct
+        return Tensor._from_ints({(m, v): n * (den // q._den) for v, q in images
+                                  for m, n in q._num.items()}, den)
 
     def map_var(self, f) -> "Tensor":
         """Apply a linear variable map to the variable slot of every pair."""

@@ -71,6 +71,14 @@ from .polynomial import (
 from .rng import SplitMix64
 from .scalars import binom
 
+# The sizes the suites run at: the order of the series the cofree-side laws
+# draw, the eval components, the tower laws' top order, the shuffled words' lengths.
+ORDER = 8
+COMONAD_ORDER = 10
+EVAL_N_MAX = 6
+TOWER = 5
+SHUFFLE_MAX_LEN = 4
+
 # -- the five axioms of the polynomial derivative ---------------------------
 
 
@@ -84,10 +92,11 @@ def check_codifferential_axioms(trials: int, seed: int) -> list[LawReport]:
         {"input": unit_poly()}, derive(unit_poly()), Tensor.zero()))
 
     # linear rule: derive(x) = 1 ⊗ x (deterministic over the pool)
-    ce = first_failure(mismatch({"variable": v}, derive(eta(v)), Tensor.of(unit_poly(), v))
-                       for v in POLY_POOL)
-    linear = LawReport(law="axiom_linear", trials=len(POLY_POOL), passed=ce is None,
-                       seed=seed, counterexample=ce)
+    pool = iter(POLY_POOL)
+
+    def linear(rng):
+        v = next(pool)
+        return mismatch({"variable": v}, derive(eta(v)), Tensor.of(unit_poly(), v))
 
     # Leibniz rule on random pairs
     def leibniz(rng):
@@ -119,7 +128,7 @@ def check_codifferential_axioms(trials: int, seed: int) -> list[LawReport]:
         return None if grid == swapped else {"p": str(p)}
 
     return [constant,
-            linear,
+            run_trials("axiom_linear", len(POLY_POOL), seed, linear),
             run_trials("axiom_leibniz", trials, seed, leibniz, rng),
             run_trials("axiom_chain", trials, seed, chain, rng),
             run_trials("axiom_interchange", trials, seed, interchange, rng)]
@@ -181,16 +190,16 @@ def check_monad_laws(trials: int, seed: int) -> list[LawReport]:
             run_trials("monad_associativity", trials, seed, associativity, rng)]
 
 
-def check_extend_morphism(trials: int, seed: int, order: int = 8) -> LawReport:
+def check_extend_morphism(trials: int, seed: int) -> LawReport:
     """Evaluation into a differential algebra commutes with the
     derivations: extend(f, shift(p)) = D(extend(f, p)), against the
     Hurwitz carrier."""
-    carrier = hurwitz_carrier(order)
+    carrier = hurwitz_carrier(ORDER)
 
     def trial(rng):
         p = random_diffpoly(rng, size=3, max_order=1, max_degree=3)
         images = {
-            base: random_series(rng, order, hz.Flavor.HURWITZ)
+            base: random_series(rng, ORDER, hz.Flavor.HURWITZ)
             for base in sorted({v.base for v in p.variables()})
         }
         lhs = extend(images, carrier, d_shift(p))
@@ -203,20 +212,19 @@ def check_extend_morphism(trials: int, seed: int, order: int = 8) -> LawReport:
 # -- cofree side --------------------------------------------------------------
 
 
-def check_eval_recursions(trials: int, seed: int, order: int = 8,
-                          n_max: int = 6) -> list[LawReport]:
+def check_eval_recursions(trials: int, seed: int) -> list[LawReport]:
     """The coefficient recursions agree with evaluation through the series
-    ring operations, for every component n <= n_max."""
+    ring operations, for every component n <= EVAL_N_MAX."""
     rng = SplitMix64(seed)
 
     def agrees_with_ring(flavor):
         def trial(rng):
             p = sample_poly(rng, pick(FORMAL_VARS), 3, 3)
-            env = {v: random_series(rng, order, flavor) for v in FORMAL_VARS}
+            env = {v: random_series(rng, ORDER, flavor) for v in FORMAL_VARS}
             oracle = hz.ring_eval(p, env)
-            w = hz._components(p, env, n_max, flavor)
+            w = hz._components(p, env, EVAL_N_MAX, flavor)
             return first_failure(mismatch({"p": p, "n": n}, w[n], oracle.coeffs[n])
-                                 for n in range(n_max + 1))
+                                 for n in range(EVAL_N_MAX + 1))
         return trial
 
     return [run_trials(law, trials, seed, agrees_with_ring(flavor), rng)
@@ -224,34 +232,33 @@ def check_eval_recursions(trials: int, seed: int, order: int = 8,
                                 ("delta_matches_cauchy_ring", hz.Flavor.POWER))]
 
 
-def check_eval_pointwise(trials: int, seed: int, order: int = 8,
-                         n_max: int = 6) -> list[LawReport]:
+def check_eval_pointwise(trials: int, seed: int) -> list[LawReport]:
     """The unit, generator, and product clauses of the Hurwitz coefficient
-    recursion, checked pointwise for n <= n_max."""
+    recursion, checked pointwise for n <= EVAL_N_MAX."""
     rng = SplitMix64(seed)
     H = hz.Flavor.HURWITZ
-    components = range(n_max + 1)
+    components = range(EVAL_N_MAX + 1)
 
     # unit clause: a constant evaluates to itself at component 0, to 0 above
     def unit_clause(rng):
         c = random_fraction(rng)
-        env = {"X1": random_series(rng, order, H)}
-        w = hz._components(Poly.const(c), env, n_max, H)
+        env = {"X1": random_series(rng, ORDER, H)}
+        w = hz._components(Poly.const(c), env, EVAL_N_MAX, H)
         return first_failure(mismatch({"c": c, "n": n}, w[n], c if n == 0 else Fraction(0))
                              for n in components)
 
     # generator clause: a bare variable evaluates to its series components
     def generator_clause(rng):
-        env = {"X1": random_series(rng, order, H)}
-        w = hz._components(eta("X1"), env, n_max, H)
+        env = {"X1": random_series(rng, ORDER, H)}
+        w = hz._components(eta("X1"), env, EVAL_N_MAX, H)
         return first_failure(mismatch({"n": n}, w[n], env["X1"].coeffs[n]) for n in components)
 
     # product clause: binomial convolution of the two factors' recursions
     def product_clause(rng):
         p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
         q = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 2)
-        env = {v: random_series(rng, order, H) for v in FORMAL_VARS[:2]}
-        wp, wq, wpq = (hz._components(f, env, n_max, H) for f in (p, q, p * q))
+        env = {v: random_series(rng, ORDER, H) for v in FORMAL_VARS[:2]}
+        wp, wq, wpq = (hz._components(f, env, EVAL_N_MAX, H) for f in (p, q, p * q))
 
         def at(n):
             rhs = Fraction(0)
@@ -266,7 +273,7 @@ def check_eval_pointwise(trials: int, seed: int, order: int = 8,
             run_trials("omega_product_clause", trials, seed, product_clause, rng)]
 
 
-def check_psi_laws(trials: int, seed: int, order: int = 8) -> list[LawReport]:
+def check_psi_laws(trials: int, seed: int) -> list[LawReport]:
     """The factorial rescaling is an isomorphism of differential algebras:
     it round-trips, converts Cauchy products to binomial products, and
     intertwines the two derivations."""
@@ -274,20 +281,20 @@ def check_psi_laws(trials: int, seed: int, order: int = 8) -> list[LawReport]:
     H, P = hz.Flavor.HURWITZ, hz.Flavor.POWER
 
     def round_trip(rng):
-        f = random_series(rng, order, P)
-        g = random_series(rng, order, H)
+        f = random_series(rng, ORDER, P)
+        g = random_series(rng, ORDER, H)
         back = hz.psi_inv(hz.psi(f))
         if back != f or hz.psi(hz.psi_inv(g)) != g:
             return counterexample({"f": f, "g": g}, back, f)
         return None
 
     def multiplicative(rng):
-        f = random_series(rng, order, P)
-        g = random_series(rng, order, P)
+        f = random_series(rng, ORDER, P)
+        g = random_series(rng, ORDER, P)
         return mismatch({"f": f, "g": g}, hz.psi(hz.smul(f, g)), hz.smul(hz.psi(f), hz.psi(g)))
 
     def intertwines(rng):
-        f = random_series(rng, order, P)
+        f = random_series(rng, ORDER, P)
         return mismatch({"f": f}, hz.psi(hz.sderive(f)), hz.sderive(hz.psi(f)))
 
     return [run_trials("psi_round_trip", trials, seed, round_trip, rng),
@@ -295,28 +302,28 @@ def check_psi_laws(trials: int, seed: int, order: int = 8) -> list[LawReport]:
             run_trials("psi_intertwines_derivations", trials, seed, intertwines, rng)]
 
 
-def check_comonad_laws(trials: int, seed: int, order: int = 10) -> list[LawReport]:
+def check_comonad_laws(trials: int, seed: int) -> list[LawReport]:
     """Counit both ways and coassociativity of comultiplication on the
     valid triangle."""
     rng = SplitMix64(seed)
 
     def counit(rng):
-        f = random_series(rng, order, hz.Flavor.HURWITZ)
-        rows = rng.randint(0, order)
+        f = random_series(rng, COMONAD_ORDER, hz.Flavor.HURWITZ)
+        rows = rng.randint(0, COMONAD_ORDER)
         grid = hz.comul(f, rows)
-        if grid.row_series(0) != f.truncate(order - rows):
+        if grid.row_series(0) != f.truncate(COMONAD_ORDER - rows):
             return counterexample({"f": f, "rows": rows}, grid.row_series(0), f)
         return mismatch({"f": f, "rows": rows}, grid.column(0), f.coeffs[: rows + 1])
 
     def coassociativity(rng):
-        f = random_series(rng, order, hz.Flavor.HURWITZ)
-        r1 = rng.randint(0, order // 2)
-        r2 = rng.randint(0, order - r1)
+        f = random_series(rng, COMONAD_ORDER, hz.Flavor.HURWITZ)
+        r1 = rng.randint(0, COMONAD_ORDER // 2)
+        r2 = rng.randint(0, COMONAD_ORDER - r1)
         inner_first = tuple(
             hz.comul(hz.comul(f, r1).row_series(i2), r2).grid for i2 in range(r1 + 1)
         )
         outer = hz.comul(f, r1 + r2)
-        cols = order - r1 - r2
+        cols = COMONAD_ORDER - r1 - r2
         outer_first = tuple(
             tuple(tuple(outer.grid[i2 + j][k] for k in range(cols + 1)) for j in range(r2 + 1))
             for i2 in range(r1 + 1)
@@ -340,10 +347,12 @@ def check_rb_incompatibility(trials: int, seed: int) -> LawReport:
     return run_trials("rb_derivation_kills_P", trials, seed, trial)
 
 
-def check_shuffle_counts(max_len: int = 4, seed: int = 0) -> LawReport:
+def check_shuffle_counts(trials: int, seed: int) -> LawReport:
     """Shuffling a j-letter word into a k-letter word produces exactly
-    binom(j+k, j) interleavings, counted with multiplicity."""
-    lengths = iter([(j, k) for j in range(max_len + 1) for k in range(max_len + 1)])
+    binom(j+k, j) interleavings, counted with multiplicity, for every j and k
+    up to SHUFFLE_MAX_LEN.  Deterministic; trials are moot."""
+    lengths = iter([(j, k) for j in range(SHUFFLE_MAX_LEN + 1)
+                    for k in range(SHUFFLE_MAX_LEN + 1)])
 
     def trial(rng):
         j, k = next(lengths)
@@ -351,7 +360,7 @@ def check_shuffle_counts(max_len: int = 4, seed: int = 0) -> LawReport:
         v = [Poly.monomial({"b": i + 1}) for i in range(k)]
         return mismatch({"lens": (j, k)}, rb.shuffle_term_count(u, v), binom(j + k, j))
 
-    return run_trials("shuffle_term_count", (max_len + 1) ** 2, seed, trial)
+    return run_trials("shuffle_term_count", (SHUFFLE_MAX_LEN + 1) ** 2, seed, trial)
 
 
 # -- chain-rule style suites over random (p, env) pairs -----------------------
@@ -366,11 +375,11 @@ def chain_rule_suite(c: DiffCarrier, trials: int, seed: int) -> LawReport:
     return run_trials(f"chain_rule[{c.name}]", trials, seed, trial)
 
 
-def faa_di_bruno_suite(c: DiffCarrier, n_max: int, trials: int, seed: int) -> LawReport:
+def faa_di_bruno_suite(c: DiffCarrier, trials: int, seed: int) -> LawReport:
     def trial(rng):
         p = sample_poly(rng, pick(FORMAL_VARS[:2]), 2, 3)
         env = {v: c.sample(rng, 2) for v in FORMAL_VARS[:2]}
-        return faa_di_bruno_mismatch(c, p, env, n_max)
+        return faa_di_bruno_mismatch(c, p, env, TOWER)
 
     return run_trials(f"faa_di_bruno[{c.name}]", trials, seed, trial)
 
@@ -384,8 +393,8 @@ def law_table() -> list:
     Built per call, so an entry holds each function as its module binds it
     then, also one rebound after import."""
     ring = (poly_sharp_carrier(), diffpoly_carrier(), hurwitz_carrier(), power_carrier())
-    per_carrier = ((check_constant_rule,), (check_leibniz,), (check_higher_leibniz, 5),
-                   (chain_rule_suite,), (faa_di_bruno_suite, 5), (check_kernel_closure,))
+    per_carrier = ((check_constant_rule,), (check_leibniz,), (check_higher_leibniz, TOWER),
+                   (chain_rule_suite,), (faa_di_bruno_suite,), (check_kernel_closure,))
     rbc = rota_baxter_carrier()
     return ([(check_codifferential_axioms, 1)]
             + [(functools.partial(law, c, *args), 1) for c in ring for law, *args in per_carrier]
@@ -394,7 +403,7 @@ def law_table() -> list:
             + [(functools.partial(law, rbc), 1)
                for law in (check_constant_rule, check_leibniz, check_kernel_closure)]
             + [(rb.check_rota_baxter, 1), (check_rb_incompatibility, 1),
-               (lambda trials, seed: check_shuffle_counts(4, seed), 1),
+               (check_shuffle_counts, 1),
                (check_shift_oracle, 1), (check_monad_laws, 2), (check_extend_morphism, 1),
                (check_eval_recursions, 2), (check_eval_pointwise, 2), (check_psi_laws, 1),
                (check_comonad_laws, 2)])

@@ -10,10 +10,12 @@ limit for each ``*`` or ``^`` of the text, and the words the shuffle
 kernel and the word expansion make stay within ``MAX_POWER_TERMS``.
 ``derandomize`` draws the same inputs on every run.
 
-Sums stay narrow and chains short inside the grammar, and the chains at
-the variable bound are drawn on their own: each ``*`` of a chain copies
-every monomial it extends, which no bound weighs, so a wide sum times a
-chain of 1000 variables takes seconds however the bounds are set.
+Sums up to 80 terms wide and chains up to 1000 variables long are drawn
+inside the grammar.  Each ``*`` of a chain copies every monomial it
+extends; the work bound weighs that, so the variables the product loop
+copies are counted too.  A pair of monomials copies at most twice the
+variables past two that its meter is charged for, plus four, and each
+parse, and the product of the mul verb, has a meter of its own.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from diffalg import cli, polynomial, rota_baxter
 from diffalg.errors import DiffalgError, ParseError
 from diffalg.expr import (DIFF_MODE, MAX_POWER_PAIRS, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS,
-                          POLY_MODE, parse_poly)
+                          MAX_WORK, POLY_MODE, parse_poly)
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -38,14 +40,14 @@ def linear_sum(v: int) -> str:
     return "(" + "+".join(f"x{i}" for i in range(v)) + ")"
 
 
-def chain(k: int) -> str:
-    return "*".join(f"v{i}" for i in range(k))
+def chain(k: int, start: int = 0) -> str:
+    return "*".join(f"v{i}" for i in range(start, start + k))
 
 
 atoms = st.one_of(
     st.sampled_from(["x", "y", "z1", "x'", "y''", "x^(4)", "D", "2", "-3", "1/2", "0", "2/0"]),
-    st.integers(2, 12).map(linear_sum),
-    st.integers(2, 40).map(chain),
+    st.integers(2, 80).map(linear_sum),
+    st.integers(2, 1000).map(chain),
     st.text(alphabet="xyD^()*+-'0123456789/ ", max_size=12),
 )
 exponents = st.one_of(st.integers(0, 9), st.sampled_from([20, 61, 150, 1999, 2000, 10**6]))
@@ -64,18 +66,21 @@ def extend(inner):
 texts = st.one_of(
     st.recursive(atoms, extend, max_leaves=8),
     st.sampled_from([chain(1001), f"{chain(600)}*{chain(600)}", f"{linear_sum(80)}*{linear_sum(80)}",
-                     f"D^2({chain(1000)})", "((28)^1999)^2000"]),
+                     f"D^2({chain(1000)})", "((28)^1999)^2000",
+                     f"{linear_sum(50)}*{chain(1000)}", f"({chain(100)}+{chain(100, 100)})^999"]),
 )
 
 
 @pytest.fixture
 def pairs(monkeypatch):
-    """The term pairs multiplied so far, in the one product loop."""
-    count = [0]
+    """The term pairs multiplied so far, in the one product loop, and the
+    variables of their monomials, which the loop copies."""
+    count = [0, 0]
     original = polynomial._accumulate
 
     def counting(out, w, a, b):
         count[0] += len(a) * len(b)
+        count[1] += sum(map(len, a)) * len(b) + sum(map(len, b)) * len(a)
         return original(out, w, a, b)
 
     monkeypatch.setattr(polynomial, "_accumulate", counting)
@@ -103,7 +108,7 @@ def test_text_is_parsed_or_refused_within_the_pair_limits(pairs, text, verb):
     operations = text.count("*") + text.count("^")
     limit = max(MAX_POWER_PAIRS, MAX_PRODUCT_PAIRS)
     for mode in (POLY_MODE, DIFF_MODE):
-        pairs[0] = 0
+        pairs[:] = 0, 0
         try:
             parse_poly(text, mode)
         except ParseError as exc:
@@ -111,9 +116,12 @@ def test_text_is_parsed_or_refused_within_the_pair_limits(pairs, text, verb):
         except DiffalgError:
             pass
         assert pairs[0] <= operations * limit, (text, mode)
-    pairs[0] = 0
+        assert pairs[1] <= 2 * MAX_WORK + 4 * pairs[0], (text, mode)
+    pairs[:] = 0, 0
     run_main([verb, "-"] + (["1"] if verb == "mul" else []), text)
     assert pairs[0] <= (operations + (verb == "mul")) * limit, (text, verb)
+    meters = 3 if verb == "mul" else 1  # mul parses two operands, then multiplies them
+    assert pairs[1] <= 2 * MAX_WORK * meters + 4 * pairs[0], (text, verb)
 
 
 letters = st.one_of(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,28 @@ class TestRbBound:
         assert len(json.loads(capsys.readouterr().out)["terms"]) == 924 + 28 + 28 + 6
 
 
+class TestWorkBound:
+    """Text of wide monomials that passes every other bound exits 2 at once
+    in a fresh process: a wide sum times a chain (15 s before the work
+    bound) and a power of two chains (40 s), each read by mul from stdin."""
+
+    SUM = "(" + "+".join(f"x{i}" for i in range(50)) + ")"
+    CHAIN = "*".join(f"v{i}" for i in range(1000))
+    POWER = "(" + "*".join(f"w{i}" for i in range(100)) + "+" + "*".join(
+        f"u{i}" for i in range(100)) + ")^999"
+
+    @pytest.mark.parametrize("text, offset", [(f"{SUM}*{CHAIN}", 857), (POWER, 783)],
+                             ids=["sum-times-chain", "power"])
+    def test_refused_within_a_second(self, text, offset):
+        start = time.perf_counter()
+        r = run_cli("mul", "-", "1", stdin=text)
+        elapsed = time.perf_counter() - start
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", (
+            f"error: an expression of more than 600000 variable copies at byte {offset} "
+            "(expected: at most 600000 variable copies in an expression)\n"))
+        assert elapsed < 1, elapsed
+
+
 class TestErrors:
     def test_parse_error_exits_2(self):
         r = run_cli("diff", "x^")
@@ -518,12 +541,12 @@ class TestMissingFields:
         assert r.stderr == f'error: missing field "{field}"\n'
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import cli
+        from diffalg import cli, expr
 
         def broken(p):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli, "d_shift", broken)
+        monkeypatch.setattr(expr, "d_shift", broken)
         with pytest.raises(KeyError):
             cli.main(["diff", "x"])
 
@@ -632,11 +655,11 @@ class TestTypedInputErrors:
         assert r.stderr == b"error: standard input is not utf-8 text at byte 5 (expected: utf-8 text)\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import cli
+        from diffalg import cli, expr
 
         def broken(p):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "d_shift", broken)
+        monkeypatch.setattr(expr, "d_shift", broken)
         with pytest.raises(ValueError):
             cli.main(["diff", "x"])

@@ -232,7 +232,7 @@ class TestNegativeControls:
                 check_leibniz(c, 10, 42),
                 check_higher_leibniz(c, 5, 10, 42),
                 chain_rule_suite(c, 10, 42),
-                faa_di_bruno_suite(c, 5, 10, 42),
+                faa_di_bruno_suite(c, 10, 42),
                 check_kernel_closure(c, 10, 42),
             ):
                 lines.append(rep.to_json())
@@ -364,11 +364,11 @@ class TestEvalLawMemos:
 
         monkeypatch.setattr(hurwitz, "_recursion", counting)
         trials = 5
-        recursions = check_eval_recursions(trials, 11, n_max=self.N_MAX)
+        recursions = check_eval_recursions(trials, 11)
         assert [r.trials for r in recursions] == [trials, trials]
         assert calls == [self.N_MAX] * (1 * 2 * trials)  # one per trial per law
         calls.clear()
-        pointwise = check_eval_pointwise(trials, 12, n_max=self.N_MAX)
+        pointwise = check_eval_pointwise(trials, 12)
         assert [r.trials for r in pointwise] == [trials] * 3
         # unit and generator clauses one each, the product clause p, q and p*q
         assert calls == [self.N_MAX] * ((1 + 1 + 3) * trials)
@@ -384,8 +384,7 @@ class TestEvalLawMemos:
             return lambda j: component(j) + (1 if j == k else 0)
 
         monkeypatch.setattr(hurwitz, "_recursion", off_at_k)
-        reports = (check_eval_recursions(2, 42, n_max=self.N_MAX)
-                   + check_eval_pointwise(2, 43, n_max=self.N_MAX))
+        reports = check_eval_recursions(2, 42) + check_eval_pointwise(2, 43)
         assert [r.law for r in reports] == [
             "omega_matches_hurwitz_ring", "delta_matches_cauchy_ring",
             "omega_unit_clause", "omega_generator_clause", "omega_product_clause"]

@@ -18,6 +18,7 @@ from diffalg.expr import (
     MAX_POWER_TERMS,
     MAX_PRODUCT_PAIRS,
     MAX_PRODUCT_VARIABLES,
+    MAX_WORK,
     POLY_MODE,
     parse_poly,
     parse_rational,
@@ -157,7 +158,6 @@ class TestOrderBound:
             return original(p)
 
         monkeypatch.setattr(expr, "d_shift", counting)
-        monkeypatch.setattr(cli, "d_shift", counting)
         return calls
 
     def test_at_the_bound(self, shifts):
@@ -546,6 +546,114 @@ class TestProductVariableBound:
         assert cli.main(["mul", chain(600), chain(600, 600)]) == 2
         assert "variables at byte 1 " in capsys.readouterr().err
         assert len(products) == 2 * 599
+
+
+class TestWorkBound:
+    """Each parse keeps one work meter: every product and power charges it,
+    before it multiplies, its term pairs times the variables past two of
+    the monomials they build.  Past MAX_WORK the parse is refused, after the
+    operation's other bounds; the tests count the products and powers taken."""
+
+    FOUND = f"{linear_sum(50)}*{chain(1000, 1000)}"  # 15 s under every other bound
+    POWER = f"({chain(100)} + {chain(100, 100)})^999"  # 40 s under every other bound
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "__pow__"):
+            original = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda p, q, f=original, name=name:
+                                calls.append(name) or f(p, q))
+        return calls
+
+    @staticmethod
+    def spent(text: str) -> int:
+        parser = expr._Parser(text, POLY_MODE)
+        parser.parse()
+        return parser.meter.spent
+
+    def test_the_widest_chain_is_within_the_bound(self):
+        """x0*...*x999 builds the widest monomial a product may make."""
+        assert self.spent(chain(MAX_PRODUCT_VARIABLES)) == 498_501 <= MAX_WORK
+
+    @pytest.mark.parametrize("text", ["(x+1)^1000", "(x+y+1)^61", "(x*y + x + y)^30",
+                                      "*".join(["x"] * 3000), f"{linear_sum(1500)}*y",
+                                      "+".join(["(x+y+1)^20*(x+y+1)^20"] * 6)])
+    def test_narrow_monomials_cost_nothing(self, text):
+        assert self.spent(text) == 0
+
+    def test_wide_sum_times_chain(self, taken):
+        offset = self.FOUND.index("*x1155") + 1
+        with pytest.raises(ParseError, match=f"an expression of more than {MAX_WORK} variable "
+                                             f"copies at byte {offset} ") as info:
+            parse_poly(self.FOUND, POLY_MODE)
+        assert info.value.offset == offset
+        assert len(taken) == 155
+
+    def test_wide_power(self, taken):
+        offset = self.POWER.index("^") + 2
+        with pytest.raises(ParseError, match=f"an expression of more than {MAX_WORK} variable "
+                                             f"copies at byte {offset} ") as info:
+            parse_poly(self.POWER, POLY_MODE)
+        assert info.value.offset == offset
+        assert "__pow__" not in taken
+
+    def test_other_bounds_come_first(self, taken):
+        """A chain over the variable bound is refused by that bound, though
+        its work would pass MAX_WORK on the same '*'."""
+        with pytest.raises(ParseError, match=f"more than {MAX_PRODUCT_VARIABLES} variables"):
+            parse_poly(f"{chain(MAX_PRODUCT_VARIABLES)}*({'+'.join(f'y{i}' for i in range(300))})",
+                       POLY_MODE)
+
+    def test_cli_product(self, taken, capsys):
+        """mul's product of two parsed operands has a meter of its own."""
+        assert cli.main(["mul", chain(999), linear_sum(700)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: an expression of more than {MAX_WORK} variable copies at byte 1 "
+            f"(expected: at most {MAX_WORK} variable copies in an expression)\n")
+        assert len(taken) == 998
+
+
+class CountingText(str):
+    """Text that counts the characters sliced out of it."""
+
+    sliced = 0
+
+    def __getitem__(self, key):
+        out = str.__getitem__(self, key)
+        if isinstance(key, slice):
+            self.sliced += len(out)
+        return out
+
+
+class TestLinearParsing:
+    """The parser reads each character a bounded number of times: the byte
+    offset of each '*', '^', number and D is counted on from the one before."""
+
+    @pytest.mark.parametrize("unit", ["x*", "1+", "\u00e9^2*", "D(x)*", " 12 - ", "x'*"])
+    def test_characters_read_grow_linearly(self, unit):
+        def read(n: int) -> int:
+            text = CountingText(unit * n + "1")
+            parse_poly(text)
+            return text.sliced
+
+        assert read(4000) <= 5 * read(1000)
+
+    def test_offsets_in_any_order(self):
+        text = "\u00e9 + 2*\u00fc^3 - x\u2019"
+        parser = expr._Parser(text, POLY_MODE)
+        indices = [5, 2, 9, 0, len(text), 3, 3, 1, *range(len(text) + 1), *range(len(text), -1, -1)]
+        for i in indices:
+            assert parser._byte_offset(i) == len(text[:i].encode()) + 1, i
+
+    @pytest.mark.parametrize("text, offset", [
+        ("\u00e9*(x)^(4)", 7),  # after the parser backs up to the '^'
+        ("\u00e9\u00e9 * y^", 10), ("\u00fc + D(\u00e9)^(2)", 11),
+        ("\u00e9*" * 3 + "(x+1)^1999", 16)])
+    def test_offsets_after_multibyte_text(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.offset == offset
 
 
 class TestSeriesLiterals:

@@ -731,7 +731,7 @@ class TestComul:
             comul(series(1, 2, flavor=Flavor.POWER), 1)
 
     def test_comonad_suite(self):
-        for report in check_comonad_laws(25, 41, order=10):
+        for report in check_comonad_laws(25, 41):
             assert report.passed, report.to_json()
 
     def test_grid_shape(self):
