@@ -9,7 +9,10 @@ expanding every letter and the tail into monomials: stored keys are
 The product shuffles the word parts (sum over all interleavings preserving
 each word's internal order, counted with multiplicity) and multiplies the
 tails.  Every shuffle runs on :func:`shuffle_words`, which counts the
-interleavings per distinct word, so its cost follows the distinct words.
+interleavings per distinct word, so its cost follows the distinct words,
+and returns each distinct word once with its count.  :func:`shuffle` and
+:func:`rb_mul` key the words of each term pair in one dict and add the
+smaller dicts into the largest, so most words are hashed once.
 The operator P appends the tail to the word as a new letter and resets
 the tail to 1; it satisfies the Rota-Baxter identity
 
@@ -42,10 +45,10 @@ if TYPE_CHECKING:  # the law harness is imported by the two functions that use i
 Word = tuple
 
 
-def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
-    """The shuffle of two words as a map from each distinct word to the
-    number of interleavings of u and v (internal order kept) that spell it;
-    the counts sum to binom(|u|+|v|, |u|).
+def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
+    """The shuffle of two words as (word, count) pairs, each distinct word
+    once with the number of interleavings of u and v (internal order kept)
+    that spell it; the counts sum to binom(|u|+|v|, |u|).
 
     Filled on the prefix grid row by row, from the last-letter recursion
 
@@ -57,9 +60,11 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     A cell is a list of (word, count) pairs, each word once, not a dict:
     hashing every intermediate word would make shuffles of distinct
     letters, where nothing merges, 25-50 % slower.  row[j] is overwritten
-    in place, so one row of cells is live at a time."""
+    in place, so one row of cells is live at a time.  The last cell is
+    returned as it stands; :func:`shuffle` and :func:`rb_mul` key it in one
+    dict per term pair and add the smaller dicts into the largest."""
     if not u or not v:
-        return {u + v: 1}
+        return [(u + v, 1)]
     row = [[(v[:j], 1)] for j in range(len(v) + 1)]
     for i, a in enumerate(u, 1):
         left = row[0] = [(u[:i], 1)]
@@ -74,7 +79,19 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
             else:
                 cell += [(w + (b,), n) for w, n in left]
             row[j] = left = cell
-    return dict(row[-1])
+    return row[-1]
+
+
+def _merge_into_largest(parts: list[dict]) -> dict:
+    """The sum of the coefficient maps parts (one per term pair, each word
+    keyed once): the smaller ones are added into the largest, so its keys
+    are hashed only when it is built."""
+    out = max(parts, key=len, default={})
+    for part in parts:
+        if part is not out:
+            for k, c in part.items():
+                out[k] = out[k] + c if k in out else c
+    return out
 
 
 def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
@@ -97,15 +114,14 @@ def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
 
 def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
     """Shuffle product of two words, as a linear combination of words."""
-    out: dict[Word, Fraction] = {}
+    parts = []
     words_v = normalize_word(v).items()
     for wu, cu in normalize_word(u).items():
         for wv, cv in words_v:
             c = cu * cv
-            for w, n in shuffle_words(wu, wv).items():
-                cn = c if n == 1 else c * n
-                out[w] = out[w] + cn if w in out else cn
-    return drop_zeros(out)
+            # Fraction * int allocates, so a count of 1 keeps c itself
+            parts.append({w: c if n == 1 else c * n for w, n in shuffle_words(wu, wv)})
+    return drop_zeros(_merge_into_largest(parts))
 
 
 def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
@@ -154,16 +170,13 @@ class RBElem(LinComb):
 
 def rb_mul(s: RBElem, t: RBElem) -> RBElem:
     """Bilinear product: shuffle on word parts, monomial product on tails."""
-    out: dict = {}
+    parts = []
     for (w1, t1), c1 in s._num.items():
         for (w2, t2), c2 in t._num.items():
             tail = mono_mul(t1, t2)
             c = c1 * c2
-            for w, n in shuffle_words(w1, w2).items():
-                key = (w, tail)
-                cn = c if n == 1 else c * n
-                out[key] = out[key] + cn if key in out else cn
-    return RBElem._from_ints(out, s._den * t._den)
+            parts.append({(w, tail): c * n for w, n in shuffle_words(w1, w2)})
+    return RBElem._from_ints(_merge_into_largest(parts), s._den * t._den)
 
 
 def rb_P(s: RBElem) -> RBElem:

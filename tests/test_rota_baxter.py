@@ -56,6 +56,9 @@ class TestShuffle:
                 v = [Poly.variable(f"v{i}") for i in range(k)]
                 assert shuffle_term_count(u, v) == binom(j + k, j)
 
+    def test_sum_letters_cancel(self):
+        assert shuffle([x + y], [x - y]) == {word(x, x): F(2), word(y, y): F(-2)}
+
     def test_multilinear_letters(self):
         # a word with a sum letter equals the sum of monomial-letter words
         assert shuffle([a + b], []) == {word(a): F(1), word(b): F(1)}
@@ -118,24 +121,33 @@ rb_elems = st.dictionaries(
     st.sampled_from([-2, -1, 1, 2]), max_size=4).map(RBElem)
 
 
+def as_counts(pairs) -> dict:
+    """The kernel's (word, count) pairs as a dict, after checking that each
+    word is listed once and each count is a positive int."""
+    counts = dict(pairs)
+    assert len(pairs) == len(counts)
+    assert all(type(n) is int and n > 0 for n in counts.values())
+    return counts
+
+
 class TestKernel:
     @given(small_words)
     def test_matches_enumeration(self, pair):
         u, v = pair
-        assert shuffle_words(u, v) == dict(Counter(interleavings(u, v)))
+        assert as_counts(shuffle_words(u, v)) == dict(Counter(interleavings(u, v)))
 
     @given(words, words)
     def test_counts_sum_to_binomial(self, u, v):
-        counts = shuffle_words(u, v)
+        counts = as_counts(shuffle_words(u, v))
         assert sum(counts.values()) == math.comb(len(u) + len(v), len(u))
-        assert all(type(n) is int and n > 0 for n in counts.values())
 
     def test_repeated_letter_is_one_word(self):
-        assert shuffle_words(("a",) * 8, ("a",) * 8) == {("a",) * 16: 12870}
+        assert as_counts(shuffle_words(("a",) * 8, ("a",) * 8)) == {("a",) * 16: 12870}
 
     def test_long_words_do_not_recurse(self):
         # an interleaving recursion would need one frame per letter here
-        assert shuffle_words(("a",) * 2, ("a",) * 1200) == {("a",) * 1202: math.comb(1202, 2)}
+        pairs = shuffle_words(("a",) * 2, ("a",) * 1200)
+        assert as_counts(pairs) == {("a",) * 1202: math.comb(1202, 2)}
 
     @given(rb_elems, rb_elems)
     def test_rb_mul_matches_enumeration(self, s, t):
@@ -163,6 +175,22 @@ class TestProduct:
         s = RBElem.term([], x)
         t = RBElem.term([a], y)
         assert rb_mul(s, t) == RBElem.term([a], x * y)
+
+    def test_term_pairs_cancel(self):
+        # x·(-x) and y·y give the squares; x·y and y·(-x) cancel
+        s = RBElem.term([x], 1) + RBElem.term([y], 1)
+        t = RBElem.term([y], 1) + RBElem.term([x], 1, -1)
+        assert rb_mul(s, t) == RBElem.term([y, y], 1, 2) + RBElem.term([x, x], 1, -2)
+
+    def test_order_of_terms_does_not_matter(self):
+        # Built in this order, the largest term pair is xy·yx, the second
+        # one, and xyx·y merges into it; reversed, the largest comes first.
+        s_terms = [((word(x, y), EMPTY_MONO), F(1)), ((word(x, y, x), EMPTY_MONO), F(3))]
+        t_terms = [((word(y), EMPTY_MONO), F(2)), ((word(y, x), EMPTY_MONO), F(-1))]
+        forward = rb_mul(RBElem(dict(s_terms)), RBElem(dict(t_terms)))
+        backward = rb_mul(RBElem(dict(s_terms[::-1])), RBElem(dict(t_terms[::-1])))
+        assert forward == backward == RBElem(brute_product(s_terms, t_terms))
+        assert str(forward) == str(backward)
 
     def test_unit(self):
         rng = SplitMix64(5)
