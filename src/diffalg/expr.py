@@ -318,9 +318,6 @@ class _Parser:
     def ident(self) -> str:
         self.skip_ws()
         start = self.i
-        ch = self.text[self.i] if self.i < len(self.text) else ""
-        if not ch.isalpha():
-            self.error({"identifier"})
         while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "_"):
             self.i += 1
         return self.text[start:self.i]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -190,10 +191,13 @@ _set = object.__setattr__  # Series.__setattr__ refuses every assignment
 
 
 def _exact(value):
-    """value, unless it is a number that is not exact (``float``,
-    ``complex``), a ``bool`` or a ``str``: those raise ``TypeError``, as
+    """value, unless it is a number other than an ``int`` or a ``Fraction``
+    (a ``float``, a ``Decimal``, a fixed-width integer that wraps around, a
+    ``bool``) or a ``str``: those raise ``TypeError``, as
     :func:`~diffalg.lincomb.coerce` does for a linear combination."""
-    if isinstance(value, (bool, float, complex, str)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, (numbers.Number, str)):
         raise TypeError(f"expected an exact rational or a ring element, "
                         f"got {type(value).__name__}")
     return value

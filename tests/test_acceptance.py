@@ -5,9 +5,8 @@ criterion."""
 import hashlib
 import itertools
 import json
-import subprocess
-import sys
 
+from cli_runner import CLI, run_child, run_cli
 from diffalg.carriers import (
     broken_identity_carrier,
     broken_squaring_carrier,
@@ -37,10 +36,6 @@ from diffalg.suites import (
 )
 
 SEED = 2024
-CLI = (sys.executable, "-m", "diffalg.cli")
-# As in test_cli: a bound that regresses into a long computation fails the
-# test here instead of hanging the suite.
-CLI_TIMEOUT_S = 60
 # The stdout of `laws --seed 42` at its default 100 trials: 52 report lines.
 LAWS_SEED42_TRIALS100_SHA256 = "87fdae1aa2029763fb74fcfdb080c2dda44e36ec2c7e6882228a8efa97922082"
 
@@ -149,12 +144,10 @@ def test_criterion_9_negative_controls():
 
 
 def test_criterion_10_cli_golden():
-    diff = subprocess.run(CLI + ("diff", "--n", "2", "x^2"),
-                          capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
-    psi = subprocess.run(CLI + ("psi", "[1,1,1,1]", "--from", "power"),
-                         capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
-    laws = subprocess.run(CLI + ("laws", "--seed", "42"),
-                          capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+    diff = run_cli("diff", "--n", "2", "x^2")
+    psi = run_cli("psi", "[1,1,1,1]", "--from", "power")
+    # The shipped entry point, run as a user runs it, in a fresh interpreter.
+    laws = run_child(*CLI, "laws", "--seed", "42")
     laws_sha = hashlib.sha256(laws.stdout.encode()).hexdigest()
     ok = (
         diff.returncode == 0 and diff.stdout == "2*x'^2 + 2*x*x''\n"

@@ -18,16 +18,14 @@ variables past two that its meter is charged for, plus four, and each
 parse, and the product of the mul verb, has a meter of its own.
 """
 
-import contextlib
-import io
 import json
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffalg import cli, polynomial, rota_baxter
+from cli_runner import run_cli
+from diffalg import polynomial, rota_baxter
 from diffalg.errors import DiffalgError, ParseError
 from diffalg.expr import (DIFF_MODE, MAX_POWER_PAIRS, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS,
                           MAX_WORK, POLY_MODE, parse_poly)
@@ -87,18 +85,12 @@ def pairs(monkeypatch):
     return count
 
 
-def run_main(argv, stdin: str) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = saved
-    assert code in (0, 2), err.getvalue()
-    assert (code == 2) == err.getvalue().startswith("error: ")
-    return code, out.getvalue()
+def run_main(*argv, stdin: str) -> tuple[int, str]:
+    """The exit code and stdout of run_cli: 0, or 2 with a one-line error."""
+    r = run_cli(*argv, stdin=stdin)
+    assert r.returncode in (0, 2), r.stderr
+    assert (r.returncode == 2) == r.stderr.startswith("error: ")
+    return r.returncode, r.stdout
 
 
 @FUZZ
@@ -118,7 +110,7 @@ def test_text_is_parsed_or_refused_within_the_pair_limits(pairs, text, verb):
         assert pairs[0] <= operations * limit, (text, mode)
         assert pairs[1] <= 2 * MAX_WORK + 4 * pairs[0], (text, mode)
     pairs[:] = 0, 0
-    run_main([verb, "-"] + (["1"] if verb == "mul" else []), text)
+    run_main(verb, "-", *(["1"] if verb == "mul" else []), stdin=text)
     assert pairs[0] <= (operations + (verb == "mul")) * limit, (text, verb)
     meters = 3 if verb == "mul" else 1  # mul parses two operands, then multiplies them
     assert pairs[1] <= 2 * MAX_WORK * meters + 4 * pairs[0], (text, verb)
@@ -161,7 +153,7 @@ def test_rb_payloads_run_or_are_refused_within_the_word_limit(made, op, u, v, s,
     their product."""
     made[0] = 0
     payload = {"u": u, "v": v} if op == "shuffle" else {"s": s, "t": t}
-    code, out = run_main(["rb", "--op", op], json.dumps(payload))
+    code, out = run_main("rb", "--op", op, stdin=json.dumps(payload))
     assert made[0] <= 3 * MAX_POWER_TERMS, (op, payload)
     if code == 0 and op != "raw":
         result = json.loads(out)

@@ -1,26 +1,19 @@
 import hashlib
-import io
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-CLI = (sys.executable, "-m", "diffalg.cli")
+from cli_runner import CLI, run_child, run_cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 LAWS_GOLDEN = DATA / "laws_seed42_trials10.txt"
-# Every CLI call below finishes in about a second; a bound that regresses
-# into a long computation fails the test here instead of hanging the suite.
-CLI_TIMEOUT_S = 60
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run(CLI + args, input=stdin, capture_output=True, text=True,
-                          timeout=CLI_TIMEOUT_S)
+RB_MUL = json.dumps({"s": {"terms": [{"word": ["a"], "tail": "x"}]},
+                     "t": {"terms": [{"word": ["b"], "tail": "y"}]}})
 
 
 class TestGolden:
@@ -94,9 +87,55 @@ class TestEval:
         assert [c["recursion"] for c in data["components"]] == ["1", "2", "3"]
 
 
+class TestRunners:
+    """run_cli, which calls cli.main in this process, prints what a fresh
+    ``python -m diffalg.cli`` prints and exits as it does: one call of
+    each verb, an argparse usage error and a typed input error."""
+
+    @pytest.mark.parametrize("args, stdin, code", [
+        (("diff", "-", "--n", "2"), "x^2*y\n", 0),
+        (("mul", "x + 1", "x - 1", "--format", "json"), "", 0),
+        (("eval", "X*Y"), TestEval.ENV, 0),
+        (("hurwitz", "[1,1,1,1]", "[1,2]"), "", 0),
+        (("power", "[1,1,1,1]", "[1,2]", "--format", "json"), "", 0),
+        (("psi", "[1,1,2,6]", "--from", "hurwitz"), "", 0),
+        (("laws", "--seed", "7", "--trials", "1"), "", 0),
+        (("rb", "--op", "mul"), RB_MUL, 0),
+        (("nonsense",), "", 2),
+        (("diff", "x^"), "", 2),
+    ], ids=["diff-stdin", "mul", "eval", "hurwitz", "power", "psi", "laws", "rb", "usage-error",
+            "typed-error"])
+    def test_same_as_a_child(self, args, stdin, code):
+        r = run_cli(*args, stdin=stdin)
+        assert r == run_child(*CLI, *args, stdin=stdin)
+        assert r.returncode == code
+        assert r.stdout if code == 0 else r.stderr
+
+
 def series_env(names, order: int, flavor: str = "hurwitz") -> str:
     return json.dumps({v: {"flavor": flavor, "coeffs": [str(k % 5 - 2) for k in range(order + 1)]}
                        for v in names})
+
+
+class Reached(Exception):
+    pass
+
+
+def stopped(monkeypatch, module, *names) -> list:
+    """The names of module's functions called so far: each named function
+    records its name and raises Reached, as passing the bound is all a
+    test of it needs to see."""
+    calls = []
+
+    def stop(name):
+        def call(*args):
+            calls.append(name)
+            raise Reached
+        return call
+
+    for name in names:
+        monkeypatch.setattr(module, name, stop(name))
+    return calls
 
 
 class TestEvalCost:
@@ -104,59 +143,45 @@ class TestEvalCost:
     MAX_EVAL_COST exits 2 before the recursion or the ring evaluation runs;
     the tests count their calls."""
 
-    class Reached(Exception):
-        pass
-
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Each call is recorded and then stopped: passing the bound is all
-        these tests need to see."""
         from diffalg import hurwitz
 
-        calls = []
+        return stopped(monkeypatch, hurwitz, "ring_eval", "_components")
 
-        def stop(name):
-            def stopped(*args):
-                calls.append(name)
-                raise self.Reached
-            return stopped
-
-        monkeypatch.setattr(hurwitz, "ring_eval", stop("ring_eval"))
-        monkeypatch.setattr(hurwitz, "_components", stop("_components"))
-        return calls
-
-    def main(self, monkeypatch, expr, names, order, *args, flavor="hurwitz"):
-        from diffalg import cli
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(series_env(names, order, flavor)))
-        return cli.main(["eval", expr, "--order", str(order), *args])
+    @staticmethod
+    def run(expr, names, order, *args, flavor="hurwitz"):
+        return run_cli("eval", expr, "--order", str(order), *args,
+                       stdin=series_env(names, order, flavor))
 
     @pytest.mark.parametrize("expr, names, order", [
         ("X^3*Y^3", "XY", 1000), ("X^3*Y^3", "XY", 559), ("X^4", "X", 1000),
         ("X*Y*Z", "XYZ", 1000)])
-    def test_refused(self, calls, monkeypatch, capsys, expr, names, order):
+    def test_refused(self, calls, expr, names, order):
         from diffalg.cli import MAX_EVAL_COST
 
-        assert self.main(monkeypatch, expr, names, order) == 2
-        assert capsys.readouterr().err == (
+        r = self.run(expr, names, order)
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: an evaluation of more than {MAX_EVAL_COST} steps at byte 1 "
             "(expected: a lower --order or a smaller polynomial)\n")
         assert calls == []
 
     @pytest.mark.parametrize("expr, names, order", [
         ("X^4", "X", 999), ("X*Y", "XY", 1000), ("X^3*Y^3", "XY", 558)])
-    def test_at_the_bound(self, calls, monkeypatch, expr, names, order):
-        with pytest.raises(self.Reached):
-            self.main(monkeypatch, expr, names, order)
+    def test_at_the_bound(self, calls, expr, names, order):
+        with pytest.raises(Reached):
+            self.run(expr, names, order)
         assert calls == ["ring_eval"]
 
     @pytest.mark.parametrize("expr, names, order, flavor, fmt", [
         ("3*X^2*Y - 1/2*X*Y^2 + 7", "XY", 6, "hurwitz", "text"),
         ("X*Y*Z + 2*X^2*Y - Z^3", "XYZ", 8, "power", "json")])
-    def test_benchmark_requests_run(self, monkeypatch, capsys, expr, names, order, flavor, fmt):
+    def test_benchmark_requests_run(self, expr, names, order, flavor, fmt):
         """The shapes of the eval requests the cli benchmark makes."""
-        assert self.main(monkeypatch, expr, names, order, "--format", fmt, flavor=flavor) == 0
-        out = capsys.readouterr().out
+        r = self.run(expr, names, order, "--format", fmt, flavor=flavor)
+        assert r.returncode == 0
+        out = r.stdout
         rows = json.loads(out)["components"] if fmt == "json" else out.splitlines()
         assert len(rows) == order + 1
 
@@ -185,9 +210,9 @@ class TestEvalGolden:
 
     @pytest.mark.parametrize("args, env, golden", CASES)
     def test_golden(self, args, env, golden):
-        r = subprocess.run(CLI + args, input=(DATA / env).read_bytes(), capture_output=True)
+        r = run_cli(*args, stdin=(DATA / env).read_text())
         assert r.returncode == 0
-        assert r.stdout == (DATA / golden).read_bytes()
+        assert r.stdout.encode() == (DATA / golden).read_bytes()
 
 
 class TestLaws:
@@ -201,10 +226,10 @@ class TestLaws:
     def test_frozen_golden(self):
         """The reports are frozen byte for byte, so a change to any
         SplitMix64 draw order or law report shows up here."""
-        r = subprocess.run(CLI + ("laws", "--seed", "42", "--trials", "10"), capture_output=True)
+        r = run_cli("laws", "--seed", "42", "--trials", "10")
         assert r.returncode == 0
         golden = LAWS_GOLDEN.read_bytes()
-        assert r.stdout == golden
+        assert r.stdout.encode() == golden
 
     def test_frozen_golden_matches_benchmark(self):
         meta = json.loads((ROOT / "perfbench" / "golden.json").read_text())
@@ -226,7 +251,7 @@ class TestImports:
         pays for them in start-up time if the CLI module imports them."""
         code = ("import sys, diffalg.cli; "
                 "print(sorted(m for m in ('diffalg.suites', 'diffalg.carriers') if m in sys.modules))")
-        r = subprocess.run((sys.executable, "-c", code), capture_output=True, text=True)
+        r = run_child("-c", code)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
 
@@ -243,9 +268,8 @@ class TestImports:
     @pytest.mark.parametrize("args, stdin, uses, absent", [
         (("mul", "x + 1", "x - 1"), None, "diffalg.expr", POLY_ONLY),
         (("diff", "--n", "2", "x^2"), None, "diffalg.free_diff", POLY_ONLY),
-        (("rb", "--op", "mul"), json.dumps({"s": {"terms": [{"word": ["a"], "tail": "x"}]},
-                                            "t": {"terms": [{"word": ["b"], "tail": "y"}]}}),
-         "diffalg.rota_baxter", ("diffalg.hurwitz", "diffalg.diff_laws")),
+        (("rb", "--op", "mul"), RB_MUL, "diffalg.rota_baxter",
+         ("diffalg.hurwitz", "diffalg.diff_laws")),
         (("hurwitz", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
         (("power", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
         (("psi", "[1,1,1]"), None, "diffalg.hurwitz", SERIES),
@@ -255,8 +279,7 @@ class TestImports:
         """A verb's start-up pays only for the modules it uses: the law
         harness (and dataclasses with it) loads for laws alone, the series
         module for the series verbs, the shuffle algebra for rb."""
-        r = subprocess.run((sys.executable, "-c", self.FOOTPRINT, *args), input=stdin,
-                           capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+        r = run_child("-c", self.FOOTPRINT, *args, stdin=stdin)
         assert r.returncode == 0, r.stderr
         code, loaded = json.loads(r.stdout.splitlines()[-1])
         assert code == 0 and uses in loaded
@@ -321,30 +344,15 @@ class TestRbBound:
     tests stop the expansion and the shuffle kernel to show that neither
     runs."""
 
-    class Reached(Exception):
-        pass
-
     @pytest.fixture
     def expansions(self, monkeypatch):
         from diffalg import rota_baxter
 
-        calls = []
+        return stopped(monkeypatch, rota_baxter, "normalize_word", "shuffle_words")
 
-        def stop(name):
-            def stopped(*args):
-                calls.append(name)
-                raise self.Reached
-            return stopped
-
-        monkeypatch.setattr(rota_baxter, "normalize_word", stop("normalize_word"))
-        monkeypatch.setattr(rota_baxter, "shuffle_words", stop("shuffle_words"))
-        return calls
-
-    def main(self, monkeypatch, op, payload):
-        from diffalg import cli
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-        return cli.main(["rb", "--op", op])
+    @staticmethod
+    def run(op, payload):
+        return run_cli("rb", "--op", op, stdin=json.dumps(payload))
 
     @pytest.mark.parametrize("op, payload", [
         ("shuffle", {"u": letters(11), "v": letters(11, 11)}),
@@ -357,11 +365,12 @@ class TestRbBound:
         ("shuffle", {"u": ["0"], "v": ["x+y"] * 20}),
     ], ids=["shuffle-11x11", "P-20-letters", "mul-11x11", "D-2048-words", "raw-wide-tail",
             "P-many-terms", "mul-by-zero", "shuffle-zero-word"])
-    def test_refused(self, expansions, monkeypatch, capsys, op, payload):
+    def test_refused(self, expansions, op, payload):
         from diffalg.expr import MAX_POWER_TERMS
 
-        assert self.main(monkeypatch, op, payload) == 2
-        assert capsys.readouterr().err == (
+        r = self.run(op, payload)
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: an rb result of more than {MAX_POWER_TERMS} words at byte 1 "
             f"(expected: at most {MAX_POWER_TERMS} words in an rb result)\n")
         assert expansions == []
@@ -372,12 +381,12 @@ class TestRbBound:
         ("mul", {"s": rb_elem((["a+b"] * 4 + ["+".join(letters(125))], "1")),
                  "t": rb_elem(([], "1"))}),
     ], ids=["P-2000-terms", "shuffle-10x200", "mul-16x125"])
-    def test_at_the_bound(self, expansions, monkeypatch, op, payload):
-        with pytest.raises(self.Reached):
-            self.main(monkeypatch, op, payload)
+    def test_at_the_bound(self, expansions, op, payload):
+        with pytest.raises(Reached):
+            self.run(op, payload)
         assert expansions[0] == "normalize_word"
 
-    def test_repeated_letters_are_counted_apart(self, monkeypatch, capsys):
+    def test_repeated_letters_are_counted_apart(self):
         """The interleavings of repeated letters spell one word, but the
         estimate counts each: x^7 shuffled with x^7 is one word with
         coefficient C(14, 7) = 3432, and is refused; x^6 with x^6 runs."""
@@ -386,27 +395,31 @@ class TestRbBound:
 
         x = Poly.variable("x")
         assert shuffle([x] * 7, [x] * 7) == {((("x", 1),),) * 14: 3432}
-        assert self.main(monkeypatch, "shuffle", {"u": ["x"] * 7, "v": ["x"] * 7}) == 2
-        assert "an rb result of more than" in capsys.readouterr().err
-        assert self.main(monkeypatch, "shuffle", {"u": ["x"] * 6, "v": ["x"] * 6}) == 0
-        assert json.loads(capsys.readouterr().out)["result"] == [{"word": ["x"] * 12, "coeff": "924"}]
+        r = self.run("shuffle", {"u": ["x"] * 7, "v": ["x"] * 7})
+        assert r.returncode == 2
+        assert "an rb result of more than" in r.stderr
+        r = self.run("shuffle", {"u": ["x"] * 6, "v": ["x"] * 6})
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["result"] == [{"word": ["x"] * 12, "coeff": "924"}]
 
-    def test_benchmark_requests_run(self, monkeypatch, capsys):
+    def test_benchmark_requests_run(self):
         """The shapes of the rb requests the cli benchmark makes: a 5 x 6
         shuffle of distinct letters (462 words), and a mul of two elements
         of a 6-letter and a 2-letter word (at most 986 words)."""
-        assert self.main(monkeypatch, "shuffle", {"u": letters(5), "v": letters(6, 5)}) == 0
-        assert len(json.loads(capsys.readouterr().out)["result"]) == 462
+        r = self.run("shuffle", {"u": letters(5), "v": letters(6, 5)})
+        assert r.returncode == 0
+        assert len(json.loads(r.stdout)["result"]) == 462
         s = rb_elem((letters(6), "x"), (letters(2, 6), "y"))
         t = rb_elem((letters(6, 8), "z"), (letters(2, 14), "w"))
-        assert self.main(monkeypatch, "mul", {"s": s, "t": t}) == 0
-        assert len(json.loads(capsys.readouterr().out)["terms"]) == 924 + 28 + 28 + 6
+        r = self.run("mul", {"s": s, "t": t})
+        assert r.returncode == 0
+        assert len(json.loads(r.stdout)["terms"]) == 924 + 28 + 28 + 6
 
 
 class TestWorkBound:
-    """Text of wide monomials that passes every other bound exits 2 at once
-    in a fresh process: a wide sum times a chain (15 s before the work
-    bound) and a power of two chains (40 s), each read by mul from stdin."""
+    """Text of wide monomials that passes every other bound exits 2 at once:
+    a wide sum times a chain (15 s before the work bound) and a power of
+    two chains (40 s), each read by mul from stdin."""
 
     SUM = "(" + "+".join(f"x{i}" for i in range(50)) + ")"
     CHAIN = "*".join(f"v{i}" for i in range(1000))
@@ -455,12 +468,9 @@ class TestErrors:
     def test_closed_stdout_exits_1_without_traceback(self):
         """The reader closes stdout before the verb prints (the verb waits
         for its expression on stdin until then): exit 1, nothing on stderr."""
-        p = subprocess.Popen(CLI + ("diff", "-"), stdin=subprocess.PIPE,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        p.stdout.close()
-        _, err = p.communicate(b"x^2", timeout=CLI_TIMEOUT_S)
+        p = run_child(*CLI, "diff", "-", stdin=b"x^2", close_stdout=True)
         assert p.returncode == 1
-        assert err == b""
+        assert p.stderr == b""
 
     def test_flavor_conflict_exits_2(self):
         r = run_cli("psi", "[1,1]", "--from", "power", "--to", "power")
@@ -541,14 +551,14 @@ class TestMissingFields:
         assert r.stderr == f'error: missing field "{field}"\n'
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import cli, expr
+        from diffalg import expr
 
         def broken(p):
             raise KeyError("internal")
 
         monkeypatch.setattr(expr, "d_shift", broken)
         with pytest.raises(KeyError):
-            cli.main(["diff", "x"])
+            run_cli("diff", "x")
 
 
 class TestTypedInputErrors:
@@ -636,30 +646,29 @@ class TestTypedInputErrors:
         r = run_cli(*args, stdin=stdin)
         assert (r.returncode, r.stderr, r.stdout) == (2, f"error: {message}\n", "")
 
-    def test_series_length_checked_first(self, monkeypatch, capsys):
+    def test_series_length_checked_first(self, monkeypatch):
         """An overlong "coeffs" list is refused before any coefficient is read."""
         from diffalg import cli
 
         monkeypatch.setattr(cli, "parse_rational", None)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
-            {"x": {"flavor": "hurwitz", "coeffs": ["1"] * 1002}})))
-        assert cli.main(["eval", "x"]) == 2
-        err = capsys.readouterr().err
+        r = run_cli("eval", "x", stdin=json.dumps(
+            {"x": {"flavor": "hurwitz", "coeffs": ["1"] * 1002}}))
+        assert r.returncode == 2
+        err = r.stderr
         assert err == 'error: "coeffs" of series "x" has more than 1001 coefficients\n'
 
     def test_undecodable_stdin(self):
         env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
-        r = subprocess.run(CLI + ("rb", "--op", "P"), input=b'{"s"\xff', capture_output=True,
-                           env=env)
+        r = run_child(*CLI, "rb", "--op", "P", stdin=b'{"s"\xff', env=env)
         assert r.returncode == 2
         assert r.stderr == b"error: standard input is not utf-8 text at byte 5 (expected: utf-8 text)\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import cli, expr
+        from diffalg import expr
 
         def broken(p):
             raise ValueError("internal")
 
         monkeypatch.setattr(expr, "d_shift", broken)
         with pytest.raises(ValueError):
-            cli.main(["diff", "x"])
+            run_cli("diff", "x")

@@ -172,6 +172,21 @@ class TestKernelClosure:
         rep = check_kernel_closure(carrier, 25, 3)
         assert rep.passed and not rep.skipped
 
+    def test_d_of_one_not_zero(self):
+        """D(1) != 0 fails at once, before any kernel element is drawn."""
+        c = replace(poly_sharp_carrier(), d=lambda p: p + 1)
+        rep = check_kernel_closure(c, 25, 3)
+        assert (rep.trials, rep.passed) == (1, False)
+        assert rep.counterexample == {"input": "1", "lhs": "2", "rhs": "0"}
+
+    def test_sampler_outside_the_kernel(self):
+        """A kernel sampler whose elements D does not kill breaks its
+        contract: the report names them and D of the first."""
+        c = replace(poly_sharp_carrier(), sample_kernel=lambda rng, size: eta("x"))
+        rep = check_kernel_closure(c, 25, 3)
+        assert (rep.trials, rep.passed) == (1, False)
+        assert rep.counterexample == {"a": "x", "b": "x", "lhs": "y", "rhs": "0"}
+
     def test_hurwitz_kernel_is_index_zero(self):
         c = hurwitz_carrier(5)
         s = c.sample_kernel(SplitMix64(4), 3)
@@ -204,6 +219,10 @@ class TestDerivationMonoid:
 
 
 class TestNegativeControls:
+    def test_constant_rule_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_constant_rule(diffpoly_carrier(), 0, 0)
+
     def test_identity_derivation_fails_constant_rule(self):
         rep = check_constant_rule(broken_identity_carrier(), 1, 0)
         assert not rep.passed

@@ -1,4 +1,3 @@
-import io
 import math
 import sys
 from fractions import Fraction
@@ -7,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffalg import cli, expr, polynomial
+from cli_runner import run_cli
+from diffalg import expr, polynomial
 from diffalg.errors import ModeError, ParseError
 from diffalg.expr import (
     DIFF_MODE,
@@ -144,21 +144,27 @@ class TestNestingBound:
         assert parse_poly(" - ".join(["x"] * 3001)) == -2999 * dvar("x")
 
 
+def recorded(monkeypatch, owner, name, entry, calls=None) -> list:
+    """calls (a new list by default), to which each call of owner.name
+    appends entry(*args) before the original runs."""
+    calls = [] if calls is None else calls
+    original = getattr(owner, name)
+
+    def call(*args):
+        calls.append(entry(*args))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, call)
+    return calls
+
+
 class TestOrderBound:
     """Derivative orders above MAX_ORDER are rejected before any shift
     derivative runs; the tests count the d_shift calls to show that."""
 
     @pytest.fixture
     def shifts(self, monkeypatch):
-        calls = []
-        original = expr.d_shift
-
-        def counting(p):
-            calls.append(p)
-            return original(p)
-
-        monkeypatch.setattr(expr, "d_shift", counting)
-        return calls
+        return recorded(monkeypatch, expr, "d_shift", lambda p: p)
 
     def test_at_the_bound(self, shifts):
         assert parse_poly(f"D^{MAX_ORDER}(x)") == dvar("x", MAX_ORDER)
@@ -177,9 +183,10 @@ class TestOrderBound:
         assert parse_poly(f"D^{MAX_ORDER}(x) + D^{MAX_ORDER}(y)", DIFF_MODE)
 
     @pytest.mark.parametrize("n", [MAX_ORDER + 1, 100000000])
-    def test_cli_n_above_the_bound(self, shifts, capsys, n):
-        assert cli.main(["diff", "--n", str(n), "x"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: --n must be from 0 to {MAX_ORDER}")
+    def test_cli_n_above_the_bound(self, shifts, n):
+        r = run_cli("diff", "--n", str(n), "x")
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: --n must be from 0 to {MAX_ORDER}")
         assert shifts == []
 
 
@@ -190,15 +197,7 @@ class TestPowerBound:
 
     @pytest.fixture
     def powers(self, monkeypatch):
-        calls = []
-        original = Poly.__pow__
-
-        def counting(p, n):
-            calls.append(n)
-            return original(p, n)
-
-        monkeypatch.setattr(Poly, "__pow__", counting)
-        return calls
+        return recorded(monkeypatch, Poly, "__pow__", lambda p, n: n)
 
     @pytest.mark.parametrize("text, offset", [
         ("(x+y+1)^150", 9), ("(x+y+1)^300", 9), ("(x + y + 1) ^ 300", 15),
@@ -258,9 +257,10 @@ class TestPowerBound:
         assert info.value.offset == offset
         assert powers == taken
 
-    def test_pair_bound_cli_operands(self, powers, capsys):
-        assert cli.main(["mul", "(x+1)^1999", "1"]) == 2
-        assert capsys.readouterr().err == (
+    def test_pair_bound_cli_operands(self, powers):
+        r = run_cli("mul", "(x+1)^1999", "1")
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: a power of more than {MAX_POWER_PAIRS} term pairs at byte 7 "
             f"(expected: at most {MAX_POWER_PAIRS} term pairs in a power)\n")
         assert powers == []
@@ -357,14 +357,16 @@ class TestDerivativeBound:
     def test_within_the_bound(self, text, terms):
         assert parse_poly(text, DIFF_MODE).n_terms() == terms
 
-    def test_cli_n(self, shifts, capsys):
-        assert cli.main(["diff", "--n", "40", "x^20"]) == 2
-        assert capsys.readouterr().err == (
+    def test_cli_n(self, shifts):
+        r = run_cli("diff", "--n", "40", "x^20")
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: a derivative of more than {MAX_POWER_TERMS} terms at byte 1 "
             f"(expected: at most {MAX_POWER_TERMS} terms in a derivative)\n")
         assert len(shifts) == 19
-        assert cli.main(["diff", "--n", "8", "x^8"]) == 0
-        assert capsys.readouterr().out.count(" + ") == 21
+        r = run_cli("diff", "--n", "8", "x^8")
+        assert r.returncode == 0
+        assert r.stdout.count(" + ") == 21
 
     def test_estimate_bounds_every_small_shift(self):
         texts = ["x", "x+1", "x*y'+2", "x^3*y'' - x'*y", "7", "0", "(x+y')^3"]
@@ -384,15 +386,7 @@ class TestProductBound:
 
     @pytest.fixture
     def products(self, monkeypatch):
-        calls = []
-        original = Poly.__mul__
-
-        def counting(p, q):
-            calls.append((p.n_terms(), q.n_terms()))
-            return original(p, q)
-
-        monkeypatch.setattr(Poly, "__mul__", counting)
-        return calls
+        return recorded(monkeypatch, Poly, "__mul__", lambda p, q: (p.n_terms(), q.n_terms()))
 
     @pytest.mark.parametrize("text, offset, taken", [
         (f"{WIDE}*{WIDE}", len(WIDE) + 1, []),
@@ -414,9 +408,10 @@ class TestProductBound:
             parse_poly("(x+y+1)^60*(x+y+1)^60", POLY_MODE)
         assert (1891, 1891) not in products
 
-    def test_cli_operands(self, products, capsys):
-        assert cli.main(["mul", self.WIDE, self.WIDE]) == 2
-        assert capsys.readouterr().err == (
+    def test_cli_operands(self, products):
+        r = run_cli("mul", self.WIDE, self.WIDE)
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: a product of more than {MAX_POWER_TERMS} terms at byte 1 "
             f"(expected: at most {MAX_POWER_TERMS} terms in a product)\n")
         assert products == []
@@ -446,9 +441,10 @@ class TestProductBound:
             parse_poly(f"{wide}*{powers_of_x(101)}", POLY_MODE)
         assert (1000, 101) not in products
 
-    def test_pair_bound_cli_operands(self, products, capsys):
-        assert cli.main(["mul", powers_of_x(1000), powers_of_x(101)]) == 2
-        assert capsys.readouterr().err == (
+    def test_pair_bound_cli_operands(self, products):
+        r = run_cli("mul", powers_of_x(1000), powers_of_x(101))
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: a product of more than {MAX_PRODUCT_PAIRS} term pairs at byte 1 "
             f"(expected: at most {MAX_PRODUCT_PAIRS} term pairs in a product)\n")
         assert (1000, 101) not in products
@@ -484,15 +480,7 @@ class TestProductVariableBound:
 
     @pytest.fixture
     def products(self, monkeypatch):
-        calls = []
-        original = Poly.__mul__
-
-        def counting(p, q):
-            calls.append(1)
-            return original(p, q)
-
-        monkeypatch.setattr(Poly, "__mul__", counting)
-        return calls
+        return recorded(monkeypatch, Poly, "__mul__", lambda p, q: 1)
 
     def test_at_the_bound(self, products):
         p = parse_poly(chain(MAX_PRODUCT_VARIABLES), POLY_MODE)
@@ -533,18 +521,19 @@ class TestProductVariableBound:
                 p, q = parse_poly(a, POLY_MODE), parse_poly(b, POLY_MODE)
                 assert expr._product_variables(p, q) >= max(map(len, (p * q)._num), default=0)
 
-    def test_cli_operands(self, products, capsys, monkeypatch):
+    def test_cli_operands(self, products):
         """mul reads its first operand from stdin with '-', without a
         length limit; both the parse and the product are bounded."""
-        monkeypatch.setattr(sys, "stdin", io.StringIO(chain(MAX_PRODUCT_VARIABLES + 1)))
-        assert cli.main(["mul", "-", "1"]) == 2
+        r = run_cli("mul", "-", "1", stdin=chain(MAX_PRODUCT_VARIABLES + 1))
+        assert r.returncode == 2
         offset = len(chain(MAX_PRODUCT_VARIABLES)) + 1
-        assert capsys.readouterr().err == (
+        assert r.stderr == (
             f"error: a product of more than {MAX_PRODUCT_VARIABLES} variables at byte {offset} "
             f"(expected: at most {MAX_PRODUCT_VARIABLES} variables in a product)\n")
         products.clear()
-        assert cli.main(["mul", chain(600), chain(600, 600)]) == 2
-        assert "variables at byte 1 " in capsys.readouterr().err
+        r = run_cli("mul", chain(600), chain(600, 600))
+        assert r.returncode == 2
+        assert "variables at byte 1 " in r.stderr
         assert len(products) == 2 * 599
 
 
@@ -559,12 +548,8 @@ class TestWorkBound:
 
     @pytest.fixture
     def taken(self, monkeypatch):
-        calls = []
-        for name in ("__mul__", "__pow__"):
-            original = getattr(Poly, name)
-            monkeypatch.setattr(Poly, name, lambda p, q, f=original, name=name:
-                                calls.append(name) or f(p, q))
-        return calls
+        calls = recorded(monkeypatch, Poly, "__mul__", lambda p, q: "__mul__")
+        return recorded(monkeypatch, Poly, "__pow__", lambda p, n: "__pow__", calls)
 
     @staticmethod
     def spent(text: str) -> int:
@@ -605,10 +590,11 @@ class TestWorkBound:
             parse_poly(f"{chain(MAX_PRODUCT_VARIABLES)}*({'+'.join(f'y{i}' for i in range(300))})",
                        POLY_MODE)
 
-    def test_cli_product(self, taken, capsys):
+    def test_cli_product(self, taken):
         """mul's product of two parsed operands has a meter of its own."""
-        assert cli.main(["mul", chain(999), linear_sum(700)]) == 2
-        assert capsys.readouterr().err == (
+        r = run_cli("mul", chain(999), linear_sum(700))
+        assert r.returncode == 2
+        assert r.stderr == (
             f"error: an expression of more than {MAX_WORK} variable copies at byte 1 "
             f"(expected: at most {MAX_WORK} variable copies in an expression)\n")
         assert len(taken) == 998

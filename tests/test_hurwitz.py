@@ -1,6 +1,9 @@
 import copy
 import math
+import numbers
+import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -41,6 +44,12 @@ from diffalg.scalars import binom
 from diffalg.suites import check_comonad_laws, check_eval_pointwise, check_psi_laws
 
 F = Fraction
+
+
+@numbers.Integral.register
+class Int64:
+    """Stands in for a fixed-width integer such as numpy's int64: a
+    numbers.Integral that is no int, whose arithmetic wraps around."""
 
 
 def series(*values, flavor=Flavor.HURWITZ):
@@ -391,11 +400,13 @@ class TestStore:
             d = Series((F(1, 2), 0), flavor)
             assert c == d and hash(c) == hash(d) and len({c, d}) == 1
 
-    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, 1j, "ab"],
-                             ids=["float", "integral_float", "true", "false", "complex", "str"])
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, 1j, "ab", Decimal("0.1"), Int64()],
+                             ids=["float", "integral_float", "true", "false", "complex", "str",
+                                  "decimal", "int64"])
     def test_inexact_coefficients_and_scalars_refused(self, bad):
-        """A float, complex, bool or str is neither an exact rational nor a
-        ring element: as a coefficient or a scalar it raises TypeError."""
+        """A float, complex, Decimal, fixed-width integer, bool or str is
+        neither an exact rational nor a ring element: as a coefficient or a
+        scalar it raises TypeError."""
         s = Series((1, 2, 3), Flavor.HURWITZ)
         with pytest.raises(TypeError):
             Series((F(1, 2), bad), Flavor.HURWITZ)
@@ -510,6 +521,31 @@ class TestUnitAndDerive:
     def test_order_exhausted(self):
         with pytest.raises(OrderExhausted):
             sderive(series(1))
+
+
+class TestTypedErrors:
+    """Each refusal of bad arguments raises its typed error."""
+
+    H = series(1, 2, 3)
+    P = series(1, 2, 3, flavor=Flavor.POWER)
+    X = eta("X")
+
+    @pytest.mark.parametrize("call, args, error, message", [
+        (ring_eval, (X, {}), ValueError, "at least one series"),
+        (ring_eval, (X, {"X": H, "Y": P}), FlavorMismatch, "mixes series flavors"),
+        (ring_eval, (X, {"X": H, "Y": series(1, 2)}), OrderMismatch, "mixes series orders"),
+        (ring_eval, (eta("Y"), {"X": H}), UnboundVariable, "'Y'"),
+        (operator.add, (H, P), FlavorMismatch, "hurwitz \\+ power"),
+        (Series.truncate, (H, -1), ValueError, "non-negative"),
+        (sunit, (-1, Flavor.POWER), ValueError, "non-negative"),
+        (comul, (H, -1), ValueError, "non-negative"),
+        (omega_eval, (X, {"X": H}, -1), ValueError, "non-negative"),
+        (operator.getitem, (H, 3), IndexError, "out of range"),
+    ], ids=["ring-eval-empty", "ring-eval-flavors", "ring-eval-orders", "ring-eval-unbound",
+            "add-flavors", "truncate", "sunit", "comul", "omega-eval", "getitem"])
+    def test_raises(self, call, args, error, message):
+        with pytest.raises(error, match=message):
+            call(*args)
 
 
 class TestOmegaEval:

@@ -1,10 +1,9 @@
 import importlib
-import subprocess
-import sys
 
 import pytest
 
 import diffalg
+from cli_runner import run_child
 
 PUBLIC_API = [
     "DiffCarrier", "LawReport", "DVar", "alpha", "beta", "d_shift",
@@ -45,7 +44,7 @@ HOMES = {
 
 def in_child(code: str) -> str:
     """The stdout of code run in a fresh interpreter."""
-    r = subprocess.run((sys.executable, "-c", code), capture_output=True, text=True, timeout=60)
+    r = run_child("-c", code)
     assert r.returncode == 0, r.stderr
     return r.stdout
 
