@@ -375,16 +375,9 @@ def substitute(p: Poly, env: Mapping) -> Poly:
 
 
 def rename_vars(p: Poly, fn: Callable) -> Poly:
-    """Rebuild p with every variable v replaced by the variable fn(v)."""
-    out: dict[Mono, int] = {}
-    for m, c in p._num.items():
-        exps: dict = {}
-        for v, e in m:
-            w = fn(v)
-            exps[w] = exps.get(w, 0) + e
-        m2 = mono_from_exponents(exps)
-        out[m2] = out[m2] + c if m2 in out else c
-    return Poly._from_ints(out, p._den)
+    """Rebuild p with every variable v replaced by the variable fn(v);
+    fn is called once per distinct variable."""
+    return substitute(p, {v: Poly.variable(fn(v)) for v in p.variables()})
 
 
 def map_linear(p: Poly, f) -> Poly:

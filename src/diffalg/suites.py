@@ -392,7 +392,7 @@ def law_table() -> list:
     the module docstring); the four ring carriers run the same six laws.
     Built per call, so an entry holds each function as its module binds it
     then, also one rebound after import."""
-    ring = (poly_sharp_carrier(), diffpoly_carrier(), hurwitz_carrier(), power_carrier())
+    ring = (poly_sharp_carrier(), diffpoly_carrier(), hurwitz_carrier(ORDER), power_carrier(ORDER))
     per_carrier = ((check_constant_rule,), (check_leibniz,), (check_higher_leibniz, TOWER),
                    (chain_rule_suite,), (faa_di_bruno_suite,), (check_kernel_closure,))
     rbc = rota_baxter_carrier()

@@ -187,6 +187,14 @@ class TestKernelClosure:
         assert (rep.trials, rep.passed) == (1, False)
         assert rep.counterexample == {"a": "x", "b": "x", "lhs": "y", "rhs": "0"}
 
+    def test_only_the_second_outside_the_kernel(self):
+        """When D kills a but not b, the report gives D(b)."""
+        drawn = iter([Poly.const(2), eta("x")])
+        c = replace(poly_sharp_carrier(), sample_kernel=lambda rng, size: next(drawn))
+        rep = check_kernel_closure(c, 25, 3)
+        assert (rep.trials, rep.passed) == (1, False)
+        assert rep.counterexample == {"a": "2", "b": "x", "lhs": "y", "rhs": "0"}
+
     def test_hurwitz_kernel_is_index_zero(self):
         c = hurwitz_carrier(5)
         s = c.sample_kernel(SplitMix64(4), 3)

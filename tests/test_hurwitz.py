@@ -633,69 +633,6 @@ class TestDeltaEval:
                 assert delta_eval(p, env, n) == omega_eval(p, env_h, n) / factorial(n)
 
 
-class TestSymbolicCompositionOracle:
-    """Independent cross-check of both recursions by composing polynomials
-    symbolically in a formal variable t.
-
-    A power series (a_0, ..., a_N) stands for the polynomial sum a_k t^k;
-    Cauchy evaluation of p is literal composition, so delta_eval(p, env, n)
-    must be the t^n coefficient of the composite.  A Hurwitz series stands
-    for sum a_k t^k / k!, and omega_eval(p, env, n) must be n! times the
-    t^n coefficient.  Truncation is sound because dropped t^k terms (k > N)
-    only influence coefficients above N.
-    """
-
-    @staticmethod
-    def _as_t_poly(s, egf: bool):
-        from diffalg.scalars import factorial
-
-        t = eta("t")
-        acc = Poly.zero()
-        for k, a in enumerate(s.coeffs):
-            w = a / factorial(k) if egf else a
-            acc = acc + w * t ** k
-        return acc
-
-    @staticmethod
-    def _t_coeff(p, n: int):
-        return p.coefficient(((("t", n),)) if n else ())
-
-    def _random_p(self, rng):
-        p = Poly.zero()
-        for _ in range(rng.randint(1, 3)):
-            exps = {}
-            for _ in range(rng.randint(0, 3)):
-                v = rng.choice(("X", "Y"))
-                exps[v] = exps.get(v, 0) + 1
-            p = p + Poly.monomial(exps, F(rng.randint(-9, 9), rng.randint(1, 4)))
-        return p
-
-    def test_delta_is_truncated_composition(self):
-        from diffalg.polynomial import substitute
-
-        rng = SplitMix64(71)
-        for _ in range(20):
-            p = self._random_p(rng)
-            env = {v: random_series(rng, 8, Flavor.POWER) for v in ("X", "Y")}
-            composed = substitute(p, {v: self._as_t_poly(s, egf=False)
-                                      for v, s in env.items()})
-            for n in range(9):
-                assert delta_eval(p, env, n) == self._t_coeff(composed, n)
-
-    def test_omega_is_truncated_egf_composition(self):
-        from diffalg.polynomial import substitute
-        from diffalg.scalars import factorial
-
-        rng = SplitMix64(73)
-        for _ in range(20):
-            p = self._random_p(rng)
-            env = {v: random_series(rng, 8, Flavor.HURWITZ) for v in ("X", "Y")}
-            composed = substitute(p, {v: self._as_t_poly(s, egf=True)
-                                      for v, s in env.items()})
-            for n in range(9):
-                assert omega_eval(p, env, n) == factorial(n) * self._t_coeff(composed, n)
-
-
 class TestChainRuleOnSeries:
     def test_hurwitz_shift_chain_rule(self):
         rng = SplitMix64(29)

@@ -1,10 +1,18 @@
-"""Poly arithmetic, series arithmetic, the two derivations the laws run on
-and both sides of the two derived laws checked against SymPy, an
-implementation that shares no code with this package.  Skipped when SymPy
-is not installed."""
+"""Poly arithmetic, series arithmetic, the two derivations the laws run on,
+both sides of the two derived laws and the two evaluation recursions checked
+against SymPy, an implementation that shares no code with this package.
+Skipped when SymPy is not installed.
+
+Every check runs in one representation, SymPy's sparse polynomial ring over
+the rationals (sympy.polys.rings), built by :class:`Ring`: a polynomial over
+the package's variables, a series as its generating function in t, and a
+derivation as the sum of partials times the image of each generator.  Two
+tests tie that ring to calculus: the jet generators are the t-derivatives of
+functions x(t), y(t), and d_shift is d/dt on them."""
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,32 +24,98 @@ from diffalg.carriers import (
     poly_sharp_carrier,
     random_diffpoly,
     random_poly,
+    random_series,
 )
 from diffalg.diff_laws import (
     check_higher_leibniz,
     eval_in_carrier,
     faa_di_bruno_mismatch,
+    pick,
+    sample_poly,
     sum_of_products,
 )
 from diffalg.free_diff import DVar, d_shift, dvar, natural_map
-from diffalg.hurwitz import Flavor, Series, diamond, psi, psi_inv, sderive, smul
+from diffalg.hurwitz import (
+    Flavor,
+    Series,
+    delta_eval,
+    diamond,
+    omega_eval,
+    psi,
+    psi_inv,
+    sderive,
+    smul,
+)
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
 from diffalg.scalars import binom
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.ring_series import rs_trunc  # noqa: E402
 
-GENS = sympy.symbols(POLY_POOL)
-SYMBOL = dict(zip(POLY_POOL, GENS))
+TOWER = 5  # the laws' n_max: each tower runs up to D^TOWER
+FORMAL = ("X1", "X2")  # Faà di Bruno's p is a polynomial in these
 
 
-def to_sympy(p: Poly):
-    """The same polynomial as a sympy.Poly over QQ in the generators GENS."""
-    rep = {}
-    for m, c in p.terms():
-        exps = dict(m)
-        rep[tuple(exps.get(v, 0) for v in POLY_POOL)] = sympy.Rational(c.numerator, c.denominator)
-    return sympy.Poly.from_dict(rep, *GENS, domain=sympy.QQ)
+class Ring:
+    """SymPy's ring QQ[names] over the package variables keys (named by
+    names, else by themselves), and on it the derivation sum_v image(v) d/dv
+    for the map image from variables to variables; every variable outside
+    image is a constant."""
+
+    def __init__(self, keys, image=(), names=None):
+        self.keys, image = list(keys), dict(image)
+        self.ring, *gens = sympy.polys.rings.ring(list(names or keys), sympy.QQ)
+        self.gen = dict(zip(self.keys, gens))
+        self.image = {self.gen[v]: self.gen[w] for v, w in image.items()}
+        self.last = [self.gen[w] for w in image.values() if w not in image]
+
+    def _from_terms(self, terms):
+        """The sum of c times the monomial exps over (exps, c) pairs."""
+        return self.ring.from_dict({
+            tuple(exps.get(v, 0) for v in self.keys): sympy.QQ(c.numerator, c.denominator)
+            for exps, c in terms})
+
+    def convert(self, p: Poly):
+        return self._from_terms((dict(m), c) for m, c in p.terms())
+
+    def series(self, s: Series):
+        """The generating function in t: sum a_k t^k / k! (EGF) for a
+        Hurwitz series, sum a_k t^k (OGF) for a power series."""
+        egf = s.flavor is Flavor.HURWITZ
+        return self._from_terms(({"t": k}, Fraction(c, factorial(k) if egf else 1))
+                                for k, c in enumerate(s.coeffs))
+
+    def d(self, q):
+        # a generator whose image has no image would leave the ring
+        assert all(q.degree(g) <= 0 for g in self.last)
+        return sum((q.diff(g) * image for g, image in self.image.items()), self.ring.zero)
+
+    def tower(self, q, order: int = TOWER) -> list:
+        out = [q]
+        for _ in range(order):
+            out.append(self.d(out[-1]))
+        return out
+
+
+# poly_sharp's derivation is sharp of the cycle w -> x -> y -> z -> w, the
+# vector field x d/dw + y d/dx + z d/dy + w d/dz.  d_shift is d/dt on jet
+# variables: DVar(x, n), the generator x_n, is the n-th t-derivative of a
+# function x(t), and d_shift sends x_n to x_(n+1).  Drawn jets reach order
+# JET_ORDER, their towers JET_ORDER + TOWER, and the ring one order more.
+
+FIELD = {"w": "x", "x": "y", "y": "z", "z": "w"}  # the image of each variable
+SHARP = Ring(POLY_POOL + FORMAL, FIELD)
+
+JET_BASES = ("x", "y")
+JET_ORDER = 2  # random_diffpoly's default max_order
+JET_KEYS = [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + TOWER + 2)]
+JETS = Ring(JET_KEYS + list(FORMAL),
+            {v: DVar(v.base, v.order + 1) for v in JET_KEYS if v.order <= JET_ORDER + TOWER},
+            [f"{v.base}_{v.order}" for v in JET_KEYS] + list(FORMAL))
+
+SERIES = Ring(("t", "X", "Y"))  # a series in t, and a polynomial in X, Y composed with two
+T = SERIES.gen["t"]
 
 
 def polys(seed: int, n: int = 25) -> list:
@@ -61,25 +135,26 @@ def substitutions(seed: int, n: int = 15) -> list:
 
 def test_conversion_round_trip():
     p = Poly.monomial({"x": 2, "z": 1}, Fraction(-3, 4)) + 5
-    assert to_sympy(p).as_expr() == sympy.Rational(-3, 4) * SYMBOL["x"] ** 2 * SYMBOL["z"] + 5
+    x, z = sympy.symbols("x z")
+    assert SHARP.convert(p).as_expr() == sympy.Rational(-3, 4) * x ** 2 * z + 5
 
 
 @pytest.mark.parametrize("p, q", zip(polys(101), polys(201)))
 def test_add(p, q):
-    assert to_sympy(p + q) == to_sympy(p) + to_sympy(q)
-    assert to_sympy(p - q) == to_sympy(p) - to_sympy(q)
+    assert SHARP.convert(p + q) == SHARP.convert(p) + SHARP.convert(q)
+    assert SHARP.convert(p - q) == SHARP.convert(p) - SHARP.convert(q)
 
 
 @pytest.mark.parametrize("p, q", zip(polys(102), polys(202)))
 def test_mul(p, q):
-    assert to_sympy(p * q) == to_sympy(p) * to_sympy(q)
-    assert to_sympy(p * p) == to_sympy(p) ** 2  # cross terms always merge
+    assert SHARP.convert(p * q) == SHARP.convert(p) * SHARP.convert(q)
+    assert SHARP.convert(p * p) == SHARP.convert(p) ** 2  # cross terms always merge
 
 
 @pytest.mark.parametrize("p", polys(103))
 def test_partial(p):
     for v in POLY_POOL:
-        assert to_sympy(partial(p, v)) == to_sympy(p).diff(SYMBOL[v])
+        assert SHARP.convert(partial(p, v)) == SHARP.convert(p).diff(SHARP.gen[v])
 
 
 @pytest.mark.parametrize("p", polys(105))
@@ -88,26 +163,29 @@ def test_derive(p):
     pairs = list(derive(p).pairs())
     for v in POLY_POOL:
         got = Poly({m: c for (m, w), c in pairs if w == v})
-        assert to_sympy(got) == to_sympy(p).diff(SYMBOL[v])
+        assert SHARP.convert(got) == SHARP.convert(p).diff(SHARP.gen[v])
 
 
 @pytest.mark.parametrize("p, env", substitutions(104))
 def test_substitute(p, env):
-    want = to_sympy(p).as_expr().subs({SYMBOL[v]: to_sympy(q).as_expr() for v, q in env.items()},
-                                      simultaneous=True)
-    assert to_sympy(substitute(p, env)) == sympy.Poly(want, *GENS, domain=sympy.QQ)
+    want = SHARP.convert(p).compose([(SHARP.gen[v], SHARP.convert(q)) for v, q in env.items()])
+    assert SHARP.convert(substitute(p, env)) == want
+
+
+@pytest.mark.parametrize("p", polys(106, 15))
+def test_sharp_tower(p):
+    got = natural_map(poly_sharp_carrier().d, p, TOWER)
+    assert [SHARP.convert(q) for q in got] == SHARP.tower(SHARP.convert(p))
 
 
 # -- series products ----------------------------------------------------------
 #
-# A Hurwitz series (a_0, ..., a_N) is the exponential generating function
-# sum a_k t^k / k!, and its product is the EGF product; a power series is the
-# ordinary generating function sum a_k t^k, and its product is the OGF
-# product.  Both are checked up to t^N.  The coefficients are large and of
-# either sign, over large denominators, several of them distinct primes, so
-# that each factor's common denominator is large.
+# A Hurwitz series (a_0, ..., a_N) is its EGF and a power series its OGF, and
+# the product of two series is the product of their generating functions,
+# truncated past t^N.  The coefficients are large and of either sign, over
+# large denominators, several of them distinct primes, so that each factor's
+# common denominator is large.
 
-T = sympy.Symbol("t")
 PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
 
 
@@ -119,24 +197,14 @@ def big_series(rng: SplitMix64, order: int, flavor: Flavor) -> Series:
     return Series(tuple(coeffs), flavor)
 
 
-def generating_function(s: Series):
-    egf = s.flavor is Flavor.HURWITZ
-    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * T ** k
-                          / (sympy.factorial(k) if egf else 1)
-                          for k, c in enumerate(s.coeffs)), T, domain=sympy.QQ)
-
-
 @pytest.mark.parametrize("flavor", list(Flavor))
 @pytest.mark.parametrize("order", [0, 1, 8, 32])
 def test_series_product(order, flavor):
     rng = SplitMix64(300 + order)
     for _ in range(3):
         f, g = big_series(rng, order, flavor), big_series(rng, order, flavor)
-        product = generating_function(f) * generating_function(g)
-        scale = sympy.factorial if flavor is Flavor.HURWITZ else (lambda n: 1)
-        want = [product.coeff_monomial(T ** n) * scale(n) for n in range(order + 1)]
-        got = smul(f, g).coeffs
-        assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
+        want = rs_trunc(SERIES.series(f) * SERIES.series(g), T, order + 1)
+        assert SERIES.series(smul(f, g)) == want
 
 
 # -- series sums, scalar products, derivation and psi ------------------------
@@ -152,13 +220,13 @@ def test_series_product(order, flavor):
 @pytest.mark.parametrize("order", [0, 1, 8, 32])
 def test_series_sum_and_scalar(order, flavor):
     rng = SplitMix64(400 + order)
+    gf = SERIES.series
     for _ in range(3):
         f, g = big_series(rng, order, flavor), big_series(rng, order, flavor)
         num, den = rng.randint(-10 ** 6, 10 ** 6), PRIMES[rng.randint(0, len(PRIMES) - 1)]
-        assert generating_function(f + g) == generating_function(f) + generating_function(g)
-        assert generating_function(Fraction(num, den) * f) == (generating_function(f)
-                                                               * sympy.Rational(num, den))
-        assert generating_function(f * 7) == generating_function(f) * 7
+        assert gf(f + g) == gf(f) + gf(g)
+        assert gf(Fraction(num, den) * f) == gf(f) * sympy.QQ(num, den)
+        assert gf(f * 7) == gf(f) * 7
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
@@ -167,7 +235,7 @@ def test_series_derivation(order, flavor):
     rng = SplitMix64(500 + order)
     for _ in range(3):
         f = big_series(rng, order, flavor)
-        assert generating_function(sderive(f)) == generating_function(f).diff(T)
+        assert SERIES.series(sderive(f)) == SERIES.series(f).diff(T)
 
 
 @pytest.mark.parametrize("order", [0, 1, 8, 32])
@@ -178,151 +246,108 @@ def test_psi(order):
         g = big_series(rng, order, Flavor.HURWITZ)
         image, back = psi(f), psi_inv(g)
         assert (image.flavor, back.flavor) == (Flavor.HURWITZ, Flavor.POWER)
-        assert generating_function(image) == generating_function(f)
-        assert generating_function(back) == generating_function(g)
+        assert SERIES.series(image) == SERIES.series(f)
+        assert SERIES.series(back) == SERIES.series(g)
+
+
+# -- the evaluation recursions ------------------------------------------------
+
+
+class TestSymbolicCompositionOracle:
+    """Both evaluation recursions against composition in SymPy.  Cauchy
+    evaluation of p at power series is the composite of p with their OGFs,
+    so delta_eval(p, env, n) for n <= N is the OGF of that composite
+    truncated past t^N; omega_eval is the same with EGFs.  Truncation is
+    sound because dropped t^k terms (k > N) only influence coefficients
+    above N."""
+
+    ORDER = 8
+
+    def check(self, seed: int, flavor: Flavor, recursion) -> None:
+        rng = SplitMix64(seed)
+        for _ in range(20):
+            p = sample_poly(rng, pick(("X", "Y")), 3, 3)
+            env = {v: random_series(rng, self.ORDER, flavor) for v in ("X", "Y")}
+            composed = SERIES.convert(p).compose(
+                [(SERIES.gen[v], SERIES.series(s)) for v, s in env.items()])
+            got = Series(tuple(recursion(p, env, n) for n in range(self.ORDER + 1)), flavor)
+            assert SERIES.series(got) == rs_trunc(composed, T, self.ORDER + 1)
+
+    def test_delta_is_truncated_composition(self):
+        self.check(71, Flavor.POWER, delta_eval)
+
+    def test_omega_is_truncated_egf_composition(self):
+        self.check(73, Flavor.HURWITZ, omega_eval)
 
 
 # -- the two derivations the laws run on --------------------------------------
 #
-# poly_sharp's derivation is sharp of the cycle w -> x -> y -> z -> w, the
-# vector field x d/dw + y d/dx + z d/dy + w d/dz.  d_shift is d/dt on jet
-# variables: DVar(x, n) stands for the n-th t-derivative of a function x(t).
-# SymPy applies both with its own diff, and the derivative towers are
-# compared up to order TOWER, the laws' n_max.  The shift's towers are
-# compared as expanded expressions in the derivatives of x(t) and y(t); SymPy
-# differentiates those slowly (about 0.3 s a tower), so fewer are drawn.
+# Each tower of poly_sharp's derivation and of d_shift equals the tower of
+# the ring's derivation, up to order TOWER.  The calculus anchor: the jet
+# generators, written as expressions, are the derivatives of x(t) and y(t),
+# and d_shift there is SymPy's d/dt.
 
-TOWER = 5
-FIELD = {"w": "x", "x": "y", "y": "z", "z": "w"}  # the image of each variable
-
-
-def sharp_oracle(q):
-    """The vector field applied to a sympy.Poly in GENS."""
-    return sum((q.diff(SYMBOL[v]) * sympy.Poly(SYMBOL[FIELD[v]], *GENS, domain=sympy.QQ)
-                for v in POLY_POOL), sympy.Poly(0, *GENS, domain=sympy.QQ))
-
-
-@pytest.mark.parametrize("p", polys(106, 15))
-def test_sharp_tower(p):
-    want = to_sympy(p)
-    for got in natural_map(poly_sharp_carrier().d, p, TOWER):
-        assert to_sympy(got) == want
-        want = sharp_oracle(want)
-
-
-JET_BASES = ("x", "y")
-JET_ORDER = 2  # random_diffpoly's default max_order
-JET_KEYS = [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + TOWER + 1)]
-# DVar(x, n) as the n-th derivative of x(t): the generators of the jet polynomials
-JETS = [sympy.diff(sympy.Function(v.base)(T), T, v.order) for v in JET_KEYS]
+TIME = sympy.Symbol("t")
+JET_FUNCTIONS = ([sympy.Derivative(sympy.Function(v.base)(TIME), (TIME, v.order))
+                  for v in JET_KEYS] + list(sympy.symbols(FORMAL)))
 
 
 def to_jets(p: Poly):
-    """p as a sympy expression in the derivatives JETS."""
-    rep = {}
-    for m, c in p.terms():
-        exps = dict(m)
-        rep[tuple(exps.get(v, 0) for v in JET_KEYS)] = sympy.Rational(c.numerator, c.denominator)
-    return sympy.Poly.from_dict(rep, *JETS, domain=sympy.QQ).as_expr()
+    """p as a sympy expression in the derivatives of x(t) and y(t)."""
+    return JETS.convert(p).as_expr(*JET_FUNCTIONS)
 
 
 def same(a, b) -> bool:
     return sympy.expand(a - b) == 0
 
 
-def diffpolys(seed: int, n: int = 8) -> list:
+def diffpolys(seed: int, n: int) -> list:
     rng = SplitMix64(seed)
     return [random_diffpoly(rng, bases=JET_BASES, max_order=JET_ORDER) for _ in range(n)]
 
 
 def test_jet_conversion():
     p = dvar("x", 2) * dvar("y") ** 3 + Fraction(1, 2)
-    x, y = sympy.Function("x")(T), sympy.Function("y")(T)
-    assert to_jets(p) == sympy.diff(x, T, 2) * y ** 3 + sympy.Rational(1, 2)
+    x, y = sympy.Function("x")(TIME), sympy.Function("y")(TIME)
+    assert to_jets(p) == sympy.diff(x, TIME, 2) * y ** 3 + sympy.Rational(1, 2)
     assert not same(to_jets(p), to_jets(dvar("x", 1) * dvar("y") ** 3))
 
 
-@pytest.mark.parametrize("p", diffpolys(107))
-def test_shift_tower(p):
-    want = to_jets(p)
-    for got in natural_map(d_shift, p, TOWER):
-        assert same(to_jets(got), want)
-        want = sympy.diff(want, T)
-
-
-@pytest.mark.parametrize("p", diffpolys(108))
+@pytest.mark.parametrize("p", diffpolys(108, 8))
 def test_shift_merges_into_the_next_order(p):
     """Multiplied by x' x'', every term holds a run of consecutive orders,
     so d_shift bumps factors into their successors."""
     q = p * dvar("x", 1) * dvar("x", 2)
-    assert same(to_jets(d_shift(q)), sympy.diff(to_jets(q), T))
+    assert same(to_jets(d_shift(q)), sympy.diff(to_jets(q), TIME))
 
 
-@pytest.mark.parametrize("a, b", list(zip(diffpolys(109, 3), diffpolys(110, 3))))
+@pytest.mark.parametrize("p", diffpolys(107, 25))
+def test_shift_tower(p):
+    got = natural_map(d_shift, p, TOWER)
+    assert [JETS.convert(q) for q in got] == JETS.tower(JETS.convert(p))
+
+
+@pytest.mark.parametrize("a, b", list(zip(diffpolys(109, 10), diffpolys(110, 10))))
 def test_tower_product(a, b):
     """The Hurwitz product of two d_shift towers, on smul's sum_products
     path: coefficient n is the n-th t-derivative of a(t)·b(t), the higher
     Leibniz rule."""
-    want = to_jets(a) * to_jets(b)
-    for got in smul(diamond(d_shift, a, TOWER), diamond(d_shift, b, TOWER)).coeffs:
-        assert same(to_jets(got), want)
-        want = sympy.diff(want, T)
+    got = smul(diamond(d_shift, a, TOWER), diamond(d_shift, b, TOWER)).coeffs
+    assert [JETS.convert(q) for q in got] == JETS.tower(JETS.convert(a) * JETS.convert(b))
 
 
 # -- both sides of the two derived laws ---------------------------------------
 #
 # Higher Leibniz and Faà di Bruno on drawn poly_sharp and diffpoly inputs:
 # each side the package builds, the right-hand sides through the carriers'
-# fused sum_products, equals the same side built in SymPy alone.  Both
-# derivations act on SymPy's sparse polynomial ring (sympy.polys.rings) as
-# sums of partials times an image: poly_sharp's sends each variable to the
-# next one of the cycle, and the shift is d/dt over jet symbols, x_n for
-# DVar(x, n), sending x_n to x_(n+1).  (With a dense sympy.Poly in the 18
-# jet generators, one 10-draw test ran past 100 s.)  The inputs reach order
-# JET_ORDER + TOWER, and the jets go one order past that.  Faà di Bruno's p
-# lives in the same ring over the extra generators X1, X2, where SymPy
-# takes its partials and substitutes the carrier elements.
+# fused sum_products, equals the same side built in the carrier's ring alone.
+# Faà di Bruno's p lives in the same ring over the extra generators FORMAL,
+# where SymPy takes its partials and substitutes the carrier elements.
 
-FORMAL = ("X1", "X2")
-JET_KEYS_UP = [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + TOWER + 2)]
-
-
-class Oracle:
-    """A carrier, the variables its drawn elements use, and its derivation
-    in a SymPy ring over the carrier's variables and FORMAL."""
-
-    def __init__(self, carrier, pool, keys, names, image):
-        self.carrier, self.pool, self.keys = carrier, pool, list(keys) + list(FORMAL)
-        self.ring, *gens = sympy.polys.rings.ring(list(names) + list(FORMAL), sympy.QQ)
-        self.gen = dict(zip(self.keys, gens))
-        self.image = {self.gen[v]: self.gen[w] for v, w in image.items()}
-        self.top = [g for g in gens[:len(keys)] if g not in self.image]
-
-    def convert(self, p: Poly):
-        rep = {}
-        for m, c in p.terms():
-            exps = dict(m)
-            rep[tuple(exps.get(v, 0) for v in self.keys)] = sympy.QQ(c.numerator, c.denominator)
-        return self.ring.from_dict(rep)
-
-    def d(self, q):
-        assert all(q.degree(g) <= 0 for g in self.top)  # no jet past the last
-        return sum((q.diff(g) * image for g, image in self.image.items()), self.ring.zero)
-
-    def tower(self, q, order: int = TOWER) -> list:
-        out = [q]
-        for _ in range(order):
-            out.append(self.d(out[-1]))
-        return out
-
-
-ORACLES = {
-    "poly_sharp": Oracle(poly_sharp_carrier(), POLY_POOL, POLY_POOL, POLY_POOL, FIELD),
-    "diffpoly": Oracle(diffpoly_carrier(),
-                       [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + 1)],
-                       JET_KEYS_UP, [f"{v.base}_{v.order}" for v in JET_KEYS_UP],
-                       {DVar(b, n): DVar(b, n + 1)
-                        for b in JET_BASES for n in range(JET_ORDER + TOWER + 1)}),
+ORACLES = {  # the carrier, the variables of its drawn elements, and its ring
+    "poly_sharp": (poly_sharp_carrier(), POLY_POOL, SHARP),
+    "diffpoly": (diffpoly_carrier(),
+                 [DVar(b, n) for b in JET_BASES for n in range(JET_ORDER + 1)], JETS),
 }
 
 
@@ -340,9 +365,8 @@ def drawn_polys(variables, max_terms: int, max_degree: int):
 @given(data=st.data())
 def test_higher_leibniz_both_sides(name, data):
     """D^n(ab) and sum_k C(n,k) D^k(a) D^(n-k)(b), for each n <= TOWER."""
-    o = ORACLES[name]
-    c = o.carrier
-    a, b = (data.draw(drawn_polys(o.pool, 3, 3)) for _ in range(2))
+    c, pool, o = ORACLES[name]
+    a, b = (data.draw(drawn_polys(pool, 3, 3)) for _ in range(2))
     lhs = natural_map(c.d, a * b, TOWER)
     da, db = natural_map(c.d, a, TOWER), natural_map(c.d, b, TOWER)
     want_lhs = o.tower(o.convert(a) * o.convert(b))
@@ -361,10 +385,9 @@ def test_higher_leibniz_both_sides(name, data):
 def test_faa_di_bruno_both_sides(name, data):
     """D^(n+1)(p(a, b)) and sum_k C(n,k) sum_v D^k(dp/dv(a, b)) D^(n-k+1)(v),
     for each n < TOWER, with p in X1, X2 evaluated at carrier elements."""
-    o = ORACLES[name]
-    c = o.carrier
+    c, pool, o = ORACLES[name]
     p = data.draw(drawn_polys(FORMAL, 2, 3))
-    env = {v: data.draw(drawn_polys(o.pool, 2, 2)) for v in FORMAL}
+    env = {v: data.draw(drawn_polys(pool, 2, 2)) for v in FORMAL}
     at_env = [(o.gen[v], o.convert(a)) for v, a in env.items()]
     formal = o.convert(p)
 
