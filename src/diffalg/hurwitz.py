@@ -371,15 +371,17 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
             entry = nodes[q] = [q, [r0], None]
         return entry
 
-    def extend(entry: list, k: int) -> list:
+    def extend(entry: list, k: int, extend) -> list:
         """Compute the node's values up to r(q, k): r(q, m+1) is the sum
-        over j <= m of weight(m, j) · sum_v r(dq/dv, j) · x_v[m+1-j]."""
+        over j <= m of weight(m, j) · sum_v r(dq/dv, j) · x_v[m+1-j].
+        It recurses through its argument: a closure cell naming itself
+        would be a cycle, holding the memo until the cyclic GC runs."""
         q, vals, pairs = entry
         if len(vals) <= k and pairs is None:
             pairs = entry[2] = [(node(partial(q, v)), x[v]) for v in q.variables()]
         for m in range(len(vals) - 1, k):
             for child, _ in pairs:
-                extend(child, m)
+                extend(child, m, extend)
             terms = (map(operator.mul, child[1], xs[m + 1:0:-1]) for child, xs in pairs)
             val = sum(map(operator.mul, rows[m], map(sum, zip(*terms))))
             vals.append(val // d if d != 1 else val)
@@ -387,7 +389,7 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
 
     def component(k: int):
         scale = s * (factorial(k) if flavor is Flavor.POWER else 1)
-        return extend(node(p), k)[k] * Fraction(1, scale)
+        return extend(node(p), k, extend)[k] * Fraction(1, scale)
 
     return component
 

@@ -39,8 +39,9 @@ from .lincomb import LinComb, ratio
 from .scalars import power
 
 # A monomial: sorted tuple of (variable, positive exponent) pairs.  The kernel
-# below builds them: mono_from_exponents (from an exponent map), mono_mul
-# (the one product) and mono_lower (one factor removed); mono_str prints one.
+# below builds them: mono_from_exponents (from an exponent map, by a sort),
+# mono_mul (the one product, by a merge of its two sorted operands) and
+# mono_lower (one factor removed); mono_str prints one.
 # The one other builder is free_diff.d_shift, which inserts a bumped
 # derivative variable at the one place the order allows.  Variables that
 # cannot be ordered against each other (plain names and DVars) raise
@@ -57,7 +58,8 @@ def _sorted_mono(items) -> Mono:
 
 
 def _mixed(where: str, variables) -> MixedVariables:
-    """The error for a sort that failed on variables of different kinds."""
+    """The error for a sort or merge that could not order variables of
+    different kinds."""
     kinds = ", ".join(sorted({type(v).__name__ for v in variables}))
     return MixedVariables(f"variables of different kinds in {where}: {kinds}")
 
@@ -75,14 +77,31 @@ def mono_from_exponents(exponents: Mapping) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _sorted_mono(exps.items())
+    """The product a·b, by one merge of the two sorted tuples: a shared
+    variable adds its exponents, and the side left over is appended."""
+    if not a or not b:
+        return a or b
+    out = []
+    append = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    try:
+        while i < na and j < nb:
+            x = a[i]
+            y = b[j]
+            v, w = x[0], y[0]
+            if v == w:
+                append((v, x[1] + y[1]))
+                i, j = i + 1, j + 1
+            elif v < w:
+                append(x)
+                i += 1
+            else:
+                append(y)
+                j += 1
+    except TypeError as exc:
+        raise _mixed("one monomial", (v for v, _ in a + b)) from exc
+    return tuple(out) + a[i:] + b[j:]
 
 
 def mono_lower(m: Mono, i: int) -> Mono:
@@ -364,14 +383,28 @@ def substitute(p: Poly, env: Mapping) -> Poly:
     """Simultaneous substitution, fully expanded to canonical form.
 
     Variables missing from env stand for themselves.  Substitution is a
-    ring morphism: it preserves sums, products, and the unit.
+    ring morphism: it preserves sums, products, and the unit.  When every
+    image is a single variable with coefficient 1 it is a renaming: each
+    monomial is rebuilt from its renamed exponents, which add where two
+    variables get one name, and no product is formed.
     """
-
-    def image(v) -> Poly:
+    images, names = {}, {}  # names[v] = w where v's image is the variable w
+    for v in {v for m in p._num for v, _ in m}:
         value = env.get(v)
-        return Poly.variable(v) if value is None else _as_poly(value)
-
-    return evaluate(p, image, Poly.one(), operator.mul, Poly.zero())
+        q = images[v] = Poly.variable(v) if value is None else _as_poly(value)
+        m = next(iter(q._num), ())
+        if q._den == 1 and q._num == {m: 1} and len(m) == 1 and m[0][1] == 1:
+            names[v] = m[0][0]
+    if len(names) < len(images):
+        return evaluate(p, images.__getitem__, Poly.one(), operator.mul, Poly.zero())
+    out: dict[Mono, int] = {}
+    for m, c in p._num.items():
+        exps: dict = {}
+        for v, e in m:
+            exps[names[v]] = exps.get(names[v], 0) + e
+        key = mono_from_exponents(exps)
+        out[key] = out[key] + c if key in out else c
+    return Poly._from_ints(out, p._den)
 
 
 def rename_vars(p: Poly, fn: Callable) -> Poly:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import numbers
 import operator
@@ -502,6 +503,23 @@ class TestRecursionKernel:
             env = {"X": random_series(SplitMix64(71), 3, flavor)}
             assert _components(Poly.const(F(5, 3)), env, 3, flavor) == [F(5, 3), 0, 0, 0]
             assert _components(Poly.zero(), env, 3, flavor) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_memo_is_freed_without_the_cyclic_collector(self, flavor):
+        """The recursion's memo is freed by reference counting as soon as
+        the call returns: it leaves nothing for gc.collect() to find."""
+        rng = SplitMix64(73)
+        p = self.three_variable_poly(rng) * self.three_variable_poly(rng)
+        env = {v: random_series(rng, 8, flavor) for v in ("X", "Y", "Z")}
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            _components(p, env, 8, flavor)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestUnitAndDerive:

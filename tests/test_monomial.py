@@ -65,6 +65,25 @@ class TestKernel:
         assert mono_mul((("x", 1), ("z", 2)), (("y", 1), ("z", 1))) == (("x", 1), ("y", 1), ("z", 3))
         assert mono_mul((), (("x", 1),)) == (("x", 1),)
 
+    @pytest.mark.parametrize("a, b, want", [
+        # a variable shared at the front, and at the back
+        ({"w": 1, "y": 2}, {"w": 3, "z": 1}, {"w": 4, "y": 2, "z": 1}),
+        ({"w": 1, "z": 2}, {"x": 1, "z": 1}, {"w": 1, "x": 1, "z": 3}),
+        # disjoint and interleaved
+        ({"w": 1, "y": 2}, {"x": 3, "z": 1}, {"w": 1, "x": 3, "y": 2, "z": 1}),
+        # one side runs out first, leaving a tail of the other
+        ({"w": 1}, {"x": 1, "y": 2, "z": 3}, {"w": 1, "x": 1, "y": 2, "z": 3}),
+        ({"x": 1, "y": 2, "z": 3}, {"w": 1}, {"w": 1, "x": 1, "y": 2, "z": 3}),
+        ({"w": 2, "x": 1}, {"w": 1, "x": 4}, {"w": 3, "x": 5}),
+    ])
+    def test_mul_cases(self, a, b, want):
+        assert mono_mul(mono_from_exponents(a), mono_from_exponents(b)) == mono_from_exponents(want)
+
+    def test_mul_by_one_is_the_operand(self):
+        m = (("x", 1), ("y", 2))
+        assert mono_mul(m, ()) is m
+        assert mono_mul((), m) is m
+
     def test_lower(self):
         m = (("x", 1), ("y", 3), ("z", 1))
         assert mono_lower(m, 0) == (("y", 3), ("z", 1))
@@ -90,6 +109,17 @@ class TestMixedVariables:
     def test_from_exponents(self):
         with pytest.raises(MixedVariables):
             mono_from_exponents({"y": 1, DVar("x", 0): 1})
+
+    @pytest.mark.parametrize("a, b", [
+        (((DVar("x", 0), 1),), (("y", 2),)),
+        ((("y", 2),), ((DVar("x", 0), 1),)),
+        ((("a", 1), ("b", 1)), ((DVar("x", 0), 1), (DVar("x", 2), 1))),
+    ])
+    def test_kernel_product(self, a, b):
+        """Whichever operand holds the DVars, the kernel's own product
+        raises the typed error."""
+        with pytest.raises(MixedVariables, match="in one monomial: DVar, str"):
+            mono_mul(a, b)
 
     def test_sum(self):
         """A sum of mixed kinds builds, because addition never orders
@@ -151,12 +181,26 @@ def test_cli_prints_monomials_without_building_polynomials():
 
 
 exponent_maps = st.dictionaries(st.sampled_from(("w", "x", "y", "z")), st.integers(1, 4), min_size=1)
+# Bases x and y at orders 0-3, so that the orders of one base interleave
+# with those of the other in a sorted monomial.
+dvar_exponent_maps = st.dictionaries(st.builds(DVar, st.sampled_from(("x", "y")), st.integers(0, 3)),
+                                     st.integers(1, 4))
+
+
+def check_mul_adds_exponents(a: dict, b: dict) -> None:
+    """The merge agrees with a sort of the summed exponent maps."""
+    want = mono_from_exponents({v: a.get(v, 0) + b.get(v, 0) for v in {**a, **b}})
+    assert mono_mul(mono_from_exponents(a), mono_from_exponents(b)) == want
 
 
 @given(exponent_maps, exponent_maps)
 def test_mul_adds_exponents(a, b):
-    want = mono_from_exponents({v: a.get(v, 0) + b.get(v, 0) for v in {**a, **b}})
-    assert mono_mul(mono_from_exponents(a), mono_from_exponents(b)) == want
+    check_mul_adds_exponents(a, b)
+
+
+@given(dvar_exponent_maps, dvar_exponent_maps)
+def test_mul_adds_exponents_of_dvars(a, b):
+    check_mul_adds_exponents(a, b)
 
 
 @given(exponent_maps)

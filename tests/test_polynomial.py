@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from diffalg import polynomial
 from diffalg.carriers import random_poly
 from diffalg.errors import MixedVariables, NonLinearImage, UnboundVariable
-from diffalg.free_diff import dvar
+from diffalg.free_diff import DVar, dvar
 from diffalg.polynomial import (
     LinearMap,
     Poly,
@@ -144,6 +145,40 @@ class TestSubstitute:
     def test_unit_triangle(self):
         p = x ** 2 + y
         assert substitute(eta("X"), {"X": p}) == p
+
+    def test_renaming_equals_the_expansion(self):
+        """Images that are single variables with coefficient 1 take the
+        renaming branch; it agrees with multiplying the images out, where
+        variables swap and where two of them collide."""
+        rng = SplitMix64(13)
+        for env in ({"x": y, "y": x}, {"x": z, "y": z, "w": x}, {"z": eta("t")}):
+            def image(v):
+                return env.get(v, Poly.variable(v))
+            for _ in range(20):
+                p = random_poly(rng, 3)
+                want = evaluate(p, image, Poly.one(), operator.mul, Poly.zero())
+                assert substitute(p, env) == want
+
+    def test_renaming_forms_no_product(self, monkeypatch):
+        p = 3 * x ** 2 * y - z + 1
+        scaled = 2 * y
+        renamed, expanded = 3 * y ** 2 * x - z + 1, 12 * y ** 3 - z + 1
+        products = []
+        mul = Poly.__mul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        assert substitute(p, {"x": y, "y": x}) == renamed
+        assert products == []
+        assert substitute(p, {"x": scaled}) == expanded
+        assert products
+
+    def test_renaming_to_mixed_kinds(self):
+        with pytest.raises(MixedVariables, match="DVar, str"):
+            rename_vars(x * y, lambda v: DVar(v, 0) if v == "x" else v)
 
 
 class TestEvaluate:
