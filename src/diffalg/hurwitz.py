@@ -36,10 +36,10 @@ products), builds each component of two all-``Poly`` factors with one
 :func:`~diffalg.polynomial.sum_products`.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
-the ring operations above, or coefficient-by-coefficient with the
-recursions :func:`omega_eval` (Hurwitz) and :func:`delta_eval` (power).
-The recursions and the ring evaluations agree; that equality is one of the
-package's central executable facts.
+the ring operations above, or by the chain rule D(q(x)) = sum_v
+(dq/dv)(x)·D(x_v), one series per iterated partial of p, as
+:func:`omega_eval` (Hurwitz) and :func:`delta_eval` (power) do.  The two
+agree; that equality is one of the package's central executable facts.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariab
 from .free_diff import natural_map
 from .lincomb import over_lcm, ratio
 from .polynomial import Poly, evaluate, mono_degree, partial, sum_products
-from .scalars import factorial, power
+from .scalars import power
 
 
 class Flavor(enum.Enum):
@@ -323,75 +323,51 @@ def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
             raise OrderExhausted(f"series for {v!r} has order {s.order} < {n}")
 
 
-def _weight_rows(flavor: Flavor, n: int) -> list:
-    """Row m holds the integer weights of the summands j = 0, ..., m of
-    r(q, m+1): C(m, j) for Hurwitz; for power the weight (m-j+1)/(m+1)
-    times (m+1)!/j!, which clears its denominator when each r(q, k) is
-    carried as k!·r(q, k)."""
-    if flavor is Flavor.HURWITZ:
-        return list(_pascal_rows(n))
-    fact = [factorial(i) for i in range(n + 1)]
-    return [[fact[m] // fact[j] * (m + 1 - j) for j in range(m + 1)] for m in range(n)]
-
-
 def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
-    """Component k <= n of the evaluation of p, by the coefficient recursion
-    r(q, k) of :func:`omega_eval` and :func:`delta_eval`, which differ only
-    in the flavor and the weights (:func:`_weight_rows`).  Each iterated
-    partial q of p is one node holding r(q, 0), r(q, 1), ... as far as they
-    are computed; all components asked of the returned function share them.
-
-    The recursion runs on the stored numerators of p and its partials:
-    r(q, k) is carried times s = L·d^deg(p), L the stored denominator of p
-    (and, for power, times k!).  Over the rationals the stored numerators
-    of the series are put over d, the lcm of their denominators, so every
-    carried value is an integer and the weighted sum for r(q, k) is d times
-    it.  Other coefficients (polynomials) take the same steps with d = 1."""
+    """Component k <= n of the evaluation of p, by the chain rule
+    D(q(x)) = sum_v (dq/dv)(x)·D(x_v): each iterated partial q of p is one
+    series R(q), rebuilt only when a higher order is asked of it.  Its
+    component 0 is q at the 0-components, an integer over s = L·d^deg(p)
+    (L the stored denominator of p, d the lcm of the series' denominators,
+    or 1 over polynomials).  The rest integrates the :func:`sum_smul` of
+    the R(dq/dv) with the sderive(x_v), one order lower: Hurwitz prepends
+    component 0, power also divides component m by m."""
     _check_env(p, env, n, flavor)
     names = p.variables()
-    series = [env[v] for v in names]
+    series = [env[v].truncate(n) for v in names]
     d = 1 if any(f._coeffs is f._num for f in series) else math.lcm(*(f._den for f in series))
-    x = {v: f.coeffs[: n + 1] if d % f._den else [c * (d // f._den) for c in f._num[: n + 1]]
-         for v, f in zip(names, series)}
+    x0 = {v: f.coeffs[0] if d % f._den else f._num[0] * (d // f._den)
+          for v, f in zip(names, series)}
+    dx = {v: sderive(f) for v, f in zip(names, series)} if n else {}
     deg = p.total_degree()
     s = p._den * d ** deg
-    rows = _weight_rows(flavor, n)
-    nodes: dict = {}
+    memo: dict = {}
 
-    def node(q: Poly) -> list:
-        """[q, [r(q, 0), ...], pairs], where pairs, built when first needed,
-        holds (node of dq/dv, carried series of v) for each variable v of q;
-        equal partials share one node."""
-        entry = nodes.get(q)
-        if entry is None:
-            # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
-            r0 = p._den // q._den * sum(
-                n * d ** (deg - mono_degree(m)) * math.prod(x[v][0] ** e for v, e in m)
-                for m, n in q._num.items())
-            entry = nodes[q] = [q, [r0], None]
-        return entry
+    def build(q: Poly, k: int, build) -> Series:
+        """R(q) to order k or beyond.  It recurses through its argument: a
+        closure cell naming itself would be a cycle, holding the memo until
+        the cyclic GC runs."""
+        r = memo.get(q)
+        if r is not None and r.order >= k:
+            return r
+        # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
+        head = p._den // q._den * sum(
+            n * d ** (deg - mono_degree(m)) * math.prod(x0[v] ** e for v, e in m)
+            for m, n in q._num.items())
+        variables = q.variables() if k else ()
+        if not variables:
+            r = memo[q] = Series._reduced([head] + [0] * k, s, flavor)
+            return r
+        tail = sum_smul([(1, build(partial(q, v), k - 1, build), dx[v]) for v in variables])
+        # component m of R(q) is tail[m-1] / steps[m-1], all over den
+        steps = range(1, k + 1) if flavor is Flavor.POWER else (1,) * k
+        den = math.lcm(s, tail._den) * math.lcm(*steps)
+        lift = den // tail._den
+        r = memo[q] = Series._reduced(
+            [head * (den // s), *(c * (lift // m) for c, m in zip(tail._num, steps))], den, flavor)
+        return r
 
-    def extend(entry: list, k: int, extend) -> list:
-        """Compute the node's values up to r(q, k): r(q, m+1) is the sum
-        over j <= m of weight(m, j) · sum_v r(dq/dv, j) · x_v[m+1-j].
-        It recurses through its argument: a closure cell naming itself
-        would be a cycle, holding the memo until the cyclic GC runs."""
-        q, vals, pairs = entry
-        if len(vals) <= k and pairs is None:
-            pairs = entry[2] = [(node(partial(q, v)), x[v]) for v in q.variables()]
-        for m in range(len(vals) - 1, k):
-            for child, _ in pairs:
-                extend(child, m, extend)
-            terms = (map(operator.mul, child[1], xs[m + 1:0:-1]) for child, xs in pairs)
-            val = sum(map(operator.mul, rows[m], map(sum, zip(*terms))))
-            vals.append(val // d if d != 1 else val)
-        return vals
-
-    def component(k: int):
-        scale = s * (factorial(k) if flavor is Flavor.POWER else 1)
-        return extend(node(p), k, extend)[k] * Fraction(1, scale)
-
-    return component
+    return lambda k: build(p, n, build).coeffs[k]
 
 
 def _components(p: Poly, env: Mapping, n: int, flavor: Flavor) -> list:
@@ -410,7 +386,8 @@ def omega_eval(p: Poly, env: Mapping, n: int):
         w_0(q)     = q evaluated at the 0-components,
         w_{m+1}(q) = sum_{k<=m} C(m,k) sum_j w_k(dq/dx_j) · env(x_j)[m-k+1].
 
-    Memoized per call on (iterated partial, k); equals ring_eval(p, env)[n].
+    One series per iterated partial within the call; equals
+    ring_eval(p, env)[n].
     """
     return _recursion(p, env, n, Flavor.HURWITZ)(n)
 
@@ -422,9 +399,10 @@ def delta_eval(p: Poly, env: Mapping, n: int):
     scaled-shift derivation forces:
 
         d_0(q)     = q evaluated at the 0-components,
-        d_{m+1}(q) = sum_{k<=m} (m-k+1)/(m+1) sum_j d_k(dq/dx_j) · env(x_j)[m-k+1],
+        d_{m+1}(q) = sum_{k<=m} (m-k+1)/(m+1) sum_j d_k(dq/dx_j) · env(x_j)[m-k+1].
 
-    and equals ring_eval(p, env)[n] for power-flavored environments.
+    One series per iterated partial within the call; equals
+    ring_eval(p, env)[n] for power-flavored environments.
     """
     return _recursion(p, env, n, Flavor.POWER)(n)
 

@@ -4,6 +4,7 @@ import math
 import numbers
 import operator
 import pickle
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffalg import hurwitz
 from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_series
 from diffalg.diff_laws import random_fraction
 from diffalg.errors import (
@@ -453,8 +455,8 @@ class TestStore:
 
 
 class TestRecursionKernel:
-    """omega_eval/delta_eval run their recursion on integers over one
-    common denominator; every component must still be the ring's."""
+    """omega_eval/delta_eval build one series per iterated partial on the
+    integer store of the series; every component must still be the ring's."""
 
     @staticmethod
     def three_variable_poly(rng):
@@ -488,7 +490,7 @@ class TestRecursionKernel:
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_polynomial_coefficients(self, flavor):
         """Series over polynomials take the same recursion, with d = 1 and
-        r(q, k) carried times the stored denominator of p."""
+        component 0 over the stored denominator of p."""
         evaluator = omega_eval if flavor is Flavor.HURWITZ else delta_eval
         t = eta("t")
         env = {"X": Series((t, F(1, 2) * t * t + 1, F(3), t - 2, F(1, 3)), flavor),
@@ -503,6 +505,36 @@ class TestRecursionKernel:
             env = {"X": random_series(SplitMix64(71), 3, flavor)}
             assert _components(Poly.const(F(5, 3)), env, 3, flavor) == [F(5, 3), 0, 0, 0]
             assert _components(Poly.zero(), env, 3, flavor) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_partial_reached_at_two_depths(self, flavor):
+        """dp/dX and d2p/dY2 coincide (1, then Z): the series built for the
+        shallower partial, one order higher than the deeper one asks for,
+        serves both."""
+        X, Y, Z = eta("X"), eta("Y"), eta("Z")
+        rng = SplitMix64(83)
+        for p in (X + F(1, 2) * Y ** 2, X * Z + F(1, 2) * Y ** 2 * Z):
+            for n in range(9):
+                env = {v: random_series(rng, n + 2, flavor) for v in ("X", "Y", "Z")}
+                oracle = ring_eval(p, {v: s.truncate(n) for v, s in env.items()})
+                assert _components(p, env, n, flavor) == list(oracle.coeffs)
+
+    def test_power_at_the_eval_bound_in_little_memory(self):
+        """X*Y at order 1000, the largest eval request of two variables that
+        the CLI admits, holds a few series at a time: its allocation peak
+        stays far below what a carried factorial weight per component
+        would need (about 220 MB)."""
+        rng = SplitMix64(79)
+        env = {v: random_series(rng, 1000, Flavor.POWER) for v in ("X", "Y")}
+        p = eta("X") * eta("Y")
+        tracemalloc.start()
+        try:
+            got = _components(p, env, 1000, Flavor.POWER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == list(ring_eval(p, env).coeffs)
+        assert peak < 16 * 2 ** 20, peak
 
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_memo_is_freed_without_the_cyclic_collector(self, flavor):
@@ -725,6 +757,22 @@ class TestComul:
         for report in check_comonad_laws(25, 41):
             assert report.passed, report.to_json()
 
+    def test_counit_catches_a_shifted_row_zero(self, monkeypatch):
+        """A comul whose row 0 is rotated by one fails the row-0 clause of
+        the counit law, whose right-hand side is f itself."""
+        real = hurwitz.comul
+
+        def shifted(f, rows):
+            grid = real(f, rows).grid
+            return SeriesOfSeries((grid[0][1:] + grid[0][:1],) + grid[1:])
+
+        monkeypatch.setattr(hurwitz, "comul", shifted)
+        report = check_comonad_laws(25, 41)[0]
+        assert report.law == "comonad_counit" and not report.passed
+        cx = report.counterexample
+        assert list(cx) == ["f", "rows", "lhs", "rhs"]
+        assert cx["rhs"] == cx["f"] != cx["lhs"]
+
     def test_grid_shape(self):
         with pytest.raises(ValueError):
             SeriesOfSeries(((F(1), F(2)), (F(1),)))
@@ -793,6 +841,22 @@ class TestPsi:
     def test_suite(self):
         for report in check_psi_laws(40, 47):
             assert report.passed, report.to_json()
+
+    def test_round_trip_catches_a_faulty_psi_inv(self, monkeypatch):
+        """A psi_inv off in its last coefficient fails the round trip at
+        the first trial."""
+        real = hurwitz.psi_inv
+
+        def off_by_one(f):
+            back = real(f)
+            return Series(back.coeffs[:-1] + (back.coeffs[-1] + 1,), back.flavor)
+
+        monkeypatch.setattr(hurwitz, "psi_inv", off_by_one)
+        report = check_psi_laws(40, 47)[0]
+        assert report.law == "psi_round_trip" and not report.passed and report.trials == 1
+        cx = report.counterexample
+        assert list(cx) == ["f", "g", "lhs", "rhs"]
+        assert cx["rhs"] == cx["f"] != cx["lhs"]
 
 
 class TestColift:
