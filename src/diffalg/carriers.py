@@ -12,11 +12,11 @@ costs one order of precision.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 from . import hurwitz as hz
 from . import rota_baxter as rb
-from .diff_laws import DiffCarrier, pick, random_fraction, sample_poly
+from .diff_laws import (COEFF_DEN, DiffCarrier, pick, random_fraction, random_numerator,
+                        sample_poly)
 from .free_diff import DVar, d_shift
 from .polynomial import LinearMap, Poly, sharp, sum_products
 from .rng import SplitMix64
@@ -38,7 +38,7 @@ def random_diffpoly(rng: SplitMix64, size: int = 4, bases=("x", "y"),
 
 
 def random_series(rng: SplitMix64, order: int, flavor: hz.Flavor) -> hz.Series:
-    return hz.Series(tuple(random_fraction(rng) for _ in range(order + 1)), flavor)
+    return hz.Series._reduced([random_numerator(rng) for _ in range(order + 1)], COEFF_DEN, flavor)
 
 
 def _poly_carrier(name: str, d, sample) -> DiffCarrier:
@@ -72,8 +72,7 @@ def diffpoly_carrier() -> DiffCarrier:
 
 def _series_carrier(name: str, flavor: hz.Flavor, order: int) -> DiffCarrier:
     def kernel(rng, size):
-        coeffs = [random_fraction(rng)] + [Fraction(0)] * order
-        return hz.Series(tuple(coeffs), flavor)
+        return hz.Series._reduced([random_numerator(rng)] + [0] * order, COEFF_DEN, flavor)
 
     return DiffCarrier(
         name=name,

@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 from .errors import UnboundVariable
 from .free_diff import natural_map
-from .polynomial import Poly, evaluate, partial
+from .polynomial import Poly, evaluate, mono_from_exponents, partial
 from .rng import SplitMix64
 from .scalars import binom
 
@@ -93,25 +93,32 @@ class DiffCarrier:
     sum_products: Callable | None = None  # [(int, elem, elem), ...] -> elem
 
 
+COEFF_DEN = 12  # every denominator of a harness coefficient divides it
+
+
+def random_numerator(rng: SplitMix64) -> int:
+    """A harness coefficient n/d (|n| <= 9, then 1 <= d <= 4) over COEFF_DEN."""
+    return rng.randint(-9, 9) * (COEFF_DEN // rng.randint(1, 4))
+
+
 def random_fraction(rng: SplitMix64) -> Fraction:
-    """A harness coefficient: |numerator| <= 9, denominator <= 4."""
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    """A harness coefficient, as a Fraction."""
+    return Fraction(random_numerator(rng), COEFF_DEN)
 
 
 def sample_poly(rng: SplitMix64, draw_var: Callable, max_terms: int, max_degree: int) -> Poly:
     """The random polynomial of the harness: 1 to max_terms terms, each a
     product of 0 to max_degree variables drawn by draw_var(rng), with a
-    :func:`random_fraction` coefficient (a zero coefficient drops the
-    term).  Every random polynomial the laws use is drawn here; the
-    variables (plain names, derivative variables, encoded nestings) are
-    the only difference, and draw_var decides them."""
-    p = Poly.zero()
+    :func:`random_numerator` coefficient (zero drops the term).  Every
+    random polynomial the laws use is drawn here; the variables (plain
+    names, derivative variables, encoded nestings) are the only difference,
+    and draw_var decides them."""
+    out: dict = {}
     for _ in range(rng.randint(1, max(max_terms, 1))):
-        exps = sample_exponents(rng, draw_var, max_degree)
-        c = random_fraction(rng)
-        if c:
-            p = p + Poly.monomial(exps, c)
-    return p
+        m = mono_from_exponents(sample_exponents(rng, draw_var, max_degree))
+        n = random_numerator(rng)
+        out[m] = out[m] + n if m in out else n
+    return Poly._from_ints(out, COEFF_DEN)
 
 
 def sample_exponents(rng: SplitMix64, draw_var: Callable, max_degree: int) -> dict:

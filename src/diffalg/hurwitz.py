@@ -219,44 +219,54 @@ def smul(f: Series, g: Series) -> Series:
         raise FlavorMismatch(f"{f.flavor.value} * {g.flavor.value}")
     if f.order != g.order:
         raise OrderMismatch(f"order {f.order} * order {g.order}")
-    return Series._reduced(_convolution(f._num, g._num, f.order, f.flavor), f._den * g._den,
-                           f.flavor)
+    pairs = [(1, f._num, g._num)]
+    return Series._reduced(_convolution(pairs, f.order, f.flavor), f._den * g._den, f.flavor)
 
 
 def sum_smul(triples) -> Series:
     """The sum of w·f·g over a nonempty list of (int w, Series f, Series g)
     triples of one flavor, with the value and window (the least order of a
-    factor) of the smul_trunc/scale/+ fold: one :func:`_convolution` per
-    pair on the stored numerators, weighted onto the lcm of the
+    factor) of the smul_trunc/scale/+ fold: one :func:`_convolution` of
+    the stored numerators, each pair weighted onto the lcm of the
     f._den·g._den, and one reduction."""
     flavor = triples[0][1].flavor
     if any(s.flavor is not flavor for _, f, g in triples for s in (f, g)):
         raise FlavorMismatch(f"mixed flavors in a {flavor.value} sum")
     order = min(min(f.order, g.order) for _, f, g in triples)
     den = math.lcm(*(f._den * g._den for _, f, g in triples))
-    out = [0] * (order + 1)
-    for w, f, g in triples:
-        w *= den // (f._den * g._den)
-        out = [o + w * c for o, c in zip(out, _convolution(f._num, g._num, order, flavor))]
-    return Series._reduced(out, den, flavor)
+    pairs = [(w * (den // (f._den * g._den)), f._num, g._num) for w, f, g in triples]
+    return Series._reduced(_convolution(pairs, order, flavor), den, flavor)
 
 
-def _convolution(a, b, order: int, flavor: Flavor) -> list:
-    """Components 0, ..., order of the unreduced product of a and b.  The
-    k-th summand of Hurwitz component n is weighted by C(n, k), read from
-    Pascal's row n (power summands weigh 1).  When every coefficient is a
-    :class:`~diffalg.polynomial.Poly`, each component is one
-    :func:`~diffalg.polynomial.sum_products` of its weighted summands,
-    reduced once; other coefficients (numbers, or a mix of polynomials and
-    scalars) are summed term by term."""
+def _convolution(pairs, order: int, flavor: Flavor) -> list:
+    """Components 0, ..., order of the unreduced sum of w·a·b over the
+    (int w, a, b) pairs, Hurwitz summands weighted by C(n, k) from Pascal's
+    rows built once per call.  All-``Poly`` coefficients give one
+    :func:`~diffalg.polynomial.sum_products` per component; others
+    (numbers, or polynomials mixed with scalars) are summed term by term."""
     rows = _pascal_rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
-    if all(isinstance(c, Poly) for c in a + b):
-        return [sum_products(zip(row or repeat(1), a, b[n::-1]))
+    if all(isinstance(c, Poly) for _, a, b in pairs for c in a + b):
+        return [sum_products((w * r, x, y) for w, a, b in pairs
+                             for r, x, y in zip(row or repeat(1), a, b[n::-1]))
                 for n, row in zip(range(order + 1), rows)]
-    if flavor is Flavor.POWER:
-        return [sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
-    return [sum(map(operator.mul, row, map(operator.mul, a, b[n::-1])))
-            for n, row in zip(range(order + 1), rows)]
+    if flavor is Flavor.HURWITZ and len(pairs) > 1:  # add the pairs' k-th summands, weigh once
+        (a0, b0), *rest = [(a if w == 1 else [w * c for c in a], b) for w, a, b in pairs]
+        out = []
+        for n, row in zip(range(order + 1), rows):
+            column = map(operator.mul, a0, b0[n::-1])
+            for a, b in rest:
+                column = map(operator.add, column, map(operator.mul, a, b[n::-1]))
+            out.append(sum(map(operator.mul, row, column)))
+        return out
+    out = None
+    for w, a, b in pairs:  # one product, or a power sum, which has no weights to share
+        conv = ([sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
+                if flavor is Flavor.POWER else
+                [sum(map(operator.mul, row, map(operator.mul, a, b[n::-1])))
+                 for n, row in zip(range(order + 1), rows)])
+        conv = conv if w == 1 else [w * c for c in conv]
+        out = conv if out is None else list(map(operator.add, out, conv))
+    return out
 
 
 def _pascal_rows(count: int):

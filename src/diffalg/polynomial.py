@@ -286,6 +286,16 @@ def _as_linear_map(f) -> LinearMap:
     return f if isinstance(f, LinearMap) else LinearMap(f)
 
 
+def _linear_images(f, variables) -> tuple[dict, int]:
+    """({v: [(w, int a), ...]}, L): each image under f as a·w terms over one
+    denominator L; NonLinearImage names the first variable not linear."""
+    f = _as_linear_map(f)
+    images = {v: f._linear(v) for v in variables}
+    lcm = math.lcm(*(p._den for p in images.values()))
+    return {v: [(m[0][0], a * (lcm // p._den)) for m, a in p._num.items()]
+            for v, p in images.items()}, lcm
+
+
 class Tensor(LinComb):
     """A finite sum of (polynomial ⊗ variable) pairs with rational
     coefficients, stored with the polynomial slot distributed to monomials:
@@ -301,8 +311,13 @@ class Tensor(LinComb):
     pairs = LinComb.terms
 
     def scale_poly(self, q: Poly) -> "Tensor":
-        """Multiply the polynomial slot of every pair by q."""
-        return self.map_poly(q.__mul__)
+        """Multiply the polynomial slot of every pair by q, term by term."""
+        out: dict = {}
+        for (m, v), c in self._num.items():
+            for mq, cq in q._num.items():
+                key = (mono_mul(m, mq), v)
+                out[key] = out[key] + c * cq if key in out else c * cq
+        return Tensor._from_ints(out, self._den * q._den)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair: fn
@@ -317,12 +332,7 @@ class Tensor(LinComb):
 
     def map_var(self, f) -> "Tensor":
         """Apply a linear variable map to the variable slot of every pair."""
-        f = _as_linear_map(f)
-        images = {v: f._linear(v) for v in dict.fromkeys(v for _, v in self._num)}
-        # every image over one denominator L, so the sums stay over den·L
-        lcm = math.lcm(*(p._den for p in images.values()))
-        scaled = {v: [(m[0][0], a * (lcm // p._den)) for m, a in p._num.items()]
-                  for v, p in images.items()}
+        scaled, lcm = _linear_images(f, dict.fromkeys(v for _, v in self._num))
         out: dict = {}
         for (m, v), c in self._num.items():
             for w, a in scaled[v]:
@@ -480,10 +490,18 @@ def sharp(g, p: Poly) -> Poly:
 
         sharp(g, p) = sum_i  dp/dx_i · g(x_i),
 
-    computed as derive, apply g in the variable slot, multiply back in.
-    The identity map gives :func:`euler`.
+    coderive(derive(p).map_var(g)) in one pass, every image checked first,
+    reduced once.  The identity map gives :func:`euler`.
     """
-    return coderive(derive(p).map_var(g))
+    scaled, lcm = _linear_images(g, dict.fromkeys(v for m in p._num for v, _ in m))
+    out: dict[Mono, int] = {}
+    for m, c in p._num.items():
+        for i, (v, e) in enumerate(m):
+            lower, ce = mono_lower(m, i), c * e
+            for w, a in scaled[v]:
+                key = mono_mul(lower, ((w, 1),))
+                out[key] = out[key] + ce * a if key in out else ce * a
+    return Poly._from_ints(out, p._den * lcm)
 
 
 def derive_twice(p: Poly) -> dict:

@@ -96,20 +96,25 @@ def _merge_into_largest(parts: list[dict]) -> dict:
 
 def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
     """Expand a sequence of polynomial letters multilinearly into a linear
-    combination of monomial-letter words.  A letter given as a bare
-    monomial tuple is taken with coefficient 1; a zero letter kills the
-    word.  Distinct words stay distinct when a letter is appended, so no
-    terms merge."""
-    combo: dict[Word, Fraction] = {(): Fraction(1)}
+    combination of monomial-letter words.  A letter given as a bare monomial
+    tuple is taken with coefficient 1; a zero letter kills the word."""
+    combo, den = _word_ints(letters)
+    return {w: Fraction(c, den) for w, c in combo.items()}
+
+
+def _word_ints(letters: Sequence) -> tuple[dict[Word, int], int]:
+    """:func:`normalize_word` as int numerators over the product of the
+    letters' denominators.  Appending a letter merges no words."""
+    combo, den = {(): 1}, 1
     for letter in letters:
         if isinstance(letter, Poly):
-            expansions = list(letter.terms())
+            expansions, den = letter._num.items(), den * letter._den
         else:
-            expansions = [(tuple(letter), Fraction(1))]
+            expansions = ((tuple(letter), 1),)
         combo = {w + (m,): c * cm for w, c in combo.items() for m, cm in expansions}
         if not combo:
             break
-    return combo
+    return combo, den
 
 
 def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
@@ -126,8 +131,10 @@ def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
 
 def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
     """Number of interleavings counted with multiplicity (sum of shuffle
-    coefficients); equals binom(|u|+|v|, |u|) for monic monomial letters."""
-    return sum(shuffle(u, v).values(), Fraction(0))
+    coefficients, as ints); binom(|u|+|v|, |u|) for monic monomial letters."""
+    (nu, du), (nv, dv) = _word_ints(u), _word_ints(v)
+    return Fraction(sum(cu * cv * sum(n for _, n in shuffle_words(wu, wv))
+                        for wu, cu in nu.items() for wv, cv in nv.items()), du * dv)
 
 
 class RBElem(LinComb):
@@ -209,19 +216,17 @@ def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
                   max_word: int = 3, max_tail_deg: int = 2) -> RBElem:
     """Seeded random element: up to max_terms terms, words of at most
     max_word monomial letters, tails of degree at most max_tail_deg."""
-    from .diff_laws import pick, random_fraction, sample_exponents
+    from .diff_laws import COEFF_DEN, pick, random_numerator, sample_exponents
 
     def random_mono(max_deg: int) -> Mono:
         return mono_from_exponents(sample_exponents(rng, pick(pool), max_deg))
 
-    out = RBElem.zero()
+    out: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        word = tuple(random_mono(2) for _ in range(rng.randint(0, max_word)))
-        tail = random_mono(max_tail_deg)
-        coeff = random_fraction(rng)
-        if coeff:
-            out = out + RBElem({(word, tail): coeff})
-    return out
+        key = (tuple(random_mono(2) for _ in range(rng.randint(0, max_word))),
+               random_mono(max_tail_deg))
+        out[key] = out.get(key, 0) + random_numerator(rng)
+    return RBElem._from_ints(out, COEFF_DEN)
 
 
 def check_rota_baxter(trials: int, seed: int) -> LawReport:

@@ -18,6 +18,7 @@ from diffalg.carriers import (
     hurwitz_carrier,
     poly_sharp_carrier,
     power_carrier,
+    random_series,
     rota_baxter_carrier,
     shipped_carriers,
 )
@@ -32,13 +33,17 @@ from diffalg.diff_laws import (
     check_leibniz,
     eval_in_carrier,
     faa_di_bruno_mismatch,
+    pick,
     run_trials,
+    sample_exponents,
+    sample_poly,
     sum_of_products,
 )
 from diffalg.errors import UnboundVariable
-from diffalg.free_diff import dvar
-from diffalg.polynomial import Poly, eta
+from diffalg.free_diff import DVar, dvar
+from diffalg.polynomial import Poly, eta, mono_from_exponents
 from diffalg.rng import SplitMix64
+from diffalg.rota_baxter import RBElem, random_rbelem
 from diffalg.suites import (
     chain_rule_suite,
     check_eval_pointwise,
@@ -224,6 +229,87 @@ class TestDerivationMonoid:
         c = hurwitz_carrier()
         rep = check_derivation_monoid(c, c.d, c.d, 8, 8)
         assert rep.passed and not rep.skipped
+
+    def test_sum_that_breaks_the_chain_rule_fails(self):
+        """The failure branch: a second map that is the shift on the first
+        look at an argument and adds the argument on any later look.  The
+        precondition sees each argument once, so both maps pass it; the
+        check of the sum looks at the environment again, and the sum
+        breaks the chain rule.  The first trial of seed 4 has a constant
+        polynomial, so the second trial fails."""
+        c = diffpoly_carrier()
+        seen = []
+
+        def d2(x):
+            again = any(x is y for y in seen)
+            seen.append(x)
+            return c.d(x) + x if again else c.d(x)
+
+        rep = check_derivation_monoid(c, c.d, d2, 5, 4)
+        assert rep.to_json() == (
+            '{"law": "derivation_monoid[diffpoly]", "trials": 2, "pass": false, "seed": 4, '
+            '"counterexample": {"p": "-1/2*X1^2*X2 + 2*X2^2", '
+            '"lhs": "chain rule fails for sum", "rhs": ""}}')
+
+
+class TestSamplers:
+    """sample_poly, random_series, the series kernel sampler and
+    random_rbelem draw int numerators over one denominator; over 500 seeds
+    each returns the value of the Fraction fold it replaced, in the same
+    canonical store, and leaves the stream where the fold left it."""
+
+    @staticmethod
+    def fraction_fold(rng, draw_var, max_terms, max_degree):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, max(max_terms, 1))):
+            exps = sample_exponents(rng, draw_var, max_degree)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if c:
+                p = p + Poly.monomial(exps, c)
+        return p
+
+    def test_sample_poly_equals_the_fold(self):
+        draws = (pick(("w", "x", "y", "z")), pick(("x",)),
+                 lambda r: DVar(r.choice(("x", "y")), r.randint(0, 2)))
+        for seed in range(500):
+            draw, max_terms, max_degree = draws[seed % 3], seed % 7, seed % 5
+            got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+            got = sample_poly(got_rng, draw, max_terms, max_degree)
+            want = self.fraction_fold(want_rng, draw, max_terms, max_degree)
+            assert (got._num, got._den) == (want._num, want._den)
+            assert got_rng.next_u64() == want_rng.next_u64()
+
+    def test_random_series_equals_the_fold(self):
+        for seed in range(500):
+            order = seed % 12
+            flavor = (hurwitz.Flavor.HURWITZ, hurwitz.Flavor.POWER)[seed % 2]
+            got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+            got = random_series(got_rng, order, flavor)
+            want = hurwitz.Series(tuple(Fraction(want_rng.randint(-9, 9), want_rng.randint(1, 4))
+                                        for _ in range(order + 1)), flavor)
+            assert (got._num, got._den, got.coeffs, got.flavor) == (
+                want._num, want._den, want.coeffs, want.flavor)
+            assert got_rng.next_u64() == want_rng.next_u64()
+            got = hurwitz_carrier(order).sample_kernel(got_rng, 3)
+            want = hurwitz.Series((Fraction(want_rng.randint(-9, 9), want_rng.randint(1, 4)),)
+                                  + (Fraction(0),) * order, hurwitz.Flavor.HURWITZ)
+            assert (got._num, got._den, got.coeffs) == (want._num, want._den, want.coeffs)
+            assert got_rng.next_u64() == want_rng.next_u64()
+
+    def test_random_rbelem_equals_the_fold(self):
+        for seed in range(500):
+            got_rng, rng = SplitMix64(seed), SplitMix64(seed)
+            got = random_rbelem(got_rng)
+            want = RBElem.zero()
+            for _ in range(rng.randint(1, 2)):
+                word = tuple(mono_from_exponents(sample_exponents(rng, pick(("x", "y")), 2))
+                             for _ in range(rng.randint(0, 3)))
+                tail = mono_from_exponents(sample_exponents(rng, pick(("x", "y")), 2))
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                if c:
+                    want = want + RBElem({(word, tail): c})
+            assert (got._num, got._den) == (want._num, want._den)
+            assert got_rng.next_u64() == rng.next_u64()
 
 
 class TestNegativeControls:

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffalg.carriers import random_poly, random_series
 from diffalg.free_diff import DVar, d_shift
 from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
 from diffalg.lincomb import LinComb, coerce, drop_zeros
 from diffalg.polynomial import (EMPTY_MONO, LinearMap, Poly, Tensor, coderive, derive, eta, flat,
                                 mono_from_exponents, mono_lower, mono_mul, partial, sharp)
+from diffalg.rng import SplitMix64
 from diffalg.rota_baxter import RBElem, rb_D, rb_mul, rb_P
 
 F = Fraction
@@ -273,9 +275,10 @@ class TestStore:
 
 def test_hot_paths_build_no_fractions(monkeypatch):
     """Products, sums, int scaling, derive, sharp, d_shift, flat,
-    Tensor.map_poly and Poly.monomial run on the integer store, and so do
-    the Series sum, scalar products, smul, sderive, psi and psi_inv: none
-    of them constructs a Fraction."""
+    Tensor.map_poly, Tensor.scale_poly and Poly.monomial run on the integer
+    store, and so do the Series sum, scalar products, smul, sderive, psi,
+    psi_inv and the samplers sample_poly and random_series: none of them
+    constructs a Fraction."""
     p = (x * F(1, 2) + y * F(2, 3)) ** 2 + F(5, 4)
     q = x * F(3, 4) - y + 7
     x0, x1, y0 = (Poly.variable(DVar(b, n)) for b, n in (("x", 0), ("x", 1), ("y", 0)))
@@ -304,6 +307,9 @@ def test_hot_paths_build_no_fractions(monkeypatch):
         d_shift(d_shift(dp) * dp)
         flat(images, p)
         t.map_poly(lambda r: r * q)
+        t.scale_poly(q)
+        random_poly(SplitMix64(7), 6)
+        random_series(SplitMix64(7), 8, Flavor.POWER)
         Poly.monomial({"x": 2, "y": 1}, 5)
         Poly.monomial({"x": 2}, third)
         sf + sg

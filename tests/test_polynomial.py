@@ -339,6 +339,51 @@ class TestFlatSharp:
         with pytest.raises(NonLinearImage):
             sharp(LinearMap({"x": x ** 2}), x ** 2)
 
+    def test_sharp_is_derive_map_var_coderive(self):
+        """sharp builds in one pass the value of derive, map_var and
+        coderive in turn, for images with mixed denominators, zero images
+        and several variables sent to one."""
+        rng = SplitMix64(29)
+        pool = ("w", "x", "y", "z")
+        for _ in range(200):
+            p = random_poly(rng, 5)
+            g = LinearMap({v: sum((eta(rng.choice(pool)) * Fraction(rng.randint(-4, 4),
+                                                                    rng.randint(1, 6))
+                                   for _ in range(rng.randint(0, 3))), Poly.zero())
+                           for v in pool if rng.randint(0, 3)})
+            got = sharp(g, p)
+            assert got == coderive(derive(p).map_var(g))
+            assert canonical(got)
+
+    def test_sharp_rejects_nonlinear_before_any_product(self, monkeypatch):
+        """NonLinearImage names the variable map_var named, the first of p
+        in the order of its terms whose image is not linear, and is raised
+        before any monomial is multiplied."""
+        rng = SplitMix64(31)
+        images = (x * y, x + 1, Poly.const(2), y * Fraction(1, 2), x + z * Fraction(3, 5))
+        cases = []
+        for _ in range(100):
+            p = random_poly(rng, 4)
+            g = LinearMap({v: rng.choice(images) for v in ("w", "x", "y", "z")})
+            try:
+                cases.append((p, g, coderive(derive(p).map_var(g))))
+            except NonLinearImage as exc:
+                cases.append((p, g, str(exc)))
+        products = []
+        mono_mul = polynomial.mono_mul
+        monkeypatch.setattr(polynomial, "mono_mul",
+                            lambda a, b: products.append(a) or mono_mul(a, b))
+        assert any(isinstance(want, str) for _, _, want in cases)
+        assert any(isinstance(want, Poly) for _, _, want in cases)
+        for p, g, want in cases:
+            products.clear()
+            if isinstance(want, Poly):
+                assert sharp(g, p) == want
+            else:
+                with pytest.raises(NonLinearImage) as exc:
+                    sharp(g, p)
+                assert (str(exc.value), products) == (want, [])
+
     def test_sharp_restricted_to_generators_recovers_map(self):
         g = LinearMap({"x": y, "y": x + z, "z": 2 * z})
         for v in ("x", "y", "z"):

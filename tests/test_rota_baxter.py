@@ -56,6 +56,25 @@ class TestShuffle:
                 v = [Poly.variable(f"v{i}") for i in range(k)]
                 assert shuffle_term_count(u, v) == binom(j + k, j)
 
+    def test_term_count_is_the_sum_of_the_shuffle(self):
+        """shuffle_term_count sums int counts over one denominator; it is
+        the sum of shuffle's coefficients, for letters with denominators,
+        sums of monomials, bare monomials, zero letters and repeated
+        letters."""
+        rng = SplitMix64(37)
+        pool = (x, x, a * F(1, 2), x * F(1, 2) + y * F(2, 3), a * b * F(-3, 4), MX, Poly.zero())
+        for _ in range(200):
+            u, v = ([rng.choice(pool) for _ in range(rng.randint(0, 4))] for _ in range(2))
+            got = shuffle_term_count(u, v)
+            assert type(got) is F
+            assert got == sum(shuffle(u, v).values(), F(0))
+        for j in range(5):
+            for k in range(5):
+                # each letter's coefficients sum to its factor of the count
+                assert shuffle_term_count([x] * j, [MX] * k) == binom(j + k, j)
+                assert shuffle_term_count([x * F(1, 2)] * j, [x + a * F(2, 3)] * k) == (
+                    binom(j + k, j) * F(1, 2) ** j * F(5, 3) ** k)
+
     def test_sum_letters_cancel(self):
         assert shuffle([x + y], [x - y]) == {word(x, x): F(2), word(y, y): F(-2)}
 

@@ -24,15 +24,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MUTANTS = [
     ("pascal_rows_all_ones", "hurwitz.py",
      "row = [1, *map(operator.add, row, row[1:]), 1]", "row = [1] * (len(row) + 1)"),
+    # Hurwitz weights only the first n + 1 summands, so only power adds a0·b0.
     ("cauchy_adds_a0_b0", "hurwitz.py",
-     "return [sum(map(operator.mul, a, b[n::-1])) for n",
-     "return [sum(map(operator.mul, a, b[n::-1])) + (a[0] * b[0] if n else 0) for n"),
+     "[sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]",
+     "[sum(map(operator.mul, a, b[n::-1])) + (a[0] * b[0] if n else 0) for n in range(order + 1)]"),
     ("hurwitz_drops_last_summand", "hurwitz.py",
      "map(operator.mul, row, map(operator.mul, a, b[n::-1]))",
-     "map(operator.mul, row, map(operator.mul, a[:n], b[n::-1]))"),
+     "map(operator.mul, row[:n], map(operator.mul, a, b[n::-1]))"),
+    ("hurwitz_sum_drops_last_summand", "hurwitz.py",
+     "map(operator.mul, row, column)", "map(operator.mul, row[:n], column)"),
     ("power_sderive_scales_n_plus_2", "hurwitz.py",
      "map(operator.mul, range(1, len(f._num)), nums)",
      "map(operator.mul, range(2, len(f._num) + 1), nums)"),
+    ("sharp_drops_exponent_factor", "polynomial.py",
+     "lower, ce = mono_lower(m, i), c * e", "lower, ce = mono_lower(m, i), c"),
 ]
 
 
