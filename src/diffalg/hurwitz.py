@@ -249,7 +249,7 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
         return [sum_products((w * r, x, y) for w, a, b in pairs
                              for r, x, y in zip(row or repeat(1), a, b[n::-1]))
                 for n, row in zip(range(order + 1), rows)]
-    if flavor is Flavor.HURWITZ and len(pairs) > 1:  # add the pairs' k-th summands, weigh once
+    if flavor is Flavor.HURWITZ:  # add the pairs' k-th summands, weigh once
         (a0, b0), *rest = [(a if w == 1 else [w * c for c in a], b) for w, a, b in pairs]
         out = []
         for n, row in zip(range(order + 1), rows):
@@ -259,11 +259,8 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
             out.append(sum(map(operator.mul, row, column)))
         return out
     out = None
-    for w, a, b in pairs:  # one product, or a power sum, which has no weights to share
-        conv = ([sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
-                if flavor is Flavor.POWER else
-                [sum(map(operator.mul, row, map(operator.mul, a, b[n::-1])))
-                 for n, row in zip(range(order + 1), rows)])
+    for w, a, b in pairs:  # power summands have no weights to share
+        conv = [sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]
         conv = conv if w == 1 else [w * c for c in conv]
         out = conv if out is None else list(map(operator.add, out, conv))
     return out

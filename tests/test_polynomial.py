@@ -339,22 +339,6 @@ class TestFlatSharp:
         with pytest.raises(NonLinearImage):
             sharp(LinearMap({"x": x ** 2}), x ** 2)
 
-    def test_sharp_is_derive_map_var_coderive(self):
-        """sharp builds in one pass the value of derive, map_var and
-        coderive in turn, for images with mixed denominators, zero images
-        and several variables sent to one."""
-        rng = SplitMix64(29)
-        pool = ("w", "x", "y", "z")
-        for _ in range(200):
-            p = random_poly(rng, 5)
-            g = LinearMap({v: sum((eta(rng.choice(pool)) * Fraction(rng.randint(-4, 4),
-                                                                    rng.randint(1, 6))
-                                   for _ in range(rng.randint(0, 3))), Poly.zero())
-                           for v in pool if rng.randint(0, 3)})
-            got = sharp(g, p)
-            assert got == coderive(derive(p).map_var(g))
-            assert canonical(got)
-
     def test_sharp_rejects_nonlinear_before_any_product(self, monkeypatch):
         """NonLinearImage names the variable map_var named, the first of p
         in the order of its terms whose image is not linear, and is raised

@@ -29,9 +29,6 @@ MUTANTS = [
      "[sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]",
      "[sum(map(operator.mul, a, b[n::-1])) + (a[0] * b[0] if n else 0) for n in range(order + 1)]"),
     ("hurwitz_drops_last_summand", "hurwitz.py",
-     "map(operator.mul, row, map(operator.mul, a, b[n::-1]))",
-     "map(operator.mul, row[:n], map(operator.mul, a, b[n::-1]))"),
-    ("hurwitz_sum_drops_last_summand", "hurwitz.py",
      "map(operator.mul, row, column)", "map(operator.mul, row[:n], column)"),
     ("power_sderive_scales_n_plus_2", "hurwitz.py",
      "map(operator.mul, range(1, len(f._num)), nums)",
