@@ -43,6 +43,8 @@ class DVar(NamedTuple):
 
 def dvar(base: str, order: int = 0) -> Poly:
     """The differential polynomial consisting of one derivative variable."""
+    if type(order) is not int:
+        raise TypeError(f"derivative order must be an int, got {type(order).__name__}")
     if order < 0:
         raise ValueError(f"derivative order must be non-negative, got {order}")
     return Poly.variable(DVar(base, order))

@@ -75,6 +75,8 @@ class Series:
     __slots__ = ("_num", "_den", "_coeffs", "flavor")
 
     def __init__(self, coeffs, flavor: Flavor):
+        if not isinstance(flavor, Flavor):  # as _exact refuses a coefficient
+            raise TypeError(f"expected a Flavor, got {type(flavor).__name__}")
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
@@ -205,6 +207,8 @@ def _exact(value):
 
 def sunit(order: int, flavor: Flavor) -> Series:
     """The multiplicative unit (1, 0, ..., 0) at the given order."""
+    if not isinstance(flavor, Flavor):
+        raise TypeError(f"expected a Flavor, got {type(flavor).__name__}")
     if order < 0:
         raise ValueError("order must be non-negative")
     return Series._reduced((1,) + (0,) * order, 1, flavor)
@@ -500,7 +504,7 @@ def colift(images: Mapping, carrier, p, order: int) -> Series:
     """
 
     def image(v):
-        return images.get(v, Poly.variable(v))
+        return images[v] if v in images else Poly.variable(v)
 
     return Series(tuple(evaluate(q, image, Fraction(1), operator.mul, Fraction(0))
                         for q in natural_map(carrier.d, p, order)), Flavor.HURWITZ)

@@ -68,7 +68,8 @@ def mono_from_exponents(exponents: Mapping) -> Mono:
     """Canonical monomial from a variable -> exponent mapping."""
     items = []
     for v, e in exponents.items():
-        e = int(e)
+        if type(e) is not int:
+            raise TypeError(f"exponent of {v!r} must be an int, got {type(e).__name__}")
         if e < 0:
             raise ValueError(f"negative exponent {e} for {v!r}")
         if e:
@@ -264,7 +265,7 @@ class LinearMap:
                 self._images[v] = _as_poly(p)
 
     def image(self, v) -> Poly:
-        return self._images.get(v, Poly.variable(v))
+        return self._images[v] if v in self._images else Poly.variable(v)
 
     def linear_image(self, v) -> tuple:
         """The image of v as ((variable, coefficient), ...) pairs.

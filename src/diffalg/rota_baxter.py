@@ -34,9 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .lincomb import LinComb, coerce, drop_zeros
-from .polynomial import (EMPTY_MONO, Mono, Poly, derive, mono_degree, mono_from_exponents,
-                         mono_mul, mono_str)
+from .lincomb import LinComb, drop_zeros, ratio
+from .polynomial import (EMPTY_MONO, Mono, Poly, _as_poly, derive, mono_degree,
+                         mono_from_exponents, mono_mul, mono_str)
 
 if TYPE_CHECKING:  # the law harness is imported by the two functions that use it
     from .diff_laws import LawReport
@@ -94,17 +94,12 @@ def _merge_into_largest(parts: list[dict]) -> dict:
     return out
 
 
-def normalize_word(letters: Sequence) -> dict[Word, Fraction]:
-    """Expand a sequence of polynomial letters multilinearly into a linear
-    combination of monomial-letter words.  A letter given as a bare monomial
-    tuple is taken with coefficient 1; a zero letter kills the word."""
-    combo, den = _word_ints(letters)
-    return {w: Fraction(c, den) for w, c in combo.items()}
-
-
 def _word_ints(letters: Sequence) -> tuple[dict[Word, int], int]:
-    """:func:`normalize_word` as int numerators over the product of the
-    letters' denominators.  Appending a letter merges no words."""
+    """Expand a sequence of polynomial letters multilinearly into a linear
+    combination of monomial-letter words, as int numerators over the
+    product of the letters' denominators.  A letter given as a bare monomial
+    tuple is taken with coefficient 1; a zero letter kills the word.
+    Appending a letter merges no words."""
     combo, den = {(): 1}, 1
     for letter in letters:
         if isinstance(letter, Poly):
@@ -119,11 +114,11 @@ def _word_ints(letters: Sequence) -> tuple[dict[Word, int], int]:
 
 def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
     """Shuffle product of two words, as a linear combination of words."""
-    parts = []
-    words_v = normalize_word(v).items()
-    for wu, cu in normalize_word(u).items():
-        for wv, cv in words_v:
-            c = cu * cv
+    (nu, du), (nv, dv) = _word_ints(u), _word_ints(v)
+    den, parts = du * dv, []
+    for wu, cu in nu.items():
+        for wv, cv in nv.items():
+            c = Fraction(cu * cv, den)
             # Fraction * int allocates, so a count of 1 keeps c itself
             parts.append({w: c if n == 1 else c * n for w, n in shuffle_words(wu, wv)})
     return drop_zeros(_merge_into_largest(parts))
@@ -149,15 +144,11 @@ class RBElem(LinComb):
     @classmethod
     def term(cls, letters: Sequence, tail: Poly, coeff=1) -> "RBElem":
         """Build coeff · (word, tail), canonicalizing letters and tail."""
-        if not isinstance(tail, Poly):
-            tail = Poly.const(tail)
-        coeff = coerce(coeff)
-        out: dict = {}
-        for w, cw in normalize_word(letters).items():
-            for m, cm in tail.terms():
-                # the words are distinct, and so are the monomials of tail
-                out[(w, m)] = cw * cm * coeff
-        return cls(out)
+        tail, (a, b) = _as_poly(tail), ratio(coeff)
+        words, den = _word_ints(letters)
+        # the words are distinct, and so are the monomials of tail
+        return cls._from_ints({(w, m): cw * cm * a for w, cw in words.items()
+                               for m, cm in tail._num.items()}, den * tail._den * b)
 
     def __mul__(self, other):
         if isinstance(other, RBElem):

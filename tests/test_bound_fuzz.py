@@ -132,15 +132,17 @@ def made(monkeypatch):
     """The words the shuffle kernel and the word expansion return."""
     count = [0]
 
-    def counting(f):
+    def counting(f, size=len):
         def call(*args):
             result = f(*args)
-            count[0] += len(result)
+            count[0] += size(result)
             return result
         return call
 
     monkeypatch.setattr(rota_baxter, "shuffle_words", counting(rota_baxter.shuffle_words))
-    monkeypatch.setattr(rota_baxter, "normalize_word", counting(rota_baxter.normalize_word))
+    # _word_ints returns (words, denominator)
+    monkeypatch.setattr(rota_baxter, "_word_ints",
+                        counting(rota_baxter._word_ints, lambda result: len(result[0])))
     return count
 
 

@@ -348,7 +348,7 @@ class TestRbBound:
     def expansions(self, monkeypatch):
         from diffalg import rota_baxter
 
-        return stopped(monkeypatch, rota_baxter, "normalize_word", "shuffle_words")
+        return stopped(monkeypatch, rota_baxter, "_word_ints", "shuffle_words")
 
     @staticmethod
     def run(op, payload):
@@ -384,7 +384,7 @@ class TestRbBound:
     def test_at_the_bound(self, expansions, op, payload):
         with pytest.raises(Reached):
             self.run(op, payload)
-        assert expansions[0] == "normalize_word"
+        assert expansions[0] == "_word_ints"
 
     def test_repeated_letters_are_counted_apart(self):
         """The interleavings of repeated letters spell one word, but the

@@ -38,6 +38,14 @@ class TestDVar:
         with pytest.raises(ValueError):
             dvar("x", -1)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "2", None],
+                             ids=["float", "integral-float", "bool", "str", "none"])
+    def test_order_must_be_an_int(self, bad):
+        """A derivative order that is not an int is refused at once, not
+        left to fail in str() or in the order check."""
+        with pytest.raises(TypeError, match="derivative order must be an int"):
+            dvar("x", bad)
+
 
 class TestShift:
     def test_single_bump(self):

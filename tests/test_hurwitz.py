@@ -418,6 +418,17 @@ class TestStore:
         with pytest.raises(TypeError):
             bad * s
 
+    @pytest.mark.parametrize("bad", ["hurwitz", "power", None, 0],
+                             ids=["hurwitz-str", "power-str", "none", "int"])
+    def test_flavor_must_be_a_flavor(self, bad):
+        """A flavor's value or name is neither algebra: the constructor and
+        sunit refuse it, rather than build a series whose product is the
+        Cauchy product and whose repr fails."""
+        with pytest.raises(TypeError, match="expected a Flavor, got"):
+            Series((1, 2, 3), bad)
+        with pytest.raises(TypeError, match="expected a Flavor, got"):
+            sunit(2, bad)
+
     def test_exact_scalars_and_polynomials_kept(self):
         s, x = Series((1, 2, 3), Flavor.HURWITZ), eta("x")
         assert (s * 2).coeffs == (2, 4, 6) and (2 * s).coeffs == (2, 4, 6)

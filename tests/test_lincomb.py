@@ -277,8 +277,10 @@ def test_hot_paths_build_no_fractions(monkeypatch):
     """Products, sums, int scaling, derive, sharp, d_shift, flat,
     Tensor.map_poly, Tensor.scale_poly and Poly.monomial run on the integer
     store, and so do the Series sum, scalar products, smul, sderive, psi,
-    psi_inv and the samplers sample_poly and random_series: none of them
-    constructs a Fraction."""
+    psi_inv, the samplers sample_poly and random_series, and RBElem.term
+    on letters with denominators, a sum letter, a bare monomial letter, a
+    Fraction coefficient and a scalar tail: none of them constructs a
+    Fraction."""
     p = (x * F(1, 2) + y * F(2, 3)) ** 2 + F(5, 4)
     q = x * F(3, 4) - y + 7
     x0, x1, y0 = (Poly.variable(DVar(b, n)) for b, n in (("x", 0), ("x", 1), ("y", 0)))
@@ -289,6 +291,7 @@ def test_hot_paths_build_no_fractions(monkeypatch):
     third = F(1, 3)
     sf, sg = (Series(tuple(F(k + 1, 3 + n) for k in range(9)), Flavor.HURWITZ) for n in (0, 4))
     sh = Series(tuple(F(1 - k, 2 + k) for k in range(9)), Flavor.POWER)
+    letters, tail, coeff = [x * F(1, 2), x + y * F(2, 3), MX], F(3, 4), F(5, 6)
     built = []
     original = Fraction.__new__
 
@@ -321,6 +324,7 @@ def test_hot_paths_build_no_fractions(monkeypatch):
         sderive(sh)
         psi(sh)
         psi_inv(sf)
+        RBElem.term(letters, tail, coeff)
     monkeypatch.undo()
     assert built == []
 

@@ -62,6 +62,15 @@ class TestRingOps:
         assert Poly.const(5) == 5
         assert Poly.zero() == 0
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2), True, "2"],
+                             ids=["float", "integral-float", "fraction", "integral-fraction",
+                                  "bool", "str"])
+    def test_monomial_exponents_must_be_ints(self, bad):
+        """An exponent that is not an int is refused, not rounded or read:
+        int() would make x^1.5 and x^True into x and "2" into x^2."""
+        with pytest.raises(TypeError, match="exponent of 'x' must be an int"):
+            Poly.monomial({"y": 1, "x": bad})
+
     def test_pow(self):
         assert x ** 0 == 1
         assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
@@ -286,6 +295,24 @@ class TestFlatSharp:
         with pytest.raises(UnboundVariable, match="'z'"):
             flat({"x": y, "y": x}, x * y * z)
         assert taken == []
+
+    def test_sharp_builds_no_identity_image(self, monkeypatch):
+        """Under the poly_sharp carrier's cycle map, which has an image for
+        every variable, sharp builds no identity image Poly.variable(v);
+        a variable the map leaves out still stands for itself."""
+        from diffalg.carriers import poly_sharp_carrier
+
+        d = poly_sharp_carrier().d
+        rng = SplitMix64(29)
+        polys = [random_poly(rng, 6) for _ in range(20)]
+        made = []
+        variable = Poly.variable
+        monkeypatch.setattr(Poly, "variable", lambda v: made.append(v) or variable(v))
+        for p in polys:
+            d(p)
+        assert made == []
+        assert sharp(LinearMap({"x": y}), x * y) == y * y + x * y
+        assert made == ["y"]
 
     def test_flat_is_the_fold(self):
         """flat is one sum_products; it equals the sum of the partials

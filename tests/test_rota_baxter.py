@@ -178,6 +178,27 @@ class TestKernel:
         assert raw_scale(raw, t) == brute_product(raw.items(), list(t.terms()))
 
 
+class TestTerm:
+    def test_is_the_multilinear_expansion(self):
+        """RBElem.term(letters, tail, coeff) is the public constructor on
+        every choice of one monomial per letter and one of the tail, with
+        the product of their coefficients times coeff: for letters with
+        denominators, sum letters, bare monomials and zero letters, scalar
+        tails and a zero coefficient."""
+        rng = SplitMix64(41)
+        pool = (x, a * F(1, 2), x * F(1, 2) + y * F(2, 3), a * b * F(-3, 4), MX, Poly.zero())
+        tails = (Poly.one(), x * F(3, 2) - y, F(5, 6), 4, 0)
+        coeffs = (1, -2, F(7, 3), 0)
+        for _ in range(200):
+            letters = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            tail, coeff = rng.choice(tails), rng.choice(coeffs)
+            expansions = [[(l, 1)] if isinstance(l, tuple) else list(l.terms()) for l in letters]
+            want = {(tuple(m for m, _ in choice), mt): math.prod(c for _, c in choice) * ct * coeff
+                    for choice in itertools.product(*expansions)
+                    for mt, ct in (Poly.one() * tail).terms()}
+            assert RBElem.term(letters, tail, coeff) == RBElem(want)
+
+
 class TestProduct:
     def test_tail_only(self):
         s = RBElem.term([], x)

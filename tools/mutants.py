@@ -1,11 +1,14 @@
-"""Which laws catch which kernel fault: a small mutation matrix.
+"""Which laws and tests catch which kernel fault: a small mutation matrix.
 
-Each mutant is one exact text substitution in a kernel of src/diffalg.  For
-each, this script copies src/ to a temporary directory, applies the
-substitution there, runs ``python -m diffalg.cli laws --seed 42 --trials 10``
-on the copy and prints the mutant with the laws that fail (a crash of the
-run counts as caught).  It exits 1 if a substitution does not match exactly
-once or a mutant fails no law.
+Each mutant is one exact text substitution in a kernel of src/diffalg, with
+the pytest node ids it names, if any.  For each, this script copies src/ to
+a temporary directory, applies the substitution there, runs
+``python -m diffalg.cli laws --seed 42 --trials 10`` on the copy (a crash of
+the run counts as caught) and then the named tests on it with
+``python -m pytest -q -x -p no:cacheprovider``, and prints the mutant with
+the laws and the tests that fail.  It exits 1 if a substitution does not
+match exactly once, a named test cannot be run, or a mutant fails no law
+and no named test.
 
     python tools/mutants.py
 """
@@ -18,9 +21,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
-# (name, file under src/diffalg, text, replacement)
+# (name, file under src/diffalg, text, replacement, *pytest node ids)
 MUTANTS = [
     ("pascal_rows_all_ones", "hurwitz.py",
      "row = [1, *map(operator.add, row, row[1:]), 1]", "row = [1] * (len(row) + 1)"),
@@ -35,10 +39,15 @@ MUTANTS = [
      "map(operator.mul, range(2, len(f._num) + 1), nums)"),
     ("sharp_drops_exponent_factor", "polynomial.py",
      "lower, ce = mono_lower(m, i), c * e", "lower, ce = mono_lower(m, i), c"),
+    # No law reaches a letter's coefficient: random_rbelem builds its keys
+    # directly and check_shuffle_counts uses monic letters.
+    ("word_expansion_drops_letter_coefficient", "rota_baxter.py",
+     "{w + (m,): c * cm for", "{w + (m,): c for", "tests/test_rota_baxter.py::TestShuffle"),
 ]
 
 
-def failing_laws(name: str, text: str, replacement: str) -> list:
+def failing(name: str, text: str, replacement: str, tests) -> tuple[list, list]:
+    """The laws and the named tests that fail on src/ with text replaced."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -51,17 +60,32 @@ def failing_laws(name: str, text: str, replacement: str) -> list:
         run = subprocess.run([sys.executable, "-m", "diffalg.cli", "laws", "--seed", "42",
                               "--trials", "10"], env=env, capture_output=True, text=True)
         if run.returncode not in (0, 1):  # 1: a law failed; anything else: a crash
-            return [f"crash(exit {run.returncode})"]
-        reports = [json.loads(line) for line in run.stdout.splitlines()]
-        return [r["law"] for r in reports if not r["pass"]]
+            laws = [f"crash(exit {run.returncode})"]
+        else:
+            reports = [json.loads(line) for line in run.stdout.splitlines()]
+            laws = [r["law"] for r in reports if not r["pass"]]
+        if not tests:
+            return laws, []
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                              *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+        if not run.returncode:
+            return laws, []
+        if run.returncode != 1:  # 1: a test failed; anything else: not run
+            sys.exit(f"{name}: pytest exit {run.returncode} on {' '.join(tests)}\n{run.stdout}")
+        failed = [line.split()[1] for line in run.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))]
+        return laws, failed or ["pytest(exit 1)"]
 
 
 def main() -> int:
     status = 0
-    for mutant, name, text, replacement in MUTANTS:
-        laws = failing_laws(name, text, replacement)
-        print(f"{mutant}: {len(laws)} failing: {' '.join(laws) or 'NONE'}", flush=True)
-        status |= not laws
+    for mutant, name, text, replacement, *tests in MUTANTS:
+        laws, failed = failing(name, text, replacement, tests)
+        line = f"{mutant}: {len(laws)} failing: {' '.join(laws) or 'NONE'}"
+        if tests:
+            line += f"; named tests failing: {' '.join(failed) or 'NONE'}"
+        print(line, flush=True)
+        status |= not (laws or failed)
     return status
 
 
