@@ -29,11 +29,25 @@ from .polynomial import (LinearMap, Poly, evaluate, mono_from_exponents, rename_
                          substitute)
 
 
-class DVar(NamedTuple):
-    """A derivative-indexed variable: (base name, derivative order)."""
+class DVar(NamedTuple("DVar", [("base", str), ("order", int)])):
+    """A derivative-indexed variable: (base name, derivative order).  A base
+    that is not a str and an order that is not an int (a bool is not) raise
+    TypeError, and a negative order ValueError, when the variable is made."""
 
-    base: str
-    order: int
+    __slots__ = ()
+
+    def __new__(cls, base: str, order: int) -> "DVar":
+        if not isinstance(base, str):
+            raise TypeError(f"base name must be a str, got {type(base).__name__}")
+        if type(order) is not int:
+            raise TypeError(f"derivative order must be an int, got {type(order).__name__}")
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative, got {order}")
+        return tuple.__new__(cls, (base, order))
+
+    @classmethod
+    def _make(cls, iterable) -> "DVar":  # so _replace is checked too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.order <= 3:
@@ -42,11 +56,8 @@ class DVar(NamedTuple):
 
 
 def dvar(base: str, order: int = 0) -> Poly:
-    """The differential polynomial consisting of one derivative variable."""
-    if type(order) is not int:
-        raise TypeError(f"derivative order must be an int, got {type(order).__name__}")
-    if order < 0:
-        raise ValueError(f"derivative order must be non-negative, got {order}")
+    """The differential polynomial consisting of one derivative variable;
+    bad input raises as :class:`DVar` does."""
     return Poly.variable(DVar(base, order))
 
 
@@ -134,10 +145,9 @@ def decode_nested(s: str) -> Poly:
                 raise ValueError("coefficient is not a string")
             exps = {}
             for base, order, e in mono:
-                if (not isinstance(base, str) or type(order) is not int or type(e) is not int
-                        or order < 0 or e <= 0):
-                    raise ValueError("bad variable entry")
-                v = DVar(base, order)
+                v = DVar(base, order)  # raises on a bad base or order
+                if type(e) is not int or e <= 0:
+                    raise ValueError("bad exponent")
                 exps[v] = exps.get(v, 0) + e
             m = mono_from_exponents(exps)
             terms[m] = terms.get(m, 0) + Fraction(coeff_s)

@@ -31,6 +31,7 @@ coefficient representation (integer numerators over one denominator,
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -62,24 +63,38 @@ def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
     letters, where nothing merges, 25-50 % slower.  row[j] is overwritten
     in place, so one row of cells is live at a time.  The last cell is
     returned as it stands; :func:`shuffle` and :func:`rb_mul` key it in one
-    dict per term pair and add the smaller dicts into the largest."""
+    dict per term pair and add the smaller dicts into the largest.
+
+    The grid is filled with CPython's cyclic collector paused.  A live row
+    holds thousands of fresh (word, count) tuples, which the collector
+    would traverse and promote generation by generation, for more than half
+    the grid's time on 8-letter words; none of them can be part of a cycle,
+    and reference counting frees each one.  The pause is process-wide, so
+    it is restored in a ``finally``, and a caller that had the collector
+    off finds it off."""
     if not u or not v:
         return [(u + v, 1)]
-    row = [[(v[:j], 1)] for j in range(len(v) + 1)]
-    for i, a in enumerate(u, 1):
-        left = row[0] = [(u[:i], 1)]
-        for j, b in enumerate(v, 1):
-            cell = [(w + (a,), n) for w, n in row[j]]
-            if a == b:
-                merged = dict(cell)
-                for w, n in left:
-                    w += (b,)
-                    merged[w] = merged[w] + n if w in merged else n
-                cell = list(merged.items())
-            else:
-                cell += [(w + (b,), n) for w, n in left]
-            row[j] = left = cell
-    return row[-1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        row = [[(v[:j], 1)] for j in range(len(v) + 1)]
+        for i, a in enumerate(u, 1):
+            left = row[0] = [(u[:i], 1)]
+            for j, b in enumerate(v, 1):
+                cell = [(w + (a,), n) for w, n in row[j]]
+                if a == b:
+                    merged = dict(cell)
+                    for w, n in left:
+                        w += (b,)
+                        merged[w] = merged[w] + n if w in merged else n
+                    cell = list(merged.items())
+                else:
+                    cell += [(w + (b,), n) for w, n in left]
+                row[j] = left = cell
+        return row[-1]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _merge_into_largest(parts: list[dict]) -> dict:

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -42,9 +43,34 @@ class TestDVar:
                              ids=["float", "integral-float", "bool", "str", "none"])
     def test_order_must_be_an_int(self, bad):
         """A derivative order that is not an int is refused at once, not
-        left to fail in str() or in the order check."""
+        left to fail in str() or in the order check, also by the variable
+        itself."""
         with pytest.raises(TypeError, match="derivative order must be an int"):
             dvar("x", bad)
+        with pytest.raises(TypeError, match="derivative order must be an int"):
+            DVar("x", bad)
+        with pytest.raises(TypeError, match="derivative order must be an int"):
+            DVar("x", 1)._replace(order=bad)
+
+    @pytest.mark.parametrize("bad", [3, None, b"x", ("x",)], ids=["int", "none", "bytes", "tuple"])
+    def test_variable_refuses_a_base_that_is_not_a_str(self, bad):
+        with pytest.raises(TypeError, match="base name must be a str"):
+            DVar(bad, 1)
+        with pytest.raises(TypeError, match="base name must be a str"):
+            dvar(bad)
+
+    def test_variable_refuses_a_negative_order(self):
+        """Refused when made: a shift of (x, -2) would otherwise print x."""
+        with pytest.raises(ValueError, match="non-negative, got -2"):
+            DVar("x", -2)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            DVar("x", 0)._replace(order=-1)
+
+    def test_variable_is_the_plain_pair(self):
+        v = DVar(base="x", order=2)
+        assert v == ("x", 2) and v._replace(order=3) == DVar("x", 3)
+        assert repr(v) == "DVar(base='x', order=2)"
+        assert pickle.loads(pickle.dumps(v)) == v
 
 
 class TestShift:

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -176,6 +178,67 @@ class TestKernel:
     def test_raw_scale_matches_enumeration(self, s, t):
         raw = rb_D_raw(s)
         assert raw_scale(raw, t) == brute_product(raw.items(), list(t.terms()))
+
+
+class Letter:
+    """A word letter that records whether the cyclic collector was on each
+    time the grid compared it, and raises from == when told to."""
+
+    def __init__(self, name, seen, fail=False):
+        self.name, self.seen, self.fail = name, seen, fail
+
+    def __eq__(self, other):
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise RuntimeError("letter comparison failed")
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class TestCollectorPause:
+    """shuffle_words fills its grid with the cyclic collector off and
+    leaves gc.isenabled() as it found it, also when the grid raises."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def letters(self, names, seen, fail=False):
+        return tuple(Letter(n, seen, fail) for n in names)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_grid_runs_with_the_collector_off(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        pairs = shuffle_words(self.letters("aba", seen), self.letters("ba", seen))
+        assert sum(n for _, n in pairs) == math.comb(5, 2)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_on_again_afterwards(self):
+        gc.enable()
+        shuffle_words(("a",) * 8, ("a", "b") * 4)
+        assert gc.isenabled()
+
+    def test_collector_stays_off_if_the_caller_turned_it_off(self):
+        gc.disable()
+        shuffle_words(("a",) * 8, ("a", "b") * 4)
+        assert not gc.isenabled()
+        rb_mul(RBElem.term([x, x + y], y), RBElem.term([y, x], x))
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_is_restored_when_the_grid_raises(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        with pytest.raises(RuntimeError, match="letter comparison failed"):
+            shuffle_words(self.letters("ab", seen, fail=True), self.letters("b", seen))
+        assert seen == [False]
+        assert gc.isenabled() is enabled
 
 
 class TestTerm:

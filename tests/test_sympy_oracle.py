@@ -12,6 +12,7 @@ functions x(t), y(t), and d_shift is d/dt on them."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -48,6 +49,14 @@ from diffalg.hurwitz import (
 )
 from diffalg.polynomial import Poly, derive, partial, substitute
 from diffalg.rng import SplitMix64
+from diffalg.rota_baxter import (
+    RBElem,
+    random_rbelem,
+    rb_mul,
+    rb_P,
+    shuffle,
+    shuffle_term_count,
+)
 from diffalg.scalars import binom
 
 sympy = pytest.importorskip("sympy")
@@ -406,3 +415,136 @@ def test_faa_di_bruno_both_sides(name, data):
         assert o.convert(lhs[n + 1]) == want_lhs[n + 1]
         assert o.convert(rhs) == want_rhs
     assert faa_di_bruno_mismatch(c, p, env, TOWER) is None
+
+
+# -- the Rota-Baxter side by iterated integrals --------------------------------
+#
+# The shuffle product is the product of Chen's iterated integrals (K.-T. Chen,
+# Ann. Math. 1957; R. Ree, Ann. Math. 1958).  Send each letter variable to a
+# polynomial in t, the word w·m to I(w·m)(t) = ∫₀ᵗ m(s)·I(w)(s) ds with
+# I(()) = 1, and the term (w, tail) to tail(t)·I(w)(t).  That map is an
+# algebra morphism from the shuffle algebra into QQ[t], and it sends rb_P to
+# ∫₀ᵗ.  It is multilinear in the letters, so a word of polynomial letters
+# maps without expanding it into monomial-letter words.
+
+RB_VARS = ("x", "y", "a", "b")
+ITERATED = Ring(("t",) + RB_VARS)
+S = ITERATED.gen["t"]
+AT_T = ((ITERATED.gen["x"], 1 + 2 * S), (ITERATED.gen["y"], 3 + S ** 2),
+        (ITERATED.gen["a"], S - sympy.QQ(1, 2)), (ITERATED.gen["b"], 2 - S))
+AT_ONE = tuple((ITERATED.gen[v], ITERATED.ring.one) for v in RB_VARS)  # every variable at 1
+
+# Letters for RBElem.term and shuffle: with denominators, sums of monomials,
+# a constant part, a bare monomial (coefficient 1) and zero.
+LETTERS = (Poly.variable("x"), Poly.variable("a") * Fraction(1, 2),
+           Poly.variable("x") * Fraction(1, 2) + Poly.variable("y") * Fraction(2, 3),
+           Poly.monomial({"a": 1, "b": 1}, Fraction(-3, 4)), 2 * Poly.variable("y") - 1,
+           (("x", 1),), Poly.zero())
+TAILS = (Poly.one(), Poly.variable("x") * Fraction(3, 2) - Poly.variable("y"),
+         Poly.const(Fraction(5, 6)), Poly.monomial({"y": 2}))
+
+
+@lru_cache(maxsize=None)
+def at_t(letter, at=AT_T):
+    """A letter, tail or bare monomial of the package as a polynomial in t."""
+    q = ITERATED.convert(letter) if isinstance(letter, Poly) else \
+        ITERATED._from_terms([(dict(letter), Fraction(1))])
+    return q.compose(list(at))
+
+
+def integral(q):
+    """∫₀ᵗ q(s) ds, for q a polynomial in t alone."""
+    return ITERATED.ring.from_dict({(k + 1, *rest): c / (k + 1)
+                                    for (k, *rest), c in q.terms()})
+
+
+@lru_cache(maxsize=None)
+def iterated(word: tuple, at=AT_T):
+    """I(word)(t), by the recursion on the last letter (kept per prefix)."""
+    if not word:
+        return ITERATED.ring.one
+    return integral(at_t(word[-1], at) * iterated(word[:-1], at))
+
+
+def image(s: RBElem):
+    return sum((at_t(Poly.monomial(dict(tail), c)) * iterated(w) for (w, tail), c in s.terms()),
+               ITERATED.ring.zero)
+
+
+def qq(c):
+    c = Fraction(c)
+    return sympy.QQ(c.numerator, c.denominator)
+
+
+def letter_word(rng: SplitMix64, most: int) -> tuple:
+    return tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, most)))
+
+
+def term_args(rng: SplitMix64) -> tuple:
+    """(letters, tail, coeff) for RBElem.term, drawn from LETTERS and TAILS."""
+    return letter_word(rng, 3), rng.choice(TAILS), rng.choice((1, -2, Fraction(7, 3)))
+
+
+def rb_elements(seed: int, n: int) -> list:
+    """Every other element from random_rbelem, which builds its (word,
+    tail) keys directly; the others are sums of one or two RBElem.term
+    calls, which go through the word expansion."""
+    rng = SplitMix64(seed)
+    out = []
+    for k in range(n):
+        if k % 2:
+            out.append(random_rbelem(rng))
+            continue
+        s = RBElem()
+        for _ in range(rng.randint(1, 2)):
+            s = s + RBElem.term(*term_args(rng))
+        out.append(s)
+    return out
+
+
+class TestIteratedIntegralOracle:
+    def test_map_examples(self):
+        """x = 1 + 2t: I([x]) = t + t², I([x, x]) = (t + t²)²/2, and a
+        tail multiplies."""
+        x = Poly.variable("x")
+        assert iterated((x,)) == S + S ** 2
+        assert iterated((x, x)) == (S + S ** 2) ** 2 / 2
+        assert image(RBElem.term([x], x)) == (1 + 2 * S) * (S + S ** 2)
+
+    def test_term_is_the_integral_of_its_letters(self):
+        """RBElem.term(letters, tail, coeff) maps to coeff·tail(t)·I(letters),
+        with I taken letter by letter, unexpanded."""
+        rng = SplitMix64(70)
+        for _ in range(200):
+            letters, tail, coeff = term_args(rng)
+            want = qq(coeff) * at_t(tail) * iterated(letters)
+            assert image(RBElem.term(letters, tail, coeff)) == want, (letters, tail, coeff)
+
+    def test_rb_mul_is_the_product(self):
+        """300 pairs, half of the elements through RBElem.term."""
+        for s, t in zip(rb_elements(71, 300), rb_elements(72, 300)):
+            assert image(rb_mul(s, t)) == image(s) * image(t), (s, t)
+
+    def test_rb_P_is_the_integral(self):
+        for s in rb_elements(73, 100):
+            assert image(rb_P(s)) == integral(image(s)), s
+
+    def test_shuffle_is_the_product(self):
+        """shuffle(u, v) on polynomial letters, against the iterated
+        integrals of u and v taken letter by letter, unexpanded."""
+        rng = SplitMix64(74)
+        for _ in range(100):
+            u, v = letter_word(rng, 4), letter_word(rng, 4)
+            got = sum((qq(c) * iterated(w) for w, c in shuffle(u, v).items()), ITERATED.ring.zero)
+            assert got == iterated(u) * iterated(v), (u, v)
+
+    def test_term_count(self):
+        """With every letter variable at 1, I(u) = σ(u)·t^j/j! for the
+        product σ(u) of the letters' coefficient sums, so the count is
+        (j+k)! times the top coefficient of I(u)·I(v)."""
+        rng = SplitMix64(75)
+        for _ in range(100):
+            u, v = letter_word(rng, 4), letter_word(rng, 4)
+            n = len(u) + len(v)
+            top = (iterated(u, AT_ONE) * iterated(v, AT_ONE)).coeff(S ** n)
+            assert shuffle_term_count(u, v) == top * factorial(n), (u, v)

@@ -40,9 +40,17 @@ MUTANTS = [
     ("sharp_drops_exponent_factor", "polynomial.py",
      "lower, ce = mono_lower(m, i), c * e", "lower, ce = mono_lower(m, i), c"),
     # No law reaches a letter's coefficient: random_rbelem builds its keys
-    # directly and check_shuffle_counts uses monic letters.
+    # directly and check_shuffle_counts uses monic letters.  The
+    # iterated-integral oracle builds terms through RBElem.term.
     ("word_expansion_drops_letter_coefficient", "rota_baxter.py",
-     "{w + (m,): c * cm for", "{w + (m,): c for", "tests/test_rota_baxter.py::TestShuffle"),
+     "{w + (m,): c * cm for", "{w + (m,): c for",
+     "tests/test_sympy_oracle.py::TestIteratedIntegralOracle",
+     "tests/test_rota_baxter.py::TestShuffle"),
+    # Where both halves of a grid cell reach one word, only the last count stays.
+    ("shuffle_merge_keeps_one_count", "rota_baxter.py",
+     "merged[w] = merged[w] + n if w in merged else n", "merged[w] = n",
+     "tests/test_rota_baxter.py::TestKernel",
+     "tests/test_sympy_oracle.py::TestIteratedIntegralOracle"),
 ]
 
 
