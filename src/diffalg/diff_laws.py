@@ -116,8 +116,7 @@ def sample_poly(rng: SplitMix64, draw_var: Callable, max_terms: int, max_degree:
     out: dict = {}
     for _ in range(rng.randint(1, max(max_terms, 1))):
         m = mono_from_exponents(sample_exponents(rng, draw_var, max_degree))
-        n = random_numerator(rng)
-        out[m] = out[m] + n if m in out else n
+        out[m] = out.get(m, 0) + random_numerator(rng)
     return Poly._from_ints(out, COEFF_DEN)
 
 

@@ -86,7 +86,7 @@ def d_shift(p: Poly) -> Poly:
             else:
                 key = head + ((bumped, 1),) + rest
             ce = c if e == 1 else c * e
-            out[key] = out[key] + ce if key in out else ce
+            out[key] = out.get(key, 0) + ce
     return Poly._from_ints(out, p._den)
 
 

@@ -18,12 +18,14 @@ The public constructor ``LinComb(terms)`` is the one way in for a dict of
 ``int`` and ``Fraction`` only (a ``float`` is inexact, a ``bool`` not a
 number: ``TypeError``), and :func:`over_lcm` puts them over one
 denominator, the one place in the package that does so.  Everything else
-runs on integers.  Hot loops accumulate numerators inline::
+runs on integers.  CPython does not cache a tuple's hash, so hot loops
+accumulate numerators with one dict lookup and one store::
 
-    out[k] = out[k] + c if k in out else c
+    out[k] = out.get(k, 0) + c
 
-and hand the sums and their denominator to :meth:`LinComb._from_ints`,
-which drops the keys that cancelled and divides by one gcd.
+and a sum merges by dict union, which reuses the stored hashes.  The sums
+and their denominator go to :meth:`LinComb._from_ints`, which drops the
+keys that cancelled and divides by one gcd.
 """
 
 from __future__ import annotations
@@ -137,10 +139,14 @@ class LinComb:
             return self if not other._num else other
         da, db = self._den, other._den
         den = da if da == db else math.lcm(da, db)
-        fa, fb = den // da, den // db
-        out = dict(self._num) if fa == 1 else {k: n * fa for k, n in self._num.items()}
-        for k, n in (other._num.items() if fb == 1 else ((k, n * fb) for k, n in other._num.items())):
-            out[k] = out[k] + n if k in out else n
+        a = self._num if da == den else {k: n * (den // da) for k, n in self._num.items()}
+        b = other._num if db == den else {k: n * (den // db) for k, n in other._num.items()}
+        out = a | b  # a shared key keeps a's place and takes b's value
+        if len(out) == len(a) + len(b):  # no shared key: nothing cancels, the gcd stays 1
+            return self._ints(out, den)
+        for k, n in b.items():
+            if k in a:
+                out[k] = a[k] + n
         return self._from_ints(out, den)
 
     def __neg__(self):

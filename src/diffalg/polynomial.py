@@ -234,7 +234,7 @@ def _accumulate(out: dict, w: int, a: dict, b: dict) -> dict:
         c1 *= w
         for m2, c2 in b.items():
             m = mono_mul(m1, m2)
-            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+            out[m] = out.get(m, 0) + c1 * c2
     return out
 
 
@@ -317,7 +317,7 @@ class Tensor(LinComb):
         for (m, v), c in self._num.items():
             for mq, cq in q._num.items():
                 key = (mono_mul(m, mq), v)
-                out[key] = out[key] + c * cq if key in out else c * cq
+                out[key] = out.get(key, 0) + c * cq
         return Tensor._from_ints(out, self._den * q._den)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
@@ -338,7 +338,7 @@ class Tensor(LinComb):
         for (m, v), c in self._num.items():
             for w, a in scaled[v]:
                 key = (m, w)
-                out[key] = out[key] + c * a if key in out else c * a
+                out[key] = out.get(key, 0) + c * a
         return Tensor._from_ints(out, self._den * lcm)
 
     def __str__(self) -> str:
@@ -414,7 +414,7 @@ def substitute(p: Poly, env: Mapping) -> Poly:
         for v, e in m:
             exps[names[v]] = exps.get(names[v], 0) + e
         key = mono_from_exponents(exps)
-        out[key] = out[key] + c if key in out else c
+        out[key] = out.get(key, 0) + c
     return Poly._from_ints(out, p._den)
 
 
@@ -460,7 +460,7 @@ def coderive(t: Tensor) -> Poly:
     out: dict[Mono, int] = {}
     for (m, v), c in t._num.items():
         m2 = mono_mul(m, ((v, 1),))
-        out[m2] = out[m2] + c if m2 in out else c
+        out[m2] = out.get(m2, 0) + c
     return Poly._from_ints(out, t._den)
 
 
@@ -501,7 +501,7 @@ def sharp(g, p: Poly) -> Poly:
             lower, ce = mono_lower(m, i), c * e
             for w, a in scaled[v]:
                 key = mono_mul(lower, ((w, 1),))
-                out[key] = out[key] + ce * a if key in out else ce * a
+                out[key] = out.get(key, 0) + ce * a
     return Poly._from_ints(out, p._den * lcm)
 
 

@@ -11,8 +11,8 @@ each word's internal order, counted with multiplicity) and multiplies the
 tails.  Every shuffle runs on :func:`shuffle_words`, which counts the
 interleavings per distinct word, so its cost follows the distinct words,
 and returns each distinct word once with its count.  :func:`shuffle` and
-:func:`rb_mul` key the words of each term pair in one dict and add the
-smaller dicts into the largest, so most words are hashed once.
+:func:`rb_mul` key the words of each term pair in one dict and merge the
+smaller dicts into the largest, so only shared words are hashed again.
 The operator P appends the tail to the word as a new letter and resets
 the tail to 1; it satisfies the Rota-Baxter identity
 
@@ -86,7 +86,7 @@ def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
                     merged = dict(cell)
                     for w, n in left:
                         w += (b,)
-                        merged[w] = merged[w] + n if w in merged else n
+                        merged[w] = merged.get(w, 0) + n
                     cell = list(merged.items())
                 else:
                     cell += [(w + (b,), n) for w, n in left]
@@ -99,13 +99,18 @@ def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
 
 def _merge_into_largest(parts: list[dict]) -> dict:
     """The sum of the coefficient maps parts (one per term pair, each word
-    keyed once): the smaller ones are added into the largest, so its keys
-    are hashed only when it is built."""
+    keyed once): the smaller ones are merged into the largest by
+    ``dict.update``, which reuses their stored hashes.  Only the shared
+    keys are added again, from the values ``update`` overwrote."""
     out = max(parts, key=len, default={})
+    overwritten: dict = {}
     for part in parts:
         if part is not out:
-            for k, c in part.items():
-                out[k] = out[k] + c if k in out else c
+            for k in out.keys() & part.keys():
+                overwritten[k] = overwritten.get(k, 0) + out[k]
+            out.update(part)
+    for k, c in overwritten.items():
+        out[k] += c
     return out
 
 

@@ -1,10 +1,11 @@
 """Grammar-shaped fuzzing of the input bounds.
 
 Hypothesis writes expression text (nesting, ``D^n``, powers, products,
-variable chains, stray characters) and ``rb`` payloads (long words,
-letters of several terms).  Every input must come back as a value, or be
-refused with a DiffalgError (exit 2 from ``cli.main``); nothing else may
-escape.  The work is counted, not timed: the term pairs multiplied in
+variable chains, stray characters), ``rb`` payloads (long words, letters
+of several terms), and the series literals, expressions and JSON
+environments of ``eval``, ``hurwitz``, ``power`` and ``psi``.  Every
+input must come back as a value, or be refused with a DiffalgError (exit 2
+from ``cli.main``); nothing else may escape.  The work is counted, not timed: the term pairs multiplied in
 ``polynomial._accumulate``, the one product loop, stay within one pair
 limit for each ``*`` or ``^`` of the text, and the words the shuffle
 kernel and the word expansion make stay within ``MAX_POWER_TERMS``.
@@ -25,10 +26,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cli_runner import run_cli
-from diffalg import polynomial, rota_baxter
+from diffalg import hurwitz, polynomial, rota_baxter
 from diffalg.errors import DiffalgError, ParseError
-from diffalg.expr import (DIFF_MODE, MAX_POWER_PAIRS, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS,
-                          MAX_WORK, POLY_MODE, parse_poly)
+from diffalg.expr import (DIFF_MODE, MAX_EVAL_COST, MAX_ORDER, MAX_POWER_PAIRS, MAX_POWER_TERMS,
+                          MAX_PRODUCT_PAIRS, MAX_WORK, POLY_MODE, parse_poly)
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
@@ -160,3 +161,128 @@ def test_rb_payloads_run_or_are_refused_within_the_word_limit(made, op, u, v, s,
     if code == 0 and op != "raw":
         result = json.loads(out)
         assert len(result["result" if op == "shuffle" else "terms"]) <= MAX_POWER_TERMS
+
+
+# -- the series verbs: eval, hurwitz, power, psi ------------------------------
+#
+# Series literals, expressions and JSON environments drawn from a grammar
+# with junk mixed in, at orders from -1 to past MAX_ORDER.  The work is the
+# coefficient products of hurwitz._convolution, the one series product
+# loop: one product of two series at most C(MAX_ORDER + 2, 2) of them, psi
+# none, and an evaluation at most (1 + its variables) times MAX_EVAL_COST,
+# since the ring evaluation makes at most one product per partial node and
+# the recursion one pair per node and variable.  The names an environment
+# can hold bound the variables.
+
+def literal(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+# Half of each draw is well formed, so that most requests reach the
+# arithmetic; the junk is the other half.
+numbers = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).map(str)
+junk_numbers = st.sampled_from(["2/0", "0.5", "x", "", "1/", "[1]", "9" * 5000])
+LONG = [1] * (MAX_ORDER + 1)
+literals = st.one_of(
+    st.lists(numbers, min_size=1, max_size=12).map(literal),
+    st.one_of(st.lists(st.one_of(numbers, junk_numbers), max_size=12).map(literal),
+              st.sampled_from([literal(map(str, LONG)), literal(["-2/3"] * (MAX_ORDER + 2)),
+                               "[", "]", "", "1,2", "[[1]]", "[1;2]"]),
+              st.text(alphabet="[]0123456789,/ x", max_size=15)),
+)
+series_orders = st.sampled_from([-1, 0, 1, 2, 3, 8, 40, MAX_ORDER, MAX_ORDER + 1])
+# A positional argument that starts with "-" would be an argparse usage
+# error, not a refusal of ours, so such expressions go through stdin.
+poly_texts = st.one_of(
+    st.recursive(
+        st.one_of(st.sampled_from(["x", "y", "z", "2", "-1/2", "0"]),
+                  st.sampled_from(["w", "x'", "D", "2/0", "x^", "(x"]),
+                  st.text(alphabet="xyz^()*+-/0123456789 ", max_size=8)),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map("".join),
+            st.tuples(inner, st.integers(0, 12)).map(lambda t: f"({t[0]})^{t[1]}")),
+        max_leaves=6),
+    st.sampled_from(["x^12*y^12", "x^2000", "x*y*z"]),
+)
+ENV_NAMES = ("x", "y", "z", "schema", "env")
+
+
+def series_objects(flavor):
+    coeffs = st.lists(st.one_of(st.integers(-9, 9), numbers), min_size=1, max_size=10)
+    return st.fixed_dictionaries({"flavor": st.just(flavor),
+                                  "coeffs": st.one_of(coeffs, st.just(LONG))})
+
+
+junk_series = st.one_of(
+    st.fixed_dictionaries({"flavor": st.sampled_from(["hurwitz", "power", "laurent", 3]),
+                           "coeffs": st.one_of(
+                               st.lists(st.one_of(st.integers(-9, 9), junk_numbers, st.sampled_from(
+                                   [1.5, True, None, [1]])), max_size=4),
+                               st.sampled_from([[1] * (MAX_ORDER + 2), "[1, 2]", None, 5]))}),
+    st.sampled_from([None, [], "x", {"coeffs": [1]}, {"flavor": "power"}]),
+)
+environments = st.one_of(
+    st.one_of(
+        st.sampled_from(["hurwitz", "power"]).flatmap(lambda flavor: st.fixed_dictionaries(
+            {v: series_objects(flavor) for v in ENV_NAMES[:3]})),
+        st.dictionaries(st.sampled_from(ENV_NAMES), st.one_of(junk_series, series_objects("power")),
+                        max_size=3),
+    ).flatmap(lambda env: st.sampled_from([json.dumps(env), json.dumps({"env": env})])),
+    st.sampled_from(["", "[]", "null", "{", '"x"', '{"env": 3}',
+                     '{"x": {"flavor": "power", "coeffs": [' + "9" * 5000 + "]}}"]),
+)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The coefficient products of the series product loop so far."""
+    count = [0]
+    original = hurwitz._convolution
+
+    def counting(pairs, order, flavor):
+        count[0] += len(pairs) * (order + 1) * (order + 2) // 2
+        return original(pairs, order, flavor)
+
+    monkeypatch.setattr(hurwitz, "_convolution", counting)
+    return count
+
+
+def refused_or_done(r) -> None:
+    """Exit 0 with nothing on stderr, or exit 2 with one ``error:`` line;
+    any other exception escapes run_cli and fails the test."""
+    assert r.returncode in (0, 2), r
+    assert "Traceback" not in r.stderr
+    if r.returncode:
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    else:
+        assert r.stderr == "" and r.stdout
+
+
+@FUZZ
+@given(expr=poly_texts, env=environments, order=series_orders, piped=st.booleans(),
+       fmt=st.sampled_from(["text", "json"]))
+def test_eval_runs_or_is_refused_within_the_work_bound(products, expr, env, order, piped, fmt):
+    products[0] = 0
+    piped = piped or expr.startswith("-")
+    refused_or_done(run_cli("eval", "-" if piped else expr, "--order", str(order), "--format", fmt,
+                            stdin=f"{expr}\n{env}" if piped else env))
+    assert products[0] <= (1 + len(ENV_NAMES)) * MAX_EVAL_COST, (expr, env, products[0])
+
+
+@FUZZ
+@given(verb=st.sampled_from(["hurwitz", "power", "psi"]), left=literals, right=literals,
+       order=series_orders, flavors=st.sampled_from([("power", None), ("hurwitz", None),
+                                                     ("power", "hurwitz"), ("hurwitz", "power"),
+                                                     ("power", "power")]),
+       fmt=st.sampled_from(["text", "json"]))
+def test_series_literals_run_or_are_refused_within_the_work_bound(products, verb, left, right,
+                                                                  order, flavors, fmt):
+    products[0] = 0
+    args = ["--order", str(order), "--format", fmt]
+    if verb == "psi":
+        src, dst = flavors
+        r = run_cli("psi", "-", *args, "--from", src, *(["--to", dst] if dst else []), stdin=left)
+    else:
+        r = run_cli(verb, "-", right, *args, stdin=left)
+    refused_or_done(r)
+    assert products[0] <= (0 if verb == "psi" else (MAX_ORDER + 1) * (MAX_ORDER + 2) // 2)

@@ -141,6 +141,77 @@ class TestHelpers:
         assert sums == {"a": F(1), "c": F(-2)}
 
 
+def counting_keys():
+    """A str key type whose __hash__ counts its calls, and the count.  A
+    tuple key (a monomial, a word) hashes each of its items on every dict
+    operation, so one counted variable per key counts the key's hashes."""
+    count = [0]
+
+    class Key(str):
+        def __hash__(self):
+            count[0] += 1
+            return str.__hash__(self)
+
+    return Key, count
+
+
+class TestHashCounts:
+    """Sums reuse the hashes their stores hold, and the accumulate loops
+    look each key up once."""
+
+    def test_disjoint_sum_hashes_no_key(self):
+        K, count = counting_keys()
+        a, b = LinComb({K("p"): F(1, 2), K("q"): 3}), LinComb({K("r"): F(5, 2)})
+        count[0] = 0
+        s = a + b
+        assert count[0] == 0
+        assert list(s.terms()) == [("p", F(1, 2)), ("q", 3), ("r", F(5, 2))]
+
+    def test_shared_keys_are_hashed_again_only_once_more(self):
+        K, count = counting_keys()
+        a = LinComb({K("p"): 1, K("q"): 2, K("r"): 3})
+        b = LinComb({K("s"): 4, K("q"): 5, K("t"): 6, K("r"): -1})
+        count[0] = 0
+        s = a + b
+        assert count[0] <= len(b._num) + 2 * 2
+        assert dict(s.terms()) == {"p": 1, "q": 7, "r": 2, "s": 4, "t": 6}
+
+    def test_cancelling_and_scaled_operands(self):
+        K, _ = counting_keys()
+        a = LinComb({K("p"): F(1, 2), K("q"): F(1, 3), K("r"): F(2, 3)})
+        b = LinComb({K("q"): F(-1, 3), K("r"): F(1, 4), K("s"): F(1, 4)})
+        s = a + b
+        assert (s._num, s._den) == ({"p": 6, "r": 11, "s": 3}, 12)
+        assert s == LinComb({"p": F(1, 2), "r": F(11, 12), "s": F(1, 4)})
+        assert (a + (-a)).is_zero() and (a - a)._num == {}
+
+    def test_order_is_left_keys_then_new_right_keys(self):
+        for da, db in ((1, 1), (2, 3)):
+            a = LinComb({"p": F(1, da), "q": F(1, da), "r": F(1, da)})
+            b = LinComb({"s": F(1, db), "q": F(1, db), "t": F(1, db)})
+            assert [k for k, _ in (a + b).terms()] == ["p", "q", "r", "s", "t"]
+            assert [k for k, _ in (b + a).terms()] == ["s", "q", "t", "p", "r"]
+
+    def test_merge_into_largest_sums_shared_words(self):
+        from diffalg.rota_baxter import _merge_into_largest
+
+        # A is in every part, B in two parts that are not the largest.
+        parts = [{"A": 1, "B": 2}, {"A": 3, "C": 1, "D": 1, "E": 1}, {"C": 2, "B": 5, "A": 10, "F": 1}]
+        out = _merge_into_largest(parts)
+        assert list(out.items()) == [("A", 14), ("C", 3), ("D", 1), ("E", 1), ("B", 7), ("F", 1)]
+        assert _merge_into_largest([]) == {}
+
+    def test_accumulate_hashes_each_product_key_at_most_twice(self):
+        from diffalg.polynomial import _accumulate
+
+        K, count = counting_keys()
+        a = {((K("x"), e),): e for e in (1, 2, 3)}
+        count[0] = 0
+        out = _accumulate({}, 2, a, a)  # nine term products onto five keys
+        assert count[0] <= 2 * 9
+        assert {m[0][1]: c for m, c in out.items()} == {2: 2, 3: 8, 4: 20, 5: 24, 6: 18}
+
+
 # -- the integer store -------------------------------------------------------
 #
 # Every result below is checked three ways: its stored form is canonical

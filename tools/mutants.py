@@ -48,9 +48,14 @@ MUTANTS = [
      "tests/test_rota_baxter.py::TestShuffle"),
     # Where both halves of a grid cell reach one word, only the last count stays.
     ("shuffle_merge_keeps_one_count", "rota_baxter.py",
-     "merged[w] = merged[w] + n if w in merged else n", "merged[w] = n",
+     "merged[w] = merged.get(w, 0) + n", "merged[w] = n",
      "tests/test_rota_baxter.py::TestKernel",
      "tests/test_sympy_oracle.py::TestIteratedIntegralOracle"),
+    # A sum of two elements with a key in common keeps the right operand's
+    # numerator for it, as the dict union leaves it.
+    ("sum_overwrites_shared_key", "lincomb.py",
+     "out[k] = a[k] + n", "out[k] = n",
+     "tests/test_lincomb.py::TestHashCounts"),
 ]
 
 
