@@ -49,7 +49,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
@@ -232,7 +232,8 @@ def sum_smul(triples) -> Series:
     triples of one flavor, with the value and window (the least order of a
     factor) of the smul_trunc/scale/+ fold: one :func:`_convolution` of
     the stored numerators, each pair weighted onto the lcm of the
-    f._den·g._den, and one reduction."""
+    f._den·g._den, and one reduction.  The pairs share one read of
+    Pascal's rows (:func:`_rows`: kept to :data:`_PASCAL_CAP`)."""
     flavor = triples[0][1].flavor
     if any(s.flavor is not flavor for _, f, g in triples for s in (f, g)):
         raise FlavorMismatch(f"mixed flavors in a {flavor.value} sum")
@@ -244,11 +245,13 @@ def sum_smul(triples) -> Series:
 
 def _convolution(pairs, order: int, flavor: Flavor) -> list:
     """Components 0, ..., order of the unreduced sum of w·a·b over the
-    (int w, a, b) pairs, Hurwitz summands weighted by C(n, k) from Pascal's
-    rows built once per call.  All-``Poly`` coefficients give one
+    (int w, a, b) pairs, Hurwitz summands weighted by C(n, k) from
+    Pascal's rows, kept for the process to order :data:`_PASCAL_CAP` and
+    built in the call past it (a table to the CLI's MAX_ORDER would hold
+    about 500,000 ints).  All-``Poly`` coefficients give one
     :func:`~diffalg.polynomial.sum_products` per component; others
     (numbers, or polynomials mixed with scalars) are summed term by term."""
-    rows = _pascal_rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
+    rows = _rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
     if all(isinstance(c, Poly) for _, a, b in pairs for c in a + b):
         return [sum_products((w * r, x, y) for w, a, b in pairs
                              for r, x, y in zip(row or repeat(1), a, b[n::-1]))
@@ -270,12 +273,22 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
     return out
 
 
-def _pascal_rows(count: int):
-    """Pascal's rows 0, ..., count-1, each built from the one before."""
-    row = [1]
+def _pascal_rows(count: int, row=(1,)):
+    """count of Pascal's rows from row on (row 0 by default), as tuples."""
     for _ in range(count):
         yield row
-        row = [1, *map(operator.add, row, row[1:]), 1]
+        row = (1, *map(operator.add, row, row[1:]), 1)
+
+
+_PASCAL_CAP = 64
+_PASCAL = tuple(_pascal_rows(_PASCAL_CAP + 1))  # 2,145 ints, built at import
+
+
+def _rows(count: int):
+    """Pascal's rows 0, ..., count-1: kept ones, then built past the cap."""
+    if count <= len(_PASCAL):
+        return _PASCAL[:count]
+    return chain(_PASCAL[:-1], _pascal_rows(count - _PASCAL_CAP, _PASCAL[-1]))
 
 
 def smul_trunc(f: Series, g: Series) -> Series:

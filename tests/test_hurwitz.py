@@ -172,12 +172,22 @@ class TestKernel:
         """Poly coefficients with mixed denominators, on the sum_products
         path: each component equals the sum written out term by term."""
         rng = SplitMix64(67)
-        for order in (0, 1, 4, 8):
+        for order in (0, 1, 4, 8, hurwitz._PASCAL_CAP + 1):
             f, g = (Series(tuple(random_diffpoly(rng, 3, max_degree=2) * random_fraction(rng)
                                  for _ in range(order + 1)), flavor) for _ in range(2))
             got = smul(f, g)
             assert got.coeffs == plain_convolution(f, g)
             assert all(type(c) is Poly for c in got.coeffs)
+
+    @pytest.mark.parametrize("order", [hurwitz._PASCAL_CAP, hurwitz._PASCAL_CAP + 1,
+                                       hurwitz._PASCAL_CAP + 2])
+    def test_rational_series_past_the_kept_rows(self, order):
+        """Rational products at the last kept Pascal row and past it, where
+        the rows are built in the call."""
+        rng = SplitMix64(73)
+        for flavor in Flavor:
+            f, g = (random_series(rng, order, flavor) for _ in range(2))
+            assert smul(f, g).coeffs == plain_convolution(f, g)
 
     def test_mixed_polynomial_and_scalar_coefficients(self):
         """A series that mixes Poly and int coefficients keeps the
@@ -222,6 +232,27 @@ class TestKernel:
             assert smul(f, zero) == zero
             single = smul(Series((F(3, 4),), flavor), Series((F(-2, 3),), flavor))
             assert single.coeffs == (F(-1, 2),)
+
+
+class TestPascalRows:
+    """The Hurwitz weights: Pascal's rows, kept for the process to order
+    hurwitz._PASCAL_CAP and built in the call past it."""
+
+    def test_rows_are_binomials(self):
+        for count in range(hurwitz._PASCAL_CAP + 3):
+            rows = list(hurwitz._rows(count))
+            assert rows == [tuple(math.comb(n, k) for k in range(n + 1)) for n in range(count)]
+            assert all(type(row) is tuple for row in rows)
+
+    def test_products_past_the_cap_keep_the_table(self):
+        table = hurwitz._PASCAL
+        rng = SplitMix64(79)
+        order = hurwitz._PASCAL_CAP + 10
+        smul(random_series(rng, order, Flavor.HURWITZ), random_series(rng, order, Flavor.HURWITZ))
+        env = {v: random_series(rng, 100, Flavor.HURWITZ) for v in "xy"}
+        omega_eval(eta("x") * eta("y") + eta("x"), env, 100)
+        assert hurwitz._PASCAL is table
+        assert len(table) == hurwitz._PASCAL_CAP + 1
 
 
 def folded(triples) -> Series:

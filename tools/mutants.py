@@ -26,8 +26,15 @@ SRC = ROOT / "src"
 
 # (name, file under src/diffalg, text, replacement, *pytest node ids)
 MUTANTS = [
+    # One expression builds the kept rows and the rows past the cap; no law
+    # multiplies past the cap, so a named test does.
     ("pascal_rows_all_ones", "hurwitz.py",
-     "row = [1, *map(operator.add, row, row[1:]), 1]", "row = [1] * (len(row) + 1)"),
+     "row = (1, *map(operator.add, row, row[1:]), 1)", "row = (1,) * (len(row) + 1)",
+     "tests/test_hurwitz.py::TestKernel::test_rational_series_past_the_kept_rows"),
+    # Row n of an order-N product weighs with row N - n; zip stops at the
+    # shorter, so nothing crashes.
+    ("pascal_rows_reversed", "hurwitz.py",
+     "return _PASCAL[:count]", "return _PASCAL[:count][::-1]"),
     # Hurwitz weights only the first n + 1 summands, so only power adds a0·b0.
     ("cauchy_adds_a0_b0", "hurwitz.py",
      "[sum(map(operator.mul, a, b[n::-1])) for n in range(order + 1)]",
@@ -56,6 +63,11 @@ MUTANTS = [
     ("sum_overwrites_shared_key", "lincomb.py",
      "out[k] = a[k] + n", "out[k] = n",
      "tests/test_lincomb.py::TestHashCounts"),
+    ("beta_reads_order_too_high", "free_diff.py",
+     "{v: towers[v.base][v.order] for v in",
+     "{v: towers[v.base][min(v.order + 1, len(towers[v.base]) - 1)] for v in"),
+    ("comul_misplaces_rows", "hurwitz.py",
+     "f.coeffs[m + n] for n in", "f.coeffs[min(m + n + (m > 0), f.order)] for n in"),
 ]
 
 
