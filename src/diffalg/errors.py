@@ -36,6 +36,10 @@ class ResultTooLarge(DiffalgError):
     interpreter converts to text (``sys.get_int_max_str_digits()``)."""
 
 
+class TooManyLetters(DiffalgError):
+    """A process interned more Rota-Baxter letters than ``chr`` has characters."""
+
+
 class FlavorMismatch(DiffalgError):
     """Two series of different flavors (Hurwitz vs. power) were combined."""
 

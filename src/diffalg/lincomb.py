@@ -8,7 +8,8 @@ positive int, and gcd(_den, *_num.values()) == 1, so each value has one
 stored form and ``==`` and hash compare dicts and ints.
 :class:`~diffalg.polynomial.Poly` (keys: monomials),
 :class:`~diffalg.polynomial.Tensor` (keys: (monomial, variable)) and
-:class:`~diffalg.rota_baxter.RBElem` (keys: (word, monomial)) are all
+:class:`~diffalg.rota_baxter.RBElem` (keys: a ``str`` of interned letters,
+(word, monomial) pairs in :meth:`~LinComb.terms`) are all
 :class:`LinComb` subclasses.  :meth:`LinComb.terms` yields ``Fraction``
 coefficients, and the raw tensor dicts of ``derive_twice`` and ``rb_D_raw``
 hold them.
@@ -188,6 +189,10 @@ class LinComb:
             else:
                 self._hash = hash((self._den, frozenset(num.items())))
         return self._hash
+
+    def __reduce__(self):
+        # not the cached hash: a str key hashes differently in another process
+        return type(self)._ints, (self._num, self._den)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

@@ -3,18 +3,19 @@
 Carrier: finite linear combinations of (word, tail) pairs, where a word is
 a finite sequence of polynomial letters and the tail is a polynomial.
 Words are multilinear in their letters, so elements are canonicalized by
-expanding every letter and the tail into monomials: stored keys are
-(tuple-of-monomials, monomial) with rational coefficients.
+expanding every letter and the tail into monomials.  A stored key is one
+``str``, a character per monomial letter and one for the tail, from a
+per-process registry that interns each monomial once, under a lock.  A
+``str`` keeps its hash and the cyclic collector does not track it.  The
+characters never leave the process: terms, printing and pickling decode
+them to (tuple-of-monomials, monomial) pairs.
 
 The product shuffles the word parts (sum over all interleavings preserving
 each word's internal order, counted with multiplicity) and multiplies the
-tails.  Every shuffle runs on :func:`shuffle_words`, which counts the
-interleavings per distinct word, so its cost follows the distinct words,
-and returns each distinct word once with its count.  :func:`shuffle` and
-:func:`rb_mul` key the words of each term pair in one dict and merge the
-smaller dicts into the largest, so only shared words are hashed again.
-The operator P appends the tail to the word as a new letter and resets
-the tail to 1; it satisfies the Rota-Baxter identity
+tails.  Every shuffle runs on :func:`shuffle_words`, whose cost follows
+the distinct words, not the interleavings.  The operator P appends the
+tail to the word as a new letter and resets the tail to 1; it satisfies
+the Rota-Baxter identity
 
     P(a)·P(b) = P(a·P(b)) + P(P(a)·b)
 
@@ -32,9 +33,13 @@ coefficient representation (integer numerators over one denominator,
 from __future__ import annotations
 
 import gc
+import itertools
+import sys
+import threading
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
+from .errors import TooManyLetters
 from .lincomb import LinComb, drop_zeros, ratio
 from .polynomial import (EMPTY_MONO, Mono, Poly, _as_poly, derive, mono_degree,
                          mono_from_exponents, mono_mul, mono_str)
@@ -45,11 +50,44 @@ if TYPE_CHECKING:  # the law harness is imported by the two functions that use i
 # A word: tuple of letters, each letter a monomial of the polynomial algebra.
 Word = tuple
 
+# The letter registry: monomial -> character and back.  EMPTY, the empty
+# monomial's character, is the tail of a key whose tail is 1.
+EMPTY = "\0"
+_LETTER, _MONO = {EMPTY_MONO: EMPTY}, {EMPTY: EMPTY_MONO}
+_IDS, _LOCK = itertools.count(1), threading.Lock()
 
-def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
+
+def _letter(m: Mono) -> str:
+    """The character of monomial m, interned on first use."""
+    c = _LETTER.get(m)
+    if c is None:
+        with _LOCK:
+            c = _LETTER.get(m)
+            if c is None:
+                n = next(_IDS)
+                if n > sys.maxunicode:
+                    raise TooManyLetters(f"more than {sys.maxunicode:#x} Rota-Baxter letters")
+                c = chr(n)
+                _MONO[c] = m  # decodable before any key can hold it
+                _LETTER[m] = c
+    return c
+
+
+def _key(word: Sequence, tail: Mono) -> str:
+    """The stored key of (word, tail)."""
+    return "".join(map(_letter, word)) + _letter(tail)
+
+
+def _pair(key: str) -> tuple[Word, Mono]:
+    """The (word, tail) pair a stored key holds."""
+    return tuple(map(_MONO.__getitem__, key[:-1])), _MONO[key[-1]]
+
+
+def shuffle_words(u: Sequence, v: Sequence) -> list[tuple[Sequence, int]]:
     """The shuffle of two words as (word, count) pairs, each distinct word
     once with the number of interleavings of u and v (internal order kept)
-    that spell it; the counts sum to binom(|u|+|v|, |u|).
+    that spell it; the counts sum to binom(|u|+|v|, |u|).  The grid appends
+    1-slices, so a word may be a tuple or the ``str`` of a stored key.
 
     Filled on the prefix grid row by row, from the last-letter recursion
 
@@ -78,18 +116,19 @@ def shuffle_words(u: Word, v: Word) -> list[tuple[Word, int]]:
     gc.disable()
     try:
         row = [[(v[:j], 1)] for j in range(len(v) + 1)]
-        for i, a in enumerate(u, 1):
+        v_letters = [v[j:j + 1] for j in range(len(v))]
+        for i, a in enumerate([u[i:i + 1] for i in range(len(u))], 1):
             left = row[0] = [(u[:i], 1)]
-            for j, b in enumerate(v, 1):
-                cell = [(w + (a,), n) for w, n in row[j]]
+            for j, b in enumerate(v_letters, 1):
+                cell = [(w + a, n) for w, n in row[j]]
                 if a == b:
                     merged = dict(cell)
                     for w, n in left:
-                        w += (b,)
+                        w += b
                         merged[w] = merged.get(w, 0) + n
                     cell = list(merged.items())
                 else:
-                    cell += [(w + (b,), n) for w, n in left]
+                    cell += [(w + b, n) for w, n in left]
                 row[j] = left = cell
         return row[-1]
     finally:
@@ -153,22 +192,35 @@ def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
 
 
 class RBElem(LinComb):
-    """Immutable element of the Rota-Baxter carrier, in canonical form."""
+    """Immutable element of the Rota-Baxter carrier, in canonical form: ``str``
+    keys inside, (word, tail) pairs in and out (``RBElem(terms)``, terms)."""
 
     __slots__ = ()
 
+    def __init__(self, terms=None):
+        LinComb.__init__(self, {_key(w, t): c for (w, t), c in (terms or {}).items()})
+
+    def __reduce__(self):
+        # the characters are this process's; the pairs mean the same anywhere
+        return type(self), (dict(self.terms()),)
+
     @classmethod
     def one(cls) -> "RBElem":
-        return cls._ints({((), EMPTY_MONO): 1}, 1)
+        return cls._ints({EMPTY: 1}, 1)
 
     @classmethod
     def term(cls, letters: Sequence, tail: Poly, coeff=1) -> "RBElem":
         """Build coeff · (word, tail), canonicalizing letters and tail."""
         tail, (a, b) = _as_poly(tail), ratio(coeff)
         words, den = _word_ints(letters)
+        tails = [(_letter(m), cm * a) for m, cm in tail._num.items()]
         # the words are distinct, and so are the monomials of tail
-        return cls._from_ints({(w, m): cw * cm * a for w, cw in words.items()
-                               for m, cm in tail._num.items()}, den * tail._den * b)
+        return cls._from_ints({"".join(map(_letter, w)) + t: cw * ct for w, cw in words.items()
+                               for t, ct in tails}, den * tail._den * b)
+
+    def terms(self):
+        """((word, tail), Fraction coefficient) pairs."""
+        return ((_pair(k), c) for k, c in LinComb.terms(self))
 
     def __mul__(self, other):
         if isinstance(other, RBElem):
@@ -176,40 +228,36 @@ class RBElem(LinComb):
         return LinComb.__mul__(self, other)
 
     def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for (w, t) in sorted(self._num):
-            c = Fraction(self._num[(w, t)], self._den)
-            word_s = "[" + ", ".join(mono_str(m) for m in w) + "]"
-            parts.append(f"{c}*({word_s}, {mono_str(t)})")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*([{', '.join(map(mono_str, w))}], {mono_str(t)})"
+                          for (w, t), c in sorted(self.terms())) or "0"
 
 
 def rb_mul(s: RBElem, t: RBElem) -> RBElem:
     """Bilinear product: shuffle on word parts, monomial product on tails."""
+    right = [(k[:-1], _MONO[k[-1]], c) for k, c in t._num.items()]
     parts = []
-    for (w1, t1), c1 in s._num.items():
-        for (w2, t2), c2 in t._num.items():
-            tail = mono_mul(t1, t2)
-            c = c1 * c2
-            parts.append({(w, tail): c * n for w, n in shuffle_words(w1, w2)})
+    for k1, c1 in s._num.items():
+        w1, t1 = k1[:-1], _MONO[k1[-1]]
+        for w2, t2, c2 in right:
+            tail, c = _letter(mono_mul(t1, t2)), c1 * c2
+            parts.append({w + tail: c * n for w, n in shuffle_words(w1, w2)})
     return RBElem._from_ints(_merge_into_largest(parts), s._den * t._den)
 
 
 def rb_P(s: RBElem) -> RBElem:
     """The Rota-Baxter operator: append the tail to the word as a new
-    letter and reset the tail to 1, extended linearly.  Distinct (word,
-    tail) keys stay distinct, so nothing merges."""
-    return RBElem._ints({(w + (t,), EMPTY_MONO): c for (w, t), c in s._num.items()}, s._den)
+    letter and reset the tail to 1, extended linearly; on a stored key the
+    tail's character becomes the word's last and EMPTY is appended.
+    Distinct keys stay distinct, so nothing merges."""
+    return RBElem._ints({k + EMPTY: c for k, c in s._num.items()}, s._den)
 
 
 def rb_D(s: RBElem) -> RBElem:
     """The tail derivation as an endomorphism: each partial derivative of
     the tail is multiplied back by its variable, which scales a monomial
     tail by its total degree; terms with a constant tail drop out."""
-    return RBElem._from_ints({(w, t): c * mono_degree(t) for (w, t), c in s._num.items() if t},
-                             s._den)
+    return RBElem._from_ints({k: c * mono_degree(_MONO[k[-1]])
+                              for k, c in s._num.items() if k[-1] != EMPTY}, s._den)
 
 
 def rb_D_raw(s: RBElem) -> dict:
@@ -219,7 +267,7 @@ def rb_D_raw(s: RBElem) -> dict:
     of each tail.  Distinct (word, tail) keys give distinct keys, so no
     terms merge."""
     return {(w, m, v): c2
-            for (w, t), n in s._num.items()
+            for k, n in s._num.items() for w, t in [_pair(k)]
             for (m, v), c2 in derive(Poly._from_ints({t: n}, s._den)).pairs()}
 
 
@@ -234,8 +282,8 @@ def random_rbelem(rng, pool: Sequence[str] = ("x", "y"), max_terms: int = 2,
 
     out: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = (tuple(random_mono(2) for _ in range(rng.randint(0, max_word))),
-               random_mono(max_tail_deg))
+        key = _key([random_mono(2) for _ in range(rng.randint(0, max_word))],
+                   random_mono(max_tail_deg))
         out[key] = out.get(key, 0) + random_numerator(rng)
     return RBElem._from_ints(out, COEFF_DEN)
 

@@ -3,6 +3,7 @@ the three types built on it: Poly, Tensor and RBElem."""
 
 import itertools
 import math
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cli_runner import run_child
 from diffalg.carriers import random_poly, random_series
 from diffalg.free_diff import DVar, d_shift
 from diffalg.hurwitz import Flavor, Series, psi, psi_inv, sderive, smul
@@ -210,6 +212,43 @@ class TestHashCounts:
         out = _accumulate({}, 2, a, a)  # nine term products onto five keys
         assert count[0] <= 2 * 9
         assert {m[0][1]: c for m, c in out.items()} == {2: 2, 3: 8, 4: 20, 5: 24, 6: 18}
+
+
+# The same two values in each process: x*y + 3 and an RBElem.
+BUILD = """
+import pickle, sys
+from diffalg.polynomial import Poly
+from diffalg.rota_baxter import RBElem
+x, y = Poly.variable("x"), Poly.variable("y")
+def values():
+    return x * y + 3, RBElem.term([x, x + y], y, 3) + RBElem.term([y], x * x)
+"""
+# Hash both, then pickle them.
+DUMP = BUILD + """
+p, r = values()
+hash(p), hash(r)
+sys.stdout.write(pickle.dumps((p, r)).hex())
+"""
+# Number the Rota-Baxter letters in another order, load, compare with fresh values.
+LOAD = BUILD + """
+RBElem.term([x * x, y, x], x * x * y)
+got, fresh = pickle.loads(bytes.fromhex(sys.stdin.read())), values()
+for a, b in zip(got, fresh):
+    print(a == b, hash(a) == hash(b), a in {b}, str(a) == str(b))
+"""
+
+
+class TestPickle:
+    def test_loads_equal_and_hash_alike_in_another_process(self):
+        """A value pickled under one hash seed loads, under another, as a
+        value that equals and hashes as the same value built there."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {seed: dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed) for seed in "12"}
+        dump = run_child("-c", DUMP, env=env["1"])
+        assert dump.returncode == 0, dump.stderr
+        load = run_child("-c", LOAD, stdin=dump.stdout, env=env["2"])
+        assert load.returncode == 0, load.stderr
+        assert load.stdout == "True True True True\n" * 2
 
 
 # -- the integer store -------------------------------------------------------

@@ -1,6 +1,9 @@
 import gc
 import itertools
 import math
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffalg import rota_baxter as rb
 from diffalg.carriers import rota_baxter_carrier
 from diffalg.diff_laws import check_constant_rule, check_kernel_closure, check_leibniz
+from diffalg.errors import DiffalgError, TooManyLetters
 from diffalg.polynomial import EMPTY_MONO, Poly, mono_mul
 from diffalg.rng import SplitMix64
 from diffalg.rota_baxter import (
@@ -396,3 +401,86 @@ class TestCarrierRegistration:
         assert check_constant_rule(carrier, 1, 19).passed
         assert check_leibniz(carrier, 60, 19).passed
         assert check_kernel_closure(carrier, 30, 19).passed
+
+
+# (word, tail) dicts over a few monomials, with nonzero coefficients.
+monos = st.sampled_from([EMPTY_MONO, MX, MY, (("x", 2),), (("x", 1), ("y", 3))])
+pair_dicts = st.dictionaries(st.tuples(st.lists(monos, max_size=5).map(tuple), monos),
+                             st.fractions(max_denominator=6).filter(bool), max_size=5)
+
+
+class TestKeyLayout:
+    """A stored key is one str of interned letters; every way in and out
+    of an element speaks (word, tail) pairs."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        """Copies of the letter registry, so a test's letters go with it."""
+        for name in ("_LETTER", "_MONO"):
+            monkeypatch.setattr(rb, name, dict(getattr(rb, name)))
+
+    @given(pair_dicts)
+    def test_terms_round_trip(self, d):
+        elem = RBElem(d)
+        assert dict(elem.terms()) == d
+        assert all(type(k) is str for k in elem._num)
+        assert sorted(map(len, elem._num)) == sorted(len(w) + 1 for w, _ in d)
+
+    @given(small_words)
+    def test_str_words_shuffle_as_tuple_words(self, pair):
+        u, v = pair
+        as_str = {w: n for w, n in shuffle_words("".join(u), "".join(v))}
+        assert all(type(w) is str for w in as_str)
+        assert {tuple(w): n for w, n in as_str.items()} == dict(shuffle_words(u, v))
+
+    def test_ids_stay_injective_under_threads(self, registry):
+        """4 threads intern 500 new monomials each, half of them shared by
+        every thread, with the interpreter switching threads often.  The
+        variables hash in Python code that lets another thread run, so a
+        thread is switched out between looking a monomial up and storing
+        its character."""
+
+        class Var(str):
+            def __hash__(self):
+                time.sleep(0)
+                return str.__hash__(self)
+
+        shared = [((Var("shared"), i),) for i in range(1, 251)]
+        got: list = [None] * 4
+        together = threading.Barrier(4, timeout=60)
+
+        def intern(t):
+            own = [((Var(f"own{t}"), i),) for i in range(1, 251)]
+            got[t] = seen = {}
+            for pair in zip(shared, own):
+                together.wait()  # all four threads reach each shared monomial at once
+                for m in pair:
+                    seen[m] = rb._letter(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(interval)
+        letters = {}
+        for seen in got:
+            for m, c in seen.items():
+                assert letters.setdefault(m, c) == c  # one character per monomial
+        assert len(letters) == 250 + 4 * 250
+        assert len(set(letters.values())) == len(letters)  # one monomial per character
+        assert all(rb._MONO[c] == m for m, c in letters.items())
+
+    def test_typed_error_past_the_last_character(self, registry, monkeypatch):
+        monkeypatch.setattr(rb, "_IDS", itertools.count(sys.maxunicode))
+        last = (("last", 1),)
+        assert rb._letter(last) == chr(sys.maxunicode)
+        with pytest.raises(TooManyLetters) as err:
+            RBElem.term([x], Poly.monomial({"beyond": 1}))
+        assert isinstance(err.value, DiffalgError)
+        assert (("beyond", 1),) not in rb._LETTER
+        assert dict(RBElem({((last,), EMPTY_MONO): 1}).terms()) == {((last,), EMPTY_MONO): 1}

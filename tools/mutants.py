@@ -58,6 +58,10 @@ MUTANTS = [
      "merged[w] = merged.get(w, 0) + n", "merged[w] = n",
      "tests/test_rota_baxter.py::TestKernel",
      "tests/test_sympy_oracle.py::TestIteratedIntegralOracle"),
+    # On a stored key P moves the tail into the word but keeps it as the
+    # tail, so D no longer kills the images of P.
+    ("rb_P_keeps_the_tail", "rota_baxter.py",
+     "{k + EMPTY: c for k, c in", "{k + k[-1]: c for k, c in"),
     # A sum of two elements with a key in common keeps the right operand's
     # numerator for it, as the dict union leaves it.
     ("sum_overwrites_shared_key", "lincomb.py",
