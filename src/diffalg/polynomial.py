@@ -322,7 +322,8 @@ class Tensor(LinComb):
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair: fn
-        is called once per variable, on the sum of that variable's slots."""
+        is called once per variable, on the sum of that variable's slots.
+        With map_var, the tensor's functorial action; derive is natural under both."""
         slots: dict = {}
         for (m, v), c in self._num.items():
             slots.setdefault(v, {})[m] = c
@@ -332,7 +333,9 @@ class Tensor(LinComb):
                                   for m, n in q._num.items()}, den)
 
     def map_var(self, f) -> "Tensor":
-        """Apply a linear variable map to the variable slot of every pair."""
+        """Apply a linear variable map to the variable slot of every pair.
+        With map_poly, the tensor's functorial action; sharp(g, p) equals
+        coderive(derive(p).map_var(g)), as the sharp tests check."""
         scaled, lcm = _linear_images(f, dict.fromkeys(v for _, v in self._num))
         out: dict = {}
         for (m, v), c in self._num.items():

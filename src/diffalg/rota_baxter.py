@@ -32,8 +32,8 @@ coefficient representation (integer numerators over one denominator,
 
 from __future__ import annotations
 
-import gc
 import itertools
+import operator
 import sys
 import threading
 from fractions import Fraction
@@ -94,46 +94,35 @@ def shuffle_words(u: Sequence, v: Sequence) -> list[tuple[Sequence, int]]:
         sh(u[:i], v[:j]) = sh(u[:i-1], v[:j])·u[i-1] + sh(u[:i], v[:j-1])·v[j-1],
 
     so the work follows the distinct words of each cell, not the
-    interleavings.  The two halves end in different letters unless
-    u[i-1] == v[j-1], so only then can they share a word and need a merge.
-    A cell is a list of (word, count) pairs, each word once, not a dict:
-    hashing every intermediate word would make shuffles of distinct
-    letters, where nothing merges, 25-50 % slower.  row[j] is overwritten
-    in place, so one row of cells is live at a time.  The last cell is
-    returned as it stands; :func:`shuffle` and :func:`rb_mul` key it in one
-    dict per term pair and add the smaller dicts into the largest.
-
-    The grid is filled with CPython's cyclic collector paused.  A live row
-    holds thousands of fresh (word, count) tuples, which the collector
-    would traverse and promote generation by generation, for more than half
-    the grid's time on 8-letter words; none of them can be part of a cycle,
-    and reference counting frees each one.  The pause is process-wide, so
-    it is restored in a ``finally``, and a caller that had the collector
-    off finds it off."""
+    interleavings.  A cell is two flat lists, its distinct words and their
+    counts, not a dict: hashing every intermediate word would make shuffles
+    of distinct letters, where nothing merges, 25-50 % slower.  The two
+    halves end in different letters unless u[i-1] == v[j-1], so only then
+    can they share a word; they are merged before the letter is appended,
+    by adding the count lists where both halves hold the same words in the
+    same order, else through one dict.  words[j] and counts[j] are
+    overwritten in place, so one row of cells is live at a time.  The last
+    cell is returned as pairs; :func:`shuffle` and :func:`rb_mul` key it in
+    one dict per term pair and add the smaller dicts into the largest."""
     if not u or not v:
         return [(u + v, 1)]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        row = [[(v[:j], 1)] for j in range(len(v) + 1)]
-        v_letters = [v[j:j + 1] for j in range(len(v))]
-        for i, a in enumerate([u[i:i + 1] for i in range(len(u))], 1):
-            left = row[0] = [(u[:i], 1)]
-            for j, b in enumerate(v_letters, 1):
-                cell = [(w + a, n) for w, n in row[j]]
-                if a == b:
-                    merged = dict(cell)
-                    for w, n in left:
-                        w += b
-                        merged[w] = merged.get(w, 0) + n
-                    cell = list(merged.items())
-                else:
-                    cell += [(w + b, n) for w, n in left]
-                row[j] = left = cell
-        return row[-1]
-    finally:
-        if enabled:
-            gc.enable()
+    words, counts = [[v[:j]] for j in range(len(v) + 1)], [[1]] * (len(v) + 1)
+    v_letters = [v[j:j + 1] for j in range(len(v))]
+    for i, a in enumerate([u[i:i + 1] for i in range(len(u))], 1):
+        left, left_n = words[0], counts[0] = [u[:i]], [1]
+        for j, b in enumerate(v_letters, 1):
+            up, up_n = words[j], counts[j]
+            if a != b:
+                cell, cell_n = [w + a for w in up] + [w + b for w in left], up_n + left_n
+            elif up == left:
+                cell, cell_n = [w + a for w in up], list(map(operator.add, up_n, left_n))
+            else:
+                merged = dict(zip(up, up_n))
+                for w, n in zip(left, left_n):
+                    merged[w] = merged.get(w, 0) + n
+                cell, cell_n = [w + a for w in merged], list(merged.values())
+            words[j], counts[j] = left, left_n = cell, cell_n
+    return list(zip(words[-1], counts[-1]))
 
 
 def _merge_into_largest(parts: list[dict]) -> dict:

@@ -202,47 +202,38 @@ class Letter:
         return hash(self.name)
 
 
-class TestCollectorPause:
-    """shuffle_words fills its grid with the cyclic collector off and
-    leaves gc.isenabled() as it found it, also when the grid raises."""
+class TestCollectorUntouched:
+    """shuffle_words leaves the cyclic collector as the caller set it: every
+    comparison the grid makes sees that setting, and so does the caller
+    afterwards, also when a letter raises."""
 
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
+    @pytest.fixture(autouse=True, params=[True, False], ids=["on", "off"])
+    def enabled(self, request):
         was = gc.isenabled()
-        yield
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
         (gc.enable if was else gc.disable)()
 
     def letters(self, names, seen, fail=False):
         return tuple(Letter(n, seen, fail) for n in names)
 
-    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    def test_grid_runs_with_the_collector_off(self, enabled):
-        (gc.enable if enabled else gc.disable)()
+    def test_grid_sees_the_callers_setting(self, enabled):
         seen = []
         pairs = shuffle_words(self.letters("aba", seen), self.letters("ba", seen))
         assert sum(n for _, n in pairs) == math.comb(5, 2)
-        assert seen and not any(seen)
+        assert seen and all(s is enabled for s in seen)
         assert gc.isenabled() is enabled
 
-    def test_collector_is_on_again_afterwards(self):
-        gc.enable()
-        shuffle_words(("a",) * 8, ("a", "b") * 4)
-        assert gc.isenabled()
-
-    def test_collector_stays_off_if_the_caller_turned_it_off(self):
-        gc.disable()
-        shuffle_words(("a",) * 8, ("a", "b") * 4)
-        assert not gc.isenabled()
-        rb_mul(RBElem.term([x, x + y], y), RBElem.term([y, x], x))
-        assert not gc.isenabled()
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-    def test_collector_is_restored_when_the_grid_raises(self, enabled):
-        (gc.enable if enabled else gc.disable)()
+    def test_a_raising_letter_leaves_it_as_it_was(self, enabled):
         seen = []
         with pytest.raises(RuntimeError, match="letter comparison failed"):
             shuffle_words(self.letters("ab", seen, fail=True), self.letters("b", seen))
-        assert seen == [False]
+        assert seen == [enabled]
+        assert gc.isenabled() is enabled
+
+    def test_products_leave_it_as_it_was(self, enabled):
+        shuffle_words(("a",) * 8, ("a", "b") * 4)
+        rb_mul(RBElem.term([x, x + y], y), RBElem.term([y, x], x))
         assert gc.isenabled() is enabled
 
 

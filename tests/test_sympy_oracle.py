@@ -1,7 +1,7 @@
 """Poly arithmetic, series arithmetic, the two derivations the laws run on,
-both sides of the two derived laws and the two evaluation recursions checked
-against SymPy, an implementation that shares no code with this package.
-Skipped when SymPy is not installed.
+both sides of the two derived laws, the two evaluation recursions and
+comultiplication checked against SymPy, an implementation that shares no
+code with this package.  Skipped when SymPy is not installed.
 
 Every check runs in one representation, SymPy's sparse polynomial ring over
 the rationals (sympy.polys.rings), built by :class:`Ring`: a polynomial over
@@ -39,6 +39,7 @@ from diffalg.free_diff import DVar, d_shift, dvar, natural_map
 from diffalg.hurwitz import (
     Flavor,
     Series,
+    comul,
     delta_eval,
     diamond,
     omega_eval,
@@ -257,6 +258,33 @@ def test_psi(order):
         assert (image.flavor, back.flavor) == (Flavor.HURWITZ, Flavor.POWER)
         assert SERIES.series(image) == SERIES.series(f)
         assert SERIES.series(back) == SERIES.series(g)
+
+
+# -- comultiplication ----------------------------------------------------------
+#
+# Read a Hurwitz series f as its EGF F(x) = sum f_k x^k/k!.  Then comul(f,
+# rows) is the two-variable EGF F(s + t): grid[m][n] = m!·n!·[s^m t^n] F(s + t)
+# on the valid triangle, m <= rows and n <= order - rows.  F(s + t) is
+# expanded by binomial powers in QQ[s, t], with no use of the grid's indices.
+
+EGF2, S2, T2 = sympy.polys.rings.ring("s, t", sympy.QQ)
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 10])
+def test_comul_is_the_egf_at_s_plus_t(order):
+    rng = SplitMix64(700 + order)
+    for _ in range(3):
+        f = big_series(rng, order, Flavor.HURWITZ)
+        shifted = EGF2.zero
+        for k, c in enumerate(f.coeffs):
+            shifted += (S2 + T2) ** k * qq(c) / factorial(k)
+        for rows in range(order + 1):
+            grid = comul(f, rows).grid
+            assert [len(r) for r in grid] == [order - rows + 1] * (rows + 1)
+            for m, row in enumerate(grid):
+                assert [qq(c) for c in row] == [
+                    shifted.get((m, n), sympy.QQ(0)) * factorial(m) * factorial(n)
+                    for n in range(len(row))]
 
 
 # -- the evaluation recursions ------------------------------------------------

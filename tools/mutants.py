@@ -53,11 +53,18 @@ MUTANTS = [
      "{w + (m,): c * cm for", "{w + (m,): c for",
      "tests/test_sympy_oracle.py::TestIteratedIntegralOracle",
      "tests/test_rota_baxter.py::TestShuffle"),
-    # Where both halves of a grid cell reach one word, only the last count stays.
+    # Where the two halves of a grid cell share a word but do not hold the
+    # same words in the same order, only the last count stays.
     ("shuffle_merge_keeps_one_count", "rota_baxter.py",
      "merged[w] = merged.get(w, 0) + n", "merged[w] = n",
      "tests/test_rota_baxter.py::TestKernel",
      "tests/test_sympy_oracle.py::TestIteratedIntegralOracle"),
+    # Where both halves of a grid cell hold the same words in the same
+    # order, the upper half's counts stand for the sum.  The counts of a
+    # repeated-letter shuffle fall short; no law sees it.
+    ("shuffle_same_words_keep_one_count", "rota_baxter.py",
+     "list(map(operator.add, up_n, left_n))", "up_n",
+     "tests/test_rota_baxter.py::TestKernel::test_matches_enumeration"),
     # On a stored key P moves the tail into the word but keeps it as the
     # tail, so D no longer kills the images of P.
     ("rb_P_keeps_the_tail", "rota_baxter.py",
@@ -72,6 +79,13 @@ MUTANTS = [
      "{v: towers[v.base][min(v.order + 1, len(towers[v.base]) - 1)] for v in"),
     ("comul_misplaces_rows", "hurwitz.py",
      "f.coeffs[m + n] for n in", "f.coeffs[min(m + n + (m > 0), f.order)] for n in"),
+    # Where D bumps x^(n) into a factor x^(n+1) already in the monomial,
+    # that factor's exponent is not raised.
+    ("d_shift_drops_merged_exponent", "free_diff.py",
+     "rest[0][1] + 1", "rest[0][1]"),
+    # A shared variable keeps the larger exponent instead of the sum.
+    ("mono_mul_takes_max_exponent", "polynomial.py",
+     "x[1] + y[1]", "max(x[1], y[1])"),
 ]
 
 
