@@ -163,11 +163,6 @@ def _letters(obj: dict, key: str) -> list:
     return [parse_poly(s, POLY_MODE) for s in _json_list(_field(obj, key), str, f'"{key}"')]
 
 
-def _word(w: tuple) -> list:
-    """A word's letters as text, for output."""
-    return [mono_str(m) for m in w]
-
-
 def _series_from_json(env: dict, name: str) -> hz.Series:
     from . import hurwitz as hz
     obj = _json_object(env[name], f'series "{name}"')
@@ -283,19 +278,25 @@ def _cmd_rb(args) -> int:
         t = _rb_terms(payload, "t") if args.op == "mul" else [([], Poly.one())]
     check_bound(_shuffle_words(s, t), MAX_POWER_TERMS, "an rb result", "words", 1)
     s, t = (sum((rb.RBElem.term(*term) for term in terms), rb.RBElem.zero()) for terms in (s, t))
+    texts: dict = {}  # each distinct letter of the output rendered once
+
+    def word(w: tuple) -> list:
+        """A word's letters as text, for output."""
+        return [texts.get(m) or texts.setdefault(m, mono_str(m)) for m in w]
+
     if args.op == "shuffle":
-        out = {"result": [{"word": _word(w), "coeff": _text(c)}
+        out = {"result": [{"word": word(w), "coeff": _text(c)}
                           for (w, _), c in sorted(rb.rb_mul(s, t).terms())]}
     elif args.op == "raw":
         raw = rb.rb_D_raw(s)
-        out = {"result": [{"word": _word(w), "tail": mono_str(t), "var": str(v),
+        out = {"result": [{"word": word(w), "tail": mono_str(t), "var": str(v),
                            "coeff": _text(raw[(w, t, v)])} for (w, t, v) in sorted(raw)]}
     else:
         if args.op == "mul":
             elem = rb.rb_mul(s, t)
         else:
             elem = rb.rb_P(s) if args.op == "P" else rb.rb_D(s)
-        out = {"terms": [{"word": _word(w), "tail": mono_str(t), "coeff": _text(c)}
+        out = {"terms": [{"word": word(w), "tail": mono_str(t), "coeff": _text(c)}
                          for (w, t), c in sorted(elem.terms())]}
     print(json.dumps({"schema": SCHEMA, **out}))
     return 0

@@ -83,11 +83,12 @@ def _pair(key: str) -> tuple[Word, Mono]:
     return tuple(map(_MONO.__getitem__, key[:-1])), _MONO[key[-1]]
 
 
-def shuffle_words(u: Sequence, v: Sequence) -> list[tuple[Sequence, int]]:
-    """The shuffle of two words as (word, count) pairs, each distinct word
-    once with the number of interleavings of u and v (internal order kept)
-    that spell it; the counts sum to binom(|u|+|v|, |u|).  The grid appends
-    1-slices, so a word may be a tuple or the ``str`` of a stored key.
+def shuffle_words(u: Sequence, v: Sequence) -> tuple[list[Sequence], list[int]]:
+    """The shuffle of two words as two parallel lists (words, counts): each
+    distinct word once, with the number of interleavings of u and v
+    (internal order kept) that spell it; the counts sum to
+    binom(|u|+|v|, |u|).  The grid appends 1-slices, so a word may be a
+    tuple or the ``str`` of a stored key.
 
     Filled on the prefix grid row by row, from the last-letter recursion
 
@@ -102,10 +103,12 @@ def shuffle_words(u: Sequence, v: Sequence) -> list[tuple[Sequence, int]]:
     by adding the count lists where both halves hold the same words in the
     same order, else through one dict.  words[j] and counts[j] are
     overwritten in place, so one row of cells is live at a time.  The last
-    cell is returned as pairs; :func:`shuffle` and :func:`rb_mul` key it in
-    one dict per term pair and add the smaller dicts into the largest."""
+    cell is returned as it is held, not as (word, count) tuples, which the
+    collector would track one per word; :func:`shuffle` and :func:`rb_mul`
+    zip it into one dict per term pair and add the smaller dicts into the
+    largest."""
     if not u or not v:
-        return [(u + v, 1)]
+        return [u + v], [1]
     words, counts = [[v[:j]] for j in range(len(v) + 1)], [[1]] * (len(v) + 1)
     v_letters = [v[j:j + 1] for j in range(len(v))]
     for i, a in enumerate([u[i:i + 1] for i in range(len(u))], 1):
@@ -122,7 +125,7 @@ def shuffle_words(u: Sequence, v: Sequence) -> list[tuple[Sequence, int]]:
                     merged[w] = merged.get(w, 0) + n
                 cell, cell_n = [w + a for w in merged], list(merged.values())
             words[j], counts[j] = left, left_n = cell, cell_n
-    return list(zip(words[-1], counts[-1]))
+    return words[-1], counts[-1]
 
 
 def _merge_into_largest(parts: list[dict]) -> dict:
@@ -168,7 +171,7 @@ def shuffle(u: Sequence, v: Sequence) -> dict[Word, Fraction]:
         for wv, cv in nv.items():
             c = Fraction(cu * cv, den)
             # Fraction * int allocates, so a count of 1 keeps c itself
-            parts.append({w: c if n == 1 else c * n for w, n in shuffle_words(wu, wv)})
+            parts.append({w: c if n == 1 else c * n for w, n in zip(*shuffle_words(wu, wv))})
     return drop_zeros(_merge_into_largest(parts))
 
 
@@ -176,7 +179,7 @@ def shuffle_term_count(u: Sequence, v: Sequence) -> Fraction:
     """Number of interleavings counted with multiplicity (sum of shuffle
     coefficients, as ints); binom(|u|+|v|, |u|) for monic monomial letters."""
     (nu, du), (nv, dv) = _word_ints(u), _word_ints(v)
-    return Fraction(sum(cu * cv * sum(n for _, n in shuffle_words(wu, wv))
+    return Fraction(sum(cu * cv * sum(shuffle_words(wu, wv)[1])
                         for wu, cu in nu.items() for wv, cv in nv.items()), du * dv)
 
 
@@ -229,7 +232,7 @@ def rb_mul(s: RBElem, t: RBElem) -> RBElem:
         w1, t1 = k1[:-1], _MONO[k1[-1]]
         for w2, t2, c2 in right:
             tail, c = _letter(mono_mul(t1, t2)), c1 * c2
-            parts.append({w + tail: c * n for w, n in shuffle_words(w1, w2)})
+            parts.append({w + tail: c * n for w, n in zip(*shuffle_words(w1, w2))})
     return RBElem._from_ints(_merge_into_largest(parts), s._den * t._den)
 
 

@@ -133,17 +133,16 @@ def made(monkeypatch):
     """The words the shuffle kernel and the word expansion return."""
     count = [0]
 
-    def counting(f, size=len):
+    # shuffle_words returns (words, counts) and _word_ints (words, denominator)
+    def counting(f):
         def call(*args):
             result = f(*args)
-            count[0] += size(result)
+            count[0] += len(result[0])
             return result
         return call
 
     monkeypatch.setattr(rota_baxter, "shuffle_words", counting(rota_baxter.shuffle_words))
-    # _word_ints returns (words, denominator)
-    monkeypatch.setattr(rota_baxter, "_word_ints",
-                        counting(rota_baxter._word_ints, lambda result: len(result[0])))
+    monkeypatch.setattr(rota_baxter, "_word_ints", counting(rota_baxter._word_ints))
     return count
 
 

@@ -147,13 +147,13 @@ rb_elems = st.dictionaries(
     st.sampled_from([-2, -1, 1, 2]), max_size=4).map(RBElem)
 
 
-def as_counts(pairs) -> dict:
-    """The kernel's (word, count) pairs as a dict, after checking that each
-    word is listed once and each count is a positive int."""
-    counts = dict(pairs)
-    assert len(pairs) == len(counts)
-    assert all(type(n) is int and n > 0 for n in counts.values())
-    return counts
+def as_counts(result) -> dict:
+    """The kernel's parallel (words, counts) lists as a dict, after checking
+    that each word is listed once and each count is a positive int."""
+    words, counts = result
+    assert len(set(words)) == len(words) == len(counts)
+    assert all(type(n) is int and n > 0 for n in counts)
+    return dict(zip(words, counts))
 
 
 class TestKernel:
@@ -172,8 +172,8 @@ class TestKernel:
 
     def test_long_words_do_not_recurse(self):
         # an interleaving recursion would need one frame per letter here
-        pairs = shuffle_words(("a",) * 2, ("a",) * 1200)
-        assert as_counts(pairs) == {("a",) * 1202: math.comb(1202, 2)}
+        result = shuffle_words(("a",) * 2, ("a",) * 1200)
+        assert as_counts(result) == {("a",) * 1202: math.comb(1202, 2)}
 
     @given(rb_elems, rb_elems)
     def test_rb_mul_matches_enumeration(self, s, t):
@@ -202,39 +202,76 @@ class Letter:
         return hash(self.name)
 
 
+@pytest.fixture
+def collector(request):
+    """The cyclic collector switched on or off, as the test's parameter
+    says, and restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("collector", [True, False], ids=["on", "off"], indirect=True)
 class TestCollectorUntouched:
     """shuffle_words leaves the cyclic collector as the caller set it: every
     comparison the grid makes sees that setting, and so does the caller
     afterwards, also when a letter raises."""
 
-    @pytest.fixture(autouse=True, params=[True, False], ids=["on", "off"])
-    def enabled(self, request):
-        was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
-
     def letters(self, names, seen, fail=False):
         return tuple(Letter(n, seen, fail) for n in names)
 
-    def test_grid_sees_the_callers_setting(self, enabled):
+    def test_grid_sees_the_callers_setting(self, collector):
         seen = []
-        pairs = shuffle_words(self.letters("aba", seen), self.letters("ba", seen))
-        assert sum(n for _, n in pairs) == math.comb(5, 2)
-        assert seen and all(s is enabled for s in seen)
-        assert gc.isenabled() is enabled
+        words, counts = shuffle_words(self.letters("aba", seen), self.letters("ba", seen))
+        assert len(words) == len(counts) and sum(counts) == math.comb(5, 2)
+        assert seen and all(s is collector for s in seen)
+        assert gc.isenabled() is collector
 
-    def test_a_raising_letter_leaves_it_as_it_was(self, enabled):
+    def test_a_raising_letter_leaves_it_as_it_was(self, collector):
         seen = []
         with pytest.raises(RuntimeError, match="letter comparison failed"):
             shuffle_words(self.letters("ab", seen, fail=True), self.letters("b", seen))
-        assert seen == [enabled]
-        assert gc.isenabled() is enabled
+        assert seen == [collector]
+        assert gc.isenabled() is collector
 
-    def test_products_leave_it_as_it_was(self, enabled):
+    def test_products_leave_it_as_it_was(self, collector):
         shuffle_words(("a",) * 8, ("a", "b") * 4)
         rb_mul(RBElem.term([x, x + y], y), RBElem.term([y, x], x))
-        assert gc.isenabled() is enabled
+        assert gc.isenabled() is collector
+
+
+class TestNoPairTuples:
+    """shuffle_words returns its last cell as two lists, not as one tracked
+    (word, count) tuple per word: the 12,870 words of two 8-letter words of
+    distinct letters allocate next to nothing the collector counts, and a
+    product of two such words starts no collection."""
+
+    @pytest.mark.parametrize("collector", [False], ids=["off"], indirect=True)
+    def test_shuffle_allocates_no_tuple_per_word(self, collector):
+        before = gc.get_count()[0]
+        result = shuffle_words("abcdefgh", "ijklmnop")
+        assert gc.get_count()[0] - before < 100
+        assert len(as_counts(result)) == math.comb(16, 8)
+
+    @pytest.mark.parametrize("collector", [True], ids=["on"], indirect=True)
+    def test_rb_mul_starts_no_collection(self, collector):
+        s = RBElem.term([Poly.variable(n) for n in "abcdefgh"], 1)
+        t = RBElem.term([Poly.variable(n) for n in "ijklmnop"], 1)
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            product = rb_mul(s, t)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(product._num) == math.comb(16, 8)
+        assert started == []
 
 
 class TestTerm:
@@ -420,9 +457,9 @@ class TestKeyLayout:
     @given(small_words)
     def test_str_words_shuffle_as_tuple_words(self, pair):
         u, v = pair
-        as_str = {w: n for w, n in shuffle_words("".join(u), "".join(v))}
+        as_str = as_counts(shuffle_words("".join(u), "".join(v)))
         assert all(type(w) is str for w in as_str)
-        assert {tuple(w): n for w, n in as_str.items()} == dict(shuffle_words(u, v))
+        assert {tuple(w): n for w, n in as_str.items()} == as_counts(shuffle_words(u, v))
 
     def test_ids_stay_injective_under_threads(self, registry):
         """4 threads intern 500 new monomials each, half of them shared by

@@ -1,14 +1,16 @@
 """Poly arithmetic, series arithmetic, the two derivations the laws run on,
-both sides of the two derived laws, the two evaluation recursions and
-comultiplication checked against SymPy, an implementation that shares no
-code with this package.  Skipped when SymPy is not installed.
+both sides of the two derived laws, the two evaluation recursions,
+comultiplication, the monad's flattening and extend checked against SymPy,
+an implementation that shares no code with this package.  Skipped when
+SymPy is not installed.
 
 Every check runs in one representation, SymPy's sparse polynomial ring over
 the rationals (sympy.polys.rings), built by :class:`Ring`: a polynomial over
 the package's variables, a series as its generating function in t, and a
 derivation as the sum of partials times the image of each generator.  Two
 tests tie that ring to calculus: the jet generators are the t-derivatives of
-functions x(t), y(t), and d_shift is d/dt on them."""
+functions x(t), y(t), and d_shift is d/dt on them.  beta and extend are
+checked in that calculus alone, by sympy.diff in t."""
 
 from collections import Counter
 from fractions import Fraction
@@ -35,7 +37,16 @@ from diffalg.diff_laws import (
     sample_poly,
     sum_of_products,
 )
-from diffalg.free_diff import DVar, d_shift, dvar, natural_map
+from diffalg.free_diff import (
+    DVar,
+    beta,
+    d_shift,
+    decode_nested,
+    dvar,
+    encode_nested,
+    extend,
+    natural_map,
+)
 from diffalg.hurwitz import (
     Flavor,
     Series,
@@ -338,9 +349,13 @@ def same(a, b) -> bool:
     return sympy.expand(a - b) == 0
 
 
+def jets(rng: SplitMix64) -> Poly:
+    return random_diffpoly(rng, bases=JET_BASES, max_order=JET_ORDER)
+
+
 def diffpolys(seed: int, n: int) -> list:
     rng = SplitMix64(seed)
-    return [random_diffpoly(rng, bases=JET_BASES, max_order=JET_ORDER) for _ in range(n)]
+    return [jets(rng) for _ in range(n)]
 
 
 def test_jet_conversion():
@@ -371,6 +386,68 @@ def test_tower_product(a, b):
     Leibniz rule."""
     got = smul(diamond(d_shift, a, TOWER), diamond(d_shift, b, TOWER)).coeffs
     assert [JETS.convert(q) for q in got] == JETS.tower(JETS.convert(a) * JETS.convert(b))
+
+
+# -- the monad's flattening and extend on the jet ring ------------------------
+#
+# beta sends the outer variable (E, n) to the n-th derivative of the jet
+# polynomial that E encodes, and extend sends (x, n) to the n-th derivative
+# of the image of x under diffpoly's derivation, d_shift.  The references
+# take those derivatives with sympy.diff on the jet functions of x(t) and
+# y(t) and multiply the terms out in SymPy, not with d_shift, substitute or
+# evaluate.  Inner jets reach order JET_ORDER and outer orders OUTER_ORDER,
+# so every result stays inside the ring.
+
+OUTER_ORDER = 2
+
+
+def expanded(p: Poly, value):
+    """p with each variable v replaced by the sympy expression value(v),
+    multiplied out."""
+    return sympy.expand(sum(sympy.Rational(c.numerator, c.denominator)
+                            * sympy.Mul(*(value(v) ** e for v, e in m)) for m, c in p.terms()))
+
+
+def jet_derivative(q: Poly, order: int):
+    assert set(q.variables()) <= set(JET_KEYS)
+    return sympy.diff(to_jets(q), TIME, order)
+
+
+def outer_poly(rng: SplitMix64, bases: list) -> Poly:
+    """A polynomial over (base, order) variables, order up to OUTER_ORDER."""
+    return sample_poly(rng, lambda r: DVar(r.choice(bases), r.randint(0, OUTER_ORDER)), 3, 3)
+
+
+def nested_polys(seed: int, n: int) -> list:
+    """Outer polynomials whose base names encode two drawn jet polynomials."""
+    rng = SplitMix64(seed)
+    return [outer_poly(rng, [encode_nested(jets(rng)) for _ in range(2)]) for _ in range(n)]
+
+
+def extend_cases(seed: int, n: int) -> list:
+    """(p, images) pairs: p over the bases u and v, each with a jet image."""
+    rng = SplitMix64(seed)
+    cases = []
+    for _ in range(n):
+        images = {"u": jets(rng), "v": jets(rng)}
+        cases.append((outer_poly(rng, ["u", "v"]), images))
+    return cases
+
+
+@pytest.mark.parametrize("t", nested_polys(111, 12))
+def test_beta_differentiates_each_encoded_jet(t):
+    got = beta(t)
+    assert set(got.variables()) <= set(JET_KEYS)
+    want = expanded(t, lambda v: jet_derivative(decode_nested(v.base), v.order))
+    assert same(to_jets(got), want)
+
+
+@pytest.mark.parametrize("p, images", extend_cases(112, 12))
+def test_extend_differentiates_each_image(p, images):
+    got = extend(images, diffpoly_carrier(), p)
+    assert set(got.variables()) <= set(JET_KEYS)
+    want = expanded(p, lambda v: jet_derivative(images[v.base], v.order))
+    assert same(to_jets(got), want)
 
 
 # -- both sides of the two derived laws ---------------------------------------

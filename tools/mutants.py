@@ -76,7 +76,8 @@ MUTANTS = [
      "tests/test_lincomb.py::TestHashCounts"),
     ("beta_reads_order_too_high", "free_diff.py",
      "{v: towers[v.base][v.order] for v in",
-     "{v: towers[v.base][min(v.order + 1, len(towers[v.base]) - 1)] for v in"),
+     "{v: towers[v.base][min(v.order + 1, len(towers[v.base]) - 1)] for v in",
+     "tests/test_sympy_oracle.py::test_beta_differentiates_each_encoded_jet"),
     ("comul_misplaces_rows", "hurwitz.py",
      "f.coeffs[m + n] for n in", "f.coeffs[min(m + n + (m > 0), f.order)] for n in"),
     # Where D bumps x^(n) into a factor x^(n+1) already in the monomial,
@@ -86,6 +87,18 @@ MUTANTS = [
     # A shared variable keeps the larger exponent instead of the sum.
     ("mono_mul_takes_max_exponent", "polynomial.py",
      "x[1] + y[1]", "max(x[1], y[1])"),
+    # The one product loop of Poly.__mul__ and sum_products drops the weight
+    # w, so a weighted sum of products (higher Leibniz) counts each once.
+    ("accumulate_drops_weight", "polynomial.py",
+     "c1 *= w", "c1 *= 1"),
+    # The numerators are divided by their gcd with the denominator but the
+    # denominator is not, so every reduced value shrinks by that gcd.
+    ("from_ints_keeps_den", "lincomb.py",
+     "den //= g", "den //= 1"),
+    # The constant term of the composition recursion is not put over the
+    # common denominator when the argument's own denominator differs.
+    ("recursion_head_unscaled", "hurwitz.py",
+     "head = p._den // q._den * sum(", "head = sum("),
 ]
 
 
