@@ -32,8 +32,9 @@ where the operands held ints; ``==``, hash and ``str`` are those of the
 coefficient tuple.  Polynomial coefficients take the same loops as their
 own numerators over 1, except that :func:`_convolution`, the one product
 loop of :func:`smul` and of :func:`sum_smul` (a weighted sum of
-products), builds each component of two all-``Poly`` factors with one
-:func:`~diffalg.polynomial.sum_products`.
+products), builds every component of all-``Poly`` factors in one packed
+pass, :func:`~diffalg.polynomial.sum_convolution`, not one sum of products
+per component.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or by the chain rule D(q(x)) = sum_v
@@ -55,7 +56,7 @@ from typing import Callable, Mapping
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
 from .free_diff import natural_map
 from .lincomb import over_lcm, ratio
-from .polynomial import Poly, evaluate, mono_degree, partial, sum_products
+from .polynomial import Poly, evaluate, mono_degree, partial, sum_convolution
 from .scalars import power
 
 
@@ -248,14 +249,12 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
     (int w, a, b) pairs, Hurwitz summands weighted by C(n, k) from
     Pascal's rows, kept for the process to order :data:`_PASCAL_CAP` and
     built in the call past it (a table to the CLI's MAX_ORDER would hold
-    about 500,000 ints).  All-``Poly`` coefficients give one
-    :func:`~diffalg.polynomial.sum_products` per component; others
-    (numbers, or polynomials mixed with scalars) are summed term by term."""
+    about 500,000 ints).  All-``Poly`` coefficients go to
+    :func:`~diffalg.polynomial.sum_convolution`; others (numbers, or
+    polynomials mixed with scalars) are summed term by term."""
     rows = _rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
     if all(isinstance(c, Poly) for _, a, b in pairs for c in a + b):
-        return [sum_products((w * r, x, y) for w, a, b in pairs
-                             for r, x, y in zip(row or repeat(1), a, b[n::-1]))
-                for n, row in zip(range(order + 1), rows)]
+        return sum_convolution(pairs, order, rows)
     if flavor is Flavor.HURWITZ:  # add the pairs' k-th summands, weigh once
         (a0, b0), *rest = [(a if w == 1 else [w * c for c in a], b) for w, a, b in pairs]
         out = []

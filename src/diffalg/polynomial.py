@@ -22,9 +22,9 @@ turn variable assignments and linear endomorphisms into derivations.
 :class:`Poly` and :class:`Tensor` are :class:`~diffalg.lincomb.LinComb`
 subclasses: the coefficient representation (integer numerators over one
 denominator, ``float`` and ``bool`` rejected, cancel-on-zero) is decided
-there, once, and the loops below run on its integers.  A sum of products,
-such as a coefficient of a Hurwitz product over polynomials, is built by
-:func:`sum_products` in one pass, with one reduction.
+there, once, and the loops below run on its integers.  A sum of products
+is built by :func:`sum_products` in one pass, with one reduction, and the
+components of a series product over polynomials by :func:`sum_convolution`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Mapping
 
 from .errors import MixedVariables, NonLinearImage, UnboundVariable
@@ -165,9 +166,6 @@ class Poly(LinComb):
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, m: Mono) -> Fraction:
-        return Fraction(self._num.get(m, 0), self._den)
-
     def variables(self) -> tuple:
         """All variables occurring in the polynomial, sorted."""
         seen = {v for m in self._num for v, _ in m}
@@ -249,6 +247,55 @@ def sum_products(triples) -> Poly:
     for w, a, b in triples:
         _accumulate(out, w * (den // (a._den * b._den)), a._num, b._num)
     return Poly._from_ints(out, den)
+
+
+def sum_convolution(pairs, order: int, rows) -> list:
+    """Components 0, ..., order of the sum of w·row[k]·a[k]·b[n-k] over the
+    (int w, a, b) pairs of Poly tuples and k <= n, row n of rows weighing
+    component n (None: all 1): each the sum_products of its triples, with
+    the same numerators, denominator and key order.  Each term is encoded
+    once as (packed int, monomial, numerator).  A variable gets its field
+    when first seen, wide enough for an a-side plus a b-side exponent, so a
+    product's key is the sum of its factors' keys and no field carries.
+    mono_mul runs only on a key not seen before, so a key that mixes
+    variable kinds raises MixedVariables there, as a * b does."""
+    width = sum(max((e for pair in pairs for c in pair[side] for m in c._num for _, e in m),
+                    default=0) for side in (1, 2)).bit_length()
+    fields: dict = {}  # variable -> the shift of its field
+
+    def encode(p: Poly) -> tuple:
+        triples = []
+        for m, c in p._num.items():
+            key = 0
+            for v, e in m:
+                shift = fields.get(v)
+                if shift is None:
+                    shift = fields[v] = width * len(fields)
+                key += e << shift
+            triples.append((key, m, c))
+        return triples, p._den
+
+    coded = [(w, list(map(encode, a)), list(map(encode, b))) for w, a, b in pairs]
+    out = []
+    for n, row in zip(range(order + 1), rows):
+        terms = [(w * r, x, y, dx * dy) for w, a, b in coded
+                 for r, (x, dx), (y, dy) in zip(row or repeat(1), a, b[n::-1])]
+        den = math.lcm(*(d for *_, d in terms))
+        acc: dict[int, int] = {}
+        monos = []
+        for w, x, y, d in terms:
+            w *= den // d
+            for k1, m1, n1 in x:
+                n1 *= w
+                for k2, m2, n2 in y:
+                    k = k1 + k2
+                    if k in acc:
+                        acc[k] += n1 * n2
+                    else:
+                        acc[k] = n1 * n2
+                        monos.append(mono_mul(m1, m2))
+        out.append(Poly._from_ints(dict(zip(monos, acc.values())), den))
+    return out
 
 
 class LinearMap:

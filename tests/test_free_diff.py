@@ -193,6 +193,7 @@ class TestNesting:
         '[["1/0",[["x",0,1]]]]',      # zero denominator
         '[["1",[["x",1.5,1]]]]',      # fractional order
         '[["1",[["x",0,1.5]]]]',      # fractional exponent
+        '[["1",[["x",0,0]]]]',        # zero exponent
         '[["1",[["x",true,1]]]]',     # boolean order
         '[[0.5,[["x",0,1]]]]',        # coefficient not a string
     ])

@@ -13,10 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffalg import hurwitz
-from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_series
+from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_poly, random_series
 from diffalg.diff_laws import random_fraction
 from diffalg.errors import (
     FlavorMismatch,
+    MixedVariables,
     OrderExhausted,
     OrderMismatch,
     UnboundVariable,
@@ -41,7 +42,7 @@ from diffalg.hurwitz import (
     sum_smul,
     sunit,
 )
-from diffalg.polynomial import Poly, eta, partial
+from diffalg.polynomial import Poly, eta, partial, sum_products
 from diffalg.rng import SplitMix64
 from diffalg.scalars import binom
 from diffalg.suites import check_comonad_laws, check_eval_pointwise, check_psi_laws
@@ -139,6 +140,53 @@ def series_pairs(draw, kind: str):
     return Series(tuple(draw(coeffs)), flavor), Series(tuple(draw(coeffs)), flavor)
 
 
+def component_fold(triples) -> list:
+    """Each component of the sum of w·f·g over the (int w, f, g) triples as
+    one polynomial.sum_products of its (w·C(n, k), f[k], g[n-k]) triples
+    (weight w for power), on the shared window."""
+    order = min(min(f.order, g.order) for _, f, g in triples)
+    hurwitz = triples[0][1].flavor is Flavor.HURWITZ
+    return [sum_products((w * (math.comb(n, k) if hurwitz else 1), f.coeffs[k], g.coeffs[n - k])
+                         for w, f, g in triples for k in range(n + 1))
+            for n in range(order + 1)]
+
+
+def poly_series(rng, order: int, flavor, draw) -> Series:
+    """A series of draw(rng) coefficients, each scaled by a harness fraction,
+    so the coefficients have mixed denominators."""
+    return Series(tuple(draw(rng) * random_fraction(rng) for _ in range(order + 1)), flavor)
+
+
+def huge_exponents(rng) -> Poly:
+    """Up to three terms in x, y, z with exponents from 2**70 on."""
+    p = Poly.zero()
+    for _ in range(rng.randint(1, 3)):
+        exps = {v: 2 ** 70 + rng.randint(0, 2) if rng.randint(0, 1) else rng.randint(0, 2)
+                for v in "xyz"}
+        p = p + Poly.monomial(exps, random_fraction(rng) or 1)
+    return p
+
+
+def zero_or_constant(rng) -> Poly:
+    """Zero, a nonzero constant, or a random polynomial in x and y."""
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        return Poly.zero()
+    if kind == 1:
+        return Poly.const(random_fraction(rng) or 1)
+    return random_poly(rng, 3, ("x", "y"), max_degree=2)
+
+
+# The coefficient draws of the packed-kernel tests: derivative variables,
+# plain names, exponents past 2**70, and zeros and constants.
+POLY_DRAWS = {
+    "dvar": lambda rng: random_diffpoly(rng, 3, max_degree=2),
+    "str": lambda rng: random_poly(rng, 3, max_degree=3),
+    "huge_exponents": huge_exponents,
+    "zero_and_constant": zero_or_constant,
+}
+
+
 class TestKernel:
     """smul over exact rationals runs on integer numerators with one
     denominator per factor; these pin it to the textbook convolution."""
@@ -169,8 +217,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_polynomial_series_match_plain_convolution(self, flavor):
-        """Poly coefficients with mixed denominators, on the sum_products
-        path: each component equals the sum written out term by term."""
+        """Poly coefficients with mixed denominators, on the packed
+        kernel: each component equals the sum written out term by term."""
         rng = SplitMix64(67)
         for order in (0, 1, 4, 8, hurwitz._PASCAL_CAP + 1):
             f, g = (Series(tuple(random_diffpoly(rng, 3, max_degree=2) * random_fraction(rng)
@@ -178,6 +226,62 @@ class TestKernel:
             got = smul(f, g)
             assert got.coeffs == plain_convolution(f, g)
             assert all(type(c) is Poly for c in got.coeffs)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("draw", sorted(POLY_DRAWS))
+    def test_packed_kernel_matches_the_component_fold(self, flavor, draw):
+        """smul and sum_smul over Poly coefficients (several pairs, mixed
+        denominators, unequal windows) give the numerators, in the same
+        key order, and the denominators of one sum_products per component."""
+        rng = SplitMix64(79)
+        for _ in range(4):
+            order = rng.randint(0, 6)
+            f, g = (poly_series(rng, order, flavor, POLY_DRAWS[draw]) for _ in range(2))
+            triples = [(1, f, g)]
+            for _ in range(rng.randint(1, 3)):
+                triples.append((rng.randint(-3, 3) or 1,
+                                *(poly_series(rng, order + rng.randint(0, 2), flavor,
+                                              POLY_DRAWS[draw]) for _ in range(2))))
+            for got, want in ((smul(f, g), component_fold([(1, f, g)])),
+                              (sum_smul(triples), component_fold(triples))):
+                assert len(got.coeffs) == len(want)
+                for c, p in zip(got.coeffs, want):
+                    assert type(c) is Poly
+                    assert list(c._num.items()) == list(p._num.items())
+                    assert c._den == p._den
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_packed_kernel_cancellation(self, flavor):
+        """Components that cancel whole or in part keep the fold's surviving
+        keys in the fold's order; a sum that cancels is all zero."""
+        x, y, z = eta("x"), eta("y"), eta("z")
+        f = Series((x, x, -y, Poly.zero()), flavor)
+        g = Series((x, -x, x * z + y, Poly.const(3)), flavor)
+        h = Series((y + z, x * y, Poly.const(F(-2, 3)), z ** 2), flavor)
+        triples = [(1, f, g), (2, g, h), (-1, f, g), (1, f, h), (-1, f, h)]
+        for got, want in ((smul(f, g), component_fold([(1, f, g)])),
+                          (sum_smul(triples), component_fold(triples))):
+            assert [list(c._num.items()) for c in got.coeffs] == \
+                [list(p._num.items()) for p in want]
+            assert [c._den for c in got.coeffs] == [p._den for p in want]
+        # x·(-x) + x·x is 0; the x·y of x·(x·z + y) cancels against -y·x.
+        assert smul(f, g).coeffs[1] == Poly.zero()
+        assert set(smul(f, g).coeffs[2]._num) == {(("x", 2),), (("x", 2), ("z", 1))}
+        assert sum_smul([(1, f, g), (-1, f, g)]).coeffs == (Poly.zero(),) * 4
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_packed_kernel_mixed_variables(self, flavor):
+        """A str coefficient times a DVar one raises MixedVariables with the
+        message a * b and sum_products give."""
+        f = Series((Poly.const(2), eta("x"), eta("y")), flavor)
+        g = Series((dvar("x") + 1, dvar("y"), Poly.const(1)), flavor)
+        with pytest.raises(MixedVariables) as want:
+            component_fold([(1, f, g)])
+        assert str(want.value) == "variables of different kinds in one monomial: DVar, str"
+        for run in (lambda: smul(f, g), lambda: sum_smul([(1, g, g), (1, f, g)])):
+            with pytest.raises(MixedVariables) as got:
+                run()
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("order", [hurwitz._PASCAL_CAP, hurwitz._PASCAL_CAP + 1,
                                        hurwitz._PASCAL_CAP + 2])

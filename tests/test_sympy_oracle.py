@@ -92,10 +92,16 @@ class Ring:
         self.last = [self.gen[w] for w in image.values() if w not in image]
 
     def _from_terms(self, terms):
-        """The sum of c times the monomial exps over (exps, c) pairs."""
-        return self.ring.from_dict({
-            tuple(exps.get(v, 0) for v in self.keys): sympy.QQ(c.numerator, c.denominator)
-            for exps, c in terms})
+        """The sum of c times the monomial exps over (exps, c) pairs; a
+        variable outside the ring raises ValueError, so that no result can
+        leave the ring unseen."""
+        out = {}
+        for exps, c in terms:
+            foreign = exps.keys() - self.gen.keys()
+            if foreign:
+                raise ValueError(f"outside the ring: {sorted(map(repr, foreign))}")
+            out[tuple(exps.get(v, 0) for v in self.keys)] = sympy.QQ(c.numerator, c.denominator)
+        return self.ring.from_dict(out)
 
     def convert(self, p: Poly):
         return self._from_terms((dict(m), c) for m, c in p.terms())
@@ -347,6 +353,15 @@ def to_jets(p: Poly):
 
 def same(a, b) -> bool:
     return sympy.expand(a - b) == 0
+
+
+def test_a_variable_outside_the_ring_raises():
+    """A jet past the ring's order, a base other than x and y, or a plain
+    name is refused, not read as exponent 0."""
+    for p in (dvar("x", 9), dvar("z") + 1, Poly.variable("x")):
+        with pytest.raises(ValueError, match="outside the ring"):
+            to_jets(p)
+    assert same(to_jets(dvar("x", 8) * dvar("y")), JET_FUNCTIONS[8] * JET_FUNCTIONS[9])
 
 
 def jets(rng: SplitMix64) -> Poly:

@@ -91,6 +91,21 @@ MUTANTS = [
     # w, so a weighted sum of products (higher Leibniz) counts each once.
     ("accumulate_drops_weight", "polynomial.py",
      "c1 *= w", "c1 *= 1"),
+    # No law multiplies Poly-coefficient series, so the packed convolution
+    # kernel names its tests.  One bit short, the fields of the packed keys
+    # carry into each other and distinct monomials share a key.
+    ("packed_field_one_bit_short", "polynomial.py",
+     "for side in (1, 2)).bit_length()", "for side in (1, 2)).bit_length() - 1",
+     "tests/test_hurwitz.py::TestKernel::test_packed_kernel_matches_the_component_fold"),
+    # A packed key seen again keeps only its latest summand.
+    ("packed_hit_keeps_latest_summand", "polynomial.py",
+     "acc[k] += n1 * n2", "acc[k] = n1 * n2",
+     "tests/test_hurwitz.py::TestKernel::test_packed_kernel_matches_the_component_fold"),
+    # A zero exponent is accepted, and mono_from_exponents drops it; no
+    # law decodes a malformed nesting.
+    ("decode_nested_accepts_zero_exponent", "free_diff.py",
+     "type(e) is not int or e <= 0", "type(e) is not int or e < 0",
+     "tests/test_free_diff.py::TestNesting::test_malformed_numbers"),
     # The numerators are divided by their gcd with the denominator but the
     # denominator is not, so every reduced value shrinks by that gcd.
     ("from_ints_keeps_den", "lincomb.py",
