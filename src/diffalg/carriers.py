@@ -50,6 +50,7 @@ def _poly_carrier(name: str, d, sample) -> DiffCarrier:
         sample=sample,
         sample_kernel=lambda rng, size: Poly.const(random_fraction(rng)),
         sum_products=sum_products,
+        sum_hurwitz=lambda pairs, order: hz._convolution(pairs, order, hz.Flavor.HURWITZ),
     )
 
 

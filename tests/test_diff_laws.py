@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg import hurwitz, polynomial
+from diffalg import diff_laws, hurwitz, polynomial
 from diffalg.carriers import (
     broken_carriers,
     broken_identity_carrier,
@@ -33,6 +33,7 @@ from diffalg.diff_laws import (
     check_leibniz,
     eval_in_carrier,
     faa_di_bruno_mismatch,
+    hurwitz_sums,
     pick,
     run_trials,
     sample_exponents,
@@ -40,10 +41,11 @@ from diffalg.diff_laws import (
     sum_of_products,
 )
 from diffalg.errors import UnboundVariable
-from diffalg.free_diff import DVar, dvar
-from diffalg.polynomial import Poly, eta, mono_from_exponents
+from diffalg.free_diff import DVar, dvar, natural_map
+from diffalg.polynomial import Poly, eta, mono_from_exponents, partial
 from diffalg.rng import SplitMix64
 from diffalg.rota_baxter import RBElem, random_rbelem
+from diffalg.scalars import binom
 from diffalg.suites import (
     chain_rule_suite,
     check_eval_pointwise,
@@ -70,6 +72,12 @@ class TestDeterminism:
         b = c.sample(SplitMix64(2), 4)
         assert a != b
 
+    def test_randint_refuses_an_empty_range(self):
+        rng = SplitMix64(3)
+        with pytest.raises(ValueError, match=r"empty range \[3, 2\]"):
+            rng.randint(3, 2)
+        assert rng.randint(2, 2) == 2
+
     def test_json_shape(self):
         rep = check_constant_rule(diffpoly_carrier(), 1, 5)
         data = json.loads(rep.to_json())
@@ -92,6 +100,10 @@ class TestPositiveSuites:
     )
     def test_higher_leibniz(self, carrier):
         assert check_higher_leibniz(carrier, 5, 25, 2).passed
+
+    def test_higher_leibniz_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            check_higher_leibniz(diffpoly_carrier(), -1, 1, 0)
 
     def test_higher_leibniz_base_cases(self):
         # n = 0 reduces to equality of the product with itself; n = 1 is
@@ -170,12 +182,24 @@ class TestFaaDiBruno:
         with pytest.raises(ValueError):
             faa_di_bruno_mismatch(diffpoly_carrier(), eta("X"), {"X": dvar("x")}, -1)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 5])
+    def test_constant_polynomial_has_zero_right_hand_sides(self, n_max):
+        """With no variable every right-hand side is the carrier's zero, so
+        a map that does not kill constants fails at n = 0."""
+        c = broken_identity_carrier()
+        ce = faa_di_bruno_mismatch(c, Poly.const(Fraction(7, 2)), {}, n_max)
+        assert ce == (None if n_max == 0 else {"n": "0", "p": "7/2", "lhs": "7/2", "rhs": "0"})
+
 
 class TestKernelClosure:
     @pytest.mark.parametrize("carrier", shipped_carriers(), ids=lambda c: c.name)
     def test_shipped(self, carrier):
         rep = check_kernel_closure(carrier, 25, 3)
         assert rep.passed and not rep.skipped
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_kernel_closure(diffpoly_carrier(), 0, 0)
 
     def test_d_of_one_not_zero(self):
         """D(1) != 0 fails at once, before any kernel element is drawn."""
@@ -229,6 +253,28 @@ class TestDerivationMonoid:
         c = hurwitz_carrier()
         rep = check_derivation_monoid(c, c.d, c.d, 8, 8)
         assert rep.passed and not rep.skipped
+
+    @pytest.mark.parametrize("carrier", [diffpoly_carrier(), hurwitz_carrier()],
+                             ids=lambda c: c.name)
+    def test_evaluates_once_per_trial(self, carrier, monkeypatch):
+        """Each trial evaluates p once and each dp/dv once, for all four
+        maps, and evaluates nothing else."""
+        drawn, evaluated = [], []
+        sample, evaluate = diff_laws.sample_poly, diff_laws.eval_in_carrier
+
+        def drawing(*args):
+            drawn.append(sample(*args))
+            return drawn[-1]
+
+        def evaluating(c, p, env):
+            evaluated.append(p)
+            return evaluate(c, p, env)
+
+        monkeypatch.setattr(diff_laws, "sample_poly", drawing)
+        monkeypatch.setattr(diff_laws, "eval_in_carrier", evaluating)
+        rep = check_derivation_monoid(carrier, carrier.d, carrier.d, 6, 5)
+        assert rep.passed and not rep.skipped and len(drawn) == 6
+        assert evaluated == [q for p in drawn for q in [p] + [partial(p, v) for v in p.variables()]]
 
     def test_sum_that_breaks_the_chain_rule_fails(self):
         """The failure branch: a second map that is the shift on the first
@@ -583,17 +629,18 @@ class TestSumOfProducts:
     @pytest.mark.parametrize("carrier", [poly_sharp_carrier(), diffpoly_carrier()],
                              ids=lambda c: c.name)
     def test_higher_leibniz_trial_is_fused(self, carrier, monkeypatch):
-        """One trial at n_max = 5 builds each of its 6 right-hand sides with
-        one fused call; no polynomial sum is taken, in the carrier's add or
-        in Poly.__add__, while they are built."""
+        """One trial at n_max = 5 builds all 6 of its right-hand sides with
+        one call of the Hurwitz hook on the one pair of towers; no
+        polynomial sum is taken, in the carrier's add or in Poly.__add__,
+        while they are built, and sum_products is not called."""
         fused, adds, inside = [], [], []
-        kernel, poly_add = carrier.sum_products, Poly.__add__
+        kernel, poly_add = carrier.sum_hurwitz, Poly.__add__
 
-        def counting_kernel(triples):
-            fused.append(len(triples))
+        def counting_kernel(pairs, order):
+            fused.append((len(pairs), order))
             inside.append(True)
             try:
-                return kernel(triples)
+                return kernel(pairs, order)
             finally:
                 inside.pop()
 
@@ -606,8 +653,68 @@ class TestSumOfProducts:
             adds.append("add")
             return p + q
 
-        c = replace(carrier, sum_products=counting_kernel, add=carrier_add)
+        def no_sum_products(triples):
+            adds.append("sum_products")
+            return carrier.sum_products(triples)
+
+        c = replace(carrier, sum_hurwitz=counting_kernel, sum_products=no_sum_products,
+                    add=carrier_add)
         monkeypatch.setattr(Poly, "__add__", counting_add)
         assert check_higher_leibniz(c, 5, 1, 7).passed
-        assert fused == [1, 2, 3, 4, 5, 6]
+        assert fused == [(1, 5)]
         assert adds == []
+
+
+class TestHurwitzSums:
+    """hurwitz_sums builds the higher-Leibniz and Faà di Bruno right-hand
+    sides, component n the sum of w·C(n,k)·a[k]·b[n-k] over the pairs of
+    towers: the polynomial carriers in one packed Hurwitz product, every
+    other carrier with one sum_of_products per component."""
+
+    CARRIERS = (poly_sharp_carrier(), diffpoly_carrier(), hurwitz_carrier())
+
+    @staticmethod
+    def per_component(c, pairs, order):
+        return [sum_of_products(c, [(w * binom(n, k), a[k], b[n - k])
+                                    for w, a, b in pairs for k in range(n + 1)])
+                for n in range(order + 1)]
+
+    @staticmethod
+    def towers(c, seed, n_max, count):
+        """count random towers to D^n_max, with mixed denominators."""
+        rng = SplitMix64(seed)
+        return [natural_map(c.d, c.scale(Fraction(1, 1 + rng.randint(1, 5)), c.sample(rng, 3)),
+                            n_max) for _ in range(count)]
+
+    def test_which_carriers_have_the_hook(self):
+        hooked = {c.name for c in shipped_carriers() + broken_carriers() if c.sum_hurwitz}
+        assert hooked == {"poly_sharp", "diffpoly", "broken_identity", "broken_squaring"}
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5])
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.name)
+    def test_equals_one_sum_per_component(self, carrier, n_max):
+        for seed in range(4):
+            t = self.towers(carrier, seed, n_max, 4)
+            pairs = [(1, t[0], t[1]), (-2, t[2], t[3]), (3, t[1], t[2])]
+            got = hurwitz_sums(carrier, pairs, n_max)
+            assert got == self.per_component(carrier, pairs, n_max)
+            assert len(got) == n_max + 1
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5])
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.name)
+    def test_commuted_pair_cancels(self, carrier, n_max):
+        """The Hurwitz product is commutative, so a·b - b·a is zero in every
+        component, with the summands of both pairs merged."""
+        a, b = self.towers(carrier, 9, n_max, 2)
+        got = hurwitz_sums(carrier, [(1, a, b), (-1, b, a)], n_max)
+        assert all(carrier.eq(x, carrier.zero) for x in got)
+
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.name)
+    def test_no_pairs_give_the_carrier_zero(self, carrier):
+        assert all(x is carrier.zero for x in hurwitz_sums(carrier, [], 3))
+        assert hurwitz_sums(carrier, [(1, [carrier.one], [carrier.one])], -1) == []
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5])
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.name)
+    def test_constant_polynomial_with_no_arguments(self, carrier, n_max):
+        assert faa_di_bruno_mismatch(carrier, Poly.const(Fraction(-5, 3)), {}, n_max) is None

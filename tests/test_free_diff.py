@@ -173,6 +173,10 @@ class TestNaturalMap:
         zero = lambda p: Poly.zero()  # noqa: E731
         assert natural_map(zero, x0, 3) == [x0, 0, 0, 0]
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="tower order must be non-negative, got -1"):
+            natural_map(d_shift, x0, -1)
+
 
 class TestNesting:
     def test_encode_decode_roundtrip(self):

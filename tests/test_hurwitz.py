@@ -743,6 +743,20 @@ class TestTypedErrors:
         with pytest.raises(error, match=message):
             call(*args)
 
+    def test_operators_leave_other_types_to_python(self):
+        """==, + and a right scalar product return NotImplemented on an
+        operand they do not handle, so Python decides: unequal, or a
+        TypeError."""
+        H = self.H
+        assert H.__eq__(1) is NotImplemented and H != 1 and H != (1, 2, 3)
+        assert H.__add__(1) is NotImplemented and H.__rmul__(H) is NotImplemented
+        with pytest.raises(TypeError):
+            H + 1
+
+    def test_repr(self):
+        assert repr(series(1, F(1, 2))) == "Series([1,1/2], hurwitz)"
+        assert repr(series(0, flavor=Flavor.POWER)) == "Series([0], power)"
+
 
 class TestOmegaEval:
     def test_product_component_one(self):

@@ -252,6 +252,10 @@ class TestDerive:
     def test_linear_rule(self):
         assert derive(x) == Tensor.of(unit_poly(), "x")
 
+    def test_printing(self):
+        assert str(Tensor.zero()) == "0"
+        assert str(derive(x ** 2 * y)) == "2*x*y (x) x + x^2 (x) y"
+
     def test_coderive(self):
         assert coderive(Tensor.of(x + y, "x")) == x ** 2 + x * y
         assert coderive(Tensor.zero()) == 0

@@ -88,12 +88,14 @@ MUTANTS = [
     ("mono_mul_takes_max_exponent", "polynomial.py",
      "x[1] + y[1]", "max(x[1], y[1])"),
     # The one product loop of Poly.__mul__ and sum_products drops the weight
-    # w, so a weighted sum of products (higher Leibniz) counts each once.
+    # w, which also carries each product onto the common denominator, so
+    # the Leibniz and chain-rule sums on the polynomial carriers go wrong.
     ("accumulate_drops_weight", "polynomial.py",
      "c1 *= w", "c1 *= 1"),
-    # No law multiplies Poly-coefficient series, so the packed convolution
-    # kernel names its tests.  One bit short, the fields of the packed keys
-    # carry into each other and distinct monomials share a key.
+    # The packed convolution kernel builds the higher-Leibniz and Faà di
+    # Bruno right-hand sides on the polynomial carriers, and it names its
+    # tests too.  One bit short, the fields of the packed keys carry into
+    # each other and distinct monomials share a key.
     ("packed_field_one_bit_short", "polynomial.py",
      "for side in (1, 2)).bit_length()", "for side in (1, 2)).bit_length() - 1",
      "tests/test_hurwitz.py::TestKernel::test_packed_kernel_matches_the_component_fold"),
