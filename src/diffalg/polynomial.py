@@ -359,18 +359,15 @@ class Tensor(LinComb):
     pairs = LinComb.terms
 
     def scale_poly(self, q: Poly) -> "Tensor":
-        """Multiply the polynomial slot of every pair by q, term by term."""
-        out: dict = {}
-        for (m, v), c in self._num.items():
-            for mq, cq in q._num.items():
-                key = (mono_mul(m, mq), v)
-                out[key] = out.get(key, 0) + c * cq
-        return Tensor._from_ints(out, self._den * q._den)
+        """Multiply the polynomial slot of every pair by q: the module
+        action the Leibniz and chain rules land in, one map_poly."""
+        return self.map_poly(lambda slot: slot * q)
 
     def map_poly(self, fn: Callable[[Poly], Poly]) -> "Tensor":
         """Apply a linear function to the polynomial slot of every pair: fn
         is called once per variable, on the sum of that variable's slots.
-        With map_var, the tensor's functorial action; derive is natural under both."""
+        With map_var, the tensor's functorial action; derive is natural under
+        both, and scale_poly is one map_poly."""
         slots: dict = {}
         for (m, v), c in self._num.items():
             slots.setdefault(v, {})[m] = c
@@ -441,23 +438,24 @@ def evaluate(p: Poly, value_of: Callable, one, mul: Callable, zero,
 
 
 def substitute(p: Poly, env: Mapping) -> Poly:
-    """Simultaneous substitution, fully expanded to canonical form.
+    """Simultaneous substitution, fully expanded to canonical form: p
+    evaluated at the images, multiplied out by :func:`evaluate`.
 
     Variables missing from env stand for themselves.  Substitution is a
-    ring morphism: it preserves sums, products, and the unit.  When every
-    image is a single variable with coefficient 1 it is a renaming: each
-    monomial is rebuilt from its renamed exponents, which add where two
-    variables get one name, and no product is formed.
+    ring morphism: it preserves sums, products, and the unit.  A renaming
+    of variables is :func:`rename_vars`, which forms no product.
     """
-    images, names = {}, {}  # names[v] = w where v's image is the variable w
-    for v in {v for m in p._num for v, _ in m}:
-        value = env.get(v)
-        q = images[v] = Poly.variable(v) if value is None else _as_poly(value)
-        m = next(iter(q._num), ())
-        if q._den == 1 and q._num == {m: 1} and len(m) == 1 and m[0][1] == 1:
-            names[v] = m[0][0]
-    if len(names) < len(images):
-        return evaluate(p, images.__getitem__, Poly.one(), operator.mul, Poly.zero())
+    images = {v: Poly.variable(v) if env.get(v) is None else _as_poly(env[v])
+              for v in {v for m in p._num for v, _ in m}}
+    return evaluate(p, images.__getitem__, Poly.one(), operator.mul, Poly.zero())
+
+
+def rename_vars(p: Poly, fn: Callable) -> Poly:
+    """Rebuild p with every variable v replaced by the variable fn(v); fn
+    is called once per distinct variable.  Each monomial is rebuilt from
+    its renamed exponents, which add where two variables get one name, and
+    no product is formed."""
+    names = {v: fn(v) for v in p.variables()}
     out: dict[Mono, int] = {}
     for m, c in p._num.items():
         exps: dict = {}
@@ -466,12 +464,6 @@ def substitute(p: Poly, env: Mapping) -> Poly:
         key = mono_from_exponents(exps)
         out[key] = out.get(key, 0) + c
     return Poly._from_ints(out, p._den)
-
-
-def rename_vars(p: Poly, fn: Callable) -> Poly:
-    """Rebuild p with every variable v replaced by the variable fn(v);
-    fn is called once per distinct variable."""
-    return substitute(p, {v: Poly.variable(fn(v)) for v in p.variables()})
 
 
 def map_linear(p: Poly, f) -> Poly:

@@ -156,22 +156,28 @@ class TestSubstitute:
         assert substitute(eta("X"), {"X": p}) == p
 
     def test_renaming_equals_the_expansion(self):
-        """Images that are single variables with coefficient 1 take the
-        renaming branch; it agrees with multiplying the images out, where
-        variables swap and where two of them collide."""
+        """Images that are single variables with coefficient 1 rename: the
+        substitution and rename_vars both agree with multiplying the images
+        out, where variables swap and where two of them collide."""
         rng = SplitMix64(13)
         for env in ({"x": y, "y": x}, {"x": z, "y": z, "w": x}, {"z": eta("t")}):
             def image(v):
                 return env.get(v, Poly.variable(v))
+
+            def name(v):
+                return image(v).variables()[0]
             for _ in range(20):
                 p = random_poly(rng, 3)
                 want = evaluate(p, image, Poly.one(), operator.mul, Poly.zero())
                 assert substitute(p, env) == want
+                assert rename_vars(p, name) == want
 
     def test_renaming_forms_no_product(self, monkeypatch):
+        """rename_vars rebuilds each monomial from its renamed exponents;
+        substitute, the control, multiplies the same images out."""
         p = 3 * x ** 2 * y - z + 1
-        scaled = 2 * y
-        renamed, expanded = 3 * y ** 2 * x - z + 1, 12 * y ** 3 - z + 1
+        swap = {"x": "y", "y": "x"}
+        renamed, merged = 3 * y ** 2 * x - z + 1, 3 * eta("t") ** 3 - z + 1
         products = []
         mul = Poly.__mul__
 
@@ -180,10 +186,17 @@ class TestSubstitute:
             return mul(a, b)
 
         monkeypatch.setattr(Poly, "__mul__", counted)
-        assert substitute(p, {"x": y, "y": x}) == renamed
+        assert rename_vars(p, lambda v: swap.get(v, v)) == renamed
+        assert rename_vars(p, lambda v: "t" if v in swap else v) == merged
         assert products == []
-        assert substitute(p, {"x": scaled}) == expanded
+        assert substitute(p, {"x": y, "y": x}) == renamed
         assert products
+
+    def test_images_over_variables_of_different_kinds(self):
+        """The images are looked up over the unsorted variable set, so a sum
+        whose terms hold variables of different kinds substitutes; it cannot
+        be printed, so it is compared with ==."""
+        assert substitute(x + dvar("y"), {"x": z}) == z + dvar("y")
 
     def test_renaming_to_mixed_kinds(self):
         with pytest.raises(MixedVariables, match="DVar, str"):
@@ -447,7 +460,14 @@ class TestAxioms:
 
 class TestRenameVars:
     def test_rename(self):
-        assert rename_vars(x ** 2 * y, lambda v: v.upper()) == eta("X") ** 2 * eta("Y")
+        seen = []
+
+        def upper(v):
+            seen.append(v)
+            return v.upper()
+
+        assert rename_vars(x ** 2 * y - 2 * x, upper) == eta("X") ** 2 * eta("Y") - 2 * eta("X")
+        assert sorted(seen) == ["x", "y"]  # once per distinct variable
 
     def test_merging_collisions(self):
         assert rename_vars(x * y, lambda v: "t") == eta("t") ** 2

@@ -116,6 +116,15 @@ MUTANTS = [
     # common denominator when the argument's own denominator differs.
     ("recursion_head_unscaled", "hurwitz.py",
      "head = p._den // q._den * sum(", "head = sum("),
+    # The tensor's slot action drops every sign; scale_poly is one
+    # map_poly, so the Leibniz and chain-rule right-hand sides go wrong.
+    ("map_poly_drops_sign", "polynomial.py",
+     "slots.setdefault(v, {})[m] = c", "slots.setdefault(v, {})[m] = abs(c)"),
+    # Two variables of one monomial renamed to one name keep the last
+    # exponent instead of the sum; it fails no law at seed 42, trials 10.
+    ("rename_keeps_last_exponent", "polynomial.py",
+     "exps.get(names[v], 0) + e", "e",
+     "tests/test_polynomial.py::TestRenameVars::test_merging_collisions"),
 ]
 
 
