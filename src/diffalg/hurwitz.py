@@ -26,15 +26,20 @@ constructor.  A coefficient or a scalar factor is an ``int``, a
 ``Fraction`` or an element of another ring (a polynomial); a ``float``,
 ``complex``, ``bool`` or ``str`` raises ``TypeError``.  Sums, scalar
 products, :func:`smul`, :func:`sderive`, truncation, :func:`psi` and
-:func:`psi_inv` run on the integers and reduce by one gcd per result.
-``coeffs`` of a result shows ``Fraction``s, built on first read, also
-where the operands held ints; ``==``, hash and ``str`` are those of the
-coefficient tuple.  Polynomial coefficients take the same loops as their
-own numerators over 1, except that :func:`_convolution`, the one product
-loop of :func:`smul` and of :func:`sum_smul` (a weighted sum of
-products), builds every component of all-``Poly`` factors in one packed
-pass, :func:`~diffalg.polynomial.sum_convolution`, not one sum of products
-per component.
+:func:`psi_inv` run on the integers and reduce by one gcd per result,
+which also decides the store: a ``Poly`` or ``Fraction`` numerator makes
+``math.gcd`` raise ``TypeError``, and the result goes through the public
+constructor.  :func:`psi` and :func:`psi_inv` read a factorial row kept
+as Pascal's rows are.  ``coeffs`` of a result shows ``Fraction``s, built
+on first read, also where the operands held ints; ``==``, hash and
+``str`` are those of the coefficient tuple; :func:`omega_eval` and
+:func:`delta_eval` build the one ``Fraction`` they return.  Polynomial
+coefficients take the same loops as their own numerators over 1, except
+that :func:`_convolution`, the one product loop of :func:`smul` and of
+:func:`sum_smul` (a weighted sum of products), builds every component of
+all-``Poly`` factors in one packed pass,
+:func:`~diffalg.polynomial.sum_convolution`, not one sum of products per
+component.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or by the chain rule D(q(x)) = sum_v
@@ -93,19 +98,20 @@ class Series:
     @classmethod
     def _reduced(cls, nums, den: int, flavor: Flavor) -> "Series":
         """The series nums/den: int numerators are divided through by their
-        gcd with den; other values are divided by den and go through the
-        public constructor."""
-        if all(type(n) is int for n in nums):
+        gcd with den; other values (math.gcd refuses them) are divided by
+        den and go through the public constructor."""
+        try:
             g = math.gcd(den, *nums)
-            if g != 1:
-                nums, den = [n // g for n in nums], den // g
-            s = object.__new__(cls)
-            _set(s, "_num", tuple(nums))
-            _set(s, "_den", den)
-            _set(s, "_coeffs", None)
-            _set(s, "flavor", flavor)
-            return s
-        return cls(nums if den == 1 else [n * Fraction(1, den) for n in nums], flavor)
+        except TypeError:  # a Poly or a Fraction among the numerators
+            return cls(nums if den == 1 else [n * Fraction(1, den) for n in nums], flavor)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+        s = object.__new__(cls)
+        _set(s, "_num", tuple(nums))
+        _set(s, "_den", den)
+        _set(s, "_coeffs", None)
+        _set(s, "flavor", flavor)
+        return s
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"a {type(self).__name__} is immutable: "
@@ -253,7 +259,7 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
     :func:`~diffalg.polynomial.sum_convolution`; others (numbers, or
     polynomials mixed with scalars) are summed term by term."""
     rows = _rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
-    if all(isinstance(c, Poly) for _, a, b in pairs for c in a + b):
+    if all(isinstance(c, Poly) for _, a, b in pairs for s in (a, b) for c in s):
         return sum_convolution(pairs, order, rows)
     if flavor is Flavor.HURWITZ:  # add the pairs' k-th summands, weigh once
         (a0, b0), *rest = [(a if w == 1 else [w * c for c in a], b) for w, a, b in pairs]
@@ -288,6 +294,18 @@ def _rows(count: int):
     if count <= len(_PASCAL):
         return _PASCAL[:count]
     return chain(_PASCAL[:-1], _pascal_rows(count - _PASCAL_CAP, _PASCAL[-1]))
+
+
+# 0!, ..., 64!, built at import
+_FACTORIALS = tuple(accumulate(range(1, _PASCAL_CAP + 1), operator.mul, initial=1))
+
+
+def _factorials(count: int) -> tuple:
+    """0!, ..., (count-1)!: kept ones, then built past the cap."""
+    if count <= len(_FACTORIALS):
+        return _FACTORIALS[:count]
+    return _FACTORIALS[:-1] + tuple(
+        accumulate(range(_PASCAL_CAP + 1, count), operator.mul, initial=_FACTORIALS[-1]))
 
 
 def smul_trunc(f: Series, g: Series) -> Series:
@@ -349,12 +367,16 @@ def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
 def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     """Component k <= n of the evaluation of p, by the chain rule
     D(q(x)) = sum_v (dq/dv)(x)·D(x_v): each iterated partial q of p is one
-    series R(q), rebuilt only when a higher order is asked of it.  Its
-    component 0 is q at the 0-components, an integer over s = L·d^deg(p)
-    (L the stored denominator of p, d the lcm of the series' denominators,
-    or 1 over polynomials).  The rest integrates the :func:`sum_smul` of
-    the R(dq/dv) with the sderive(x_v), one order lower: Hurwitz prepends
-    component 0, power also divides component m by m."""
+    series R(q) to order n - j, kept under its multi-index (how often each
+    of p's variables was differentiated, j times in all), so a partial
+    reached again is found before :func:`~diffalg.polynomial.partial`
+    computes it.  Its component 0 is q at the 0-components, an integer
+    over s = L·d^deg(p) (L the stored denominator of p, d the lcm of the
+    series' denominators, or 1 over polynomials).  The rest integrates the
+    :func:`sum_smul` of the R(dq/dv) with the sderive(x_v), one order
+    lower: Hurwitz prepends component 0, power also divides component m by
+    m.  A component is read from R(p) alone, not from all of its
+    ``coeffs``."""
     _check_env(p, env, n, flavor)
     names = p.variables()
     series = [env[v].truncate(n) for v in names]
@@ -365,32 +387,37 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     deg = p.total_degree()
     s = p._den * d ** deg
     memo: dict = {}
+    where = {v: i for i, v in enumerate(names)}
 
-    def build(q: Poly, k: int, build) -> Series:
-        """R(q) to order k or beyond.  It recurses through its argument: a
-        closure cell naming itself would be a cycle, holding the memo until
-        the cyclic GC runs."""
-        r = memo.get(q)
-        if r is not None and r.order >= k:
-            return r
+    def build(q: Poly, key: tuple, k: int, build) -> Series:
+        """R(q) to order k, for q the partial of p that key counts.  It
+        recurses through its argument: a closure cell naming itself would be
+        a cycle, holding the memo until the cyclic GC runs."""
         # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
         head = p._den // q._den * sum(
             n * d ** (deg - mono_degree(m)) * math.prod(x0[v] ** e for v, e in m)
             for m, n in q._num.items())
         variables = q.variables() if k else ()
         if not variables:
-            r = memo[q] = Series._reduced([head] + [0] * k, s, flavor)
+            r = memo[key] = Series._reduced([head] + [0] * k, s, flavor)
             return r
-        tail = sum_smul([(1, build(partial(q, v), k - 1, build), dx[v]) for v in variables])
+        parts = []
+        for v in variables:
+            i = where[v]
+            sub = (*key[:i], key[i] + 1, *key[i + 1:])
+            r = memo.get(sub)
+            parts.append((1, build(partial(q, v), sub, k - 1, build) if r is None else r, dx[v]))
+        tail = sum_smul(parts)
         # component m of R(q) is tail[m-1] / steps[m-1], all over den
         steps = range(1, k + 1) if flavor is Flavor.POWER else (1,) * k
         den = math.lcm(s, tail._den) * math.lcm(*steps)
         lift = den // tail._den
-        r = memo[q] = Series._reduced(
+        r = memo[key] = Series._reduced(
             [head * (den // s), *(c * (lift // m) for c, m in zip(tail._num, steps))], den, flavor)
         return r
 
-    return lambda k: build(p, n, build).coeffs[k]
+    r = build(p, (0,) * len(names), n, build)
+    return lambda k: Fraction(r._num[k], r._den) if r._coeffs is None else r._coeffs[k]
 
 
 def _components(p: Poly, env: Mapping, n: int, flavor: Flavor) -> list:
@@ -488,20 +515,24 @@ def comul(f: Series, rows: int) -> SeriesOfSeries:
 
 
 def psi(f: Series) -> Series:
-    """Power -> Hurwitz isomorphism: multiply coefficient n by n!."""
+    """Power -> Hurwitz isomorphism: multiply coefficient n by n!, read
+    from the factorial row (:func:`_factorials`: kept to
+    :data:`_PASCAL_CAP`, as Pascal's rows are)."""
     if f.flavor is not Flavor.POWER:
         raise FlavorMismatch("psi expects a power-flavored series")
-    facts = accumulate(range(1, len(f._num)), operator.mul, initial=1)
+    facts = _factorials(len(f._num))
     return Series._reduced(list(map(operator.mul, facts, f._num)), f._den, Flavor.HURWITZ)
 
 
 def psi_inv(f: Series) -> Series:
     """Hurwitz -> power: divide coefficient n by n! (exact in rationals),
-    as coefficient n times N!/n! over N! for the order N."""
+    as coefficient n times N!/n! over N! for the order N, the factorials
+    read from the row that :func:`psi` reads."""
     if f.flavor is not Flavor.HURWITZ:
         raise FlavorMismatch("psi_inv expects a Hurwitz-flavored series")
-    scale = list(accumulate(range(f.order, 0, -1), operator.mul, initial=1))[::-1]
-    return Series._reduced(list(map(operator.mul, scale, f._num)), f._den * scale[0],
+    facts = _factorials(len(f._num))
+    top = facts[f.order]
+    return Series._reduced([top // k * n for k, n in zip(facts, f._num)], f._den * top,
                            Flavor.POWER)
 
 

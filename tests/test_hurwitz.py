@@ -520,6 +520,31 @@ class TestStore:
             assert twin == got and hash(twin) == hash(got), name
             assert (twin._num, twin._den) == (got._num, got._den), name
 
+    def test_reduced_int_numerators_share_one_gcd(self):
+        got = Series._reduced([2, -4, 6], 4, Flavor.POWER)
+        assert (got._num, got._den, got._coeffs) == ((1, -2, 3), 2, None)
+        assert got.coeffs == (F(1, 2), F(-1), F(3, 2))
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    @pytest.mark.parametrize("nums, den, want", [
+        ((eta("x"), 2 * eta("x"), eta("y")), 3,
+         (F(1, 3) * eta("x"), F(2, 3) * eta("x"), F(1, 3) * eta("y"))),
+        ((3, eta("x")), 2, (F(3, 2), F(1, 2) * eta("x"))),
+        ((eta("x"), 3), 2, (F(1, 2) * eta("x"), F(3, 2))),
+        ((F(1, 2), 3, F(-4, 3)), 6, (F(1, 12), F(1, 2), F(-2, 9))),
+        ((F(1, 2), 3), 1, (F(1, 2), 3)),
+        ((1, eta("x"), F(1, 2)), 2, (F(1, 2), F(1, 2) * eta("x"), F(1, 4))),
+    ])
+    def test_reduced_sends_other_numerators_to_the_constructor(self, nums, den, want):
+        """A Poly or a Fraction among the numerators, wherever it stands,
+        makes the result the public constructor's: its coeffs, with their
+        types, and its store."""
+        for flavor in Flavor:
+            got, twin = Series._reduced(list(nums), den, flavor), Series(want, flavor)
+            assert got.coeffs == want
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want]
+            assert (got._num, got._den) == (twin._num, twin._den)
+
     def test_int_and_fraction_coefficients_agree(self):
         for flavor in Flavor:
             ints, fracs = Series((1, 2), flavor), Series((F(1), F(2)), flavor)
@@ -653,10 +678,32 @@ class TestRecursionKernel:
             assert _components(Poly.zero(), env, 3, flavor) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_one_component_equals_the_components(self, flavor):
+        """omega_eval and delta_eval read the one component asked for: it
+        equals that entry of _components, a Fraction over the rationals, and
+        the same value and type over polynomials and a mixed environment."""
+        evaluator = omega_eval if flavor is Flavor.HURWITZ else delta_eval
+        rng = SplitMix64(97)
+        t = eta("t")
+        p = self.three_variable_poly(rng) * self.three_variable_poly(rng)
+        rational = {v: random_series(rng, 6, flavor) for v in ("X", "Y", "Z")}
+        polys = {"X": Series((t, F(1, 2) * t * t + 1, F(3), t - 2, F(1, 3), t, F(2)), flavor),
+                 "Y": Series((F(2), t, F(-1, 5), t * t, F(7), F(1, 4), 1 - t), flavor),
+                 "Z": Series((t + 1, 0, t, F(2, 3), t * t, 3, t), flavor)}
+        mixed = dict(rational, Y=polys["Y"])
+        for env in (rational, polys, mixed):
+            for n in range(7):
+                got, want = evaluator(p, env, n), _components(p, env, 6, flavor)[n]
+                assert got == want == _components(p, env, n, flavor)[n]
+                assert type(got) is type(want)
+                if env is rational:
+                    assert type(got) is Fraction
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
     def test_partial_reached_at_two_depths(self, flavor):
-        """dp/dX and d2p/dY2 coincide (1, then Z): the series built for the
-        shallower partial, one order higher than the deeper one asks for,
-        serves both."""
+        """dp/dX and d2p/dY2 coincide (1, then Z) under two multi-indices of
+        different sizes, one order apart: each is kept to its own order, and
+        every component is still the ring's."""
         X, Y, Z = eta("X"), eta("Y"), eta("Z")
         rng = SplitMix64(83)
         for p in (X + F(1, 2) * Y ** 2, X * Z + F(1, 2) * Y ** 2 * Z):
@@ -1001,6 +1048,25 @@ class TestPsi:
     def test_suite(self):
         for report in check_psi_laws(40, 47):
             assert report.passed, report.to_json()
+
+    @pytest.mark.parametrize("order", [0, hurwitz._PASCAL_CAP, hurwitz._PASCAL_CAP + 1, 1000])
+    def test_kept_factorial_row_and_past_it(self, order):
+        """psi and psi_inv at the last kept factorial and past it, where the
+        row is built in the call, against math.factorial per component."""
+        rng = SplitMix64(89)
+        f, h = random_series(rng, order, Flavor.POWER), random_series(rng, order, Flavor.HURWITZ)
+        table = hurwitz._FACTORIALS
+        assert psi(f).coeffs == tuple(math.factorial(n) * c for n, c in enumerate(f.coeffs))
+        assert psi_inv(h).coeffs == tuple(c / math.factorial(n) for n, c in enumerate(h.coeffs))
+        assert psi_inv(psi(f)) == f and psi(psi_inv(h)) == h
+        assert hurwitz._FACTORIALS is table
+        assert len(table) == hurwitz._PASCAL_CAP + 1
+
+    def test_factorial_rows(self):
+        for count in range(hurwitz._PASCAL_CAP + 3):
+            facts = hurwitz._factorials(count)
+            assert facts == tuple(math.factorial(n) for n in range(count))
+            assert type(facts) is tuple
 
     def test_round_trip_catches_a_faulty_psi_inv(self, monkeypatch):
         """A psi_inv off in its last coefficient fails the round trip at

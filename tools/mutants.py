@@ -125,6 +125,28 @@ MUTANTS = [
     ("rename_keeps_last_exponent", "polynomial.py",
      "exps.get(names[v], 0) + e", "e",
      "tests/test_polynomial.py::TestRenameVars::test_merging_collisions"),
+    # The Rota-Baxter derivation keeps only the terms with a constant tail,
+    # each scaled by degree 0: it is the zero map, a derivation that kills
+    # P, so every law still passes.
+    ("rb_D_is_zero", "rota_baxter.py",
+     "if k[-1] != EMPTY}", "if k[-1] == EMPTY}",
+     "tests/test_lincomb.py::TestStore::test_rota_baxter"),
+    # A series result keeps its int numerators over an unreduced
+    # denominator, and divides by a gcd of 1: equal values, but a store
+    # that is not canonical; no law looks at the store.
+    ("series_reduction_skipped", "hurwitz.py",
+     "if g != 1:", "if g == 1:",
+     "tests/test_diff_laws.py::TestSamplers::test_random_series_equals_the_fold"),
+    # The public shuffle() adds the coefficients of the two words instead
+    # of multiplying them; no law calls it.  (The text cu * cv alone also
+    # matches shuffle_term_count.)
+    ("shuffle_adds_coefficients", "rota_baxter.py",
+     "Fraction(cu * cv, den)", "Fraction(cu + cv, den)",
+     "tests/test_cli.py::TestRbBound::test_repeated_letters_are_counted_apart"),
+    # psi_inv reads its top factorial one row short, (N-1)! for N!, so the
+    # last coefficient of every series of order N >= 1 comes back 0.
+    ("psi_inv_top_factorial_one_row_short", "hurwitz.py",
+     "top = facts[f.order]", "top = facts[f.order - 1]"),
 ]
 
 
