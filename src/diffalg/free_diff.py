@@ -49,6 +49,11 @@ class DVar(NamedTuple("DVar", [("base", str), ("order", int)])):
     def _make(cls, iterable) -> "DVar":  # so _replace is checked too
         return cls(*iterable)
 
+    def _successor(self) -> "DVar":
+        """(x, n+1) for self = (x, n), built without the checks: a checked
+        base stays a str and a checked order plus one an int above 0."""
+        return tuple.__new__(DVar, (self[0], self[1] + 1))
+
     def __str__(self) -> str:
         if self.order <= 3:
             return self.base + "'" * self.order
@@ -70,7 +75,9 @@ def d_shift(p: Poly) -> Poly:
     Keys are built by insertion, not by a product: (x, n+1) sorts right
     after (x, n) with nothing in between, so the bumped factor goes
     directly after position i, merging into the next factor when that is
-    already (x, n+1).
+    already (x, n+1).  Each bumped variable is its variable's
+    :meth:`DVar._successor`: the variable passed DVar's checks when it was
+    made, so its successor needs none.
     """
     out: dict = {}
     bump: dict = {}  # v -> (x, n+1), built once per variable
@@ -78,7 +85,7 @@ def d_shift(p: Poly) -> Poly:
         for i, (v, e) in enumerate(m):
             bumped = bump.get(v)
             if bumped is None:
-                bumped = bump[v] = DVar(v.base, v.order + 1)
+                bumped = bump[v] = v._successor()
             head = m[:i] + ((v, e - 1),) if e > 1 else m[:i]
             rest = m[i + 1:]
             if rest and rest[0][0] == bumped:

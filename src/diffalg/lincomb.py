@@ -26,7 +26,9 @@ accumulate numerators with one dict lookup and one store::
 
 and a sum merges by dict union, which reuses the stored hashes.  The sums
 and their denominator go to :meth:`LinComb._from_ints`, which drops the
-keys that cancelled and divides by one gcd.
+keys that cancelled and divides by one gcd; sums kept as parallel lists
+of keys and numerators go to :meth:`LinComb._from_lists`, which does the
+same on the lists, so each key is hashed once.
 """
 
 from __future__ import annotations
@@ -112,6 +114,20 @@ class LinComb:
             sums = {k: n // g for k, n in sums.items()}
             den //= g
         return cls._ints(sums, den)
+
+    @classmethod
+    def _from_lists(cls, keys: list, nums: list, den: int):
+        """:meth:`_from_ints` of dict(zip(keys, nums)) for distinct keys,
+        reduced on the lists before the dict is built, so each key is
+        hashed once."""
+        if 0 in nums:
+            keys = [k for k, n in zip(keys, nums) if n]
+            nums = [n for n in nums if n]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        return cls._ints(dict(zip(keys, nums)), den)
 
     @classmethod
     def zero(cls):

@@ -258,7 +258,9 @@ def sum_convolution(pairs, order: int, rows) -> list:
     when first seen, wide enough for an a-side plus a b-side exponent, so a
     product's key is the sum of its factors' keys and no field carries.
     mono_mul runs only on a key not seen before, so a key that mixes
-    variable kinds raises MixedVariables there, as a * b does."""
+    variable kinds raises MixedVariables there, as a * b does.  Each
+    component is reduced once, on its lists of monomials and numerators
+    (LinComb._from_lists), so each output monomial is hashed once."""
     width = sum(max((e for pair in pairs for c in pair[side] for m in c._num for _, e in m),
                     default=0) for side in (1, 2)).bit_length()
     fields: dict = {}  # variable -> the shift of its field
@@ -289,12 +291,13 @@ def sum_convolution(pairs, order: int, rows) -> list:
                 n1 *= w
                 for k2, m2, n2 in y:
                     k = k1 + k2
-                    if k in acc:
-                        acc[k] += n1 * n2
-                    else:
+                    s = acc.get(k)
+                    if s is None:
                         acc[k] = n1 * n2
                         monos.append(mono_mul(m1, m2))
-        out.append(Poly._from_ints(dict(zip(monos, acc.values())), den))
+                    else:
+                        acc[k] = s + n1 * n2
+        out.append(Poly._from_lists(monos, list(acc.values()), den))
     return out
 
 

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from fractions import Fraction
 
@@ -116,6 +117,25 @@ class TestShift:
         for _ in range(40):
             p, q = random_diffpoly(rng, 3), random_diffpoly(rng, 3)
             assert d_shift(p * q) == p * d_shift(q) + d_shift(p) * q
+
+    def test_bumped_variables_are_checked_dvars(self):
+        """The bumped (x, n+1) skips DVar's checks but is a DVar like any
+        other: equal and hash-equal to the checked one, it pickles and
+        copies, and a _replace of it is checked again."""
+        p = x0 ** 2 * y1 + dvar("y", 3) * dvar("z", 7)
+        bumped = {v for m, _ in d_shift(p).terms() for v, _ in m} - set(p.variables())
+        assert bumped == {DVar("x", 1), DVar("y", 2), DVar("y", 4), DVar("z", 8)}
+        for v in bumped:
+            assert type(v) is DVar
+            assert v == DVar(v.base, v.order) and hash(v) == hash(DVar(v.base, v.order))
+            with pytest.raises(ValueError, match="non-negative, got -1"):
+                v._replace(order=-1)
+        shifted = d_shift(p)
+        for twin in (pickle.loads(pickle.dumps(shifted)), copy.copy(shifted),
+                     copy.deepcopy(shifted)):
+            assert twin == shifted and hash(twin) == hash(shifted)
+            assert list(twin.terms()) == list(shifted.terms())
+            assert all(type(v) is DVar for m, _ in twin.terms() for v, _ in m)
 
     def test_grading(self):
         # on a monomial: total degree is preserved, derivative weight

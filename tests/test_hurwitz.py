@@ -42,7 +42,7 @@ from diffalg.hurwitz import (
     sum_smul,
     sunit,
 )
-from diffalg.polynomial import Poly, eta, partial, sum_products
+from diffalg.polynomial import Poly, eta, partial, sum_convolution, sum_products
 from diffalg.rng import SplitMix64
 from diffalg.scalars import binom
 from diffalg.suites import check_comonad_laws, check_eval_pointwise, check_psi_laws
@@ -310,21 +310,25 @@ class TestKernel:
     @pytest.mark.parametrize("order", [0, 3, 8])
     def test_one_reduction_per_component(self, order, monkeypatch):
         """An order-N product of Poly-coefficient series reduces N+1 sums,
-        one per component, not one per summand as a fold would."""
+        one per component, not one per summand as a fold would: each on
+        its lists (_from_lists), and none through _from_ints."""
         rng = SplitMix64(71)
         f, g = (diamond(d_shift, random_diffpoly(rng, 3, max_degree=2), order)
                 for _ in range(2))
-        reductions = []
-        original = Poly._from_ints.__func__
+        reductions, dict_reductions = [], []
+        original = Poly._from_lists.__func__
 
-        def counting(cls, sums, den):
-            reductions.append(len(sums))
-            return original(cls, sums, den)
+        def counting(cls, keys, nums, den):
+            reductions.append(len(keys))
+            return original(cls, keys, nums, den)
 
-        monkeypatch.setattr(Poly, "_from_ints", classmethod(counting))
+        monkeypatch.setattr(Poly, "_from_lists", classmethod(counting))
+        monkeypatch.setattr(Poly, "_from_ints", classmethod(
+            lambda cls, sums, den: dict_reductions.append(sums)))
         got = smul(f, g)
         monkeypatch.undo()
         assert len(reductions) == order + 1
+        assert dict_reductions == []
         assert got.coeffs == plain_convolution(f, g)
 
     def test_zero_and_order_zero(self):
@@ -336,6 +340,63 @@ class TestKernel:
             assert smul(f, zero) == zero
             single = smul(Series((F(3, 4),), flavor), Series((F(-2, 3),), flavor))
             assert single.coeffs == (F(-1, 2),)
+
+
+def convolution_fold(pairs, order: int, rows) -> list:
+    """sum_convolution's reference: component n as one sum_products of the
+    (w·row[k], a[k], b[n-k]) triples over the pairs (row None: weight w)."""
+    return [sum_products((w * (row[k] if row else 1), a[k], b[n - k])
+                         for w, a, b in pairs for k in range(n + 1))
+            for n, row in zip(range(order + 1), rows)]
+
+
+class TestSumConvolution:
+    """The reduction of each packed component, against the per-component
+    sum_products fold: the numerators in the fold's key order and its
+    denominator, where a component cancels whole and where its numerators
+    share a factor with the denominator."""
+
+    x, y, z = eta("x"), eta("y"), eta("z")
+
+    def check(self, pairs, rows) -> list:
+        got = sum_convolution(pairs, 2, rows)
+        want = convolution_fold(pairs, 2, rows)
+        assert len(got) == len(want) == 3
+        for c, p in zip(got, want):
+            assert type(c) is Poly
+            assert list(c._num.items()) == list(p._num.items())
+            assert c._den == p._den
+        return got
+
+    def test_a_component_that_cancels(self):
+        """Power weights: component 1 is (1/2)x·(-2/5)x + (1/3)x·(3/5)x, 0
+        over the lcm 30."""
+        x = self.x
+        a, b = (F(1, 2) * x, F(1, 3) * x, Poly.zero()), (F(3, 5) * x, F(-2, 5) * x, Poly.zero())
+        got = self.check([(1, a, b)], (None,) * 3)
+        assert got[1]._num == {} and got[1]._den == 1 and got[1] == Poly.zero()
+        assert got[0] == F(3, 10) * x ** 2 and got[0]._den == 10
+
+    def test_numerators_that_share_a_factor(self):
+        """Hurwitz weights: component 2 is (x/2)(2z) + 2(y/4)y + z·x, with
+        numerators 8 (xz) and 2 (y²) over the lcm 4, so 2xz + y²/2 over 2."""
+        x, y, z = self.x, self.y, self.z
+        a, b = (F(1, 2) * x, F(1, 4) * y, z), (x, y, 2 * z)
+        got = self.check([(1, a, b)], ((1,), (1, 1), (1, 2, 1)))
+        assert got[2] == 2 * x * z + F(1, 2) * y ** 2 and got[2]._den == 2
+        assert list(got[2]._num.values()) == [4, 1]
+
+    def test_both_in_one_call(self):
+        """Power weights, one call: component 1 cancels, component 2 is
+        xz - (2/15)x² + (2/5)xy, whose numerators 30, -4 and 12 over the
+        lcm 30 share a 2, and component 0 needs neither; the pair is split
+        into two weighted copies, so every key is hit twice."""
+        x, y, z = self.x, self.y, self.z
+        a, b = (F(1, 2) * x, F(1, 3) * x, F(2, 3) * y), (F(3, 5) * x, F(-2, 5) * x, 2 * z)
+        got = self.check([(3, a, b), (-2, a, b)], (None,) * 3)
+        assert got[0] == F(3, 10) * x ** 2 and got[0]._den == 10
+        assert got[1]._num == {} and got[1]._den == 1
+        assert got[2] == x * z - F(2, 15) * x ** 2 + F(2, 5) * x * y and got[2]._den == 15
 
 
 class TestPascalRows:

@@ -84,6 +84,12 @@ MUTANTS = [
     # that factor's exponent is not raised.
     ("d_shift_drops_merged_exponent", "free_diff.py",
      "rest[0][1] + 1", "rest[0][1]"),
+    # The unchecked successor that d_shift bumps each variable to skips an
+    # order, (x, n) to (x, n+2): it fails shift_matches_sharp, the
+    # derivation laws on diffpoly and the monad laws.
+    ("shift_successor_two_orders", "free_diff.py",
+     "(self[0], self[1] + 1)", "(self[0], self[1] + 2)",
+     "tests/test_free_diff.py::TestShift::test_bumped_variables_are_checked_dvars"),
     # A shared variable keeps the larger exponent instead of the sum.
     ("mono_mul_takes_max_exponent", "polynomial.py",
      "x[1] + y[1]", "max(x[1], y[1])"),
@@ -101,8 +107,15 @@ MUTANTS = [
      "tests/test_hurwitz.py::TestKernel::test_packed_kernel_matches_the_component_fold"),
     # A packed key seen again keeps only its latest summand.
     ("packed_hit_keeps_latest_summand", "polynomial.py",
-     "acc[k] += n1 * n2", "acc[k] = n1 * n2",
+     "acc[k] = s + n1 * n2", "acc[k] = n1 * n2",
      "tests/test_hurwitz.py::TestKernel::test_packed_kernel_matches_the_component_fold"),
+    # Each packed component divides by a gcd of 1 and keeps its numerators
+    # over the unreduced lcm: equal values in a store that is not
+    # canonical, so == fails the higher-Leibniz and Faà di Bruno laws on
+    # the polynomial carriers.
+    ("packed_component_left_unreduced", "lincomb.py",
+     "if g != 1:\n            nums = [n // g", "if g == 1:\n            nums = [n // g",
+     "tests/test_hurwitz.py::TestSumConvolution"),
     # A zero exponent is accepted, and mono_from_exponents drops it; no
     # law decodes a malformed nesting.
     ("decode_nested_accepts_zero_exponent", "free_diff.py",
@@ -111,7 +124,7 @@ MUTANTS = [
     # The numerators are divided by their gcd with the denominator but the
     # denominator is not, so every reduced value shrinks by that gcd.
     ("from_ints_keeps_den", "lincomb.py",
-     "den //= g", "den //= 1"),
+     "sums.items()}\n            den //= g", "sums.items()}\n            den //= 1"),
     # The constant term of the composition recursion is not put over the
     # common denominator when the argument's own denominator differs.
     ("recursion_head_unscaled", "hurwitz.py",
