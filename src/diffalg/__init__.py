@@ -23,7 +23,7 @@ _EXPORTS = {
     "scalars": "Rational binom factorial",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "carriers", "cli", "errors", "expr", "lincomb", "rng", "suites"}
+_SUBMODULES = {*_EXPORTS, *"carriers cli errors expr lincomb literals rng suites".split()}
 
 __all__ = list(_HOME)
 

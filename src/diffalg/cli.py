@@ -21,22 +21,21 @@ All output is deterministic given the inputs and --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
-from .expr import (DIFF_MODE, MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, POLY_MODE, WorkMeter,
-                   _eval_cost, _shuffle_words, check_bound, parse_poly, parse_rational,
-                   parse_series_literal, product, shift)
-from .polynomial import Poly, mono_str
+from .literals import (MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, check_bound, parse_rational,
+                       parse_series_literal)
 
-if TYPE_CHECKING:  # each verb imports the modules it uses, so start-up follows the verb
+# Start-up follows the verb: each handler imports what its verb runs, so the
+# series verbs load no polynomial module and only JSON input or output loads
+# json (said here, not in the docstring, which is the --help text).
+if TYPE_CHECKING:  # names for annotations only
     from . import hurwitz as hz
-
-SCHEMA = 1
+    from .polynomial import Poly
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,17 +107,24 @@ def _text(value) -> str:
         raise ResultTooLarge(f"the result has a number of more than {limit} digits") from None
 
 
+def _json(fields: dict) -> str:
+    """One JSON object: "schema": 1, then fields."""
+    import json
+    return json.dumps({"schema": 1, **fields})
+
+
 def _emit_poly(p: Poly, fmt: str) -> None:
-    print(json.dumps({"schema": SCHEMA, "result": _text(p)}) if fmt == "json" else _text(p))
+    print(_json({"result": _text(p)}) if fmt == "json" else _text(p))
 
 
 def _emit_series(s: hz.Series, fmt: str) -> None:
-    print(json.dumps({"schema": SCHEMA, "flavor": s.flavor.value,
-                      "coeffs": [_text(c) for c in s.coeffs]}) if fmt == "json" else _text(s))
+    print(_json({"flavor": s.flavor.value, "coeffs": [_text(c) for c in s.coeffs]})
+          if fmt == "json" else _text(s))
 
 
 def _json_payload(text: str, what: str) -> dict:
     """The JSON object that text holds."""
+    import json
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -160,6 +166,7 @@ def _rational(value, what: str) -> Fraction:
 
 def _letters(obj: dict, key: str) -> list:
     """The polynomial letters of the word stored under key."""
+    from .expr import POLY_MODE, parse_poly
     return [parse_poly(s, POLY_MODE) for s in _json_list(_field(obj, key), str, f'"{key}"')]
 
 
@@ -183,6 +190,7 @@ def _series_from_json(env: dict, name: str) -> hz.Series:
 
 def _rb_terms(payload: dict, key: str) -> list:
     """The (letters, tail, coeff) terms of the element stored under key."""
+    from .expr import POLY_MODE, parse_poly
     obj = _json_object(_field(payload, key), f'"{key}"')
     terms = []
     for t in _json_list(_field(obj, "terms"), dict, '"terms"'):
@@ -195,6 +203,7 @@ def _rb_terms(payload: dict, key: str) -> list:
 
 
 def _cmd_diff(args) -> int:
+    from .expr import DIFF_MODE, parse_poly, shift
     if not 0 <= args.n <= MAX_ORDER:
         raise ParseError(f"--n must be from 0 to {MAX_ORDER}", 1, frozenset({"natural number"}))
     _emit_poly(shift(parse_poly(_positional(args.expr), DIFF_MODE), args.n, 1), args.format)
@@ -202,6 +211,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    from .expr import DIFF_MODE, WorkMeter, parse_poly, product
     p = parse_poly(_positional(args.expr), DIFF_MODE)
     q = parse_poly(args.other, DIFF_MODE)
     _emit_poly(product(p, q, 1, WorkMeter()), args.format)
@@ -210,6 +220,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_eval(args) -> int:
     from . import hurwitz as hz
+    from .expr import POLY_MODE, _eval_cost, parse_poly
     expr, text = args.expr, _stdin()
     if expr == "-":  # first stdin line is the expression, the remainder is the JSON env
         line, _, text = text.partition("\n")
@@ -229,7 +240,7 @@ def _cmd_eval(args) -> int:
     rows = [{"n": n, "recursion": _text(rec), "ring": _text(ring)}
             for n, (rec, ring) in enumerate(zip(recursion, oracle.coeffs))]
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "flavor": first.flavor.value, "components": rows}))
+        print(_json({"flavor": first.flavor.value, "components": rows}))
     else:
         for r in rows:
             agree = "ok" if r["recursion"] == r["ring"] else "MISMATCH"
@@ -239,11 +250,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_series_mul(args) -> int:
     from . import hurwitz as hz
-    left = parse_series_literal(_positional(args.left))
-    right = parse_series_literal(args.right)
     flavor = hz.Flavor(args.verb)
-    f = hz.Series(left, flavor).truncate(args.order)
-    g = hz.Series(right, flavor).truncate(args.order)
+    f, g = (hz.Series(parse_series_literal(text), flavor).truncate(args.order)
+            for text in (_positional(args.left), args.right))
     _emit_series(hz.smul_trunc(f, g), args.format)
     return 0
 
@@ -251,12 +260,10 @@ def _cmd_series_mul(args) -> int:
 def _cmd_psi(args) -> int:
     from . import hurwitz as hz
     coeffs = parse_series_literal(_positional(args.series))
-    src = hz.Flavor.POWER if args.src == "power" else hz.Flavor.HURWITZ
     if args.dst is not None and args.dst == args.src:
         raise ParseError("--to must differ from --from", 1, frozenset({"flavor"}))
-    s = hz.Series(coeffs, src).truncate(args.order)
-    out = hz.psi(s) if src is hz.Flavor.POWER else hz.psi_inv(s)
-    _emit_series(out, args.format)
+    s = hz.Series(coeffs, hz.Flavor(args.src)).truncate(args.order)
+    _emit_series(hz.psi(s) if args.src == "power" else hz.psi_inv(s), args.format)
     return 0
 
 
@@ -270,6 +277,8 @@ def _cmd_laws(args) -> int:
 
 def _cmd_rb(args) -> int:
     from . import rota_baxter as rb
+    from .expr import _shuffle_words
+    from .polynomial import Poly, mono_str
     payload = _json_payload(_stdin(), "the payload")
     if args.op == "shuffle":  # the words u and v, as one-term elements with tail 1
         s, t = ([(_letters(payload, key), Poly.one())] for key in "uv")
@@ -298,7 +307,7 @@ def _cmd_rb(args) -> int:
             elem = rb.rb_P(s) if args.op == "P" else rb.rb_D(s)
         out = {"terms": [{"word": word(w), "tail": mono_str(t), "coeff": _text(c)}
                          for (w, t), c in sorted(elem.terms())]}
-    print(json.dumps({"schema": SCHEMA, **out}))
+    print(_json(out))
     return 0
 
 

@@ -21,7 +21,7 @@ by sending (x, n) to the n-th derivative of the chosen image of x.
 
 from __future__ import annotations
 
-import json
+from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import MalformedNesting, UnboundVariable
@@ -131,6 +131,7 @@ def natural_map(d: Callable, a, n_max: int) -> list:
 
 def encode_nested(p: Poly) -> str:
     """Serialize a differential polynomial for use as an outer base name."""
+    import json
     terms_map = dict(p.terms())
     terms = []
     for m in sorted(terms_map):
@@ -142,8 +143,7 @@ def encode_nested(p: Poly) -> str:
 def decode_nested(s: str) -> Poly:
     """Inverse of :func:`encode_nested`; raises :class:`MalformedNesting`
     if the string is not a serialized differential polynomial."""
-    from fractions import Fraction
-
+    import json
     try:
         data = json.loads(s)
         terms = {}

@@ -56,13 +56,14 @@ import numbers
 import operator
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import FlavorMismatch, OrderExhausted, OrderMismatch, UnboundVariable
-from .free_diff import natural_map
 from .lincomb import over_lcm, ratio
-from .polynomial import Poly, evaluate, mono_degree, partial, sum_convolution
 from .scalars import power
+
+if TYPE_CHECKING:  # the functions that use polynomials import them, so rational series do not
+    from .polynomial import Poly
 
 
 class Flavor(enum.Enum):
@@ -259,8 +260,10 @@ def _convolution(pairs, order: int, flavor: Flavor) -> list:
     :func:`~diffalg.polynomial.sum_convolution`; others (numbers, or
     polynomials mixed with scalars) are summed term by term."""
     rows = _rows(order + 1) if flavor is Flavor.HURWITZ else repeat(None)
-    if all(isinstance(c, Poly) for _, a, b in pairs for s in (a, b) for c in s):
-        return sum_convolution(pairs, order, rows)
+    if not isinstance(pairs[0][1][0], (int, Fraction)):  # a rational series stores ints
+        from .polynomial import Poly, sum_convolution
+        if all(isinstance(c, Poly) for _, a, b in pairs for s in (a, b) for c in s):
+            return sum_convolution(pairs, order, rows)
     if flavor is Flavor.HURWITZ:  # add the pairs' k-th summands, weigh once
         (a0, b0), *rest = [(a if w == 1 else [w * c for c in a], b) for w, a, b in pairs]
         out = []
@@ -332,6 +335,7 @@ def ring_eval(p: Poly, env: Mapping) -> Series:
     All series in env must share flavor and order.  Variables of p missing
     from env raise :class:`UnboundVariable`.
     """
+    from .polynomial import evaluate
     if not env:
         raise ValueError("ring_eval needs at least one series to fix flavor and order")
     first = next(iter(env.values()))
@@ -377,6 +381,7 @@ def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     lower: Hurwitz prepends component 0, power also divides component m by
     m.  A component is read from R(p) alone, not from all of its
     ``coeffs``."""
+    from .polynomial import mono_degree, partial
     _check_env(p, env, n, flavor)
     names = p.variables()
     series = [env[v].truncate(n) for v in names]
@@ -463,6 +468,7 @@ def diamond(d: Callable, a, order: int) -> Series:
     It converts products to Hurwitz products (the higher-order Leibniz rule
     in series form) and intertwines D with the shift.
     """
+    from .free_diff import natural_map
     return Series(tuple(natural_map(d, a, order)), Flavor.HURWITZ)
 
 
@@ -545,6 +551,8 @@ def colift(images: Mapping, carrier, p, order: int) -> Series:
     themselves, so the empty map is the identity morphism and recovers
     :func:`diamond`.  Coefficient 0 is f(p), the counit law.
     """
+    from .free_diff import natural_map
+    from .polynomial import Poly, evaluate
 
     def image(v):
         return images[v] if v in images else Poly.variable(v)

@@ -188,8 +188,7 @@ class TestEvalCost:
     def test_cost_counts_nodes(self):
         """X^4 has the partial nodes X^4, 4X^3, 12X^2, 24X and 24; X^3*Y^3
         the 16 partials X^i*Y^j; a sum adds up the nodes of its monomials."""
-        from diffalg.cli import MAX_EVAL_COST, _eval_cost
-        from diffalg.expr import parse_poly
+        from diffalg.expr import MAX_EVAL_COST, _eval_cost, parse_poly
 
         cost = [_eval_cost(parse_poly(text, "poly"), order)
                 for text, order in (("X^4", 999), ("X^3*Y^3", 558), ("7", 1000), ("X + Y^2", 9))]
@@ -256,29 +255,37 @@ class TestImports:
         assert r.stdout == "[]\n"
 
     # Runs one verb through cli.main and prints, after the verb's output,
-    # its exit code and the modules it loaded that were not loaded before.
-    FOOTPRINT = ("import json, sys\n"
+    # its exit code and the modules it loaded that were not loaded before;
+    # json is imported for that print only after the modules are read.
+    FOOTPRINT = ("import sys\n"
                  "before = set(sys.modules)\n"
                  "from diffalg import cli\n"
                  "code = cli.main(sys.argv[1:])\n"
-                 "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
-    POLY_ONLY = ("diffalg.hurwitz", "diffalg.rota_baxter", "diffalg.diff_laws", "dataclasses")
-    SERIES = ("diffalg.rota_baxter", "diffalg.diff_laws", "dataclasses")
+                 "loaded = sorted(set(sys.modules) - before)\n"
+                 "import json\n"
+                 "print(json.dumps([code, loaded]))\n")
+    HARNESS = ("diffalg.rota_baxter", "diffalg.diff_laws", "dataclasses")
+    POLY_ONLY = ("diffalg.hurwitz", *HARNESS, "json")
+    POLY_STACK = ("diffalg.polynomial", "diffalg.free_diff", "diffalg.expr")
+    SERIES = (*HARNESS, *POLY_STACK, "json")
 
     @pytest.mark.parametrize("args, stdin, uses, absent", [
         (("mul", "x + 1", "x - 1"), None, "diffalg.expr", POLY_ONLY),
         (("diff", "--n", "2", "x^2"), None, "diffalg.free_diff", POLY_ONLY),
         (("rb", "--op", "mul"), RB_MUL, "diffalg.rota_baxter",
-         ("diffalg.hurwitz", "diffalg.diff_laws")),
+         ("diffalg.hurwitz", "diffalg.diff_laws", "diffalg.free_diff")),
         (("hurwitz", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
         (("power", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
         (("psi", "[1,1,1]"), None, "diffalg.hurwitz", SERIES),
-        (("eval", "X*Y"), TestEval.ENV, "diffalg.hurwitz", SERIES),
-    ], ids=["mul", "diff", "rb", "hurwitz", "power", "psi", "eval"])
+        (("psi", "[1,1,1]", "--format", "json"), None, "json", (*HARNESS, *POLY_STACK)),
+        (("eval", "X*Y"), TestEval.ENV, "diffalg.hurwitz", (*HARNESS, "diffalg.free_diff")),
+    ], ids=["mul", "diff", "rb", "hurwitz", "power", "psi", "psi-json", "eval"])
     def test_each_verb_loads_only_its_modules(self, args, stdin, uses, absent):
         """A verb's start-up pays only for the modules it uses: the law
         harness (and dataclasses with it) loads for laws alone, the series
-        module for the series verbs, the shuffle algebra for rb."""
+        module for the series verbs, the shuffle algebra for rb.  The
+        series verbs load no polynomial module, eval and rb no free_diff,
+        and only JSON input or output loads json."""
         r = run_child("-c", self.FOOTPRINT, *args, stdin=stdin)
         assert r.returncode == 0, r.stderr
         code, loaded = json.loads(r.stdout.splitlines()[-1])
@@ -551,12 +558,12 @@ class TestMissingFields:
         assert r.stderr == f'error: missing field "{field}"\n'
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import expr
+        from diffalg import free_diff
 
         def broken(p):
             raise KeyError("internal")
 
-        monkeypatch.setattr(expr, "d_shift", broken)
+        monkeypatch.setattr(free_diff, "d_shift", broken)
         with pytest.raises(KeyError):
             run_cli("diff", "x")
 
@@ -664,11 +671,11 @@ class TestTypedInputErrors:
         assert r.stderr == b"error: standard input is not utf-8 text at byte 5 (expected: utf-8 text)\n"
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        from diffalg import expr
+        from diffalg import free_diff
 
         def broken(p):
             raise ValueError("internal")
 
-        monkeypatch.setattr(expr, "d_shift", broken)
+        monkeypatch.setattr(free_diff, "d_shift", broken)
         with pytest.raises(ValueError):
             run_cli("diff", "x")

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cli_runner import run_cli
-from diffalg import expr, polynomial
+from diffalg import expr, free_diff, literals, polynomial
 from diffalg.errors import ModeError, ParseError
 from diffalg.expr import (
     DIFF_MODE,
@@ -164,7 +164,7 @@ class TestOrderBound:
 
     @pytest.fixture
     def shifts(self, monkeypatch):
-        return recorded(monkeypatch, expr, "d_shift", lambda p: p)
+        return recorded(monkeypatch, free_diff, "d_shift", lambda p: p)
 
     def test_at_the_bound(self, shifts):
         assert parse_poly(f"D^{MAX_ORDER}(x)") == dvar("x", MAX_ORDER)
@@ -668,7 +668,7 @@ class TestSeriesLiterals:
         coefficient is read."""
         ones = ["1"] * (MAX_ORDER + 1)
         assert len(parse_series_literal("[" + ",".join(ones) + "]")) == MAX_ORDER + 1
-        monkeypatch.setattr(expr, "parse_rational", None)
+        monkeypatch.setattr(literals, "parse_rational", None)
         with pytest.raises(ParseError, match=f"more than {MAX_ORDER + 1} coefficients at byte 1"):
             parse_series_literal("[" + ",".join(ones + ["1"]) + "]")
 

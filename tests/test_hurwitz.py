@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffalg import hurwitz
+from diffalg import hurwitz, polynomial
 from diffalg.carriers import diffpoly_carrier, random_diffpoly, random_poly, random_series
 from diffalg.diff_laws import random_fraction
 from diffalg.errors import (
@@ -397,6 +397,47 @@ class TestSumConvolution:
         assert got[0] == F(3, 10) * x ** 2 and got[0]._den == 10
         assert got[1]._num == {} and got[1]._den == 1
         assert got[2] == x * z - F(2, 15) * x ** 2 + F(2, 5) * x * y and got[2]._den == 15
+
+
+_X, _Y = eta("x"), eta("y")
+# (a, b, whether _convolution may take the packed Poly kernel)
+DISPATCH = {
+    "rational": ((F(1, 2), 3, F(-2, 3)), (2, F(1, 5), -1), False),
+    "all_poly": ((_X, _X * _Y - 1, Poly.const(F(1, 2))), (_Y, Poly.const(3), _X ** 2), True),
+    "poly_first": ((_X, F(1, 2), _X * _Y), (_Y, 3, F(-1, 3) * _X), False),
+    "scalar_first": ((F(1, 2), _X, _Y), (3, _X * _Y, Poly.const(2)), False),
+}
+
+
+class TestConvolutionDispatch:
+    """_convolution sends only all-Poly factors to the packed kernel. A
+    series whose first numerator is an int or a Fraction (every rational
+    series) skips the all-Poly check, and polynomials mixed with scalars,
+    whichever comes first, are summed term by term; each product equals
+    the textbook convolution."""
+
+    @pytest.fixture
+    def packed(self, monkeypatch) -> list:
+        """The orders sum_convolution is called with, read where hurwitz
+        imports it."""
+        calls, original = [], polynomial.sum_convolution
+
+        def spy(pairs, order, rows):
+            calls.append(order)
+            return original(pairs, order, rows)
+
+        monkeypatch.setattr(polynomial, "sum_convolution", spy)
+        return calls
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("case", sorted(DISPATCH))
+    def test_only_all_poly_products_are_packed(self, packed, flavor, case):
+        a, b, reaches = DISPATCH[case]
+        f, g = Series(a, flavor), Series(b, flavor)
+        assert smul(f, g).coeffs == plain_convolution(f, g)
+        assert sum_smul([(2, f, g), (-1, g, f)]).coeffs == tuple(
+            2 * c - d for c, d in zip(plain_convolution(f, g), plain_convolution(g, f)))
+        assert packed == ([2, 2] if reaches else [])
 
 
 class TestPascalRows:

@@ -82,7 +82,8 @@ class TestLazyNamespace:
         code = ("import sys, diffalg; print('diffalg.hurwitz' in sys.modules, "
                 "diffalg.hurwitz.smul_trunc.__module__, 'diffalg.hurwitz' in sys.modules)")
         assert in_child(code) == "False diffalg.hurwitz True\n"
-        for module in ("errors", "lincomb", "rng", "expr", "carriers", "suites", *HOMES):
+        for module in ("errors", "lincomb", "literals", "rng", "expr", "carriers", "suites",
+                       *HOMES):
             assert getattr(diffalg, module) is importlib.import_module(f"diffalg.{module}")
 
     def test_dir_covers_all_before_first_use(self):
