@@ -35,17 +35,19 @@ on first read, also where the operands held ints; ``==``, hash and
 ``str`` are those of the coefficient tuple; :func:`omega_eval` and
 :func:`delta_eval` build the one ``Fraction`` they return.  Polynomial
 coefficients take the same loops as their own numerators over 1, except
-that :func:`_convolution`, the one product loop of :func:`smul` and of
-:func:`sum_smul` (a weighted sum of products), builds every component of
-all-``Poly`` factors in one packed pass,
-:func:`~diffalg.polynomial.sum_convolution`, not one sum of products per
-component.
+that :func:`_convolution`, the one product loop of :func:`smul`, of
+:func:`sum_smul` (a weighted sum of products) and of the chain-rule
+recursion below, builds every component of all-``Poly`` factors in one
+packed pass, :func:`~diffalg.polynomial.sum_convolution`, not one sum of
+products per component.
 
 Evaluating a polynomial p at series arguments can be done two ways: with
 the ring operations above, or by the chain rule D(q(x)) = sum_v
-(dq/dv)(x)·D(x_v), one series per iterated partial of p, as
-:func:`omega_eval` (Hurwitz) and :func:`delta_eval` (power) do.  The two
-agree; that equality is one of the package's central executable facts.
+(dq/dv)(x)·D(x_v), as :func:`omega_eval` (Hurwitz) and :func:`delta_eval`
+(power) do: each iterated partial of p is an exponent-vector dict of ints
+and its series a row of int numerators over one denominator, with no
+polynomial or :class:`Series` built per partial.  The two agree; that
+equality is one of the package's central executable facts.
 """
 
 from __future__ import annotations
@@ -370,58 +372,73 @@ def _check_env(p: Poly, env: Mapping, n: int, flavor: Flavor) -> None:
 
 def _recursion(p: Poly, env: Mapping, n: int, flavor: Flavor) -> Callable:
     """Component k <= n of the evaluation of p, by the chain rule
-    D(q(x)) = sum_v (dq/dv)(x)·D(x_v): each iterated partial q of p is one
-    series R(q) to order n - j, kept under its multi-index (how often each
-    of p's variables was differentiated, j times in all), so a partial
-    reached again is found before :func:`~diffalg.polynomial.partial`
-    computes it.  Its component 0 is q at the 0-components, an integer
-    over s = L·d^deg(p) (L the stored denominator of p, d the lcm of the
-    series' denominators, or 1 over polynomials).  The rest integrates the
-    :func:`sum_smul` of the R(dq/dv) with the sderive(x_v), one order
-    lower: Hurwitz prepends component 0, power also divides component m by
-    m.  A component is read from R(p) alone, not from all of its
-    ``coeffs``."""
-    from .polynomial import mono_degree, partial
+    D(q(x)) = sum_v (dq/dv)(x)·D(x_v) on integer rows.  Each iterated
+    partial q of p is a dict from exponent vectors over p's variables to
+    ints over s = L·d^deg(p) (L the stored denominator of p, d the lcm of
+    the series' denominators, or 1 over polynomials); dq/dv lowers v's
+    exponent and multiplies by it and by d.  Its series R(q) to order
+    n - j is a (numerators, den) pair kept under its multi-index (how often
+    each variable was differentiated, j times in all), so a partial
+    reached again is found before it is built.  Component 0 is q at the
+    0-components, from their kept powers.  The rest integrates one
+    :func:`_convolution` of the R(dq/dv) with the sderive(x_v), weighted
+    onto their lcm, one order lower: Hurwitz prepends component 0, power
+    also divides component m by m.  One gcd reduces each pair; ring values
+    are stored, the tail too, as :class:`Series` and :func:`sum_smul` store
+    them.  A component is read from R(p) alone, not from all its ``coeffs``."""
     _check_env(p, env, n, flavor)
     names = p.variables()
     series = [env[v].truncate(n) for v in names]
-    d = 1 if any(f._coeffs is f._num for f in series) else math.lcm(*(f._den for f in series))
-    x0 = {v: f.coeffs[0] if d % f._den else f._num[0] * (d // f._den)
-          for v, f in zip(names, series)}
-    dx = {v: sderive(f) for v, f in zip(names, series)} if n else {}
+    ring = any(f._coeffs is f._num for f in series)
+    d = 1 if ring else math.lcm(*(f._den for f in series))
+    x0 = [f.coeffs[0] if d % f._den else f._num[0] * (d // f._den) for f in series]
+    dx = [(g._num, g._den) for g in map(sderive, series)] if n else ()
     deg = p.total_degree()
     s = p._den * d ** deg
+    top = {tuple(map(dict(m).get, names, repeat(0))): c * d ** (deg - sum(e for _, e in m))
+           for m, c in p._num.items()}
+    powers = [list(accumulate(repeat(x, k), operator.mul, initial=1))
+              for x, k in zip(x0, map(max, zip(*top)))]
     memo: dict = {}
-    where = {v: i for i, v in enumerate(names)}
 
-    def build(q: Poly, key: tuple, k: int, build) -> Series:
-        """R(q) to order k, for q the partial of p that key counts.  It
-        recurses through its argument: a closure cell naming itself would be
-        a cycle, holding the memo until the cyclic GC runs."""
-        # q(x/d)·s = sum over m of n_m·(L/q's den)·d^(deg p - deg m)·x^m
-        head = p._den // q._den * sum(
-            n * d ** (deg - mono_degree(m)) * math.prod(x0[v] ** e for v, e in m)
-            for m, n in q._num.items())
-        variables = q.variables() if k else ()
-        if not variables:
-            r = memo[key] = Series._reduced([head] + [0] * k, s, flavor)
-            return r
-        parts = []
-        for v in variables:
-            i = where[v]
+    def reduced(nums, den: int) -> tuple:
+        try:
+            g = math.gcd(den, *nums)
+        except TypeError:  # a Poly or a Fraction: as a Series stores it
+            r = Series._reduced(nums, den, flavor)
+            return r._num, r._den
+        return ([c // g for c in nums], den // g) if g != 1 else (nums, den)
+
+    def build(q: dict, key: tuple, k: int, build) -> tuple:
+        """R(q) to order k, unreduced, for q the partial of p that key
+        counts.  It recurses through its argument: a closure cell naming
+        itself would be a cycle, holding the memo until the cyclic GC
+        runs."""
+        head = sum(c * math.prod(map(operator.getitem, powers, e)) for e, c in q.items())
+        pairs = []
+        for i in range(len(key) if k else 0):
             sub = (*key[:i], key[i] + 1, *key[i + 1:])
             r = memo.get(sub)
-            parts.append((1, build(partial(q, v), sub, k - 1, build) if r is None else r, dx[v]))
-        tail = sum_smul(parts)
-        # component m of R(q) is tail[m-1] / steps[m-1], all over den
-        steps = range(1, k + 1) if flavor is Flavor.POWER else (1,) * k
-        den = math.lcm(s, tail._den) * math.lcm(*steps)
-        lift = den // tail._den
-        r = memo[key] = Series._reduced(
-            [head * (den // s), *(c * (lift // m) for c, m in zip(tail._num, steps))], den, flavor)
-        return r
+            if r is None:
+                dq = {(*e[:i], e[i] - 1, *e[i + 1:]): c * e[i] * d for e, c in q.items() if e[i]}
+                if not dq:
+                    continue
+                r = memo[sub] = reduced(*build(dq, sub, k - 1, build))
+            pairs.append((r, dx[i]))
+        if not pairs:
+            return [head] + [0] * k, s
+        tden = math.lcm(*(a[1] * b[1] for a, b in pairs))
+        tail = _convolution([(tden // (a[1] * b[1]), a[0], b[0]) for a, b in pairs], k - 1, flavor)
+        if ring:
+            tail, tden = reduced(tail, tden)
+        # component m of R(q) is tail[m-1], divided by m for power, over den
+        steps = range(1, k + 1) if flavor is Flavor.POWER else ()
+        den = math.lcm(s, tden) * math.lcm(*steps)
+        lift = den // tden
+        lifts = [lift // m for m in steps] or repeat(lift)
+        return [head * (den // s), *map(operator.mul, tail, lifts)], den
 
-    r = build(p, (0,) * len(names), n, build)
+    r = Series._reduced(*build(top, (0,) * len(names), n, build), flavor)
     return lambda k: Fraction(r._num[k], r._den) if r._coeffs is None else r._coeffs[k]
 
 

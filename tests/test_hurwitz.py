@@ -456,7 +456,8 @@ class TestPascalRows:
         order = hurwitz._PASCAL_CAP + 10
         smul(random_series(rng, order, Flavor.HURWITZ), random_series(rng, order, Flavor.HURWITZ))
         env = {v: random_series(rng, 100, Flavor.HURWITZ) for v in "xy"}
-        omega_eval(eta("x") * eta("y") + eta("x"), env, 100)
+        p = eta("x") * eta("y") + eta("x")
+        assert omega_eval(p, env, 100) == ring_eval(p, env)[100]
         assert hurwitz._PASCAL is table
         assert len(table) == hurwitz._PASCAL_CAP + 1
 
@@ -813,6 +814,26 @@ class TestRecursionKernel:
                 env = {v: random_series(rng, n + 2, flavor) for v in ("X", "Y", "Z")}
                 oracle = ring_eval(p, {v: s.truncate(n) for v, s in env.items()})
                 assert _components(p, env, n, flavor) == list(oracle.coeffs)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_every_component_past_the_kept_rows(self, flavor):
+        """Order 72 is past the kept Pascal rows: a three-variable p with
+        mixed partials (of X·Y·Z and X²·Z, reached in either order), over a
+        rational and over a mixed environment, equals the ring's in every
+        component."""
+        order = hurwitz._PASCAL_CAP + 8
+        rng = SplitMix64(89)
+        X, Y, Z = eta("X"), eta("Y"), eta("Z")
+        p = X * Y * Z - F(2, 3) * X ** 2 * Z + F(5, 4) * Y ** 3 + 7 * Z - F(1, 6)
+        rational = {v: random_series(rng, order, flavor) for v in ("X", "Y", "Z")}
+        t = eta("t")
+        ring_y = Series(tuple(t if k % 3 == 0 else c for k, c in enumerate(rational["Y"].coeffs)),
+                        flavor)
+        for env in (rational, dict(rational, Y=ring_y)):
+            got = _components(p, env, order, flavor)
+            assert got == list(ring_eval(p, env).coeffs)
+            if env is rational:
+                assert all(type(c) is Fraction for c in got)
 
     def test_power_at_the_eval_bound_in_little_memory(self):
         """X*Y at order 1000, the largest eval request of two variables that

@@ -125,10 +125,15 @@ MUTANTS = [
     # denominator is not, so every reduced value shrinks by that gcd.
     ("from_ints_keeps_den", "lincomb.py",
      "sums.items()}\n            den //= g", "sums.items()}\n            den //= 1"),
-    # The constant term of the composition recursion is not put over the
-    # common denominator when the argument's own denominator differs.
+    # The constant term of the composition recursion is not put over its
+    # node's denominator.  Only power's division of component m by m makes
+    # that differ from the head's own denominator, so only power fails.
     ("recursion_head_unscaled", "hurwitz.py",
-     "head = p._den // q._den * sum(", "head = sum("),
+     "head * (den // s)", "head"),
+    # The recursion lowers an exponent for each partial without
+    # multiplying by it, so every partial of a higher power is wrong.
+    ("recursion_partial_drops_exponent", "hurwitz.py",
+     "c * e[i] * d for e, c in", "c * d for e, c in"),
     # The tensor's slot action drops every sign; scale_poly is one
     # map_poly, so the Leibniz and chain-rule right-hand sides go wrong.
     ("map_poly_drops_sign", "polynomial.py",
