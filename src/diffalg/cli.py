@@ -20,13 +20,14 @@ All output is deterministic given the inputs and --seed.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge
+from .errors import DiffalgError, MalformedPayload, ParseError, ResultTooLarge, UsageError
 from .literals import (MAX_EVAL_COST, MAX_ORDER, MAX_POWER_TERMS, check_bound, parse_rational,
                        parse_series_literal)
 
@@ -38,51 +39,85 @@ if TYPE_CHECKING:  # names for annotations only
     from .polynomial import Poly
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="diffalg", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="verb", required=True)
+# Each verb's positionals and options: option -> (destination, int or the choices, default[,
+# floor]), where a default of ... marks a required option and a floor (least value, what the
+# value must be, what is expected) bounds the value read last.
+_FORMAT = {"--format": ("format", ("text", "json"), "text")}
+_ORDER = {"--order": ("order", int, 8, (0, "a natural number", "natural number")), **_FORMAT}
+_VERBS = {
+    "diff": (("expr",), {"--n": ("n", int, 1), **_FORMAT}), "mul": (("expr", "other"), _FORMAT),
+    "eval": (("expr",), _ORDER), "hurwitz": (("left", "right"), _ORDER),
+    "power": (("left", "right"), _ORDER),
+    "psi": (("series",), {"--from": ("src", ("power", "hurwitz"), "power"),
+                          "--to": ("dst", ("power", "hurwitz"), None), **_ORDER}),
+    "laws": ((), {"--seed": ("seed", int, 0),
+                  "--trials": ("trials", int, 100, (1, "at least 1", "positive integer"))}),
+    "rb": ((), {"--op": ("op", ("shuffle", "mul", "P", "D", "raw"), ...)})}
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("diff", help="apply the shift derivation")
-    p.add_argument("expr")
-    p.add_argument("--n", type=int, default=1, help="iteration count")
-    common(p)
+def _option(t: str, options: dict) -> tuple:
+    """(option, value) as argparse read the token t: (None, t) for a value, such as "-", a negative
+    number or a token with a space, and (None, None) for an unknown option."""
+    name, eq, value, names = *t.partition("="), (*options, "-h", "--help")
+    if t[:1] != "-" or t == "-":
+        return None, t
+    if t in names or eq and name in names:
+        return name, value if eq else None
+    short = t[1] != "-"  # -h may carry more h's; a unique prefix stands for a long option
+    found = ["-h"] * t.startswith("-h") if short else [n for n in names if n.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {t} could match {', '.join(found)}")
+    if found:
+        return found[0], t[2:] if short else value if eq else None
+    return None, t if " " in t or re.match(r"-\d+$|-\d*\.\d+$", t) else None
 
-    p = sub.add_parser("mul", help="multiply two polynomials")
-    p.add_argument("expr")
-    p.add_argument("other")
-    common(p)
 
-    p = sub.add_parser("eval", help="evaluate at a JSON series environment from stdin")
-    p.add_argument("expr")
-    p.add_argument("--order", type=int, default=8)
-    common(p)
-
-    for flavor in ("hurwitz", "power"):
-        p = sub.add_parser(flavor, help=f"{flavor} product of two series literals")
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("--order", type=int, default=8, help="truncate inputs to this order")
-        common(p)
-
-    p = sub.add_parser("psi", help="convert series flavor via factorial rescaling")
-    p.add_argument("series")
-    p.add_argument("--from", dest="src", choices=("power", "hurwitz"), default="power")
-    p.add_argument("--to", dest="dst", choices=("power", "hurwitz"), default=None)
-    p.add_argument("--order", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("laws", help="run the full law suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("rb", help="shuffle-algebra operations on JSON input")
-    p.add_argument("--op", choices=("shuffle", "mul", "P", "D", "raw"), required=True)
-
-    return ap
+def _read_argv(argv: list):
+    """The namespace of argv (args.verb and the verb's destinations), or None once the help that
+    -h or --help asks for is printed.  The last of a repeated option wins."""
+    values, slots, options, extras, ended, at = {}, ["verb"], {}, [], False, None
+    tokens = enumerate(argv)
+    for i, t in tokens:
+        separator = t == "--" and not ended
+        name, value = (None, t) if ended or separator else _option(t, options)
+        if separator and values:  # a last "--" after no positional is an extra argument
+            ended, extras = True, extras + [t] * (at != i - 1 and i == len(argv) - 1)
+        elif name in ("-h", "--help"):
+            if value is not None and not (name == "-h" and set(value) == {"h"}):
+                raise UsageError(f"{t}: help takes no value")
+            any(t == "--" or not _option(t, options) for _, t in tokens)  # ambiguous prefixes fail
+            return print(" ".join(["usage: diffalg", values["verb"], *map(str.upper, positionals),
+                                   *(f"[{o} {d.upper()}]" for o, (d, *_) in options.items())])
+                         if values else __doc__)
+        elif name:
+            if value is None:  # the value is the next token
+                value = next(tokens, (i, "--"))[1]
+                if value == "--" or _option(value, options) != (None, value):
+                    raise UsageError(f"{name} expects a value")
+            dest, reader, *_ = options[name]
+            try:  # tuple.index refuses a value that is not a choice
+                values[dest] = int(value) if reader is int else reader[reader.index(value)]
+            except ValueError:
+                raise UsageError(f"{name}: invalid value {value!r}") from None
+        elif value is None or not slots:  # an unknown option or a positional too many
+            extras.append(t)
+        elif values:
+            values[slots.pop(0)], at = t, i
+        elif t in _VERBS:
+            (positionals, options), values["verb"] = _VERBS[t], t
+            slots = list(positionals)
+        else:
+            raise UsageError(f"unknown verb {t!r}; the verbs are {', '.join(_VERBS)}")
+    args = {dest: default for dest, _, default, *_ in options.values()} | values
+    missing = slots + [o for o, (dest, *_) in options.items() if args[dest] is ...]
+    if missing or extras:
+        raise UsageError(f"missing {', '.join(missing)}" if missing else
+                         f"unrecognized arguments: {' '.join(extras)}")
+    for option, (dest, _, _, *floor) in options.items():
+        for least, must, expected in floor:
+            if args[dest] < least:
+                raise ParseError(f"{option} must be {must}", 1, frozenset({expected}))
+    return SimpleNamespace(**args)
 
 
 def _stdin() -> str:
@@ -316,13 +351,9 @@ _COMMANDS = {"diff": _cmd_diff, "mul": _cmd_mul, "eval": _cmd_eval, "hurwitz": _
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "order", 0) < 0:
-            raise ParseError("--order must be a natural number", 1, frozenset({"natural number"}))
-        if getattr(args, "trials", 1) < 1:
-            raise ParseError("--trials must be at least 1", 1, frozenset({"positive integer"}))
-        code = _COMMANDS[args.verb](args)
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        code = 0 if args is None else _COMMANDS[args.verb](args)  # None: the help is printed
         sys.stdout.flush()
         return code
     except DiffalgError as exc:

@@ -31,6 +31,10 @@ class MalformedPayload(DiffalgError):
     lists of strings, terms as lists of objects, rational coefficients)."""
 
 
+class UsageError(DiffalgError):
+    """The command line is not a verb with the arguments it takes."""
+
+
 class ResultTooLarge(DiffalgError):
     """A result holds an integer of more decimal digits than the
     interpreter converts to text (``sys.get_int_max_str_digits()``)."""

@@ -30,17 +30,14 @@ class Run(NamedTuple):
 
 def run_cli(*argv: str, stdin="") -> Run:
     """cli.main(argv) in this process, reading stdin and with stdout and
-    stderr captured.  An argparse exit is its exit code; any other
-    exception escapes to the test."""
+    stderr captured.  main returns every exit code, a usage error's too;
+    any exception escapes to the test."""
     from diffalg import cli
 
     out, err = io.StringIO(), io.StringIO()
     with (mock.patch.object(sys, "stdin", io.StringIO(stdin)),
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return Run(code, out.getvalue(), err.getvalue())
 
 

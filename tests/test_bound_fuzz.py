@@ -190,7 +190,8 @@ literals = st.one_of(
               st.text(alphabet="[]0123456789,/ x", max_size=15)),
 )
 series_orders = st.sampled_from([-1, 0, 1, 2, 3, 8, 40, MAX_ORDER, MAX_ORDER + 1])
-# A positional argument that starts with "-" would be an argparse usage
+# The argv reader takes a token that starts with "-" for an option, unless it
+# is "-", a negative number or holds a space; an unknown option is a usage
 # error, not a refusal of ours, so such expressions go through stdin.
 poly_texts = st.one_of(
     st.recursive(

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -6,12 +9,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cli_runner import CLI, run_child, run_cli
+from diffalg import cli
+from diffalg.errors import DiffalgError
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 LAWS_GOLDEN = DATA / "laws_seed42_trials10.txt"
+# The argv draws are the same on every run.
+ARGV_DRAWS = settings(derandomize=True, deadline=None, max_examples=400)
 RB_MUL = json.dumps({"s": {"terms": [{"word": ["a"], "tail": "x"}]},
                      "t": {"terms": [{"word": ["b"], "tail": "y"}]}})
 
@@ -90,7 +99,7 @@ class TestEval:
 class TestRunners:
     """run_cli, which calls cli.main in this process, prints what a fresh
     ``python -m diffalg.cli`` prints and exits as it does: one call of
-    each verb, an argparse usage error and a typed input error."""
+    each verb, a usage error, a typed input error and the two helps."""
 
     @pytest.mark.parametrize("args, stdin, code", [
         (("diff", "-", "--n", "2"), "x^2*y\n", 0),
@@ -103,13 +112,219 @@ class TestRunners:
         (("rb", "--op", "mul"), RB_MUL, 0),
         (("nonsense",), "", 2),
         (("diff", "x^"), "", 2),
+        (("--help",), "", 0),
+        (("psi", "-h"), "", 0),
     ], ids=["diff-stdin", "mul", "eval", "hurwitz", "power", "psi", "laws", "rb", "usage-error",
-            "typed-error"])
+            "typed-error", "help", "verb-help"])
     def test_same_as_a_child(self, args, stdin, code):
         r = run_cli(*args, stdin=stdin)
         assert r == run_child(*CLI, *args, stdin=stdin)
         assert r.returncode == code
         assert r.stdout if code == 0 else r.stderr
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse spec of the verbs that diffalg.cli read its argv with
+    before its verb table, kept as the reference of the argv reader."""
+    ap = argparse.ArgumentParser(prog="diffalg", description=cli.__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="verb", required=True)
+
+    def common(p: argparse.ArgumentParser):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+
+    p = sub.add_parser("diff", help="apply the shift derivation")
+    p.add_argument("expr")
+    p.add_argument("--n", type=int, default=1, help="iteration count")
+    common(p)
+
+    p = sub.add_parser("mul", help="multiply two polynomials")
+    p.add_argument("expr")
+    p.add_argument("other")
+    common(p)
+
+    p = sub.add_parser("eval", help="evaluate at a JSON series environment from stdin")
+    p.add_argument("expr")
+    p.add_argument("--order", type=int, default=8)
+    common(p)
+
+    for flavor in ("hurwitz", "power"):
+        p = sub.add_parser(flavor, help=f"{flavor} product of two series literals")
+        p.add_argument("left")
+        p.add_argument("right")
+        p.add_argument("--order", type=int, default=8, help="truncate inputs to this order")
+        common(p)
+
+    p = sub.add_parser("psi", help="convert series flavor via factorial rescaling")
+    p.add_argument("series")
+    p.add_argument("--from", dest="src", choices=("power", "hurwitz"), default="power")
+    p.add_argument("--to", dest="dst", choices=("power", "hurwitz"), default=None)
+    p.add_argument("--order", type=int, default=8)
+    common(p)
+
+    p = sub.add_parser("laws", help="run the full law suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100)
+
+    p = sub.add_parser("rb", help="shuffle-algebra operations on JSON input")
+    p.add_argument("--op", choices=("shuffle", "mul", "P", "D", "raw"), required=True)
+
+    return ap
+
+
+REFERENCE = _build_parser()
+
+
+def reference_reading(argv: list) -> tuple:
+    """(exit code, fields) of the reference parser and of the two bounds
+    main checked after it; fields is None where it exited, on a usage error
+    or after printing its help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            fields = vars(REFERENCE.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, None
+    # The reference reads a "--" that it strips from a value as an empty list
+    # (--opt=--, or a positional "--" after the "--" that ends the options),
+    # and its exit code is None here; the reader reads the text "--" there,
+    # as test_empty_list_corners pins.
+    if any(isinstance(v, list) for v in fields.values()):
+        return None, fields
+    if fields.get("order", 0) < 0 or fields.get("trials", 1) < 1:
+        return 2, None
+    return 0, fields
+
+
+def reading(argv: list) -> tuple:
+    """(exit code, fields) of cli._read_argv, as reference_reading gives them."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = cli._read_argv(argv)
+    except DiffalgError:
+        return 2, None
+    return 0, None if args is None else vars(args)
+
+
+OPTIONS = ["--n", "--format", "--order", "--from", "--to", "--seed", "--trials", "--op", "--help"]
+VALUES = st.one_of(st.integers(-20, 20).map(str),
+                   st.sampled_from(["text", "json", "power", "hurwitz", "shuffle", "mul", "P", "D",
+                                    "raw", "x", "", "1.5", "-1.5", "-.5", "+3", " 4", "1_0", "a b",
+                                    "[1]", "-[1]", "x^2"]))
+OPTION_SPELLINGS = st.one_of(
+    st.sampled_from(OPTIONS),
+    st.tuples(st.sampled_from(OPTIONS), st.integers(3, 6)).map(lambda t: t[0][:t[1]]),
+    st.tuples(st.sampled_from(OPTIONS), st.integers(3, 9), VALUES)
+    .map(lambda t: f"{t[0][:t[1]]}={t[2]}"))
+# Tokens that start with "-" and are no option: the separator, stdin, stray
+# flags, negative numbers and tokens with a space.  -h with more letters
+# after it is left out: argparse 3.13 reads -hx and -h=h otherwise than
+# earlier versions (test_help_clusters pins the reader's reading).
+STRAYS = st.sampled_from(["--", "--", "-", "-x", "-n", "--x", "--=x", "-5x", "-1", "-0", "- x",
+                          "--n 2", "-h", "--he"])
+TOKENS = st.one_of(OPTION_SPELLINGS, VALUES, STRAYS)
+VERBS = st.sampled_from([*cli._VERBS, "bogus"])
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A verb, a junk verb or none, in the first three places of a list of
+    tokens drawn from the options, their values and the strays."""
+    argv = draw(st.lists(TOKENS, max_size=7))
+    verb = draw(st.none() | VERBS)
+    if verb is not None:
+        argv.insert(draw(st.integers(0, min(2, len(argv)))), verb)
+    return argv
+
+
+@st.composite
+def verb_argvs(draw) -> list:
+    """A verb with its positionals and some of its options, each in a spelling
+    of its own, shuffled, the last positional at times after a "--", and a
+    few tokens from TOKENS among them: mostly argv the reference accepts."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    positionals, options = cli._VERBS[verb]
+    values = [draw(VALUES) for _ in positionals]
+    tail = ["--", values.pop()] if values and draw(st.booleans()) else []
+    items = [[value] for value in values]
+    for option, (_, reader, *_) in options.items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(reader) if type(reader) is tuple else VALUES)
+            name = option[:draw(st.integers(3, len(option)))]
+            items.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    items += [[t] for t in draw(st.lists(TOKENS, max_size=2))]
+    return [verb, *(t for item in draw(st.permutations(items)) for t in item), *tail]
+
+
+class TestArgvReader:
+    """cli._read_argv accepts what the argparse spec it replaced accepted,
+    with the same fields, and refuses what it refused."""
+
+    @ARGV_DRAWS
+    @given(argv=st.one_of(argvs(), verb_argvs()))
+    def test_agrees_with_the_reference(self, argv):
+        want = reference_reading(argv)
+        assume(want[0] is not None)
+        assert reading(argv) == want, argv
+        if want[0] == 2:
+            r = run_cli(*argv)
+            assert (r.returncode, r.stdout) == (2, "") and r.stderr.startswith("error: "), r
+            assert r.stderr.count("\n") == 1, r.stderr
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["laws", "--seed", "-5"], {"verb": "laws", "seed": -5, "trials": 100}),
+        (["hurwitz", "[1]", "[1]", "--ord", "2"],
+         {"verb": "hurwitz", "left": "[1]", "right": "[1]", "order": 2, "format": "text"}),
+        (["psi", "[1]", "--order=2"],
+         {"verb": "psi", "series": "[1]", "src": "power", "dst": None, "order": 2,
+          "format": "text"}),
+        (["psi", "--", "-[1]"],
+         {"verb": "psi", "series": "-[1]", "src": "power", "dst": None, "order": 8,
+          "format": "text"}),
+        (["mul", "-1", "2"], {"verb": "mul", "expr": "-1", "other": "2", "format": "text"}),
+        (["diff", "--format", "json", "x", "--n", "1", "--n", "3"],
+         {"verb": "diff", "expr": "x", "n": 3, "format": "json"}),
+        (["mul", "x", "--", "y"], {"verb": "mul", "expr": "x", "other": "y", "format": "text"}),
+        (["rb"], None),
+        (["rb", "--op", "mul", "--op", "bogus"], None),
+        (["laws", "--format", "text"], None),
+        (["psi", "[1]", "--f", "json"], None),
+        (["laws", "--seed", "1", "--"], None),
+        (["diff", "x", "--n"], None),
+        (["laws", "--trials", "0"], None),
+        ([], None),
+    ], ids=["negative-value", "prefix", "equals", "separator", "negative-positional",
+            "last-wins", "separator-between", "required", "invalid-choice", "unknown-option",
+            "ambiguous-prefix", "stray-separator", "no-value", "floor", "no-argv"])
+    def test_fixed_cases(self, argv, fields):
+        assert reference_reading(argv) == reading(argv) == (2 if fields is None else 0, fields)
+        if fields is None:
+            r = run_cli(*argv)
+            assert (r.returncode, r.stdout) == (2, "") and r.stderr.startswith("error: "), r
+
+    def test_help(self):
+        assert run_cli("--help") == (0, cli.__doc__ + "\n", "")
+        assert run_cli("x", "-h").returncode == 2
+        assert run_cli("psi", "[1]", "-h", "--order", "x") == (
+            0, "usage: diffalg psi SERIES [--from SRC] [--to DST] [--order ORDER] "
+               "[--format FORMAT]\n", "")
+        assert run_cli("psi", "-h", "--f").returncode == 2  # an ambiguous prefix after -h
+
+    @pytest.mark.parametrize("argv, code", [
+        (["diff", "x", "-hh"], 0), (["diff", "x", "-h=h"], 0), (["diff", "x", "-hx"], 2),
+        (["diff", "x", "-h="], 2), (["diff", "x", "--help=x"], 2)])
+    def test_help_clusters(self, argv, code):
+        """-h takes more h's after it, with or without "=", as argparse 3.10
+        to 3.12 read it; any other text after a help flag is refused."""
+        assert reading(argv) == (code, None)
+
+    def test_empty_list_corners(self):
+        """Where the reference read a "--" it strips as an empty list, the
+        reader reads the text "--": a value of an option that refuses it, or
+        a positional."""
+        assert reading(["diff", "x", "--format=--"]) == (2, None)
+        assert reading(["laws", "--seed=--"]) == (2, None)
+        assert reading(["mul", "x", "--", "--"]) == (
+            0, {"verb": "mul", "expr": "x", "other": "--", "format": "text"})
 
 
 def series_env(names, order: int, flavor: str = "hurwitz") -> str:
@@ -268,24 +483,28 @@ class TestImports:
     POLY_ONLY = ("diffalg.hurwitz", *HARNESS, "json")
     POLY_STACK = ("diffalg.polynomial", "diffalg.free_diff", "diffalg.expr")
     SERIES = (*HARNESS, *POLY_STACK, "json")
+    ARGPARSE = ("argparse", "gettext", "locale")
 
     @pytest.mark.parametrize("args, stdin, uses, absent", [
-        (("mul", "x + 1", "x - 1"), None, "diffalg.expr", POLY_ONLY),
-        (("diff", "--n", "2", "x^2"), None, "diffalg.free_diff", POLY_ONLY),
+        (("mul", "x + 1", "x - 1"), None, "diffalg.expr", (*POLY_ONLY, *ARGPARSE)),
+        (("diff", "--n", "2", "x^2"), None, "diffalg.free_diff", (*POLY_ONLY, *ARGPARSE)),
         (("rb", "--op", "mul"), RB_MUL, "diffalg.rota_baxter",
-         ("diffalg.hurwitz", "diffalg.diff_laws", "diffalg.free_diff")),
-        (("hurwitz", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
-        (("power", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", SERIES),
-        (("psi", "[1,1,1]"), None, "diffalg.hurwitz", SERIES),
-        (("psi", "[1,1,1]", "--format", "json"), None, "json", (*HARNESS, *POLY_STACK)),
-        (("eval", "X*Y"), TestEval.ENV, "diffalg.hurwitz", (*HARNESS, "diffalg.free_diff")),
+         ("diffalg.hurwitz", "diffalg.diff_laws", "diffalg.free_diff", *ARGPARSE)),
+        (("hurwitz", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", (*SERIES, *ARGPARSE)),
+        (("power", "[1,1]", "[1,2]"), None, "diffalg.hurwitz", (*SERIES, *ARGPARSE)),
+        (("psi", "[1,1,1]"), None, "diffalg.hurwitz", (*SERIES, *ARGPARSE)),
+        (("psi", "[1,1,1]", "--format", "json"), None, "json",
+         (*HARNESS, *POLY_STACK, *ARGPARSE)),
+        (("eval", "X*Y"), TestEval.ENV, "diffalg.hurwitz",
+         (*HARNESS, "diffalg.free_diff", *ARGPARSE)),
     ], ids=["mul", "diff", "rb", "hurwitz", "power", "psi", "psi-json", "eval"])
     def test_each_verb_loads_only_its_modules(self, args, stdin, uses, absent):
         """A verb's start-up pays only for the modules it uses: the law
         harness (and dataclasses with it) loads for laws alone, the series
         module for the series verbs, the shuffle algebra for rb.  The
         series verbs load no polynomial module, eval and rb no free_diff,
-        and only JSON input or output loads json."""
+        only JSON input or output loads json, and no verb loads argparse
+        (with gettext and locale) to read its argv."""
         r = run_child("-c", self.FOOTPRINT, *args, stdin=stdin)
         assert r.returncode == 0, r.stderr
         code, loaded = json.loads(r.stdout.splitlines()[-1])

@@ -1,8 +1,9 @@
 """Which laws and tests catch which kernel fault: a small mutation matrix.
 
-Each mutant is one exact text substitution in a kernel of src/diffalg, with
-the pytest node ids it names, if any.  For each, this script copies src/ to
-a temporary directory, applies the substitution there, runs
+Each mutant is one exact text substitution in a kernel of src/diffalg or in
+the CLI's argv reader, with the pytest node ids it names, if any.  For
+each, this script copies src/ to a temporary directory, applies the
+substitution there, runs
 ``python -m diffalg.cli laws --seed 42 --trials 10`` on the copy (a crash of
 the run counts as caught) and then the named tests on it with
 ``python -m pytest -q -x -p no:cacheprovider``, and prints the mutant with
@@ -165,6 +166,16 @@ MUTANTS = [
     # last coefficient of every series of order N >= 1 comes back 0.
     ("psi_inv_top_factorial_one_row_short", "hurwitz.py",
      "top = facts[f.order]", "top = facts[f.order - 1]"),
+    # The argv reader takes an ambiguous prefix (psi --f) for the first
+    # option it matches; laws --seed 42 --trials 10 spells every option out.
+    ("ambiguous_prefix_takes_first_match", "cli.py",
+     "if len(found) > 1:", "if len(found) > len(names):",
+     "tests/test_cli.py::TestArgvReader"),
+    # A negative number (laws --seed -5, mul -1 2) is read as an unknown
+    # option, so its verb refuses it; no law reads a negative argument.
+    ("negative_number_read_as_option", "cli.py",
+     r' or re.match(r"-\d+$|-\d*\.\d+$", t)', "",
+     "tests/test_cli.py::TestArgvReader"),
 ]
 
 
